@@ -5,10 +5,8 @@ tuple of ints of length phi(n) holding the coordinates in the power basis
 ``1, zeta, ..., zeta^(phi(n)-1)`` of the n-th cyclotomic polynomial, and
 ``den`` is a positive int with gcd(den, content(num)) == 1.  Everything in
 this module stays at that level; the user-facing wrapper is
-:class:`modkit.cyclotomic.CycNum`.
-
-:mod:`modkit._ckernel` is a compiled twin of this module with identical
-semantics; :mod:`modkit.kernel` picks one of the two at import time.
+:class:`modkit.cyclotomic.CycNum`.  Whole matrices run on integer coefficient
+slices in :mod:`modkit.matrix`, which reads the reduction rows kept here.
 """
 
 from __future__ import annotations
@@ -161,38 +159,3 @@ def mul(num_a, den_a: int, num_b, den_b: int, tab: ConductorTable):
 def scale(num, den: int, p: int, q: int):
     """Multiply by the rational p/q."""
     return normalize([p * v for v in num], den * q)
-
-
-def dot(nums_a, dens_a, nums_b, dens_b, tab: ConductorTable):
-    """Exact sum of products sum_i a_i * b_i, all at the same conductor."""
-    phi = tab.phi
-    rows = tab.rows
-    acc = [0] * phi
-    acc_den = 1
-    for na, da, nb, db in zip(nums_a, dens_a, nums_b, dens_b):
-        conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(na):
-            if ai:
-                for j, bj in enumerate(nb):
-                    if bj:
-                        conv[i + j] += ai * bj
-        term = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            ck = conv[k]
-            if ck:
-                row = rows[k - phi]
-                for i in range(phi):
-                    ri = row[i]
-                    if ri:
-                        term[i] += ck * ri
-        tden = da * db
-        if tden == acc_den:
-            for i in range(phi):
-                acc[i] += term[i]
-        else:
-            g = gcd(acc_den, tden)
-            fa = tden // g
-            fb = acc_den // g
-            acc = [x * fa + y * fb for x, y in zip(acc, term)]
-            acc_den *= fa
-    return normalize(acc, acc_den)

@@ -208,7 +208,6 @@ def cmd_fusion(args) -> int:
 
     # compare in the world the verlinde route lives in: push the family
     # decomposition through the same quotient when orbits were folded
-    tensor, tlabels, mapping = _verlinde_route(raw, inst.reps if inst is not None else None)
     folded: dict[int, int] = {}
     for k, m in enumerate(family_tensor.table[x, y]):
         if m:

@@ -30,6 +30,11 @@ class RootOfUnityWitness(NamedTuple):
     sign: int        # +1 or -1
 
 
+def _check_conductor(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"conductor must be >= 1, got {n}")
+
+
 class CycNum:
     """An element of Q(zeta_N), immutable and hashable."""
 
@@ -37,8 +42,7 @@ class CycNum:
 
     def __init__(self, conductor: int, num: tuple[int, ...], den: int, _trusted: bool = False):
         if not _trusted:
-            if conductor < 1:
-                raise ValueError("conductor must be >= 1")
+            _check_conductor(conductor)
             if den == 0:
                 raise ZeroDivisionError("zero denominator")
             num, den = _K.normalize(list(num), den)
@@ -65,6 +69,7 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, q: Rat, conductor: int = 1) -> "CycNum":
+        _check_conductor(conductor)
         q = Fraction(q)
         phi = _K.table(conductor).phi
         num = [0] * phi
@@ -73,6 +78,7 @@ class CycNum:
 
     @classmethod
     def from_coeffs(cls, conductor: int, coeffs) -> "CycNum":
+        _check_conductor(conductor)
         phi = _K.table(conductor).phi
         fracs = [Fraction(c) for c in coeffs]
         if len(fracs) != phi:

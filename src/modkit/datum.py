@@ -15,7 +15,7 @@ dim(eps)^a relating the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import CycNum
@@ -27,6 +27,14 @@ KIND_BOLD = "raw-bold"
 
 class DegeneracyError(ValueError):
     """The input does not have the structure the operation requires."""
+
+
+def _check_labels(labels: Sequence[str]) -> None:
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"duplicate label {label!r}")
+        seen.add(label)
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,7 @@ class RawDatum:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.duality is not None and sorted(self.duality) != list(range(n)):
             raise ValueError("duality is not a permutation")
+        _check_labels(self.labels)
 
     @property
     def size(self) -> int:
@@ -77,6 +86,7 @@ class ModularDatum:
             raise ValueError("T diagonal length does not match the label count")
         if not 0 <= self.unit < n:
             raise ValueError("unit index out of range")
+        _check_labels(self.labels)
 
     @property
     def size(self) -> int:
@@ -314,6 +324,7 @@ class World:
             tm = tm + q * t.inv()
         self.tau_plus = tp
         self.tau_minus = tm
+        self._s2 = None
         self._e = None
 
     @property
@@ -321,11 +332,17 @@ class World:
         """The categorical T-matrix diag(theta^-1)."""
         return CycMatrix.diagonal([t.inv() for t in self.twists])
 
+    def s_squared(self) -> CycMatrix:
+        """S^2, computed once."""
+        if self._s2 is None:
+            self._s2 = self.s @ self.s
+        return self._s2
+
     def e_matrix(self) -> CycMatrix:
         """S^2 / (D * dim_r(unit_bar)); a signed permutation on valid input."""
         if self._e is None:
             scale_inv = (self.global_dim * self.dim_unit_bar).inv()
-            self._e = (self.s @ self.s).scale(scale_inv)
+            self._e = self.s_squared().scale(scale_inv)
         return self._e
 
 
@@ -358,9 +375,11 @@ class SlightlyDegenerateData:
     e_signs: tuple[int, ...]
     sdim: CycNum
     dim_unit_bar: CycNum
+    bold_world: World = field(repr=False, compare=False)
 
     def world(self) -> World:
-        return bold_world(self.bold)
+        """The bold world the reduction verified (built once)."""
+        return self.bold_world
 
 
 def reduce_slightly_degenerate(full: RawDatum,
@@ -473,4 +492,5 @@ def reduce_slightly_degenerate(full: RawDatum,
         e_signs=sp.signs,
         sdim=w.global_dim,
         dim_unit_bar=w.dim_unit_bar,
+        bold_world=w,
     )

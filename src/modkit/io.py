@@ -33,9 +33,9 @@ def cyc_from_json(obj: dict) -> CycNum:
     try:
         n = int(obj["conductor"])
         coeffs = [Fraction(c) for c in obj["coeffs"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        return CycNum.from_coeffs(n, coeffs)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad scalar object: {exc}") from exc
-    return CycNum.from_coeffs(n, coeffs)
 
 
 # ---------- matrices ----------
@@ -87,24 +87,23 @@ def datum_from_json(obj: dict) -> Union[RawDatum, ModularDatum]:
         unit = int(obj["unit"])
         kind = obj["kind"]
         s = matrix_from_json(obj["S"])
+        if kind == KIND_NORMALIZED:
+            if "T" not in obj:
+                raise FormatError("normalized datum needs T")
+            t = tuple(cyc_from_json(v) for v in obj["T"])
+            return ModularDatum(labels, unit, s, t)
+        if kind not in (KIND_FULL, KIND_BOLD):
+            raise FormatError(f"unknown kind {kind!r}")
+        if "twists" not in obj:
+            raise FormatError("raw datum needs twists")
+        twists = tuple(cyc_from_json(v) for v in obj["twists"])
+        duality = tuple(int(i) for i in obj["duality"]) if "duality" in obj else None
+        signs = tuple(int(i) for i in obj["duality_signs"]) if "duality_signs" in obj else None
+        return RawDatum(labels, unit, s, twists, kind, duality, signs)
+    except FormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad datum object: {exc}") from exc
-    if kind == KIND_NORMALIZED:
-        if "T" not in obj:
-            raise FormatError("normalized datum needs T")
-        t = tuple(cyc_from_json(v) for v in obj["T"])
-        return ModularDatum(labels, unit, s, t)
-    if kind not in (KIND_FULL, KIND_BOLD):
-        raise FormatError(f"unknown kind {kind!r}")
-    if "twists" not in obj:
-        raise FormatError("raw datum needs twists")
-    twists = tuple(cyc_from_json(v) for v in obj["twists"])
-    duality = tuple(int(i) for i in obj["duality"]) if "duality" in obj else None
-    signs = tuple(int(i) for i in obj["duality_signs"]) if "duality_signs" in obj else None
-    try:
-        return RawDatum(labels, unit, s, twists, kind, duality, signs)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def save_datum(datum: Union[RawDatum, ModularDatum], path: str) -> None:

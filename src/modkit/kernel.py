@@ -1,19 +1,11 @@
-"""Backend selection for the arithmetic kernel.
+"""The arithmetic kernel: :mod:`modkit._kernel`, in pure Python.
 
-The compiled extension is used when it is importable; set the environment
-variable ``MODKIT_PURE_PYTHON=1`` to force the pure-Python backend.
+``impl`` names the module and ``BACKEND`` its name; matrices do their
+arithmetic on numpy coefficient slices (:mod:`modkit.matrix`).
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("MODKIT_PURE_PYTHON"):
-    from . import _kernel as impl
-else:
-    try:
-        from . import _ckernel as impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel as impl  # type: ignore[no-redef]
+from . import _kernel as impl
 
 BACKEND: str = impl.BACKEND

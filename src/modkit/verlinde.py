@@ -16,6 +16,7 @@ never an exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .cyclotomic import CycNum
 from .datum import ModularDatum, World
 from .fusion import FusionTensor, derive_duality
 from .kernel import impl as _K
+from .matrix import CycMatrix, max_abs, slice_matmul, slice_mul, with_bound
 
 
 @dataclass
@@ -44,49 +46,53 @@ class IntegralityReport:
         return "natural" if self.nonnegative else "integer"
 
 
-def _triple_sum(a_rows, c_cols, scale_inv: CycNum, signs, conductor: int, k: int):
-    """vals[(x,y,z)] = sign(z) * scale_inv * sum_w a_rows[w][x] a_rows[w][y] c_cols[z][w].
+# rows of pairwise products handled at once: each transient coefficient
+# stack (2 phi - 1 slices of rows x k int64 values) stays near this size
+_BLOCK_BYTES = 1 << 18
 
-    Exact; symmetric in (x, y), so only x <= y is produced.
+
+def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarray],
+                                                               IntegralityReport]:
+    """N[x, y, z] = sum_w a[w, x] a[w, y] c[w, z], read off as integers.
+
+    N is symmetric in (x, y), so only the rows x <= y of the pairwise products
+    P[(x, y), w] = a[w, x] a[w, y] are built, a block of rows at a time, and
+    each block is multiplied by ``c``.  An entry is an integer exactly when
+    its non-constant slices vanish and its constant slice is divisible by the
+    common denominator.  Witnesses come in the order x <= y, then z.
     """
-    tab = _K.table(conductor)
-    dot = _K.dot
-    nw = len(a_rows)
-    col_nums = [[c.num for c in col] for col in c_cols]
-    col_dens = [[c.den for c in col] for col in c_cols]
-    out = {}
-    for x in range(k):
-        ax = [a_rows[w][x] for w in range(nw)]
-        for y in range(x, k):
-            prod = [ax[w] * a_rows[w][y] for w in range(nw)]
-            p_nums = [p.num for p in prod]
-            p_dens = [p.den for p in prod]
-            for z in range(k):
-                num, den = dot(p_nums, p_dens, col_nums[z], col_dens[z], tab)
-                val = CycNum._make(conductor, num, den) * scale_inv
-                if signs[z] < 0:
-                    val = -val
-                out[(x, y, z)] = val
-    return out
-
-
-def _collect(vals, k: int) -> tuple[Optional[np.ndarray], IntegralityReport]:
+    k = a.cols
+    n = math.lcm(a.conductor, c.conductor)
+    a, c = a.lift(n), c.lift(n)
+    tab = _K.table(n)
+    den = a.den * a.den * c.den
     rep = IntegralityReport(entries=k * k * k)
     tensor = np.zeros((k, k, k), dtype=np.int64)
-    for (x, y, z), v in vals.items():
-        if not v.is_integer():
+    xs, ys = np.triu_indices(k)
+    block = max(1, _BLOCK_BYTES // (8 * (2 * tab.phi - 1) * max(k, 1)))
+    for start in range(0, len(xs), block):
+        bx, by = xs[start:start + block], ys[start:start + block]
+        pairs = slice_mul(a.num[:, :, bx], a.num[:, :, by], tab)
+        vals = slice_matmul(pairs.transpose(0, 2, 1), c.num, tab)
+        vals = with_bound(vals, max(max_abs(vals), den))
+        quot, rem = np.divmod(vals[0], den)
+        integral = ~(vals[1:] != 0).any(axis=0) & (rem == 0)
+        quot = np.where(integral, quot, 0)
+        tensor[bx, by] = quot
+        tensor[by, bx] = quot
+        for r, z in zip(*np.nonzero(~integral)):
             rep.integral = False
-            if len(rep.non_integral) < 5:
-                rep.non_integral.append((x, y, z, v))
-            continue
-        m = int(v.as_rational())
-        tensor[x, y, z] = m
-        tensor[y, x, z] = m
-        if m < 0:
+            if len(rep.non_integral) == 5:
+                break
+            num, d = _K.normalize([int(v) for v in vals[:, r, z]], den)
+            rep.non_integral.append((int(bx[r]), int(by[r]), int(z), CycNum._make(n, num, d)))
+        negative = quot < 0
+        if negative.any():
             rep.nonnegative = False
-            rep.negative_count += 1 if x == y else 2
+            rep.negative_count += int((negative.sum(axis=1) * np.where(bx == by, 1, 2)).sum())
             if rep.first_negative is None:
-                rep.first_negative = (x, y, z, m)
+                r, z = (int(v[0]) for v in np.nonzero(negative))
+                rep.first_negative = (int(bx[r]), int(by[r]), z, int(quot[r, z]))
     if not rep.integral:
         return None, rep
     return tensor, rep
@@ -97,12 +103,13 @@ def verlinde_raw(world: World) -> tuple[Optional[np.ndarray], IntegralityReport]
     k = world.size
     sp = world.e_matrix().is_signed_permutation()
     signs = sp.signs if sp is not None and sp.perm == world.bar else (1,) * k
-    s_rows = [world.s.row(w) for w in range(k)]
-    inv_dim = [d.inv() for d in world.dim_r]
-    c_cols = [[s_rows[w][world.bar[z]] * inv_dim[w] for w in range(k)] for z in range(k)]
+    s = world.s
+    # c[w, z] = sign(z) S[w, bar(z)] / (dim_r(w) D u)
+    signed = CycMatrix.from_slices(s.conductor, s.num[:, :, list(world.bar)] * np.array(signs),
+                                   s.den)
     scale_inv = (world.global_dim * world.dim_unit_bar).inv()
-    vals = _triple_sum(s_rows, c_cols, scale_inv, signs, world.s.conductor, k)
-    return _collect(vals, k)
+    c = signed.scale_rows([d.inv() * scale_inv for d in world.dim_r])
+    return _structure_constants(s, c)
 
 
 def signed_verlinde(sldeg) -> tuple[Optional[np.ndarray], IntegralityReport]:
@@ -112,19 +119,15 @@ def signed_verlinde(sldeg) -> tuple[Optional[np.ndarray], IntegralityReport]:
 
 def verlinde_fusion(datum: ModularDatum) -> tuple[Optional[FusionTensor], IntegralityReport]:
     """Structure constants of a normalized datum, with duality read off the tensor."""
-    k = datum.size
     s = datum.s_matrix
     unit_row = s.row(datum.unit)
     if any(e.is_zero() for e in unit_row):
         bad = next(i for i, e in enumerate(unit_row) if e.is_zero())
         raise ZeroDivisionError(f"unit row vanishes at {datum.labels[bad]}")
-    inv_unit = [e.inv() for e in unit_row]
-    # the summation index is the column index l: hand the core the rows of S^T
-    a_rows = [s.col(l) for l in range(k)]
-    c_cols = [[s[z, l].conj() * inv_unit[l] for l in range(k)] for z in range(k)]
-    one = CycNum.from_rational(1)
-    vals = _triple_sum(a_rows, c_cols, one, (1,) * k, s.conductor, k)
-    tensor, rep = _collect(vals, k)
+    # the summation index is the column index l: a[l, x] = S[x, l] and
+    # c[l, z] = conj(S[z, l]) / S[unit, l]
+    c = s.conj_transpose().scale_rows([e.inv() for e in unit_row])
+    tensor, rep = _structure_constants(s.transpose(), c)
     if tensor is None:
         return None, rep
     duality = derive_duality(tensor, datum.unit)

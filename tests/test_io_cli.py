@@ -183,3 +183,58 @@ def test_cli_verify_degenerate_pointed(tmp_path, capsys):
     by = {e["check"]: e for e in entries}
     assert code == 1
     assert by["classification"]["detail"] == "degenerate"
+
+
+def test_cli_fusion_compare_builds_the_verlinde_tensor_once(monkeypatch, capsys):
+    import modkit.cli as cli
+    calls = []
+    real = cli.verlinde_raw
+
+    def counting(world):
+        calls.append(world.size)
+        return real(world)
+
+    monkeypatch.setattr(cli, "verlinde_raw", counting)
+    for spec, x, y in (("taft:d=3", "(2,0)", "(2,1)"), ("pointed:n=5,a=1,k0=0", "d1", "d3")):
+        calls.clear()
+        assert run_cli(["fusion", spec, x, y, "--compare"]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
+
+
+HOSTILE = {
+    "zero-denominator": lambda obj: obj["S"]["entries"][0][0]["coeffs"].__setitem__(0, "1/0"),
+    "duplicate-label": lambda obj: obj["labels"].__setitem__(1, obj["labels"][0]),
+    "conductor-zero": lambda obj: obj["twists"].__setitem__(0, {"conductor": 0,
+                                                                "coeffs": ["1"]}),
+    "conductor-negative": lambda obj: obj["twists"][0].__setitem__("conductor", -3),
+}
+
+
+@pytest.mark.parametrize("which", sorted(HOSTILE))
+def test_cli_rejects_hostile_datum_with_one_error_line(tmp_path, capsys, which):
+    obj = io.datum_to_json(taft_double(3))
+    HOSTILE[which](obj)
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(["verify", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("conductor", [0, -3])
+def test_scalar_constructors_reject_conductor_below_one(conductor):
+    with pytest.raises(ValueError):
+        CycNum.from_coeffs(conductor, [1])
+    with pytest.raises(ValueError):
+        CycNum.from_rational(1, conductor)
+
+
+def test_datum_types_reject_duplicate_labels():
+    raw = taft_double(3)
+    labels = (raw.labels[0],) * 2 + raw.labels[2:]
+    with pytest.raises(ValueError, match="duplicate label"):
+        type(raw)(labels, raw.unit, raw.s_matrix, raw.twists)
+    m = CycMatrix.identity(2)
+    with pytest.raises(ValueError, match="duplicate label"):
+        ModularDatum(("a", "a"), 0, m, (CycNum.from_rational(1),) * 2)

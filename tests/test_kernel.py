@@ -1,76 +1,122 @@
-"""Backend parity: the compiled kernel must agree with the pure one bit for
-bit, including on inputs that force its big-integer fallback."""
+"""The slice path of :class:`CycMatrix` against an entry-by-entry
+:class:`CycNum` reference, and Galois invariance of the Verlinde tensor."""
 
+import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from modkit import _kernel as py_kernel
+from modkit import _kernel as kernel
+from modkit.cyclotomic import CycNum
+from modkit.datum import RawDatum, nondegenerate_world, reduce_slightly_degenerate
+from modkit.families import pointed_cyclic, sl2_q16_counterexample, taft_double, taft_J_indices
+from modkit.matrix import CycMatrix
+from modkit.pipeline import verify_raw
+from modkit.verlinde import verlinde_raw
 
-c_kernel = pytest.importorskip("modkit._ckernel")
-
-
-def rand_value(rng, tab, span):
-    num = [rng.randint(-span, span) for _ in range(tab.phi)]
-    den = rng.randint(1, 40)
-    return py_kernel.normalize(num, den)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 12, 16, 24])
-def test_mul_add_parity(n):
-    rng = random.Random(n * 101)
-    tab = py_kernel.table(n)
-    for _ in range(300):
-        a = rand_value(rng, tab, 50)
-        b = rand_value(rng, tab, 50)
-        assert c_kernel.mul(*a, *b, tab) == py_kernel.mul(*a, *b, tab)
-        assert c_kernel.add(*a, *b) == py_kernel.add(*a, *b)
+ZERO = CycNum.from_rational(0)
 
 
-@pytest.mark.parametrize("n", [5, 8, 12, 16])
-def test_dot_parity(n):
-    rng = random.Random(n * 7)
-    tab = py_kernel.table(n)
-    for _ in range(60):
-        length = rng.randint(1, 30)
-        va = [rand_value(rng, tab, 30) for _ in range(length)]
-        vb = [rand_value(rng, tab, 30) for _ in range(length)]
-        args = ([v[0] for v in va], [v[1] for v in va],
-                [v[0] for v in vb], [v[1] for v in vb], tab)
-        assert c_kernel.dot(*args) == py_kernel.dot(*args)
+def rand_matrix(rng, rows, cols, n, span=9, dens=(1, 2, 3, 4, 7, 10)):
+    phi = kernel.euler_phi(n)
+    return CycMatrix(rows, cols, [
+        CycNum.from_coeffs(n, [Fraction(rng.randint(-span, span), rng.choice(dens))
+                               for _ in range(phi)])
+        for _ in range(rows * cols)])
 
 
-def test_huge_coefficients_take_the_fallback_and_stay_exact():
-    rng = random.Random(99)
-    tab = py_kernel.table(8)
-    big = 10 ** 30
-    for _ in range(50):
-        a = py_kernel.normalize([rng.randint(-big, big) for _ in range(tab.phi)],
-                                rng.randint(1, 10 ** 12))
-        b = py_kernel.normalize([rng.randint(-big, big) for _ in range(tab.phi)],
-                                rng.randint(1, 10 ** 12))
-        assert c_kernel.mul(*a, *b, tab) == py_kernel.mul(*a, *b, tab)
-        assert c_kernel.add(*a, *b) == py_kernel.add(*a, *b)
-        assert c_kernel.scale(*a, 10 ** 25 + 1, 7) == py_kernel.scale(*a, 10 ** 25 + 1, 7)
+def canonical(entries):
+    return [(e.conductor, e.num, e.den) for e in entries]
 
 
-def test_mixed_magnitude_dot_fallback():
-    rng = random.Random(5)
-    tab = py_kernel.table(7)
-    va = [py_kernel.normalize([10 ** 18, 1, 0, -3, 0, 2], 3),
-          py_kernel.normalize([rng.randint(-9, 9) for _ in range(6)], 2)]
-    vb = [py_kernel.normalize([2, 10 ** 17, 1, 1, 1, 1], 5),
-          py_kernel.normalize([rng.randint(-9, 9) for _ in range(6)], 7)]
-    args = ([v[0] for v in va], [v[1] for v in va],
-            [v[0] for v in vb], [v[1] for v in vb], tab)
-    assert c_kernel.dot(*args) == py_kernel.dot(*args)
+def ref_product(a, b):
+    return [sum((a[i, k] * b[k, j] for k in range(a.cols)), ZERO)
+            for i in range(a.rows) for j in range(b.cols)]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 12, 84])
+def test_slice_arithmetic_matches_the_entrywise_reference(n):
+    rng = random.Random(n)
+    for rows, inner, cols in ((3, 4, 2), (1, 5, 5), (4, 1, 3)):
+        a = rand_matrix(rng, rows, inner, n)
+        b = rand_matrix(rng, inner, cols, n)
+        prod = a @ b
+        assert prod.num.dtype == np.int64
+        assert canonical(prod.entries) == canonical(ref_product(a, b))
+        c = rand_matrix(rng, rows, inner, n)
+        assert canonical((a + c).entries) == canonical([x + y for x, y in zip(a.entries, c.entries)])
+        assert canonical((a - c).entries) == canonical([x - y for x, y in zip(a.entries, c.entries)])
+        assert (a == c) == all(x == y for x, y in zip(a.entries, c.entries))
+        # equal values over different common denominators and conductors
+        assert a == a.scale(3).scale(Fraction(1, 3)) == a.lift(2 * n)
+        changed = list(a.entries)
+        changed[-1] = changed[-1] + CycNum.from_rational(Fraction(1, 5))
+        assert a.first_difference(CycMatrix(rows, inner, changed)) == (rows - 1, inner - 1)
+        j = next(j for j in range(n - 1, 0, -1) if math.gcd(j, n) == 1) if n > 2 else 1
+        assert canonical(a.galois(j).entries) == canonical(e.galois(j) for e in a.entries)
+        assert canonical(a.conj_transpose().entries) == \
+            canonical(a[i, k].conj() for k in range(inner) for i in range(rows))
+
+
+def test_mixed_conductor_product_lifts_to_the_lcm():
+    rng = random.Random(7)
+    a = rand_matrix(rng, 2, 3, 9)
+    b = rand_matrix(rng, 3, 2, 12)
+    prod = a @ b
+    assert prod.conductor == 36
+    assert canonical(prod.entries) == canonical(ref_product(a, b))
+
+
+def test_huge_coefficients_take_the_object_path_and_stay_exact():
+    rng = random.Random(40)
+    big = 1 << 40
+    for n, a_dens in ((4, (1, 3)), (9, (1, 3)), (84, (1, 3, big + 1))):
+        a = rand_matrix(rng, 3, 3, n, span=big, dens=a_dens)
+        b = rand_matrix(rng, 3, 2, n, span=big, dens=(1, 5))
+        prod = a @ b
+        assert prod.num.dtype == object
+        assert canonical(prod.entries) == canonical(ref_product(a, b))
+        assert canonical((a + a).entries) == canonical(x + x for x in a.entries)
+        assert a.scale(2) == a + a and a != a.scale(2)
+
+
+@pytest.mark.parametrize("family", ["taft:d=5", "pointed:n=7"])
+def test_verlinde_tensor_is_galois_invariant(family):
+    if family.startswith("taft"):
+        raw = taft_double(5)
+        world_of = lambda r: reduce_slightly_degenerate(r, reps=taft_J_indices(5)).world()  # noqa: E731
+    else:
+        raw = pointed_cyclic(7, 1, 0)
+        world_of = nondegenerate_world
+    base, rep = verlinde_raw(world_of(raw))
+    assert base is not None and rep.integral
+    n = raw.s_matrix.conductor
+    for j in (j for j in range(2, n) if math.gcd(j, n) == 1):
+        conj = RawDatum(raw.labels, raw.unit, raw.s_matrix.galois(j),
+                        tuple(t.galois(j) for t in raw.twists), raw.kind, raw.duality)
+        tensor, _ = verlinde_raw(world_of(conj))
+        assert np.array_equal(tensor, base), j
+
+
+def test_galois_conjugates_of_the_q16_witness_still_fail_the_st_cube():
+    _, bold = sl2_q16_counterexample()
+    n = bold.s_matrix.conductor
+    for j in (j for j in range(1, n) if math.gcd(j, n) == 1):
+        conj = RawDatum(bold.labels, bold.unit, bold.s_matrix.galois(j),
+                        tuple(t.galois(j) for t in bold.twists), bold.kind,
+                        bold.duality, bold.duality_signs)
+        res = verify_raw(conj)
+        assert res.classification == "fail"
+        assert res.report["sl2_st_cubed"].status == "fail", j
 
 
 def test_cyclotomic_polynomial_coefficients():
-    assert py_kernel.cyclotomic_int_coeffs(1) == (-1, 1)
-    assert py_kernel.cyclotomic_int_coeffs(2) == (1, 1)
-    assert py_kernel.cyclotomic_int_coeffs(3) == (1, 1, 1)
-    assert py_kernel.cyclotomic_int_coeffs(4) == (1, 0, 1)
-    assert py_kernel.cyclotomic_int_coeffs(12) == (1, 0, -1, 0, 1)
-    assert py_kernel.euler_phi(12) == 4
-    assert py_kernel.euler_phi(1) == 1
+    assert kernel.cyclotomic_int_coeffs(1) == (-1, 1)
+    assert kernel.cyclotomic_int_coeffs(2) == (1, 1)
+    assert kernel.cyclotomic_int_coeffs(3) == (1, 1, 1)
+    assert kernel.cyclotomic_int_coeffs(4) == (1, 0, 1)
+    assert kernel.cyclotomic_int_coeffs(12) == (1, 0, -1, 0, 1)
+    assert kernel.euler_phi(12) == 4
+    assert kernel.euler_phi(1) == 1

@@ -71,3 +71,26 @@ def test_bold_input_with_mode_auto_runs_sldeg_suite():
     res = verify_raw(sld.bold)
     assert res.passed and res.classification == "Z-modular"
     assert "rank_half" not in res.report   # full-matrix checks are not run on bold input
+
+
+def test_slightly_degenerate_verify_reuses_one_world_and_its_square(monkeypatch):
+    # S^2 once for E, unitarity once, (ST)^3 and (ST^-1)^3 three each, S^4 once
+    import modkit.datum as datum_mod
+    counts = {"products": 0, "worlds": 0}
+    matmul, init = CycMatrix.__matmul__, datum_mod.World.__init__
+
+    def counting_matmul(self, other):
+        counts["products"] += 1
+        return matmul(self, other)
+
+    def counting_init(self, *args):
+        counts["worlds"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(CycMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(datum_mod.World, "__init__", counting_init)
+    res = verify_raw(taft_double(3), reps=taft_J_indices(3))
+    assert res.classification == "Z-modular"
+    assert counts == {"products": 9, "worlds": 1}
+    assert emit_zmodular(res.sldeg).datum is not None
+    assert counts == {"products": 9, "worlds": 1}
