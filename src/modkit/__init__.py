@@ -15,7 +15,7 @@ from .checks import (VerificationReport, check_axioms, check_balancing,
                      check_vafa, gauss_sums)
 from .matrix import CycMatrix
 from .pipeline import emit_zmodular, verify_normalized, verify_raw
-from .verlinde import signed_verlinde, verlinde_fusion, verlinde_raw
+from .verlinde import verlinde_fusion, verlinde_raw
 from .kernel import BACKEND as kernel_backend
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "reduce_slightly_degenerate", "quotient_constants",
     "check_axioms", "check_balancing", "check_raw_unitarity", "check_sl2_relations",
     "check_twist_laws", "check_vafa", "gauss_sums",
-    "verlinde_fusion", "verlinde_raw", "signed_verlinde",
+    "verlinde_fusion", "verlinde_raw",
     "verify_raw", "verify_normalized", "emit_zmodular",
     "kernel_backend",
 ]

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .cyclotomic import CycNum, is_root_of_unity, is_totally_positive
-from .datum import (KIND_FULL, MODE_NONDEGENERATE, ModularDatum, RawDatum, World,
-                    bold_world, nondegenerate_world)
+from .datum import MODE_NONDEGENERATE, ModularDatum, World
 from .matrix import CycMatrix, max_abs, with_bound
 from .verlinde import verlinde_fusion
 
@@ -45,6 +44,14 @@ class CheckResult:
         return self.status != FAIL
 
 
+def _run_check(name: str, fn: Callable[[], tuple]) -> CheckResult:
+    """Time ``fn``, which returns (ok, detail, witness), as the check ``name``."""
+    t0 = time.perf_counter()
+    ok, detail, witness = fn()
+    ms = (time.perf_counter() - t0) * 1000.0
+    return CheckResult(name, PASS if ok else FAIL, detail, witness, ms)
+
+
 @dataclass
 class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
@@ -54,10 +61,7 @@ class VerificationReport:
         return result
 
     def run(self, name: str, fn: Callable[[], tuple]) -> CheckResult:
-        t0 = time.perf_counter()
-        ok, detail, witness = fn()
-        ms = (time.perf_counter() - t0) * 1000.0
-        return self.add(CheckResult(name, PASS if ok else FAIL, detail, witness, ms))
+        return self.add(_run_check(name, fn))
 
     def skip(self, name: str, detail: str = "") -> CheckResult:
         return self.add(CheckResult(name, SKIPPED, detail))
@@ -77,12 +81,6 @@ class VerificationReport:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if c.status == FAIL]
-
-
-def _as_world(x: Union[World, RawDatum]) -> World:
-    if isinstance(x, World):
-        return x
-    return nondegenerate_world(x) if x.kind == KIND_FULL else bold_world(x)
 
 
 def _first_diff(a: CycMatrix, b: CycMatrix) -> Optional[dict]:
@@ -106,9 +104,8 @@ def _row_sum_check(lhs: CycMatrix, want: list[CycNum]) -> tuple:
 # raw-world checks
 # ---------------------------------------------------------------------------
 
-def check_raw_unitarity(raw: Union[World, RawDatum], scale: CycNum) -> tuple[bool, Optional[dict]]:
+def check_raw_unitarity(w: World, scale: CycNum) -> tuple[bool, Optional[dict]]:
     """S * conj(S)^T == scale * Id, exactly."""
-    w = _as_world(raw)
     lhs = w.s @ w.s.conj_transpose()
     rhs = CycMatrix.identity(w.size).scale(scale)
     return (diff := _first_diff(lhs, rhs)) is None, diff
@@ -122,18 +119,14 @@ class GaussSums(NamedTuple):
     ok: bool
 
 
-def gauss_sums(raw: Union[World, RawDatum]) -> GaussSums:
+def gauss_sums(w: World) -> GaussSums:
     """Twist-weighted sums of squared norms; product compared with the
     world's (super)dimension."""
-    w = _as_world(raw)
     product = w.tau_plus * w.tau_minus
     return GaussSums(w.tau_plus, w.tau_minus, product, w.global_dim, product == w.global_dim)
 
 
-def check_twist_laws(raw: Union[World, RawDatum]) -> list[CheckResult]:
-    w = _as_world(raw)
-    rep = VerificationReport()
-
+def check_twist_laws(w: World) -> list[CheckResult]:
     def dual_dim():
         for x in range(w.size):
             if w.twists[w.duality[x]] * w.dim_r[x] != w.twists[x] * w.dim_l[x]:
@@ -162,19 +155,16 @@ def check_twist_laws(raw: Union[World, RawDatum]) -> list[CheckResult]:
         want = [tb * t * d * w.tau_minus for t, d in zip(w.twists, w.dim_r)]
         return _row_sum_check(lhs, want)
 
-    rep.run("twist_dual_dim", dual_dim)
-    rep.run("twist_bar", bar_law)
-    rep.run("twist_unit_bar", unit_bar_law)
-    rep.run("twist_tau_plus_rows", tau_plus_rows)
-    rep.run("twist_tau_minus_rows", tau_minus_rows)
-    return rep.checks
+    return [_run_check("twist_dual_dim", dual_dim),
+            _run_check("twist_bar", bar_law),
+            _run_check("twist_unit_bar", unit_bar_law),
+            _run_check("twist_tau_plus_rows", tau_plus_rows),
+            _run_check("twist_tau_minus_rows", tau_minus_rows)]
 
 
-def check_sl2_relations(raw: Union[World, RawDatum], mode: Optional[str] = None) -> list[CheckResult]:
+def check_sl2_relations(w: World) -> list[CheckResult]:
     """(ST)^3 = tau^- S^2, S^4 = (D u)^2 Id, (S T^-1)^3 = tau^+ D u^2 Id and
     S^2 = D u E with E a signed permutation matching bar; T = diag(theta^-1)."""
-    w = _as_world(raw)
-    rep = VerificationReport()
     d_u = w.global_dim * w.dim_unit_bar
 
     def st_cubed():
@@ -204,18 +194,15 @@ def check_sl2_relations(raw: Union[World, RawDatum], mode: Optional[str] = None)
             return False, "nondegenerate E must have all signs +1", {"signs": sp.signs}
         return True, f"signs {sp.signs}", None
 
-    rep.run("sl2_st_cubed", st_cubed)
-    rep.run("sl2_s_fourth", s_fourth)
-    rep.run("sl2_st_inv_cubed", st_inv_cubed)
-    rep.run("sl2_s_squared_signed_perm", squared_signed_perm)
-    return rep.checks
+    return [_run_check("sl2_st_cubed", st_cubed),
+            _run_check("sl2_s_fourth", s_fourth),
+            _run_check("sl2_st_inv_cubed", st_inv_cubed),
+            _run_check("sl2_s_squared_signed_perm", squared_signed_perm)]
 
 
-def check_vafa(raw: Union[World, RawDatum]) -> list[CheckResult]:
+def check_vafa(w: World) -> list[CheckResult]:
     """Every twist is a root of unity, and so is the squared anomaly
     tau_plus^2 * u / D (nondegenerate) resp. tau_plus^2 * u^2 / D (bold)."""
-    w = _as_world(raw)
-    rep = VerificationReport()
 
     def twists_ru():
         for x, t in enumerate(w.twists):
@@ -234,19 +221,15 @@ def check_vafa(raw: Union[World, RawDatum]) -> list[CheckResult]:
             return False, "", {"anomaly_squared": xi_sq}
         return True, f"anomaly^2 has order {wit.order}", None
 
-    rep.run("vafa_twists", twists_ru)
-    rep.run("vafa_anomaly", anomaly_ru)
-    return rep.checks
+    return [_run_check("vafa_twists", twists_ru), _run_check("vafa_anomaly", anomaly_ru)]
 
 
-def check_balancing(raw: Union[World, RawDatum], tensor: np.ndarray) -> CheckResult:
+def check_balancing(w: World, tensor: np.ndarray) -> CheckResult:
     """theta_X theta_Y S[X,Y] == sum_Z N_{X,Y}^Z dim_r(Z) theta_Z at every pair.
 
     ``tensor`` holds the structure constants indexed like the world's labels
     (the quotient constants, in the bold case).
     """
-    w = _as_world(raw)
-    rep = VerificationReport()
 
     def balance():
         weights = [w.dim_r[z] * w.twists[z] for z in range(w.size)]
@@ -270,14 +253,12 @@ def check_balancing(raw: Union[World, RawDatum], tensor: np.ndarray) -> CheckRes
         return False, "", {"at": (x, y), "lhs": w.twists[x] * w.twists[y] * w.s[x, y],
                            "rhs": rhs}
 
-    return rep.run("balancing", balance)
+    return _run_check("balancing", balance)
 
 
-def check_total_positivity(raw: Union[World, RawDatum], precision_bits: int = 256) -> CheckResult:
+def check_total_positivity(w: World, precision_bits: int = 256) -> CheckResult:
     """Each squared norm |X|^2 = dim_r(X) dim_l(X) is totally positive
     (rigorous interval check at the given precision)."""
-    w = _as_world(raw)
-    rep = VerificationReport()
 
     def positive():
         for x, q in enumerate(w.sqnorm):
@@ -285,7 +266,7 @@ def check_total_positivity(raw: Union[World, RawDatum], precision_bits: int = 25
                 return False, "", {"at": x, "label": w.labels[x], "value": q}
         return True, "", None
 
-    return rep.run("sqnorm_totally_positive", positive)
+    return _run_check("sqnorm_totally_positive", positive)
 
 
 # ---------------------------------------------------------------------------

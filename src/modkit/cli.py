@@ -5,8 +5,8 @@ Verbs: generate family data, verify datum files, decompose fusion products
 restriction, and render report files.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/parse errors.
-The environment variable MODKIT_PRECISION_BITS (default 256) sets the
-precision of the rigorous interval checks.
+The environment variable MODKIT_PRECISION_BITS (an integer >= 16, default
+256) sets the precision of the rigorous interval checks.
 """
 
 from __future__ import annotations
@@ -18,21 +18,25 @@ import sys
 from typing import Optional
 
 from . import io
-from .datum import (KIND_FULL, DegeneracyError, ModularDatum, RawDatum, bold_world,
-                    detect_symmetric_center, nondegenerate_world,
-                    reduce_slightly_degenerate, with_duality)
+from .datum import (KIND_FULL, DegeneracyError, ModularDatum, RawDatum,
+                    reduce_slightly_degenerate)
 from .families import FamilySpecError, FamilyInstance, from_spec
-from .pipeline import PipelineResult, emit_zmodular, verify_normalized, verify_raw
+from .pipeline import (PipelineResult, emit_zmodular, resolve_world, verify_normalized,
+                       verify_raw)
 from .verlinde import verlinde_raw
 
 USAGE_ERROR = 2
 
 
 def _precision_bits() -> int:
+    text = os.environ.get("MODKIT_PRECISION_BITS", "256")
     try:
-        return int(os.environ.get("MODKIT_PRECISION_BITS", "256"))
+        bits = int(text)
     except ValueError:
-        return 256
+        bits = 0
+    if bits < 16:
+        raise ValueError(f"MODKIT_PRECISION_BITS must be an integer >= 16, got {text!r}")
+    return bits
 
 
 def _fail_usage(msg: str) -> int:
@@ -61,6 +65,10 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        bits = _precision_bits()
+    except ValueError as exc:
+        return _fail_usage(str(exc))
+    try:
         datum = io.load_datum(args.input)
     except (OSError, io.FormatError) as exc:
         return _fail_usage(f"cannot read datum: {exc}")
@@ -68,7 +76,7 @@ def cmd_verify(args) -> int:
     if isinstance(datum, ModularDatum):
         result = verify_normalized(datum)
     else:
-        result = verify_raw(datum, mode=args.mode, precision_bits=_precision_bits())
+        result = verify_raw(datum, mode=args.mode, precision_bits=bits)
 
     if args.emit_zmodular:
         _emit(result, args.emit_zmodular)
@@ -132,36 +140,6 @@ def _format_multiset(pairs: list[tuple[str, int]]) -> str:
     return "{" + ", ".join(terms) + "}"
 
 
-def _verlinde_route(raw: RawDatum, reps):
-    """(tensor, tensor labels, map full-label-index -> (tensor index, sign))."""
-    raw = with_duality(raw)
-    if raw.kind != KIND_FULL:
-        world = bold_world(raw)
-        tensor, irep = verlinde_raw(world)
-        if tensor is None:
-            raise DegeneracyError("the S-matrix route gives non-integral coefficients")
-        return tensor, world.labels, {i: (i, 1) for i in range(world.size)}
-    center = detect_symmetric_center(raw)
-    if len(center) == 1:
-        world = nondegenerate_world(raw)
-        tensor, irep = verlinde_raw(world)
-        if tensor is None:
-            raise DegeneracyError("the S-matrix route gives non-integral coefficients")
-        return tensor, world.labels, {i: (i, 1) for i in range(world.size)}
-    sldeg = reduce_slightly_degenerate(raw, reps=reps)
-    tensor, irep = verlinde_raw(sldeg.world())
-    if tensor is None:
-        raise DegeneracyError("the S-matrix route gives non-integral coefficients")
-    pos = {r: i for i, r in enumerate(sldeg.reps)}
-    mapping = {}
-    for i in range(raw.size):
-        if i in pos:
-            mapping[i] = (pos[i], 1)
-        else:
-            mapping[i] = (pos[sldeg.eps_action[i]], -1)
-    return tensor, sldeg.bold.labels, mapping
-
-
 def cmd_fusion(args) -> int:
     try:
         inst, raw = _load_source(args.source)
@@ -190,11 +168,16 @@ def cmd_fusion(args) -> int:
         outputs["family"] = [(labels[k], int(m)) for k, m in enumerate(row) if m]
     if args.compare or oracle == "verlinde":
         try:
-            tensor, tlabels, mapping = _verlinde_route(
-                raw, inst.reps if inst is not None else None)
+            world, sldeg = resolve_world(raw, inst.reps if inst is not None else None)
+            tensor, _ = verlinde_raw(world)
+            if tensor is None:
+                raise DegeneracyError("the S-matrix route gives non-integral coefficients")
         except DegeneracyError as exc:
             print(f"verlinde route failed: {exc}", file=sys.stderr)
             return 1
+        tlabels = world.labels
+        # full label -> (index in the world's labels, sign)
+        mapping = sldeg.signed_reps() if sldeg is not None else [(i, 1) for i in range(raw.size)]
         xi, sx = mapping[x]
         yi, sy = mapping[y]
         sign = sx * sy
@@ -238,7 +221,7 @@ def cmd_reduce(args) -> int:
     if not isinstance(datum, RawDatum) or datum.kind != KIND_FULL:
         return _fail_usage("reduce needs a full raw datum")
     try:
-        sldeg = reduce_slightly_degenerate(with_duality(datum))
+        sldeg = reduce_slightly_degenerate(datum)
     except DegeneracyError as exc:
         print(f"reduction failed: {exc}", file=sys.stderr)
         return 1

@@ -398,22 +398,6 @@ def root_of_unity(n: int, k: int = 1) -> CycNum:
 zeta = root_of_unity
 
 
-def rational(q: Rat) -> CycNum:
-    return CycNum.from_rational(q)
-
-
-def add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def neg(a: CycNum) -> CycNum:
-    return -a
-
-
 def inv(a: CycNum) -> CycNum:
     return a.inv()
 
@@ -450,8 +434,10 @@ def is_root_of_unity(a: CycNum) -> Optional[RootOfUnityWitness]:
 def _iv_context(precision_bits: int):
     from mpmath.ctx_iv import MPIntervalContext
 
+    if precision_bits < 16:
+        raise ValueError(f"precision_bits must be at least 16, got {precision_bits}")
     ctx = MPIntervalContext()
-    ctx.prec = max(precision_bits, 16)
+    ctx.prec = precision_bits
     return ctx
 
 

@@ -118,9 +118,6 @@ def dims_of(raw: RawDatum, duality: Optional[Sequence[int]] = None,
     """
     s = raw.s_matrix
     dim_r = s.row(raw.unit)
-    if any(d.is_zero() for d in dim_r):
-        bad = next(i for i, d in enumerate(dim_r) if d.is_zero())
-        raise DegeneracyError(f"dim_r({raw.labels[bad]}) = 0")
     duality = raw.duality if duality is None else tuple(duality)
     if duality is None:
         raise DegeneracyError("duality data is required to compute left dimensions")
@@ -142,6 +139,8 @@ def character_rows(raw: RawDatum) -> list[tuple[CycNum, ...]]:
     dim_r = s.row(raw.unit)
     out = []
     for x in range(raw.size):
+        if dim_r[x].is_zero():
+            raise DegeneracyError(f"dim_r({raw.labels[x]}) = 0")
         inv = dim_r[x].inv()
         out.append(tuple(e * inv for e in s.row(x)))
     return out
@@ -311,12 +310,17 @@ class World:
         self.duality = raw.duality
         self.duality_signs = raw.duality_signs or (1,) * raw.size
         d = dims_of(raw)
+        for label, t in zip(raw.labels, raw.twists):
+            if t.is_zero():
+                raise DegeneracyError(f"twist({label}) = 0")
         self.dim_r = d.dim_r
         self.dim_l = d.dim_l
         self.sqnorm = d.sqnorm
         self.global_dim = d.global_dim
         self.bar, self.unit_bar = bar_involution(raw)
         self.dim_unit_bar = self.dim_r[self.unit_bar]
+        if (self.global_dim * self.dim_unit_bar).is_zero():
+            raise DegeneracyError("D * dim_r(unit_bar) = 0")
         tp = CycNum.from_rational(0)
         tm = CycNum.from_rational(0)
         for q, t in zip(self.sqnorm, self.twists):
@@ -381,6 +385,44 @@ class SlightlyDegenerateData:
         """The bold world the reduction verified (built once)."""
         return self.bold_world
 
+    def signed_reps(self) -> tuple[tuple[int, int], ...]:
+        """For each full label X, the bold index i of its orbit and the sign
+        s with X = reps[i] (s = 1) or X = eps (x) reps[i] (s = -1)."""
+        pos = {r: i for i, r in enumerate(self.reps)}
+        return tuple((pos[x], 1) if x in pos else (pos[self.eps_action[x]], -1)
+                     for x in range(self.parent.size))
+
+
+def orbit_reps(act: Sequence[int], unit: int,
+               reps: Optional[Sequence[int]] = None) -> list[int]:
+    """One label per orbit of the fixed-point-free involution ``act``, the
+    unit among them.
+
+    Without ``reps`` the first label of each orbit is taken, with the unit in
+    place of its partner; given ``reps`` are checked to be such a choice.
+    """
+    n = len(act)
+    if reps is None:
+        out, seen = [], set()
+        for i in range(n):
+            if i not in seen:
+                out.append(i)
+                seen.add(i)
+                seen.add(act[i])
+        if unit not in out:
+            out[out.index(act[unit])] = unit
+        return out
+    out = list(reps)
+    if any(not 0 <= r < n for r in out):
+        raise DegeneracyError(f"reps must be label indices in 0..{n - 1}")
+    seen = set()
+    for r in out:
+        seen.add(r)
+        seen.add(act[r])
+    if unit not in out or 2 * len(out) != n or len(seen) != n:
+        raise DegeneracyError("reps must contain the unit and pick one label per orbit")
+    return out
+
 
 def reduce_slightly_degenerate(full: RawDatum,
                                reps: Optional[Sequence[int]] = None) -> SlightlyDegenerateData:
@@ -420,25 +462,7 @@ def reduce_slightly_degenerate(full: RawDatum,
     if act[full.unit] != eps:
         raise DegeneracyError("row negation of the unit does not land on eps")
 
-    n = full.size
-    if reps is None:
-        reps_l, seen = [], set()
-        for i in range(n):
-            if i not in seen:
-                reps_l.append(i)
-                seen.add(i)
-                seen.add(act[i])
-        if full.unit not in reps_l:
-            reps_l[reps_l.index(act[full.unit])] = full.unit
-    else:
-        reps_l = list(reps)
-        seen = set()
-        for r in reps_l:
-            seen.add(r)
-            seen.add(act[r])
-        if full.unit not in reps_l or 2 * len(reps_l) != n or len(seen) != n:
-            raise DegeneracyError("reps must contain the unit and pick one label per orbit")
-
+    reps_l = orbit_reps(act, full.unit, reps)
     pos = {r: i for i, r in enumerate(reps_l)}
     k = len(reps_l)
     bold_s = CycMatrix(k, k, [full.s_matrix[x, y] for x in reps_l for y in reps_l])

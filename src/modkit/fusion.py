@@ -7,6 +7,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .datum import orbit_reps
+
 
 @dataclass(frozen=True)
 class FusionTensor:
@@ -61,7 +63,7 @@ class FusionTensor:
         return problems
 
 
-def derive_duality(table: np.ndarray, unit: int) -> Optional[tuple[int, ...]]:
+def tensor_duality(table: np.ndarray, unit: int) -> Optional[tuple[int, ...]]:
     """Read the duality involution off N_{i,j}^unit; None when it is not one.
 
     Quotient (integer) tensors carry -1 there when the dual of a
@@ -93,17 +95,7 @@ def quotient_constants(fusion: FusionTensor, eps: int, sign: int,
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     act = epsilon_action_from_fusion(fusion, eps)
-    if reps is None:
-        reps = canonical_reps(act, fusion.unit)
-    else:
-        reps = list(reps)
-        seen = set()
-        for r in reps:
-            seen.add(r)
-            seen.add(act[r])
-        if fusion.unit not in reps or len(reps) * 2 != len(fusion.labels) or \
-                len(seen) != len(fusion.labels):
-            raise ValueError("reps must pick one label per orbit and contain the unit")
+    reps = orbit_reps(act, fusion.unit, reps)
     k = len(reps)
     out = np.zeros((k, k, k), dtype=np.int64)
     t = fusion.table
@@ -124,16 +116,3 @@ def epsilon_action_from_fusion(fusion: FusionTensor, eps: int) -> tuple[int, ...
             raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
         act.append(hits[0])
     return tuple(act)
-
-
-def canonical_reps(act: Sequence[int], unit: int) -> list[int]:
-    """First label of each orbit of the involution, with the unit forced in."""
-    reps, seen = [], set()
-    for i in range(len(act)):
-        if i not in seen:
-            reps.append(i)
-            seen.add(i)
-            seen.add(act[i])
-    if unit not in reps:
-        reps[reps.index(act[unit])] = unit
-    return reps

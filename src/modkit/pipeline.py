@@ -91,89 +91,94 @@ def verify_raw(raw: RawDatum, mode: str = "auto", precision_bits: int = 256,
         structural("duality", False, str(exc))
         return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
 
+    stage = "bar_involution"   # the check a failure to build the world is reported as
+    branch = BRANCH_SLDEG
     if raw.kind == KIND_BOLD:
         if mode == "nondeg":
             structural("mode", False, "bold input cannot be verified as nondegenerate")
-            return PipelineResult(rep, FAILED, BRANCH_SLDEG)
+            return PipelineResult(rep, FAILED, branch)
+    else:
+        center = detect_symmetric_center(raw)
+        names = ", ".join(raw.labels[i] for i in center)
+        if raw.unit not in center:
+            structural("symmetric_center", False, "unit is not in the symmetric center")
+            return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
+        if len(center) > 2:
+            structural("symmetric_center", False,
+                       f"{len(center)} simples in the symmetric center ({names}): degenerate")
+            return PipelineResult(rep, DEGENERATE, BRANCH_DEGENERATE)
+        if len(center) == 1:
+            branch = BRANCH_NONDEG
+            structural("symmetric_center", True, "trivial center: nondegenerate")
+            if mode == "sldeg":
+                structural("mode", False, "requested sldeg but the center is trivial")
+                return PipelineResult(rep, FAILED, branch)
+
+    if raw.kind != KIND_BOLD and branch == BRANCH_SLDEG:
+        # exactly two central simples: candidate slightly degenerate datum
+        stage = "reduction"
+        structural("symmetric_center", True, f"center {{{names}}}: slightly degenerate candidate")
+        if mode == "nondeg":
+            structural("mode", False, "requested nondeg but the center is not trivial")
+            return PipelineResult(rep, FAILED, branch)
+        eps = center[0] if center[1] == raw.unit else center[1]
+        dim_eps = raw.dim_r(eps)
+        t_eps = raw.twists[eps]
+        one = CycNum.from_rational(1)
+        if not structural("epsilon_shape", dim_eps == -one and t_eps == one,
+                          f"dim(eps) = {dim_eps}, twist(eps) = {t_eps}"
+                          + ("; the dim +1 / twist -1 regime does not satisfy the S/T relations"
+                             if dim_eps == one and t_eps == -one else "")):
+            return PipelineResult(rep, FAILED, branch)
         try:
-            world = bold_world(raw)
-        except (DegeneracyError, ZeroDivisionError) as exc:
-            structural("bar_involution", False, str(exc))
-            return PipelineResult(rep, FAILED, BRANCH_SLDEG)
-        tensor = _world_suite(rep, world, None, precision_bits, fusion_oracle)
-        cls = Z_MODULAR if rep.passed else FAILED
-        return PipelineResult(rep, cls, BRANCH_SLDEG, world=world, tensor=tensor)
+            act = epsilon_action(raw)
+            structural("epsilon_row_negation", True)
+        except DegeneracyError as exc:
+            structural("epsilon_row_negation", False, str(exc))
+            return PipelineResult(rep, FAILED, branch)
+        structural("epsilon_fixed_point_free", all(act[i] != i for i in range(raw.size)))
 
-    center = detect_symmetric_center(raw)
-    names = ", ".join(raw.labels[i] for i in center)
-    if raw.unit not in center:
-        structural("symmetric_center", False, "unit is not in the symmetric center")
-        return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
+        def rank_half():
+            r = s.rank()
+            return r == raw.size // 2, f"rank {r} of size {raw.size}", None
 
-    if len(center) > 2:
-        structural("symmetric_center", False,
-                   f"{len(center)} simples in the symmetric center ({names}): degenerate")
-        return PipelineResult(rep, DEGENERATE, BRANCH_DEGENERATE)
+        rep.run("rank_half", rank_half)
 
-    if len(center) == 1:
-        structural("symmetric_center", True, "trivial center: nondegenerate")
-        if mode == "sldeg":
-            structural("mode", False, "requested sldeg but the center is trivial")
-            return PipelineResult(rep, FAILED, BRANCH_NONDEG)
-        try:
-            world = nondegenerate_world(raw)
-        except (DegeneracyError, ZeroDivisionError) as exc:
-            structural("bar_involution", False, str(exc))
-            return PipelineResult(rep, FAILED, BRANCH_NONDEG)
-        tensor = _world_suite(rep, world, None, precision_bits, fusion_oracle)
-        cls = N_MODULAR if rep.passed else FAILED
-        return PipelineResult(rep, cls, BRANCH_NONDEG, world=world, tensor=tensor)
-
-    # exactly two central simples: candidate slightly degenerate datum
-    structural("symmetric_center", True, f"center {{{names}}}: slightly degenerate candidate")
-    if mode == "nondeg":
-        structural("mode", False, "requested nondeg but the center is not trivial")
-        return PipelineResult(rep, FAILED, BRANCH_SLDEG)
-    eps = center[0] if center[1] == raw.unit else center[1]
-    dim_eps = raw.dim_r(eps)
-    t_eps = raw.twists[eps]
-    one = CycNum.from_rational(1)
-    if not structural("epsilon_shape", dim_eps == -one and t_eps == one,
-                      f"dim(eps) = {dim_eps}, twist(eps) = {t_eps}"
-                      + ("; the dim +1 / twist -1 regime does not satisfy the S/T relations"
-                         if dim_eps == one and t_eps == -one else "")):
-        return PipelineResult(rep, FAILED, BRANCH_SLDEG)
     try:
-        act = epsilon_action(raw)
-        structural("epsilon_row_negation", True)
+        world, sldeg = resolve_world(raw, reps)
     except DegeneracyError as exc:
-        structural("epsilon_row_negation", False, str(exc))
-        return PipelineResult(rep, FAILED, BRANCH_SLDEG)
-    structural("epsilon_fixed_point_free", all(act[i] != i for i in range(raw.size)))
-
-    def rank_half():
-        r = s.rank()
-        return r == raw.size // 2, f"rank {r} of size {raw.size}", None
-
-    rep.run("rank_half", rank_half)
-    try:
-        sldeg = reduce_slightly_degenerate(raw, reps=reps)
+        structural(stage, False, str(exc))
+        return PipelineResult(rep, FAILED, branch)
+    if sldeg is not None:
         structural("reduction", True, f"representatives {[raw.labels[r] for r in sldeg.reps]}")
-    except DegeneracyError as exc:
-        structural("reduction", False, str(exc))
-        return PipelineResult(rep, FAILED, BRANCH_SLDEG)
-    world = sldeg.world()
     tensor = _world_suite(rep, world, sldeg, precision_bits, fusion_oracle)
-    cls = Z_MODULAR if rep.passed else FAILED
-    return PipelineResult(rep, cls, BRANCH_SLDEG, world=world, sldeg=sldeg, tensor=tensor)
+    cls = (N_MODULAR if branch == BRANCH_NONDEG else Z_MODULAR) if rep.passed else FAILED
+    return PipelineResult(rep, cls, branch, world=world, sldeg=sldeg, tensor=tensor)
+
+
+def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
+                  ) -> tuple[World, Optional[SlightlyDegenerateData]]:
+    """The world a raw datum is verified in, with the reduction behind it.
+
+    Bold input gives the bold world, a trivial symmetric center the
+    nondegenerate world; any other full datum is reduced to its fermion-orbit
+    representatives (``reps``, or the canonical choice), which checks that it
+    is slightly degenerate.  Raises :class:`DegeneracyError` when no world can
+    be built.
+    """
+    raw = with_duality(raw)
+    if raw.kind == KIND_BOLD:
+        return bold_world(raw), None
+    if len(detect_symmetric_center(raw)) == 1:
+        return nondegenerate_world(raw), None
+    sldeg = reduce_slightly_degenerate(raw, reps=reps)
+    return sldeg.world(), sldeg
 
 
 def _world_suite(rep: VerificationReport, world: World,
                  sldeg: Optional[SlightlyDegenerateData], precision_bits: int,
                  fusion_oracle: Optional[FusionTensor]) -> Optional[np.ndarray]:
-    ok, witness = check_raw_unitarity(world, world.global_dim)
-    rep.add(CheckResult("raw_unitarity", "pass" if ok else FAIL,
-                        "S conj(S)^T = D Id", witness))
+    rep.add(_raw_unitarity(world))
     g = gauss_sums(world)
     rep.add(CheckResult("gauss_product", "pass" if g.ok else FAIL,
                         f"tau+ tau- = {g.product}, D = {g.expected}",
@@ -221,6 +226,11 @@ def _world_suite(rep: VerificationReport, world: World,
     return tensor
 
 
+def _raw_unitarity(world: World) -> CheckResult:
+    ok, witness = check_raw_unitarity(world, world.global_dim)
+    return CheckResult("raw_unitarity", "pass" if ok else FAIL, "S conj(S)^T = D Id", witness)
+
+
 def verify_normalized(datum: ModularDatum) -> PipelineResult:
     """Axiom suite for a normalized datum, with sign-based classification."""
     rep = check_axioms(datum)
@@ -264,12 +274,7 @@ def emit_zmodular(source: Union[SlightlyDegenerateData, World],
     else:
         c = sqrt_in_field(scale)
     if c is None:
-        cert = VerificationReport()
-        ok, witness = check_raw_unitarity(world, world.global_dim)
-        cert.add(CheckResult("raw_unitarity", "pass" if ok else FAIL,
-                             "S conj(S)^T = D Id", witness))
-        for chk in check_sl2_relations(world):
-            cert.add(chk)
+        cert = VerificationReport([_raw_unitarity(world)] + check_sl2_relations(world))
         return EmitResult(None, None, cert,
                           note="no exact normalizer in conductor <= 4N; "
                                "identities verified up to scalar")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cyclotomic import CycNum
 from .datum import ModularDatum, World
-from .fusion import FusionTensor, derive_duality
+from .fusion import FusionTensor, tensor_duality
 from .kernel import impl as _K
 from .matrix import CycMatrix, max_abs, slice_matmul, slice_mul, with_bound
 
@@ -112,11 +112,6 @@ def verlinde_raw(world: World) -> tuple[Optional[np.ndarray], IntegralityReport]
     return _structure_constants(s, c)
 
 
-def signed_verlinde(sldeg) -> tuple[Optional[np.ndarray], IntegralityReport]:
-    """Quotient structure constants of a slightly degenerate reduction."""
-    return verlinde_raw(sldeg.world())
-
-
 def verlinde_fusion(datum: ModularDatum) -> tuple[Optional[FusionTensor], IntegralityReport]:
     """Structure constants of a normalized datum, with duality read off the tensor."""
     s = datum.s_matrix
@@ -130,7 +125,7 @@ def verlinde_fusion(datum: ModularDatum) -> tuple[Optional[FusionTensor], Integr
     tensor, rep = _structure_constants(s.transpose(), c)
     if tensor is None:
         return None, rep
-    duality = derive_duality(tensor, datum.unit)
+    duality = tensor_duality(tensor, datum.unit)
     if duality is None:
         rep.duality_ok = False
         return None, rep

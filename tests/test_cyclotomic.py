@@ -183,6 +183,15 @@ def test_totally_positive_precision_failure_is_loud():
     assert is_totally_positive(x, 256)
 
 
+def test_precision_below_16_bits_is_rejected():
+    x = zeta(5) + zeta(5, 4) + rat(2)
+    for bits in (15, 0, -5):
+        with pytest.raises(ValueError):
+            is_totally_positive(x, bits)
+        with pytest.raises(ValueError):
+            embed_complex(x, bits)
+
+
 def test_embed_complex_enclosures():
     assert embed_complex(one, 64).contains(1 + 0j)
     assert embed_complex(zeta(4), 64).contains(1j)

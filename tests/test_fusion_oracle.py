@@ -5,8 +5,8 @@ import pytest
 
 from modkit.families import (TaftLabel, pointed_fusion_tensor, taft_epsilon_action,
                              taft_fusion, taft_fusion_tensor, taft_J, taft_labels)
-from modkit.fusion import (canonical_reps, epsilon_action_from_fusion,
-                           quotient_constants)
+from modkit.datum import orbit_reps
+from modkit.fusion import epsilon_action_from_fusion, quotient_constants
 
 
 def test_taft_fusion_base_cases():
@@ -102,8 +102,8 @@ def test_quotient_sign_minus_has_negative_entry_for_d3():
 
 def test_canonical_reps_forces_unit():
     act = (1, 0, 3, 2)
-    assert canonical_reps(act, unit=0) == [0, 2]
-    assert canonical_reps(act, unit=1) == [1, 2]
+    assert orbit_reps(act, unit=0) == [0, 2]
+    assert orbit_reps(act, unit=1) == [1, 2]
 
 
 def test_quotient_reps_validation():

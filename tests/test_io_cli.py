@@ -238,3 +238,63 @@ def test_datum_types_reject_duplicate_labels():
     m = CycMatrix.identity(2)
     with pytest.raises(ValueError, match="duplicate label"):
         ModularDatum(("a", "a"), 0, m, (CycNum.from_rational(1),) * 2)
+
+
+ZERO = {"conductor": 1, "coeffs": ["0"]}
+ONE = {"conductor": 1, "coeffs": ["1"]}
+I4 = {"conductor": 4, "coeffs": ["0", "1"]}
+
+
+def _zero_dimension():
+    obj = io.datum_to_json(taft_double(3))
+    obj["S"]["entries"][0][1] = obj["S"]["entries"][1][0] = ZERO
+    del obj["duality"]
+    return obj
+
+
+def _zero_twist():
+    obj = io.datum_to_json(taft_double(3))
+    obj["twists"][1] = ZERO
+    return obj
+
+
+def _zero_global_dimension():
+    # dims (1, i), so the squared norms 1 and -1 sum to 0
+    return {"labels": ["a", "b"], "unit": 0, "kind": "raw-full",
+            "S": {"rows": 2, "cols": 2, "entries": [[ONE, I4], [I4, ONE]]},
+            "twists": [ONE, I4], "duality": [0, 1]}
+
+
+DEGENERATE = {"zero-dimension": _zero_dimension, "zero-twist": _zero_twist,
+              "zero-global-dimension": _zero_global_dimension}
+
+
+@pytest.mark.parametrize("verb", ["verify", "reduce", "fusion"])
+@pytest.mark.parametrize("which", sorted(DEGENERATE))
+def test_cli_fails_degenerate_datum_without_traceback(tmp_path, capsys, which, verb):
+    obj = DEGENERATE[which]()
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(obj))
+    argv = {"verify": ["verify", str(path)],
+            "reduce": ["reduce", str(path), str(tmp_path / "out.json")],
+            "fusion": ["fusion", str(path), obj["labels"][0], obj["labels"][-1],
+                       "--oracle", "verlinde"]}[verb]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    if verb == "verify":
+        classification = json.loads(captured.out)[0]
+        assert classification["check"] == "classification"
+        assert classification["detail"] == "fail"
+    else:
+        assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bits", ["abc", "0", "-5"])
+def test_cli_rejects_bad_precision_setting(tmp_path, capsys, monkeypatch, bits):
+    path = tmp_path / "t.json"
+    assert run_cli(["generate", "taft:d=2", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("MODKIT_PRECISION_BITS", bits)
+    assert run_cli(["verify", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "MODKIT_PRECISION_BITS" in err[0]

@@ -1,11 +1,15 @@
+import random
+
+import numpy as np
 import pytest
 
 from modkit.cyclotomic import CycNum
-from modkit.datum import (KIND_BOLD, ModularDatum, RawDatum, bold_world,
+from modkit.datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, bold_world,
                           reduce_slightly_degenerate)
+from modkit.fusion import quotient_constants
 from modkit.matrix import CycMatrix
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
-                             taft_J_indices, taft_normalizer)
+                             taft_fusion_tensor, taft_J_indices, taft_normalizer)
 from modkit.pipeline import emit_zmodular, verify_normalized, verify_raw
 
 one = CycNum.from_rational(1)
@@ -94,3 +98,46 @@ def test_slightly_degenerate_verify_reuses_one_world_and_its_square(monkeypatch)
     assert counts == {"products": 9, "worlds": 1}
     assert emit_zmodular(res.sldeg).datum is not None
     assert counts == {"products": 9, "worlds": 1}
+
+
+@pytest.mark.parametrize("bad", [-3, 99])
+def test_out_of_range_reps_are_rejected(bad):
+    reps = [0, 1, bad]
+    res = verify_raw(taft_double(3), reps=reps)
+    assert res.classification == "fail"
+    assert res.report["reduction"].status == "fail"
+    assert "0..5" in res.report["reduction"].detail
+    oracle = taft_fusion_tensor(3)
+    with pytest.raises(DegeneracyError):
+        quotient_constants(oracle, oracle.labels.index("(2,1)"), -1, reps=reps)
+
+
+def relabel(raw: RawDatum, perm: list[int]) -> RawDatum:
+    """The same datum with label x moved to position perm[x]."""
+    n = raw.size
+    src = [0] * n
+    for x, p in enumerate(perm):
+        src[p] = x
+    s = CycMatrix(n, n, [raw.s_matrix[src[i], src[j]] for i in range(n) for j in range(n)])
+    return RawDatum(tuple(raw.labels[x] for x in src), perm[raw.unit], s,
+                    tuple(raw.twists[x] for x in src), raw.kind,
+                    tuple(perm[raw.duality[x]] for x in src))
+
+
+@pytest.mark.parametrize("raw, reps", [(pointed_cyclic(7, 1, 1), None),
+                                       (taft_double(4), taft_J_indices(4))],
+                         ids=["pointed7", "taft4"])
+def test_relabelling_moves_the_tensor_with_the_labels(raw, reps):
+    perm = random.Random(raw.size).sample(range(raw.size), raw.size)
+    moved = relabel(raw, perm)
+    res = verify_raw(raw, reps=reps)
+    res2 = verify_raw(moved, reps=None if reps is None else [perm[r] for r in reps])
+    assert res2.classification == res.classification
+    assert [(c.name, c.status) for c in res2.report.checks] == \
+        [(c.name, c.status) for c in res.report.checks]
+    if reps is None:
+        # nondegenerate: tensor'[pi x, pi y, pi z] == tensor[x, y, z]
+        assert np.array_equal(res2.tensor[np.ix_(perm, perm, perm)], res.tensor)
+    else:
+        # the quotient is indexed by the representatives, taken in the same order
+        assert np.array_equal(res2.tensor, res.tensor)

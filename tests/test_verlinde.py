@@ -8,7 +8,7 @@ from modkit.families import (TaftLabel, pointed_cyclic, taft_double, taft_fusion
                              taft_J, taft_J_indices, taft_normalizer)
 from modkit.fusion import quotient_constants
 from modkit.pipeline import emit_zmodular
-from modkit.verlinde import signed_verlinde, verlinde_fusion, verlinde_raw
+from modkit.verlinde import verlinde_fusion, verlinde_raw
 
 one = CycNum.from_rational(1)
 
@@ -47,7 +47,7 @@ def test_pointed_raw_route_gives_group_law():
 def test_signed_verlinde_taft3_example():
     d = 3
     sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-    tensor, rep = signed_verlinde(sld)
+    tensor, rep = verlinde_raw(sld.world())
     assert rep.integral
     J = taft_J(d)
     i20 = J.index(TaftLabel(2, 0))
@@ -59,7 +59,7 @@ def test_signed_verlinde_taft3_example():
 def test_signed_verlinde_equals_quotient_constants():
     for d in (2, 3, 4, 5):
         sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-        tensor, rep = signed_verlinde(sld)
+        tensor, rep = verlinde_raw(sld.world())
         assert rep.integral
         oracle = taft_fusion_tensor(d)
         want, _ = quotient_constants(oracle, sld.epsilon, -1, reps=sld.reps)
@@ -68,14 +68,14 @@ def test_signed_verlinde_equals_quotient_constants():
 
 def test_taft5_has_negative_entries():
     sld = reduce_slightly_degenerate(taft_double(5), reps=taft_J_indices(5))
-    tensor, rep = signed_verlinde(sld)
+    tensor, rep = verlinde_raw(sld.world())
     assert rep.integral and not rep.nonnegative
     assert tensor.min() < 0
 
 
 def test_unit_rows_are_delta():
     sld = reduce_slightly_degenerate(taft_double(4), reps=taft_J_indices(4))
-    tensor, _ = signed_verlinde(sld)
+    tensor, _ = verlinde_raw(sld.world())
     u = sld.bold.unit
     assert np.array_equal(tensor[u], np.eye(len(sld.reps), dtype=np.int64))
 
@@ -85,7 +85,7 @@ def test_emitted_datum_axiom_fusion_matches_signed_verlinde():
     sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
     em = emit_zmodular(sld, normalizer=taft_normalizer(d))
     tensor, _ = verlinde_fusion(em.datum)
-    raw_tensor, _ = signed_verlinde(sld)
+    raw_tensor, _ = verlinde_raw(sld.world())
     assert np.array_equal(tensor.table, raw_tensor)
 
 
