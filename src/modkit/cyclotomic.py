@@ -235,11 +235,11 @@ class CycNum:
         if self.is_rational():
             q = 1 / self.as_rational()
             return CycNum.from_rational(q, self.conductor)
-        tab = _K.table(self.conductor)
-        a = [Fraction(v, self.den) for v in self.num]
-        u = _poly_inverse_mod(a, [Fraction(c) for c in tab.poly])
-        u += [Fraction(0)] * (tab.phi - len(u))
-        return CycNum.from_coeffs(self.conductor, u[:tab.phi])
+        # a^-1 = adj / N(a) with adj = prod_{j != 1} sigma_j(a); the norm N(a) = a * adj is
+        # fixed by every sigma_j, so rational, and nonzero for a != 0
+        n = self.conductor
+        adj = math.prod(self.galois(j) for j in range(2, n) if math.gcd(j, n) == 1)
+        return adj * (1 / (self * adj).as_rational())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -329,58 +329,6 @@ class CycNum:
 
     def __repr__(self):
         return str(self)
-
-
-def _poly_inverse_mod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """u with u*a == 1 modulo the (irreducible) polynomial ``mod``."""
-
-    def deg(p):
-        d = len(p) - 1
-        while d > 0 and p[d] == 0:
-            d -= 1
-        return d
-
-    def trim(p):
-        return p[:deg(p) + 1]
-
-    def divmod_(x, y):
-        x = list(x)
-        dy = deg(y)
-        lead = y[dy]
-        q = [Fraction(0)] * max(deg(x) - dy + 1, 1)
-        for i in range(deg(x) - dy, -1, -1):
-            c = x[i + dy] / lead
-            q[i] = c
-            if c:
-                for j in range(dy + 1):
-                    x[i + j] -= c * y[j]
-        return q, trim(x)
-
-    def mul_(x, y):
-        out = [Fraction(0)] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        out[i + j] += xi * yj
-        return out
-
-    r0, r1 = trim(mod), trim(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while deg(r1) > 0:
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, r
-        qs = mul_(q, s1)
-        ns = [Fraction(0)] * max(len(s0), len(qs))
-        for i, v in enumerate(s0):
-            ns[i] += v
-        for i, v in enumerate(qs):
-            ns[i] -= v
-        s0, s1 = s1, trim(ns)
-    c = r1[0]
-    if c == 0:
-        raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-    return [v / c for v in s1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,19 @@ class FormatError(ValueError):
     pass
 
 
+def _int(v: Any) -> int:
+    """A JSON integer; floats, booleans and strings are refused, not truncated."""
+    if type(v) is not int:
+        raise FormatError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _list(v: Any, *types: type) -> list:
+    if not isinstance(v, list) or any(type(x) not in types for x in v):
+        raise FormatError(f"expected a list of {'/'.join(t.__name__ for t in types)}, got {v!r}")
+    return v
+
+
 # ---------- scalars ----------
 
 def cyc_to_json(x: CycNum) -> dict:
@@ -31,8 +44,8 @@ def cyc_to_json(x: CycNum) -> dict:
 
 def cyc_from_json(obj: dict) -> CycNum:
     try:
-        n = int(obj["conductor"])
-        coeffs = [Fraction(c) for c in obj["coeffs"]]
+        n = _int(obj["conductor"])
+        coeffs = [Fraction(c) for c in _list(obj["coeffs"], str, int)]
         return CycNum.from_coeffs(n, coeffs)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad scalar object: {exc}") from exc
@@ -47,7 +60,7 @@ def matrix_to_json(m: CycMatrix) -> dict:
 
 def matrix_from_json(obj: dict) -> CycMatrix:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _int(obj["rows"]), _int(obj["cols"])
         entries = [cyc_from_json(e) for row in obj["entries"] for e in row]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad matrix object: {exc}") from exc
@@ -84,7 +97,7 @@ def datum_to_json(datum: Union[RawDatum, ModularDatum]) -> dict:
 def datum_from_json(obj: dict) -> Union[RawDatum, ModularDatum]:
     try:
         labels = tuple(str(x) for x in obj["labels"])
-        unit = int(obj["unit"])
+        unit = _int(obj["unit"])
         kind = obj["kind"]
         s = matrix_from_json(obj["S"])
         if kind == KIND_NORMALIZED:
@@ -97,8 +110,8 @@ def datum_from_json(obj: dict) -> Union[RawDatum, ModularDatum]:
         if "twists" not in obj:
             raise FormatError("raw datum needs twists")
         twists = tuple(cyc_from_json(v) for v in obj["twists"])
-        duality = tuple(int(i) for i in obj["duality"]) if "duality" in obj else None
-        signs = tuple(int(i) for i in obj["duality_signs"]) if "duality_signs" in obj else None
+        duality = tuple(_list(obj["duality"], int)) if "duality" in obj else None
+        signs = tuple(_list(obj["duality_signs"], int)) if "duality_signs" in obj else None
         return RawDatum(labels, unit, s, twists, kind, duality, signs)
     except FormatError:
         raise

@@ -138,18 +138,16 @@ def verify_raw(raw: RawDatum, mode: str = "auto", precision_bits: int = 256,
             return PipelineResult(rep, FAILED, branch)
         structural("epsilon_fixed_point_free", all(act[i] != i for i in range(raw.size)))
 
-        def rank_half():
-            r = s.rank()
-            return r == raw.size // 2, f"rank {r} of size {raw.size}", None
-
-        rep.run("rank_half", rank_half)
-
     try:
         world, sldeg = resolve_world(raw, reps)
     except DegeneracyError as exc:
+        if stage == "reduction":
+            rep.skip("rank_half", "not certified: the reduction failed")
         structural(stage, False, str(exc))
         return PipelineResult(rep, FAILED, branch)
     if sldeg is not None:
+        # rows pair under negation (rank <= n/2); S[reps,reps]^2 = D*u*E is invertible (>= n/2)
+        structural("rank_half", True, f"rank {len(sldeg.reps)} of size {raw.size}")
         structural("reduction", True, f"representatives {[raw.labels[r] for r in sldeg.reps]}")
     tensor = _world_suite(rep, world, sldeg, precision_bits, fusion_oracle)
     cls = (N_MODULAR if branch == BRANCH_NONDEG else Z_MODULAR) if rep.passed else FAILED

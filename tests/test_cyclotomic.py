@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -246,14 +247,43 @@ def cyc_values(n):
                         lambda cs: CycNum.from_coeffs(n, cs))
 
 
-@settings(max_examples=60, deadline=None)
-@given(cyc_values(7), cyc_values(7), cyc_values(7))
-def test_field_axioms_conductor7(a, b, c):
+def check_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    if not a.is_zero():
-        assert a * a.inv() == 1
+    if a.is_zero():
+        return
+    a_inv = a.inv()
+    assert a * a_inv == 1
+    # the inverse commutes with every Galois map and is multiplicative
+    n = a.conductor
+    for j in range(1, n + 1):
+        if math.gcd(j, n) == 1:
+            assert a.galois(j).inv() == a_inv.galois(j)
+    if not b.is_zero():
+        assert (a * b).inv() == a_inv * b.inv()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc_values(7), cyc_values(7), cyc_values(7))
+def test_field_axioms_conductor7(a, b, c):
+    check_field_axioms(a, b, c)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 12, 76, 84])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_field_axioms_and_inverse(n, data):
+    a, b, c = (data.draw(cyc_values(n)) for _ in range(3))
+    check_field_axioms(a, b, c)
+
+
+def test_inverse_at_conductor_336():
+    # phi(336) = 96: the norm is a product of 95 conjugates
+    x = CycNum.from_coeffs(336, [Fraction((-1) ** i * (i % 7), 1 + i % 5) for i in range(96)])
+    y = x.inv()
+    assert x * y == 1
+    assert x.galois(5).inv() == y.galois(5)
 
 
 @settings(max_examples=60, deadline=None)

@@ -208,6 +208,20 @@ HOSTILE = {
     "conductor-zero": lambda obj: obj["twists"].__setitem__(0, {"conductor": 0,
                                                                 "coeffs": ["1"]}),
     "conductor-negative": lambda obj: obj["twists"][0].__setitem__("conductor", -3),
+    # JSON floats, booleans and strings where integers belong are refused, not truncated
+    "conductor-float": lambda obj: obj["S"]["entries"][0][0].__setitem__("conductor", 3.7),
+    "conductor-bool": lambda obj: obj["twists"].__setitem__(0, {"conductor": True,
+                                                                "coeffs": ["1"]}),
+    "unit-float": lambda obj: obj.__setitem__("unit", 0.9),
+    "unit-bool": lambda obj: obj.__setitem__("unit", False),
+    "rows-float": lambda obj: obj["S"].__setitem__("rows", 6.5),
+    "cols-string": lambda obj: obj["S"].__setitem__("cols", "6"),
+    "coeff-float": lambda obj: obj["S"]["entries"][0][0]["coeffs"].__setitem__(0, 0.1),
+    "coeff-bool": lambda obj: obj["twists"][0]["coeffs"].__setitem__(0, True),
+    "coeffs-string": lambda obj: obj["S"]["entries"][1][2].__setitem__("coeffs", "12"),
+    "duality-float": lambda obj: obj["duality"].__setitem__(1, 2.5),
+    "duality-string": lambda obj: obj.__setitem__("duality", "021543"),
+    "duality-signs-float": lambda obj: obj.__setitem__("duality_signs", [1.0] * 6),
 }
 
 

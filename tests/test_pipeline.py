@@ -78,10 +78,11 @@ def test_bold_input_with_mode_auto_runs_sldeg_suite():
 
 
 def test_slightly_degenerate_verify_reuses_one_world_and_its_square(monkeypatch):
-    # S^2 once for E, unitarity once, (ST)^3 and (ST^-1)^3 three each, S^4 once
+    # S^2 once for E, unitarity once, (ST)^3 and (ST^-1)^3 three each, S^4 once;
+    # rank_half is read off the reduction, so no exact rank is computed
     import modkit.datum as datum_mod
-    counts = {"products": 0, "worlds": 0}
-    matmul, init = CycMatrix.__matmul__, datum_mod.World.__init__
+    counts = {"products": 0, "worlds": 0, "ranks": 0}
+    matmul, init, rank = CycMatrix.__matmul__, datum_mod.World.__init__, CycMatrix.rank
 
     def counting_matmul(self, other):
         counts["products"] += 1
@@ -91,13 +92,18 @@ def test_slightly_degenerate_verify_reuses_one_world_and_its_square(monkeypatch)
         counts["worlds"] += 1
         init(self, *args)
 
+    def counting_rank(self):
+        counts["ranks"] += 1
+        return rank(self)
+
     monkeypatch.setattr(CycMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(CycMatrix, "rank", counting_rank)
     monkeypatch.setattr(datum_mod.World, "__init__", counting_init)
     res = verify_raw(taft_double(3), reps=taft_J_indices(3))
     assert res.classification == "Z-modular"
-    assert counts == {"products": 9, "worlds": 1}
+    assert counts == {"products": 9, "worlds": 1, "ranks": 0}
     assert emit_zmodular(res.sldeg).datum is not None
-    assert counts == {"products": 9, "worlds": 1}
+    assert counts == {"products": 9, "worlds": 1, "ranks": 0}
 
 
 @pytest.mark.parametrize("bad", [-3, 99])
@@ -107,6 +113,7 @@ def test_out_of_range_reps_are_rejected(bad):
     assert res.classification == "fail"
     assert res.report["reduction"].status == "fail"
     assert "0..5" in res.report["reduction"].detail
+    assert res.report["rank_half"].status == "skipped"
     oracle = taft_fusion_tensor(3)
     with pytest.raises(DegeneracyError):
         quotient_constants(oracle, oracle.labels.index("(2,1)"), -1, reps=reps)

@@ -9,6 +9,7 @@ from modkit.families import (TaftLabel, pointed_cyclic, taft_double, taft_fusion
 from modkit.fusion import quotient_constants
 from modkit.pipeline import emit_zmodular
 from modkit.verlinde import verlinde_fusion, verlinde_raw
+from conftest import TAFT_RANGE
 
 one = CycNum.from_rational(1)
 
@@ -80,13 +81,16 @@ def test_unit_rows_are_delta():
     assert np.array_equal(tensor[u], np.eye(len(sld.reps), dtype=np.int64))
 
 
-def test_emitted_datum_axiom_fusion_matches_signed_verlinde():
-    d = 4
-    sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-    em = emit_zmodular(sld, normalizer=taft_normalizer(d))
-    tensor, _ = verlinde_fusion(em.datum)
-    raw_tensor, _ = verlinde_raw(sld.world())
-    assert np.array_equal(tensor.table, raw_tensor)
+def test_emitted_datum_axiom_fusion_matches_signed_verlinde(taft_verified, pointed_verified):
+    # route agreement on every world of the fixtures; no normalizer is supplied, so
+    # sqrt_in_field and the Galois-norm inverse are on the route
+    results = [(f"taft d={d}", taft_verified[d].result) for d in TAFT_RANGE]
+    results += [(f"pointed {key}", res) for key, res in pointed_verified.items()]
+    for tag, res in results:
+        em = emit_zmodular(res.world)
+        assert em.datum is not None, tag
+        tensor, _ = verlinde_fusion(em.datum)
+        assert np.array_equal(tensor.table, res.tensor), tag
 
 
 def test_fusion_tensor_invariants_on_verlinde_outputs():
