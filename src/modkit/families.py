@@ -29,7 +29,7 @@ import numpy as np
 from .cyclotomic import CycNum, root_of_unity
 from .datum import KIND_BOLD, KIND_FULL, RawDatum
 from .fusion import FusionTensor
-from .matrix import CycMatrix
+from .matrix import CycMatrix, root_slices
 
 
 class FamilySpecError(ValueError):
@@ -54,10 +54,9 @@ def pointed_cyclic(n: int, a: int = 1, k0: int = 0) -> RawDatum:
     xi^k zeta^(k^2), dim_r(delta_k) = xi^k, duality k -> -k."""
     if n < 3 or n % 2 == 0:
         raise FamilySpecError(f"the pointed family needs an odd n >= 3, got {n}")
-    z = root_of_unity(n)
-    entries = [z ** ((a * (k0 * (k + l) + 2 * k * l)) % n) for k in range(n) for l in range(n)]
-    s = CycMatrix(n, n, entries)
-    twists = tuple(z ** ((a * (k0 * k + k * k)) % n) for k in range(n))
+    twists = tuple(root_of_unity(n, a * (k0 * k + k * k)) for k in range(n))
+    k, l = np.ogrid[:n, :n]
+    s = CycMatrix.from_slices(n, root_slices(n, a * (k0 * (k + l) + 2 * k * l)), 1)
     return RawDatum(
         labels=tuple(f"d{k}" for k in range(n)),
         unit=0,
@@ -118,6 +117,15 @@ def taft_epsilon_action(d: int, x: TaftLabel) -> TaftLabel:
     return TaftLabel(d - x.l, (x.l + x.p) % d)
 
 
+def _taft_exponents(labels: list[TaftLabel]) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent matrices ``e1 = -(ll' + lp' + pl' + 2pp')`` and ``e2 = e1 + ll'``
+    over pairs of ``labels``: zeta^e1 (1 - zeta^(ll')) = zeta^e1 - zeta^e2."""
+    lab = np.array(labels, dtype=np.int64).reshape(-1, 2)
+    l, p = lab[:, :1], lab[:, 1:]
+    e1 = -(l * l.T + l * p.T + p * l.T + 2 * p * p.T)
+    return e1, e1 + l * l.T
+
+
 def taft_double(d: int) -> RawDatum:
     """Full datum on the d(d-1) labels (l, p), lexicographically ordered.
 
@@ -133,13 +141,9 @@ def taft_double(d: int) -> RawDatum:
     z = root_of_unity(d)
     pref = z / (CycNum.from_rational(1) - z)
     labels = taft_labels(d)
-    entries = []
-    for (l, p) in labels:
-        for (lp, pp) in labels:
-            e = (-(l * lp + l * pp + p * lp + 2 * p * pp)) % d
-            entries.append(pref * z ** e * (CycNum.from_rational(1) - z ** ((l * lp) % d)))
-    s = CycMatrix(d * (d - 1), d * (d - 1), entries)
-    twists = tuple(z ** ((-p * (l + p)) % d) for (l, p) in labels)
+    e1, e2 = _taft_exponents(labels)
+    s = CycMatrix.from_slices(d, root_slices(d, e1) - root_slices(d, e2), 1).scale(pref)
+    twists = tuple(root_of_unity(d, -p * (l + p)) for (l, p) in labels)
     duality = tuple(taft_label_index(d, taft_dual(d, x)) for x in labels)
     return RawDatum(
         labels=tuple(str(x) for x in labels),
@@ -231,15 +235,8 @@ def taft_normalizer(d: int) -> CycNum:
 def taft_normalized_S(d: int) -> CycMatrix:
     """Closed form zeta^-(ll'+lp'+pl'+2pp') (zeta^(ll')-1)/d on the
     representative set."""
-    z = root_of_unity(d)
-    reps = taft_J(d)
-    entries = []
-    for (l, p) in reps:
-        for (lp, pp) in reps:
-            e = (-(l * lp + l * pp + p * lp + 2 * p * pp)) % d
-            entries.append(z ** e * (z ** ((l * lp) % d) - CycNum.from_rational(1))
-                           / CycNum.from_rational(d))
-    return CycMatrix(len(reps), len(reps), entries)
+    e1, e2 = _taft_exponents(taft_J(d))
+    return CycMatrix.from_slices(d, root_slices(d, e2) - root_slices(d, e1), d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,26 @@
 """JSON formats for scalars, matrices, datum files and reports.
 
 Round trips are bit-exact: values are serialized in their canonical
-power-basis form with rational coefficient strings.
+power-basis form with rational coefficient strings ``p`` or ``p/q`` in
+lowest terms.  Matrices are read and written as integer coefficient slices,
+without a :class:`CycNum` per entry.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 from typing import Any, Union
+
+import numpy as np
 
 from .checks import CheckResult, VerificationReport
 from .cyclotomic import CycNum
 from .datum import KIND_BOLD, KIND_FULL, ModularDatum, RawDatum
-from .matrix import CycMatrix
+from .kernel import impl as _K
+from .matrix import CycMatrix, int_array
 
 KIND_NORMALIZED = "normalized"
 
@@ -35,36 +42,107 @@ def _list(v: Any, *types: type) -> list:
     return v
 
 
+# ---------- coefficients ----------
+
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(c: Union[str, int]) -> tuple[int, int]:
+    """A coefficient as ``(p, q)`` with ``q > 0``.  The canonical strings
+    ``p`` and ``p/q`` that :func:`cyc_to_json` writes are read with ``int``;
+    any other string is read by ``Fraction``."""
+    if type(c) is int:
+        return c, 1
+    m = _CANONICAL.fullmatch(c)
+    if m is None:
+        f = Fraction(c)
+        return f.numerator, f.denominator
+    q = 1 if m[2] is None else int(m[2])
+    if q == 0:
+        raise ZeroDivisionError(f"zero denominator in {c!r}")
+    return int(m[1]), q
+
+
+class _Ratios(dict):
+    """:func:`_ratio` of each coefficient text, parsed once per read."""
+
+    def __missing__(self, c):
+        r = self[c] = _ratio(c)
+        return r
+
+
+def _ratio_text(v: int, den: int) -> str:
+    """The coefficient ``v / den`` in lowest terms, as ``p`` or ``p/q``."""
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
+def _scalar(obj: Any, ratios: _Ratios) -> tuple[int, list[tuple[int, int]]]:
+    """The conductor and the ``(p, q)`` coefficients of a scalar object; the
+    conductor is checked before any table of it is built."""
+    n = _int(obj["conductor"])
+    if n < 1:
+        raise FormatError(f"conductor must be >= 1, got {n}")
+    coeffs = [ratios[c] for c in _list(obj["coeffs"], str, int)]
+    if len(coeffs) != _K.euler_phi(n):
+        raise FormatError(f"need phi({n}) = {_K.euler_phi(n)} coordinates, got {len(coeffs)}")
+    return n, coeffs
+
+
 # ---------- scalars ----------
 
 def cyc_to_json(x: CycNum) -> dict:
     return {"conductor": x.conductor,
-            "coeffs": [str(c) for c in x.coeffs]}
+            "coeffs": [_ratio_text(v, x.den) for v in x.num]}
 
 
 def cyc_from_json(obj: dict) -> CycNum:
     try:
-        n = _int(obj["conductor"])
-        coeffs = [Fraction(c) for c in _list(obj["coeffs"], str, int)]
-        return CycNum.from_coeffs(n, coeffs)
+        n, coeffs = _scalar(obj, _Ratios())
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad scalar object: {exc}") from exc
+    den = math.lcm(*(q for _, q in coeffs))
+    return CycNum(n, tuple(p * (den // q) for p, q in coeffs), den)
 
 
 # ---------- matrices ----------
 
 def matrix_to_json(m: CycMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [[cyc_to_json(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]}
+    n, den, cols = m.conductor, m.den, m.cols
+    flat = m.num.reshape(m.num.shape[0], m.rows * cols).T.tolist()
+    entries = [{"conductor": n, "coeffs": [_ratio_text(v, den) for v in c]} for c in flat]
+    return {"rows": m.rows, "cols": cols,
+            "entries": [entries[i * cols:(i + 1) * cols] for i in range(m.rows)]}
 
 
 def matrix_from_json(obj: dict) -> CycMatrix:
+    """The matrix of a JSON object: ``entries`` is ``rows`` lists of ``cols``
+    scalar objects.  The coefficients fill one ``(phi, rows, cols)`` array
+    over the lcm of their denominators; each group of entries at a smaller
+    conductor is lifted to the lcm of the conductors as a whole."""
     try:
         rows, cols = _int(obj["rows"]), _int(obj["cols"])
-        entries = [cyc_from_json(e) for row in obj["entries"] for e in row]
-    except (KeyError, TypeError, ValueError) as exc:
+        grid = _list(obj["entries"], list)
+        if len(grid) != rows or cols < 0 or any(len(r) != cols for r in grid):
+            raise FormatError(f"entries must be {rows} lists of {cols} scalars")
+        ratios = _Ratios()
+        scalars = [_scalar(e, ratios) for r in grid for e in _list(r, dict)]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad matrix object: {exc}") from exc
-    return CycMatrix(rows, cols, entries)
+    groups: dict[int, list[int]] = {}
+    for k, (m, _) in enumerate(scalars):
+        groups.setdefault(m, []).append(k)
+    n = math.lcm(*groups)
+    den = math.lcm(*(q for _, q in ratios.values()))
+    phi = _K.euler_phi(n)
+    num = np.zeros((phi, rows * cols), dtype=np.int64)
+    for m, where in groups.items():
+        part = int_array([[p * (den // q) for p, q in scalars[k][1]] for k in where])
+        part = CycMatrix.from_slices(m, part.T[:, None, :], 1).lift(n).num[:, 0, :]
+        if part.dtype == object:
+            num = num.astype(object)
+        num[:, where] = part
+    return CycMatrix.from_slices(n, num.reshape(phi, rows, cols), den)
 
 
 # ---------- datum files ----------
@@ -96,7 +174,7 @@ def datum_to_json(datum: Union[RawDatum, ModularDatum]) -> dict:
 
 def datum_from_json(obj: dict) -> Union[RawDatum, ModularDatum]:
     try:
-        labels = tuple(str(x) for x in obj["labels"])
+        labels = tuple(_list(obj["labels"], str))
         unit = _int(obj["unit"])
         kind = obj["kind"]
         s = matrix_from_json(obj["S"])
@@ -120,9 +198,9 @@ def datum_from_json(obj: dict) -> Union[RawDatum, ModularDatum]:
 
 
 def save_datum(datum: Union[RawDatum, ModularDatum], path: str) -> None:
+    text = json.dumps(datum_to_json(datum), indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(datum_to_json(datum), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_datum(path: str) -> Union[RawDatum, ModularDatum]:

@@ -53,7 +53,7 @@ def with_bound(a: np.ndarray, bound: int) -> np.ndarray:
     return a.astype(np.int64 if bound < INT64_LIMIT else object, copy=False)
 
 
-def _int_array(values) -> np.ndarray:
+def int_array(values) -> np.ndarray:
     """An integer array of ``values``: int64 when every |v| < 2^63, else object."""
     try:
         a = np.array(values, dtype=np.int64)
@@ -73,7 +73,7 @@ def _growth(tab) -> int:
 def _reduction_rows(n: int) -> np.ndarray:
     """Row k is x^(phi + k) mod Phi_n, for the phi - 1 powers a product reaches."""
     tab = _K.table(n)
-    red = _int_array([list(r) for r in tab.rows[:tab.phi - 1]]).reshape(tab.phi - 1, tab.phi)
+    red = int_array([list(r) for r in tab.rows[:tab.phi - 1]]).reshape(tab.phi - 1, tab.phi)
     red.flags.writeable = False
     return red
 
@@ -117,12 +117,25 @@ def slice_mul(a: np.ndarray, b: np.ndarray, tab) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _power_columns(n: int) -> np.ndarray:
+    """Column e holds the power-basis coordinates of zeta_n^e, for 0 <= e < n."""
+    tab = _K.table(n)
+    out = int_array([_K.power_vector(tab, e) for e in range(n)]).T.copy()
+    out.flags.writeable = False
+    return out
+
+
+def root_slices(n: int, exps) -> np.ndarray:
+    """Slices ``(phi(n),) + exps.shape`` of the matrix with entries zeta_n^exps,
+    for any integer array of exponents."""
+    return _power_columns(n)[:, np.asarray(exps) % n]
+
+
+@lru_cache(maxsize=None)
 def _power_map(n: int, m: int, e: int) -> np.ndarray:
     """Column i holds the coordinates of zeta_m^(i e) at conductor m: the
     image of zeta_n^i under zeta_n -> zeta_m^e."""
-    tab = _K.table(m)
-    cols = [_K.power_vector(tab, (i * e) % m) for i in range(_K.table(n).phi)]
-    out = _int_array(cols).T.copy()
+    out = root_slices(m, [i * e for i in range(_K.table(n).phi)])
     out.flags.writeable = False
     return out
 
@@ -148,7 +161,7 @@ class CycMatrix:
         entries = tuple(e.lift(n) for e in entries)
         den = math.lcm(*(e.den for e in entries))
         phi = _K.table(n).phi
-        flat = _int_array([[v * (den // e.den) for v in e.num] for e in entries])
+        flat = int_array([[v * (den // e.den) for v in e.num] for e in entries])
         num = flat.reshape(rows * cols, phi).T.reshape(phi, rows, cols)
         self._set(n, np.ascontiguousarray(num), den, entries)
 

@@ -1,11 +1,16 @@
+import math
+
 import pytest
 
+from conftest import POINTED_GRID
+from modkit._kernel import euler_phi
 from modkit.cyclotomic import CycNum, zeta
 from modkit.datum import RawDatum
 from modkit.families import (FamilySpecError, TaftLabel, from_spec, parse_taft_label,
                              pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_J, taft_J_indices, taft_label_index, taft_labels,
                              taft_normalized_S, taft_normalizer, taft_sdim)
+from modkit.matrix import CycMatrix
 from modkit.pipeline import verify_raw
 
 one = CycNum.from_rational(1)
@@ -80,7 +85,6 @@ def test_taft_normalized_closed_form_vs_scaled_bold():
     d = 3
     raw = taft_double(d)
     reps = taft_J_indices(d)
-    from modkit.matrix import CycMatrix
     bold = CycMatrix(len(reps), len(reps),
                      [raw.s_matrix[i, j] for i in reps for j in reps])
     assert bold.scale(taft_normalizer(d).inv()) == taft_normalized_S(d)
@@ -93,6 +97,91 @@ def test_galois_variant_still_verifies():
                        tuple(t.galois(3) for t in raw.twists), raw.kind, raw.duality)
     res = verify_raw(twisted, reps=taft_J_indices(d))
     assert res.passed and res.classification == "Z-modular"
+
+
+# ---------------------------------------------------------------------------
+# slice constructors against the entry-by-entry closed forms
+# ---------------------------------------------------------------------------
+
+def _taft_entry(d, x, y, pref):
+    """One closed-form Taft entry as a product of scalars, or, with ``pref``
+    None, the normalized entry zeta^e (zeta^(ll') - 1) / d."""
+    z = zeta(d)
+    (l, p), (lp, pp) = x, y
+    e = (-(l * lp + l * pp + p * lp + 2 * p * pp)) % d
+    if pref is None:
+        return z ** e * (z ** ((l * lp) % d) - one) / CycNum.from_rational(d)
+    return pref * z ** e * (one - z ** ((l * lp) % d))
+
+
+def taft_reference(d):
+    """S and twists of the Taft double, one CycNum product per entry."""
+    z = zeta(d)
+    pref = z / (one - z)
+    labels = taft_labels(d)
+    s = CycMatrix(len(labels), len(labels),
+                  [_taft_entry(d, x, y, pref) for x in labels for y in labels])
+    return s, tuple(z ** ((-p * (l + p)) % d) for (l, p) in labels)
+
+
+def pointed_reference(n, a, k0):
+    z = zeta(n)
+    s = CycMatrix(n, n, [z ** ((a * (k0 * (k + l) + 2 * k * l)) % n)
+                         for k in range(n) for l in range(n)])
+    return s, tuple(z ** ((a * (k0 * k + k * k)) % n) for k in range(n))
+
+
+def _same_entries(got, want):
+    assert (got.rows, got.cols, got.conductor) == (want.rows, want.cols, want.conductor)
+    assert got == want
+    assert [(e.conductor, e.num, e.den) for e in got.entries] == \
+        [(e.conductor, e.num, e.den) for e in want.entries]
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_taft_slice_build_equals_entrywise_closed_form(d):
+    raw = taft_double(d)
+    s, twists = taft_reference(d)
+    _same_entries(raw.s_matrix, s)
+    assert [(t.conductor, t.num, t.den) for t in raw.twists] == \
+        [(t.conductor, t.num, t.den) for t in twists]
+    reps = taft_J(d)
+    _same_entries(taft_normalized_S(d),
+                  CycMatrix(len(reps), len(reps),
+                            [_taft_entry(d, x, y, None) for x in reps for y in reps]))
+
+
+@pytest.mark.parametrize("n,a,k0", POINTED_GRID)
+def test_pointed_slice_build_equals_entrywise_closed_form(n, a, k0):
+    raw = pointed_cyclic(n, a, k0)
+    s, twists = pointed_reference(n, a, k0)
+    _same_entries(raw.s_matrix, s)
+    assert [(t.conductor, t.num) for t in raw.twists] == [(t.conductor, t.num) for t in twists]
+
+
+def test_taft_slice_build_commutes_with_galois():
+    d = 5
+    built = taft_double(d).s_matrix
+    ref, _ = taft_reference(d)
+    units = [j for j in range(1, d) if math.gcd(j, d) == 1]
+    for j in units:
+        assert built.galois(j) == CycMatrix(ref.rows, ref.cols, [e.galois(j) for e in ref.entries])
+
+
+def test_taft_double_makes_a_fixed_number_of_scalar_products(monkeypatch):
+    calls = []
+    real = CycNum.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(CycNum, "__mul__", counting)
+    monkeypatch.setattr(CycNum, "__rmul__", counting)
+    d = 7
+    raw = taft_double(d)
+    # the prefactor zeta/(1 - zeta) alone; the 1764 entries take none
+    assert 0 < len(calls) <= 2 * euler_phi(d) < raw.size
 
 
 def test_parse_taft_label():

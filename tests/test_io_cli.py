@@ -1,15 +1,20 @@
+import io as io_text
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modkit import io
 from modkit.cli import main as cli_main
 from modkit.cyclotomic import CycNum
 from modkit.datum import ModularDatum, reduce_slightly_degenerate
 from modkit.matrix import CycMatrix
-from modkit.families import taft_double, taft_J_indices, taft_normalizer
+from modkit.families import pointed_cyclic, taft_double, taft_J_indices, taft_normalizer
 from modkit.pipeline import emit_zmodular
 
 
@@ -72,6 +77,89 @@ def test_format_errors():
     with pytest.raises(io.FormatError):
         io.datum_from_json({"labels": ["a"], "unit": 0, "kind": "weird",
                             "S": io.matrix_to_json(CycMatrix.identity(1))})
+
+
+# ---------------------------------------------------------------------------
+# the slice reader against the entry-by-entry reader
+# ---------------------------------------------------------------------------
+
+def _entrywise(obj):
+    """The reference reader: one CycNum per entry, from Fraction(c)."""
+    return CycMatrix(obj["rows"], obj["cols"],
+                     [CycNum.from_coeffs(e["conductor"], [Fraction(c) for c in e["coeffs"]])
+                      for row in obj["entries"] for e in row])
+
+
+def _scalar(n, *coeffs):
+    return {"conductor": n, "coeffs": list(coeffs)}
+
+
+@pytest.mark.parametrize("text", [" 3", "+3", "2/4", "0.5", "1e2", "-0", 7, "-12/8", "10/5"])
+def test_non_canonical_coefficients_read_as_fractions(text):
+    obj = {"rows": 2, "cols": 2,
+           "entries": [[_scalar(3, text, "1"), _scalar(3, "0", text)],
+                       [_scalar(3, "-1/3", text), _scalar(3, text, text)]]}
+    got = io.matrix_from_json(obj)
+    want = _entrywise(obj)
+    assert got == want and got.entries == want.entries
+    assert io.cyc_from_json(obj["entries"][1][0]) == want[1, 0]
+
+
+def test_mixed_conductor_matrix_reads_as_its_scalars():
+    entries = [[_scalar(1, "2"), _scalar(3, "1/2", "-1")],
+               [_scalar(4, "0", "3/4"), _scalar(12, "1", "0", "-1", "1/5")]]
+    obj = {"rows": 2, "cols": 2, "entries": entries}
+    got = io.matrix_from_json(obj)
+    want = CycMatrix(2, 2, [io.cyc_from_json(e) for row in entries for e in row])
+    assert got.conductor == 12
+    assert got == want
+    assert [(e.num, e.den) for e in got.entries] == [(e.num, e.den) for e in want.entries]
+
+
+def _round_trip(datum, path):
+    obj = json.loads(json.dumps(io.datum_to_json(datum)))
+    assert io.datum_to_json(io.datum_from_json(obj)) == obj
+    io.save_datum(datum, str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(obj, indent=1) + "\n"
+    assert json.loads(text) == obj
+    assert io.datum_to_json(io.load_datum(str(path))) == obj
+
+
+def test_every_fixture_world_round_trips(taft_verified, pointed_verified, tmp_path):
+    """The raw, bold and emitted data of the session fixtures, written and
+    read back: the objects and the saved bytes are unchanged."""
+    cases = [(taft_double(d), t.result) for d, t in taft_verified.items()]
+    cases += [(pointed_cyclic(*key), res) for key, res in pointed_verified.items()]
+    for k, (raw, res) in enumerate(cases):
+        data = [raw, emit_zmodular(res.sldeg if res.sldeg is not None else res.world).datum]
+        if res.sldeg is not None:
+            data.append(res.sldeg.bold)
+        for m, datum in enumerate(data):
+            _round_trip(datum, tmp_path / f"{k}-{m}.json")
+
+
+def test_load_datum_builds_no_scalar_per_matrix_entry(tmp_path, monkeypatch):
+    path = tmp_path / "t5.json"
+    raw = taft_double(5)
+    io.save_datum(raw, str(path))
+    calls = []
+    real_init, real_from_coeffs = CycNum.__init__, CycNum.from_coeffs.__func__
+
+    def init(self, *args, **kwargs):
+        calls.append("init")
+        real_init(self, *args, **kwargs)
+
+    def from_coeffs(cls, *args):
+        calls.append("from_coeffs")
+        return real_from_coeffs(cls, *args)
+
+    monkeypatch.setattr(CycNum, "__init__", init)
+    monkeypatch.setattr(CycNum, "from_coeffs", classmethod(from_coeffs))
+    back = io.load_datum(str(path))
+    monkeypatch.undo()
+    assert len(calls) <= len(raw.twists) < raw.size ** 2
+    assert back.s_matrix == raw.s_matrix and back.twists == raw.twists
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +310,12 @@ HOSTILE = {
     "duality-float": lambda obj: obj["duality"].__setitem__(1, 2.5),
     "duality-string": lambda obj: obj.__setitem__("duality", "021543"),
     "duality-signs-float": lambda obj: obj.__setitem__("duality_signs", [1.0] * 6),
+    # S entries are `rows` lists of `cols` scalars; the total count alone is not enough
+    "ragged-rows": lambda obj: obj["S"]["entries"][0].append(obj["S"]["entries"][1].pop()),
+    "row-not-list": lambda obj: obj["S"]["entries"].__setitem__(2, {"conductor": 3}),
+    # labels are a list of strings: neither a string of characters nor integers
+    "labels-string": lambda obj: obj.__setitem__("labels", "abcdef"),
+    "labels-ints": lambda obj: obj.__setitem__("labels", [1, 2, 3, 4, 5, 6]),
 }
 
 
@@ -312,3 +406,90 @@ def test_cli_rejects_bad_precision_setting(tmp_path, capsys, monkeypatch, bits):
     assert run_cli(["verify", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "MODKIT_PRECISION_BITS" in err[0]
+
+
+# ---------------------------------------------------------------------------
+# a bounded fuzz of the reader
+# ---------------------------------------------------------------------------
+
+def _positions(node, path=()):
+    """The path to every value below ``node`` in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    out = []
+    for key, value in items:
+        out.append(path + (key,))
+        out.extend(_positions(value, path + (key,)))
+    return out
+
+
+def _parent(obj, path):
+    for key in path[:-1]:
+        obj = obj[key]
+    return obj
+
+
+WRONG_TYPES = st.one_of(
+    st.text(alphabet="0123456789-+/.e x", max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.dictionaries(st.sampled_from(["conductor", "coeffs", "rows"]),
+                    st.integers(-3, 3), max_size=2),
+    st.lists(st.one_of(st.integers(-3, 8), st.text(max_size=2)), max_size=3),
+)
+
+
+def _mutate(obj, data):
+    kind = data.draw(st.sampled_from(["drop", "retype", "ragged", "truncate"]))
+    paths = _positions(obj)
+    if kind == "drop":
+        keyed = [p for p in paths if isinstance(_parent(obj, p), dict)]
+        path = data.draw(st.sampled_from(keyed))
+        del _parent(obj, path)[path[-1]]
+    elif kind == "retype":
+        path = data.draw(st.sampled_from(paths))
+        _parent(obj, path)[path[-1]] = data.draw(WRONG_TYPES)
+    elif kind == "ragged":
+        rows = [p for p in paths if len(p) == 3 and p[:2] == ("S", "entries")
+                and isinstance(_parent(obj, p)[p[-1]], list)
+                and _parent(obj, p)[p[-1]]]
+        if rows:
+            path = data.draw(st.sampled_from(rows))
+            _parent(obj, path)[path[-1]].pop()
+    else:
+        scalars = [p for p in paths if p[-1] == "coeffs"
+                   and isinstance(_parent(obj, p)[p[-1]], list)]
+        if scalars:
+            path = data.draw(st.sampled_from(scalars))
+            coeffs = _parent(obj, path)[path[-1]]
+            del coeffs[data.draw(st.integers(0, max(len(coeffs) - 1, 0))):]
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_taft_datum_ends_with_a_verdict_or_one_error_line(data, tmp_path_factory):
+    """``modkit verify`` on a Taft d=3 datum with one to three mutations (a
+    key dropped; a string, float, bool, dict or list put where another type
+    belongs; a row of S made ragged; a ``coeffs`` list truncated) exits with
+    0, 1 or 2 and never with a traceback; exit 2 comes with one ``error:``
+    line.
+
+    Not covered: the size of the values themselves.  A conductor near 10^5
+    asks for an O(phi^2) ``ConductorTable`` (ROADMAP item 6, still open) and
+    a string such as ``"1e9999999"`` for a ten-million-digit ``Fraction``, so
+    the mutations here write no integer beyond 8 in magnitude and no string
+    longer than four characters."""
+    obj = io.datum_to_json(taft_double(3))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(obj, data)
+    path = tmp_path_factory.mktemp("fuzz") / "datum.json"
+    path.write_text(json.dumps(obj))
+    out, err = io_text.StringIO(), io_text.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(["verify", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
