@@ -211,11 +211,7 @@ def check_vafa(w: World) -> list[CheckResult]:
         return True, "", None
 
     def anomaly_ru():
-        u = w.dim_unit_bar
-        xi_sq = w.tau_plus * w.tau_plus * u
-        if w.mode != MODE_NONDEGENERATE:
-            xi_sq = xi_sq * u
-        xi_sq = xi_sq / w.global_dim
+        xi_sq = w.anomaly_squared()
         wit = is_root_of_unity(xi_sq)
         if wit is None:
             return False, "", {"anomaly_squared": xi_sq}

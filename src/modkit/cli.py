@@ -104,7 +104,7 @@ def _emit(result: PipelineResult, path: str) -> None:
     if emitted.datum is not None:
         io.save_datum(emitted.datum, path)
         print(f"emit: normalized datum written to {path} "
-              f"(normalizer {emitted.normalizer})", file=sys.stderr)
+              f"(normalizer {emitted.normalizer}; {emitted.note})", file=sys.stderr)
     else:
         entries = io.report_to_json(emitted.certificate)
         with open(path, "w", encoding="utf-8") as fh:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from .kernel import impl as _K
@@ -379,6 +380,21 @@ def is_root_of_unity(a: CycNum) -> Optional[RootOfUnityWitness]:
     return None
 
 
+def root_of_unity_sqrt(a: CycNum) -> Optional[CycNum]:
+    """A square root of the root of unity a, or None when a is not one.
+
+    With N = a.conductor, a == zeta_N**k has the root zeta_2N**k and
+    a == -zeta_N**k = zeta_2N**(N + 2k) the root zeta_4N**(N + 2k).
+    """
+    wit = is_root_of_unity(a)
+    if wit is None:
+        return None
+    n = a.conductor
+    if wit.sign == 1:
+        return root_of_unity(2 * n, wit.exponent)
+    return root_of_unity(4 * n, n + 2 * wit.exponent)
+
+
 def _iv_context(precision_bits: int):
     from mpmath.ctx_iv import MPIntervalContext
 
@@ -511,12 +527,108 @@ def _sqrt_at_conductor(x: CycNum, retry: bool = True) -> Optional[CycNum]:
     return None
 
 
+def _mobius(q: int) -> int:
+    out, p = 1, 2
+    while p * p <= q:
+        if q % p == 0:
+            q //= p
+            if q % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if q > 1 else out
+
+
+@lru_cache(maxsize=None)
+def _power_traces(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n**i) down to Q for i < phi(n): the Ramanujan sums
+    mu(q) phi(n) / phi(q) with q = n / gcd(i, n)."""
+    phi = _K.euler_phi(n)
+    return tuple(_mobius(q) * (phi // _K.euler_phi(q))
+                 for q in (n // math.gcd(i, n) for i in range(phi)))
+
+
+def _odd_trace_sign(y: CycNum) -> int:
+    """The sign of the first nonzero odd elementary symmetric function e_i of
+    the conjugates of y, or 0 when every odd e_i vanishes (-y is then a
+    conjugate of y).
+
+    In log(sum_k e_k t^k) = sum_k (-1)^(k-1) p_k t^k / k the odd part starts
+    with the odd part of the series itself, so the first nonzero odd e_i and
+    the first nonzero odd power sum p_i = Tr(y^i) sit at one index, with
+    p_i = i e_i: Newton's identities reduce to reading Tr(y), Tr(y^3), ...
+    up to the degree phi of the characteristic polynomial.
+    """
+    n = y.conductor
+    traces = _power_traces(n)
+    power, y2 = y, y * y
+    for _ in range(0, _K.table(n).phi, 2):   # power = y^k for k = 1, 3, ... <= phi
+        t = sum(v * r for v, r in zip(power.num, traces))
+        if t:
+            return 1 if t > 0 else -1
+        power = power * y2
+    return 0
+
+
+def _halve(y: CycNum) -> Optional[CycNum]:
+    """y at conductor m = y.conductor / 2 when it lies in Q(zeta_m), else None."""
+    m = y.conductor // 2
+    if m % 2 == 0:
+        # Phi_2m(x) = Phi_m(x^2): Q(zeta_m) is what sigma_(1+m): zeta -> -zeta
+        # fixes, the values with no odd coordinate
+        if any(y.num[1::2]):
+            return None
+        return CycNum._make(m, y.num[0::2], y.den)
+    # m odd: Q(zeta_2m) = Q(zeta_m), with zeta_2m = -zeta_m^((m+1)/2)
+    tab = _K.table(m)
+    h = (m + 1) // 2
+    out = [0] * tab.phi
+    for i, v in enumerate(y.num):
+        if v:
+            v = -v if i % 2 else v
+            for k, r in enumerate(_K.power_vector(tab, i * h % m)):
+                if r:
+                    out[k] += v * r
+    return CycNum._make(m, *_K.normalize(out, y.den))
+
+
+def _canonical_root(c: CycNum, n: int) -> Optional[CycNum]:
+    """The one of +-c that the sign rule picks, at the first conductor m in
+    (n, 2n, 4n) whose field holds c.
+
+    A rational c gives |c|.  Otherwise the rule takes the sign that makes the
+    first nonzero odd e_i of the conjugates positive; when -c is a conjugate
+    of c it decides on c*w instead, for w = 1 + zeta_m, then 1 + zeta_m +
+    zeta_m^2, and then it tries the next conductor.  The rule reproduces the
+    square-root search of :func:`sqrt_in_field`.  Returns None when c is not
+    written at a conductor dividing 4n or the rule decides nowhere.
+    """
+    if c.is_rational():
+        return CycNum.from_rational(abs(c.as_rational()))
+    if (4 * n) % c.conductor:
+        return None
+    y = c.lift(4 * n)
+    while y.conductor > n and (down := _halve(y)) is not None:
+        y = down
+    while True:
+        m = y.conductor
+        one, z = CycNum.from_rational(1, m), root_of_unity(m)
+        for w in (one, one + z, one + z + z * z):
+            sign = 0 if w.is_zero() else _odd_trace_sign(y * w)
+            if sign:
+                return y if sign > 0 else -y
+        if m == 4 * n:
+            return None
+        y = y.lift(2 * m)
+
+
 def sqrt_in_field(x: CycNum) -> Optional[CycNum]:
     """An exact y with y*y == x, searched in Q(zeta_n) up to Q(zeta_4n).
 
     Conductor 4n covers the square root of every root of unity of Q(zeta_n).
-    Returns None when no such element exists there (the result, when present,
-    is verified by squaring before it is returned; either sign may come back).
+    Returns None when no such element exists there.  A root is verified by
+    squaring, and its sign and conductor are those :func:`_canonical_root`
+    fixes.
     """
     if x.is_zero():
         return x
@@ -528,5 +640,6 @@ def sqrt_in_field(x: CycNum) -> Optional[CycNum]:
     for m in dict.fromkeys((n, 2 * n, 4 * n)):
         y = _sqrt_at_conductor(x.lift(m))
         if y is not None:
-            return y
+            # a root the search finds is one on which the rule decides
+            return _canonical_root(y, n)
     return None

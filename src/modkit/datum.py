@@ -330,6 +330,7 @@ class World:
         self.tau_minus = tm
         self._s2 = None
         self._e = None
+        self._xi_sq = None
 
     @property
     def t_matrix(self) -> CycMatrix:
@@ -341,6 +342,17 @@ class World:
         if self._s2 is None:
             self._s2 = self.s @ self.s
         return self._s2
+
+    def anomaly_squared(self) -> CycNum:
+        """xi^2 = tau_plus^2 u / D, or tau_plus^2 u^2 / D off the nondegenerate
+        regime (u = dim_r(unit_bar)), computed once."""
+        if self._xi_sq is None:
+            u = self.dim_unit_bar
+            xi_sq = self.tau_plus * self.tau_plus * u
+            if self.mode != MODE_NONDEGENERATE:
+                xi_sq = xi_sq * u
+            self._xi_sq = xi_sq / self.global_dim
+        return self._xi_sq
 
     def e_matrix(self) -> CycMatrix:
         """S^2 / (D * dim_r(unit_bar)); a signed permutation on valid input."""

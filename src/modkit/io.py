@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Union
 
@@ -45,16 +46,25 @@ def _list(v: Any, *types: type) -> list:
 # ---------- coefficients ----------
 
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
 
 
 def _ratio(c: Union[str, int]) -> tuple[int, int]:
     """A coefficient as ``(p, q)`` with ``q > 0``.  The canonical strings
     ``p`` and ``p/q`` that :func:`cyc_to_json` writes are read with ``int``;
-    any other string is read by ``Fraction``."""
+    any other string is read by ``Fraction``, once its decimal exponent is
+    known to be no larger than Python's limit on digits in an ``int`` string
+    (``Fraction`` writes out 10**exponent)."""
     if type(c) is int:
         return c, 1
     m = _CANONICAL.fullmatch(c)
     if m is None:
+        e = _EXPONENT.search(c)
+        if e is not None:
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            digits = e[1].replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+                raise FormatError(f"decimal exponent in {c!r} exceeds {limit}")
         f = Fraction(c)
         return f.numerator, f.denominator
     q = 1 if m[2] is None else int(m[2])

@@ -19,8 +19,9 @@ import numpy as np
 from .checks import (FAIL, CheckResult, VerificationReport, check_axioms, check_balancing,
                      check_raw_unitarity, check_sl2_relations, check_total_positivity,
                      check_twist_laws, check_vafa, gauss_sums)
-from .cyclotomic import CycNum, PrecisionError, sqrt_in_field
-from .datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum,
+from .cyclotomic import (CycNum, PrecisionError, _canonical_root, root_of_unity_sqrt,
+                         sqrt_in_field)
+from .datum import (KIND_BOLD, MODE_NONDEGENERATE, DegeneracyError, ModularDatum, RawDatum,
                     SlightlyDegenerateData, World, bold_world, detect_symmetric_center,
                     epsilon_action, nondegenerate_world, reduce_slightly_degenerate,
                     with_duality)
@@ -257,20 +258,24 @@ def emit_zmodular(source: Union[SlightlyDegenerateData, World],
 
     The datum's T is the vector of twists itself, the inverse of the
     categorical T-matrix; with that convention (S T)^3 lands on a scalar
-    matrix.  When no ``normalizer`` is supplied an exact square root of
-    D * dim_r(unit_bar) is searched; if none exists in a cyclotomic field of
-    conductor up to 4N, the identities are re-verified in square-root-free
-    form instead and returned as a certificate marked 'verified up to
-    scalar'.
+    matrix.  When no ``normalizer`` is supplied, c is read off the Gauss sum
+    (:func:`gauss_normalizer`); when that route does not apply, an exact
+    square root of D * dim_r(unit_bar) is searched.  Both routes give the
+    same c.  If no root exists in a cyclotomic field of conductor up to 4N,
+    the identities are re-verified in square-root-free form instead and
+    returned as a certificate marked 'verified up to scalar'.  ``note`` says
+    which route gave c.
     """
     world = source.world() if isinstance(source, SlightlyDegenerateData) else source
     scale = world.global_dim * world.dim_unit_bar
     if normalizer is not None:
         if normalizer * normalizer != scale:
             raise ValueError("normalizer^2 does not equal D * dim_r(unit_bar)")
-        c = normalizer
+        c, note = normalizer, ""
     else:
-        c = sqrt_in_field(scale)
+        c, note = gauss_normalizer(world), "normalizer from the Gauss sum"
+        if c is None:
+            c, note = sqrt_in_field(scale), "normalizer from the square-root search"
     if c is None:
         cert = VerificationReport([_raw_unitarity(world)] + check_sl2_relations(world))
         return EmitResult(None, None, cert,
@@ -278,4 +283,30 @@ def emit_zmodular(source: Union[SlightlyDegenerateData, World],
                                "identities verified up to scalar")
     s_tilde = world.s.scale(c.inv())
     datum = ModularDatum(world.labels, world.unit, s_tilde, tuple(world.twists))
-    return EmitResult(datum, c, None)
+    return EmitResult(datum, c, None, note)
+
+
+def gauss_normalizer(world: World) -> Optional[CycNum]:
+    """c with c^2 = D u (u = dim_r(unit_bar)), written down from the Gauss sum.
+
+    On a valid datum xi^2 = :meth:`World.anomaly_squared` is a root of unity
+    (the check ``vafa_anomaly``; Bakalov & Kirillov, Lectures on Tensor
+    Categories and Modular Functors, 3.1: p_+ p_- = D and p_+ / sqrt(D) is a
+    root of unity), so xi is explicit.  Then c = tau_plus u / xi, times
+    sqrt(u) off the nondegenerate regime, and c^2 is checked to be D u
+    exactly.  The sign and conductor are those of :func:`sqrt_in_field`.
+    None when xi^2 or u is not a root of unity.
+    """
+    scale = world.global_dim * world.dim_unit_bar
+    xi = root_of_unity_sqrt(world.anomaly_squared())
+    if xi is None:
+        return None
+    c = world.tau_plus * world.dim_unit_bar * xi.conj()   # 1/xi = conj(xi)
+    if world.mode != MODE_NONDEGENERATE:
+        root_u = root_of_unity_sqrt(world.dim_unit_bar)
+        if root_u is None:
+            return None
+        c = c * root_u
+    if c * c != scale:
+        return None
+    return _canonical_root(c, scale.conductor)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modkit.cyclotomic import (CycNum, PrecisionError, embed_complex, is_root_of_unity,
-                               is_totally_positive, root_of_unity, sqrt_in_field, zeta)
+from modkit.cyclotomic import (CycNum, PrecisionError, _canonical_root, _sqrt_at_conductor,
+                               embed_complex, is_root_of_unity, is_totally_positive,
+                               root_of_unity, root_of_unity_sqrt, sqrt_in_field, zeta)
 
 one = CycNum.from_rational(1)
 
@@ -235,6 +236,66 @@ def test_sqrt_never_returns_unverified_values():
         y = sqrt_in_field(x)
         if y is not None:
             assert y * y == x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 15])
+def test_root_of_unity_sqrt_squares_back(n):
+    for k in range(n):
+        for a in (zeta(n, k), -zeta(n, k)):
+            r = root_of_unity_sqrt(a)
+            assert r * r == a and is_root_of_unity(r) is not None
+    assert root_of_unity_sqrt(rat(2)) is None
+    assert root_of_unity_sqrt(one + zeta(5)) is None
+
+
+def same_element(a, b):
+    return (a.conductor, a.num, a.den) == (b.conductor, b.num, b.den)
+
+
+def searched_root(x):
+    """The search's own root of x, before the sign rule picks between +-y."""
+    n = x.conductor
+    for m in dict.fromkeys((n, 2 * n, 4 * n)):
+        y = _sqrt_at_conductor(x.lift(m))
+        if y is not None:
+            return y
+    return None
+
+
+def shaped(n):
+    """A value at conductor n, and for half the draws one whose negative is a
+    conjugate (c - conj(c), or +-q zeta^k), where the rule falls back on w."""
+    return st.tuples(cyc_values(n), st.integers(0, 3), st.integers(0, n - 1)).map(
+        lambda t: (t[0], t[0] - t[0].conj(), t[0] + t[0].conj(), zeta(n, t[2]) * 3)[t[1]])
+
+
+@pytest.mark.parametrize("n", [4, 9, 12])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sign_rule_reproduces_the_searched_root(n, data):
+    c = data.draw(shaped(n))
+    if c.is_rational():
+        return
+    assert same_element(_canonical_root(c, n), searched_root(c * c))
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 12, 84])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_canonical_root_ignores_the_sign(n, data):
+    c = data.draw(shaped(n))
+    r = _canonical_root(c, n)
+    assert r is not None and same_element(r, _canonical_root(-c, n))
+    assert r * r == c * c
+
+
+def test_canonical_root_takes_the_smallest_conductor():
+    # Tr(-zeta_3) = 1 > 0; from conductor 12 down to 3
+    assert same_element(_canonical_root(zeta(3).lift(12), 3), -zeta(3))
+    r = _canonical_root(zeta(8).lift(24), 6)                            # needs 24 = 4 * 6
+    assert r.conductor == 24 and (r == zeta(8) or r == -zeta(8))
+    assert _canonical_root(zeta(16), 3) is None                          # 16 does not divide 12
+    assert same_element(_canonical_root(rat(-3).lift(12), 12), rat(3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import io as io_text
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from fractions import Fraction
@@ -244,11 +247,30 @@ def test_cli_emit_zmodular(tmp_path, capsys):
     emitted = tmp_path / "z.json"
     assert run_cli(["generate", "taft:d=3", str(full)]) == 0
     assert run_cli(["verify", str(full), "--emit-zmodular", str(emitted)]) == 0
-    capsys.readouterr()
+    emit_line = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("emit:")]
+    assert len(emit_line) == 1 and emit_line[0].endswith("; normalizer from the Gauss sum)")
     datum = io.load_datum(str(emitted))
     assert isinstance(datum, ModularDatum)
     from modkit.checks import check_axioms
     assert check_axioms(datum).passed
+
+
+def test_cli_emit_does_not_import_sympy(tmp_path):
+    # sympy backs only the square-root search, which Taft data never reach;
+    # importing it costs about a second and tens of megabytes
+    import modkit
+    src = tmp_path / "taft5.json"
+    io.save_datum(taft_double(5), str(src))
+    code = ("import sys\n"
+            "from modkit.cli import main\n"
+            f"rc = main(['verify', {str(src)!r}, '--emit-zmodular', {str(tmp_path / 'z.json')!r},"
+            f" '--out', {str(tmp_path / 'r.json')!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'sympy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_report_roundtrip(tmp_path, capsys):
@@ -316,6 +338,11 @@ HOSTILE = {
     # labels are a list of strings: neither a string of characters nor integers
     "labels-string": lambda obj: obj.__setitem__("labels", "abcdef"),
     "labels-ints": lambda obj: obj.__setitem__("labels", [1, 2, 3, 4, 5, 6]),
+    # Fraction would write out 10**exponent: seconds and megabytes for 11 characters
+    "exponent-huge": lambda obj: obj["S"]["entries"][0][0]["coeffs"].__setitem__(0, "1e9999999"),
+    "exponent-huge-negative": lambda obj: obj["twists"][0]["coeffs"].__setitem__(0, "-1E-9999999"),
+    "exponent-underscores": lambda obj: obj["S"]["entries"][1][1]["coeffs"].__setitem__(
+        0, "1e9_999_999"),
 }
 
 
@@ -328,6 +355,11 @@ def test_cli_rejects_hostile_datum_with_one_error_line(tmp_path, capsys, which):
     assert run_cli(["verify", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("c", ["1e2", "1e4300", "-3.5E-2", " 1_0e0_2 "])
+def test_exponent_up_to_the_int_digit_limit_reads_as_fraction(c):
+    assert io.cyc_from_json({"conductor": 1, "coeffs": [c]}) == Fraction(c)
 
 
 @pytest.mark.parametrize("conductor", [0, -3])

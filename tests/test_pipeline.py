@@ -3,14 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from modkit.cyclotomic import CycNum
+from conftest import POINTED_GRID
+from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
 from modkit.datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, bold_world,
-                          reduce_slightly_degenerate)
+                          nondegenerate_world, reduce_slightly_degenerate)
 from modkit.fusion import quotient_constants
 from modkit.matrix import CycMatrix
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_fusion_tensor, taft_J_indices, taft_normalizer)
-from modkit.pipeline import emit_zmodular, verify_normalized, verify_raw
+from modkit.pipeline import (emit_zmodular, gauss_normalizer, resolve_world, verify_normalized,
+                             verify_raw)
 
 one = CycNum.from_rational(1)
 
@@ -148,3 +150,75 @@ def test_relabelling_moves_the_tensor_with_the_labels(raw, reps):
     else:
         # the quotient is indexed by the representatives, taken in the same order
         assert np.array_equal(res2.tensor, res.tensor)
+
+
+# ---------------------------------------------------------------------------
+# the normalizer: Gauss sum against the square-root search
+# ---------------------------------------------------------------------------
+
+def galois_conjugate(raw: RawDatum, j: int) -> RawDatum:
+    return RawDatum(raw.labels, raw.unit, raw.s_matrix.galois(j),
+                    tuple(t.galois(j) for t in raw.twists), raw.kind, raw.duality)
+
+
+def assert_routes_agree(world):
+    """The Gauss normalizer is the square-root search's root, in conductor,
+    coordinates and denominator."""
+    c = gauss_normalizer(world)
+    y = sqrt_in_field(world.global_dim * world.dim_unit_bar)
+    assert c is not None and y is not None
+    assert (c.conductor, c.num, c.den) == (y.conductor, y.num, y.den)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_gauss_normalizer_is_the_searched_root_on_taft(d):
+    # both choices for the orbit of unit_bar: (d-1, 0) keeps the normalizer at
+    # conductor d, its partner moves it to 4d for odd d (2d for d = 6)
+    sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
+    assert_routes_agree(sld.world())
+    if sld.unit_bar == sld.bold.unit:
+        return   # d = 2: unit_bar is the unit
+    reps = list(sld.reps)
+    reps[sld.unit_bar] = sld.eps_action[reps[sld.unit_bar]]
+    partner = reduce_slightly_degenerate(taft_double(d), reps=reps)
+    assert partner.dim_unit_bar == -sld.dim_unit_bar
+    assert_routes_agree(partner.world())
+
+
+@pytest.mark.parametrize("raw", [galois_conjugate(taft_double(5), j) for j in (2, 3, 4)]
+                         + [galois_conjugate(pointed_cyclic(7, 1, 1), j) for j in range(2, 7)],
+                         ids=[f"taft5-sigma{j}" for j in (2, 3, 4)]
+                         + [f"pointed7-sigma{j}" for j in range(2, 7)])
+def test_gauss_normalizer_is_the_searched_root_on_galois_conjugates(raw):
+    assert_routes_agree(resolve_world(raw)[0])
+
+
+def test_gauss_normalizer_is_the_searched_root_on_the_pointed_grid(pointed_verified):
+    for key in POINTED_GRID:
+        assert_routes_agree(pointed_verified[key].world)
+
+
+def test_emit_takes_the_gauss_route_and_keeps_the_search_as_fallback(monkeypatch):
+    import modkit.cyclotomic as cyclotomic
+    calls = []
+    search = cyclotomic._sqrt_at_conductor
+
+    def counting_search(x, retry=True):
+        calls.append(x.conductor)
+        return search(x, retry)
+
+    monkeypatch.setattr(cyclotomic, "_sqrt_at_conductor", counting_search)
+    for world in (reduce_slightly_degenerate(taft_double(5), reps=taft_J_indices(5)).world(),
+                  nondegenerate_world(pointed_cyclic(9, 2, 1))):
+        em = emit_zmodular(world)
+        assert em.datum is not None and em.note == "normalizer from the Gauss sum"
+    assert calls == []
+    # q16 bold fails vafa_anomaly: no Gauss normalizer, the search gives c
+    world = bold_world(sl2_q16_counterexample()[1])
+    assert gauss_normalizer(world) is None
+    em = emit_zmodular(world)
+    assert em.note == "normalizer from the square-root search" and calls
+    z = zeta(16)
+    c = z + z ** 3 - z ** 5 - z ** 7
+    assert (em.normalizer.conductor, em.normalizer.num, em.normalizer.den) == (c.conductor, c.num, 1)
+    assert em.datum.s_matrix == world.s.scale(c.inv())
