@@ -6,7 +6,8 @@ tuple of ints of length phi(n) holding the coordinates in the power basis
 ``den`` is a positive int with gcd(den, content(num)) == 1.  Everything in
 this module stays at that level; the user-facing wrapper is
 :class:`modkit.cyclotomic.CycNum`.  Whole matrices run on integer coefficient
-slices in :mod:`modkit.matrix`, which reads the reduction rows kept here.
+slices in :mod:`modkit.matrix`, which reads the power vectors and the largest
+reduction row entry kept here.
 """
 
 from __future__ import annotations

@@ -236,8 +236,14 @@ class CycNum:
         if self.is_rational():
             q = 1 / self.as_rational()
             return CycNum.from_rational(q, self.conductor)
-        # a^-1 = adj / N(a) with adj = prod_{j != 1} sigma_j(a); the norm N(a) = a * adj is
-        # fixed by every sigma_j, so rational, and nonzero for a != 0
+        # a^-1 = conj(a) / (a conj(a)) when a conj(a) is rational, as it is for
+        # roots of unity, twists and Gauss sums
+        bar = self.conj()
+        sqnorm = self * bar
+        if sqnorm.is_rational():
+            return bar * (1 / sqnorm.as_rational())
+        # otherwise a^-1 = adj / N(a) with adj = prod_{j != 1} sigma_j(a); the norm
+        # N(a) = a * adj is fixed by every sigma_j, so rational, and nonzero for a != 0
         n = self.conductor
         adj = math.prod(self.galois(j) for j in range(2, n) if math.gcd(j, n) == 1)
         return adj * (1 / (self * adj).as_rational())

@@ -7,6 +7,17 @@ the N-th cyclotomic polynomial.  Products, sums, comparisons and the Galois
 action run as whole-array integer operations.  The :class:`CycNum` entries
 are built from the slices, normalized one by one, only when they are read.
 
+Products are multimodular.  For a prime p = 1 (mod N), Phi_N splits modulo p
+into phi(N) linear factors, so evaluating the slices at its roots turns one
+product over Q(zeta_N) into phi(N) independent residue products: one batched
+int64 matmul (or entrywise product) per prime, then one interpolation.  Each
+product states a bound on the magnitude of its exact result, and takes split
+primes below 2^26 until their product exceeds twice that bound; Garner's
+CRT and the symmetric lift then give the exact integers.  Residues stay
+below 2^26 and sums of their products below 2^63.  ``object`` inputs are
+reduced to int64 residues first; past that, Python integers appear only in
+the CRT combine, once the product of the primes passes 2^62.
+
 Every array is ``int64`` when a bound on every value a computation can reach
 stays below 2^63 in magnitude, and ``object`` (Python integers) otherwise, so
 results are exact on both paths.  Matrices are immutable.
@@ -62,58 +73,199 @@ def int_array(values) -> np.ndarray:
     return a.astype(object) if a.size and a.min() == -INT64_LIMIT else a
 
 
-def _growth(tab) -> int:
-    # each product coefficient sums at most phi terms before the reduction,
-    # which adds at most phi - 1 further multiples of it, each by a reduction
-    # row entry of magnitude at most max_row
+def slice_growth(tab) -> int:
+    """How far one slice product can grow a coefficient: each product
+    coefficient sums at most phi terms before the reduction modulo Phi_n, which
+    adds at most phi - 1 further multiples of it, each by a reduction row entry
+    of magnitude at most max_row."""
     return tab.phi * (1 + (tab.phi - 1) * tab.max_row)
 
 
+# ---------------------------------------------------------------------------
+# products modulo split primes
+# ---------------------------------------------------------------------------
+
+PRIME_LIMIT = 1 << 26   # residues stay below 2^26, so a product of two is below 2^52
+_TERMS = 1 << 11        # and a sum of 2^11 such products stays below 2^63
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..17, which decides every n < 341,550,071,728,321."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root_of_order(n: int, p: int) -> int:
+    """An element of exact order n modulo the prime p = 1 (mod n); p - 1 is
+    never factored, only n."""
+    primes_of_n = [q for q in _K.divisors(n) if _is_prime(q)]
+    for g in range(2, p):
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in primes_of_n):
+            return w
+    raise ValueError(f"{p} is not a prime = 1 (mod {n})")
+
+
+def _inverse_mod(m: np.ndarray, p: int) -> np.ndarray:
+    """The inverse of the invertible residue matrix ``m`` modulo the prime p,
+    by Gauss-Jordan elimination on whole rows."""
+    size = len(m)
+    aug = np.concatenate([m % p, np.eye(size, dtype=np.int64)], axis=1)
+    for col in range(size):
+        piv = col + int(np.flatnonzero(aug[col:, col])[0])
+        aug[[col, piv]] = aug[[piv, col]]
+        aug[col] = aug[col] * pow(int(aug[col, col]), -1, p) % p
+        factors = aug[:, col].copy()
+        factors[col] = 0
+        aug = (aug - np.outer(factors, aug[col])) % p
+    return aug[:, size:]
+
+
+def _split_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modulo p = 1 (mod n), Phi_n has the phi distinct roots w^e, for w of
+    order n and e the units mod n.  Row i of the evaluation matrix holds the
+    powers 0..phi-1 of the i-th root; the second matrix is its inverse."""
+    w = _root_of_order(n, p)
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * w % p)
+    units = [e for e in range(n) if math.gcd(e, n) == 1]
+    ev = np.array(powers, dtype=np.int64)[np.outer(units, range(len(units))) % n]
+    return ev, _inverse_mod(ev, p)
+
+
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> np.ndarray:
-    """Row k is x^(phi + k) mod Phi_n, for the phi - 1 powers a product reaches."""
-    tab = _K.table(n)
-    red = int_array([list(r) for r in tab.rows[:tab.phi - 1]]).reshape(tab.phi - 1, tab.phi)
-    red.flags.writeable = False
-    return red
+def _split_stack(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``count`` largest primes p = 1 (mod n) below 2^26, with their
+    evaluation and interpolation matrices stacked.  ``count`` is a power of
+    two; each stack extends the one of half its size."""
+    if count > 1:
+        primes, ev, iv = _split_stack(n, count // 2)
+        found, evs, ivs = primes.tolist(), [ev], [iv]
+    else:
+        found, evs, ivs = [], [], []
+    step = n if n % 2 == 0 else 2 * n   # the odd p = 1 (mod n) are the p = 1 (mod step)
+    cand = found[-1] - step if found else 1 + (PRIME_LIMIT - 2) // step * step
+    while len(found) < count:
+        if cand < 3:
+            raise OverflowError(f"conductor {n} has only {len(found)} split primes below "
+                                f"2^26; their product cannot hold this exact product")
+        if _is_prime(cand):
+            ev, iv = _split_tables(n, cand)
+            found.append(cand)
+            evs.append(ev[None])
+            ivs.append(iv[None])
+        cand -= step
+    out = (np.array(found, dtype=np.int64), np.concatenate(evs), np.concatenate(ivs))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _reduce(conv: np.ndarray, tab) -> np.ndarray:
-    """Power-basis slices of the (2 phi - 1)-long coefficient stack ``conv``."""
-    phi = tab.phi
-    if phi == 1:
-        return conv
-    return conv[:phi] + np.tensordot(_reduction_rows(tab.n).T, conv[phi:], axes=1)
+class SplitPrimes(NamedTuple):
+    """Primes p = 1 (mod n) below 2^26, and for each the evaluation of the
+    power basis at the phi roots of Phi_n modulo p, and its inverse."""
+    primes: np.ndarray   # (k,) int64
+    ev: np.ndarray       # (k, phi, phi): ev[t, i, j] = (i-th root mod primes[t]) ** j
+    iv: np.ndarray       # (k, phi, phi): the inverse of ev[t] modulo primes[t]
+    modulus: int         # the product of the primes
+
+    def mod(self, x: np.ndarray) -> np.ndarray:
+        """``x`` modulo the prime of its leading index."""
+        p = self.primes.reshape((-1,) + (1,) * (x.ndim - 1))
+        return x - x // p * p   # numpy's floor division is about 4x faster than its %
+
+
+def split_primes(n: int, bound: int) -> SplitPrimes:
+    """The fewest split primes of conductor n whose product exceeds 2 * bound,
+    so that every integer of magnitude at most ``bound`` is read back exactly
+    from its residues."""
+    count, k, modulus = 1, 0, 1
+    while True:
+        primes, ev, iv = _split_stack(n, count)
+        while k < count and (k == 0 or modulus <= 2 * bound):
+            modulus *= int(primes[k])
+            k += 1
+        if modulus > 2 * bound:
+            return SplitPrimes(primes[:k], ev[:k], iv[:k], modulus)
+        count *= 2
+
+
+def residue_matmul(x: np.ndarray, y: np.ndarray, sp: SplitPrimes) -> np.ndarray:
+    """``x @ y`` modulo the prime of the leading index, for residues below
+    2^26.  The contraction is summed in blocks of at most 2^11 products, each
+    block reduced, so no int64 partial sum reaches 2^63."""
+    out = sp.mod(np.matmul(x[..., :_TERMS], y[..., :_TERMS, :]))
+    for s in range(_TERMS, x.shape[-1], _TERMS):
+        out += sp.mod(np.matmul(x[..., s:s + _TERMS], y[..., s:s + _TERMS, :]))
+        out = sp.mod(out)
+    return out
+
+
+def evaluate(a: np.ndarray, sp: SplitPrimes) -> np.ndarray:
+    """Residues ``(k, phi) + a.shape[1:]`` of the slices ``a`` (int64 or
+    object) at the roots of Phi_n, modulo each of the k primes."""
+    flat = sp.mod(a.reshape(1, a.shape[0], -1 if a.size else 0))
+    vals = residue_matmul(sp.ev, flat.astype(np.int64, copy=False), sp)
+    return vals.reshape(sp.primes.shape + a.shape)
+
+
+def interpolate(vals: np.ndarray, sp: SplitPrimes, bound: int) -> np.ndarray:
+    """The integer slices ``(phi,) + shape`` of magnitude at most ``bound``
+    whose residues at the roots are ``vals`` ``(k, phi) + shape``: one
+    interpolation per prime, then Garner's mixed-radix digits and the
+    symmetric lift.  The digits are int64; the combined integers are int64
+    while the modulus is below 2^62 and Python integers above it."""
+    coeffs = residue_matmul(sp.iv, vals.reshape(vals.shape[:2] + (-1 if vals.size else 0,)), sp)
+    ps = sp.primes.tolist()
+    digits = [coeffs[0]]
+    for t in range(1, len(ps)):
+        p = ps[t]
+        acc = digits[-1] % p   # the digits so far, read modulo p by Horner's rule
+        for s in range(t - 2, -1, -1):
+            acc = (acc * ps[s] + digits[s]) % p
+        digits.append((coeffs[t] - acc) * pow(math.prod(ps[:t]), -1, p) % p)
+    m = sp.modulus
+    dtype = np.int64 if m < 1 << 62 else object
+    x = digits[-1].astype(dtype, copy=False)
+    for s in range(len(ps) - 2, -1, -1):
+        x = x * ps[s] + digits[s].astype(dtype, copy=False)
+    x = np.where(x > m // 2, x - m, x)
+    return with_bound(x, bound).reshape(vals.shape[1:])
 
 
 def slice_matmul(a: np.ndarray, b: np.ndarray, tab) -> np.ndarray:
     """Slices ``(phi, r, c)`` of the matrix product of the numerators ``a``
     ``(phi, r, m)`` and ``b`` ``(phi, m, c)``, both at the conductor of ``tab``."""
-    phi = tab.phi
-    # |result| <= max|a| * max|b| * m * phi * (1 + (phi - 1) * max_row)
-    bound = max_abs(a) * max_abs(b) * a.shape[2] * _growth(tab)
-    a, b = with_bound(a, bound), with_bound(b, bound)
-    conv = np.zeros((2 * phi - 1, a.shape[1], b.shape[2]), dtype=a.dtype)
-    for i in range(phi):
-        if a[i].any():
-            for j in range(phi):
-                conv[i + j] += a[i] @ b[j]
-    return _reduce(conv, tab)
+    bound = max_abs(a) * max_abs(b) * a.shape[2] * slice_growth(tab)
+    sp = split_primes(tab.n, bound)
+    return interpolate(residue_matmul(evaluate(a, sp), evaluate(b, sp), sp), sp, bound)
 
 
 def slice_mul(a: np.ndarray, b: np.ndarray, tab) -> np.ndarray:
     """Slices of the entrywise product of ``a`` and ``b``, whose trailing
-    shapes broadcast against each other."""
-    phi = tab.phi
-    bound = max_abs(a) * max_abs(b) * _growth(tab)
-    a, b = with_bound(a, bound), with_bound(b, bound)
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    conv = np.zeros((2 * phi - 1,) + shape, dtype=a.dtype)
-    for i in range(phi):
-        if a[i].any():
-            for j in range(phi):
-                conv[i + j] += a[i] * b[j]
-    return _reduce(conv, tab)
+    shapes (of one length) broadcast against each other."""
+    bound = max_abs(a) * max_abs(b) * slice_growth(tab)
+    sp = split_primes(tab.n, bound)
+    return interpolate(sp.mod(evaluate(a, sp) * evaluate(b, sp)), sp, bound)
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +467,14 @@ class CycMatrix:
 
     def scale(self, c) -> "CycMatrix":
         c = c if isinstance(c, CycNum) else CycNum.from_rational(Fraction(c))
-        return self._combine(CycMatrix(1, 1, [c]), slice_mul)
+        if not c.is_rational():
+            return self._combine(CycMatrix(1, 1, [c]), slice_mul)
+        # a rational multiplies the numerators; the result sits at the common
+        # conductor, as a product would
+        m = self.lift(math.lcm(self.conductor, c.conductor))
+        q = c.as_rational()
+        num = with_bound(m.num, max(max_abs(m.num), 1) * abs(q.numerator)) * q.numerator
+        return CycMatrix.from_slices(m.conductor, num, m.den * q.denominator)
 
     def scale_rows(self, values: Sequence[CycNum]) -> "CycMatrix":
         """Row i multiplied by ``values[i]``: diag(values) @ self, entrywise."""

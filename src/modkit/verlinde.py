@@ -26,7 +26,8 @@ from .cyclotomic import CycNum
 from .datum import ModularDatum, World
 from .fusion import FusionTensor, tensor_duality
 from .kernel import impl as _K
-from .matrix import CycMatrix, max_abs, slice_matmul, slice_mul, with_bound
+from .matrix import (CycMatrix, evaluate, interpolate, max_abs, residue_matmul,
+                     slice_growth, split_primes, with_bound)
 
 
 @dataclass
@@ -46,8 +47,8 @@ class IntegralityReport:
         return "natural" if self.nonnegative else "integer"
 
 
-# rows of pairwise products handled at once: each transient coefficient
-# stack (2 phi - 1 slices of rows x k int64 values) stays near this size
+# rows of pairwise products handled at once: each transient residue stack
+# (primes x phi slices of rows x k int64 values) stays near this size
 _BLOCK_BYTES = 1 << 18
 
 
@@ -55,11 +56,12 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
                                                                IntegralityReport]:
     """N[x, y, z] = sum_w a[w, x] a[w, y] c[w, z], read off as integers.
 
-    N is symmetric in (x, y), so only the rows x <= y of the pairwise products
-    P[(x, y), w] = a[w, x] a[w, y] are built, a block of rows at a time, and
-    each block is multiplied by ``c``.  An entry is an integer exactly when
-    its non-constant slices vanish and its constant slice is divisible by the
-    common denominator.  Witnesses come in the order x <= y, then z.
+    ``a`` and ``c`` are evaluated once at the roots of Phi_n modulo split
+    primes.  N is symmetric in (x, y), so only the rows x <= y of the pairwise
+    products P[(x, y), w] = a[w, x] a[w, y] are formed, a block of rows at a
+    time, multiplied by ``c`` and interpolated.  An entry is an integer exactly
+    when its non-constant slices vanish and its constant slice is divisible by
+    the common denominator.  Witnesses come in the order x <= y, then z.
     """
     k = a.cols
     n = math.lcm(a.conductor, c.conductor)
@@ -68,14 +70,19 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
     den = a.den * a.den * c.den
     rep = IntegralityReport(entries=k * k * k)
     tensor = np.zeros((k, k, k), dtype=np.int64)
+    # a pair product grows by at most G, and its product with c by k G more
+    g = slice_growth(tab)
+    bound = max_abs(a.num) ** 2 * max_abs(c.num) * k * g * g
+    sp = split_primes(n, bound)
+    ea, ec = evaluate(a.num, sp), evaluate(c.num, sp)
     xs, ys = np.triu_indices(k)
-    block = max(1, _BLOCK_BYTES // (8 * (2 * tab.phi - 1) * max(k, 1)))
+    block = max(1, _BLOCK_BYTES // (8 * len(sp.primes) * tab.phi * max(k, 1)))
     for start in range(0, len(xs), block):
         bx, by = xs[start:start + block], ys[start:start + block]
-        pairs = slice_mul(a.num[:, :, bx], a.num[:, :, by], tab)
-        vals = slice_matmul(pairs.transpose(0, 2, 1), c.num, tab)
+        pairs = sp.mod(ea[..., bx] * ea[..., by]).swapaxes(2, 3)
+        vals = interpolate(residue_matmul(pairs, ec, sp), sp, bound)
         vals = with_bound(vals, max(max_abs(vals), den))
-        quot, rem = np.divmod(vals[0], den)
+        quot, rem = vals[0] // den, vals[0] % den   # np.divmod refuses object arrays
         integral = ~(vals[1:] != 0).any(axis=0) & (rem == 0)
         quot = np.where(integral, quot, 0)
         tensor[bx, by] = quot

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from modkit.cyclotomic import (CycNum, PrecisionError, _canonical_root, _sqrt_at_conductor,
                                embed_complex, is_root_of_unity, is_totally_positive,
                                root_of_unity, root_of_unity_sqrt, sqrt_in_field, zeta)
+from modkit.families import pointed_cyclic, taft_double
+from conftest import POINTED_GRID
 
 one = CycNum.from_rational(1)
 
@@ -345,6 +347,48 @@ def test_inverse_at_conductor_336():
     y = x.inv()
     assert x * y == 1
     assert x.galois(5).inv() == y.galois(5)
+
+
+def norm_inverse(a):
+    """a^-1 = adj / (a adj), adj the product of the conjugates sigma_j(a), j != 1."""
+    n = a.conductor
+    adj = math.prod((a.galois(j) for j in range(2, n) if math.gcd(j, n) == 1),
+                    start=CycNum.from_rational(1, n))
+    return adj * (1 / (a * adj).as_rational())
+
+
+def test_inverse_of_twists_matches_the_norm_formula():
+    values = {t for d in range(2, 10) for t in taft_double(d).twists}
+    values |= {t for grid in POINTED_GRID for t in pointed_cyclic(*grid).twists}
+    values |= {t.galois(5) + 1 for t in taft_double(9).twists}   # not unimodular
+    for t in values:
+        inv, ref = t.inv(), norm_inverse(t)
+        assert (inv.conductor, inv.num, inv.den) == (ref.conductor, ref.num, ref.den)
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, 21, 40, 76, 84])
+def test_inverse_of_random_elements_matches_the_norm_formula(n):
+    rng = random.Random(n)
+    phi = _phi(n)
+    for _ in range(6):
+        a = CycNum.from_coeffs(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                   for _ in range(phi)])
+        if not a.is_zero():
+            assert a.inv() == norm_inverse(a)
+
+
+def test_inverse_of_a_root_of_unity_takes_one_conjugate(monkeypatch):
+    calls = []
+    galois = CycNum.galois
+
+    def counting(self, j):
+        calls.append(j)
+        return galois(self, j)
+
+    monkeypatch.setattr(CycNum, "galois", counting)
+    z = root_of_unity(84, 5)
+    assert z.inv() == root_of_unity(84, -5)
+    assert len(calls) <= 1
 
 
 @settings(max_examples=60, deadline=None)

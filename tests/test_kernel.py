@@ -1,5 +1,6 @@
 """The slice path of :class:`CycMatrix` against an entry-by-entry
-:class:`CycNum` reference, and Galois invariance of the Verlinde tensor."""
+:class:`CycNum` reference, the split-prime tables and CRT limits of the
+product kernel, and Galois invariance of the Verlinde tensor."""
 
 import math
 import random
@@ -7,14 +8,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modkit import _kernel as kernel
 from modkit.cyclotomic import CycNum
 from modkit.datum import RawDatum, nondegenerate_world, reduce_slightly_degenerate
 from modkit.families import pointed_cyclic, sl2_q16_counterexample, taft_double, taft_J_indices
-from modkit.matrix import CycMatrix
+from modkit.matrix import CycMatrix, PRIME_LIMIT, slice_matmul, split_primes
 from modkit.pipeline import verify_raw
-from modkit.verlinde import verlinde_raw
+from modkit.verlinde import _structure_constants, verlinde_raw
 
 ZERO = CycNum.from_rational(0)
 
@@ -36,7 +40,7 @@ def ref_product(a, b):
             for i in range(a.rows) for j in range(b.cols)]
 
 
-@pytest.mark.parametrize("n", [1, 4, 9, 12, 84])
+@pytest.mark.parametrize("n", [1, 4, 9, 12, 76, 84])
 def test_slice_arithmetic_matches_the_entrywise_reference(n):
     rng = random.Random(n)
     for rows, inner, cols in ((3, 4, 2), (1, 5, 5), (4, 1, 3)):
@@ -45,6 +49,10 @@ def test_slice_arithmetic_matches_the_entrywise_reference(n):
         prod = a @ b
         assert prod.num.dtype == np.int64
         assert canonical(prod.entries) == canonical(ref_product(a, b))
+        lifted = a.lift(2 * n)
+        if n % 2 == 0:   # zeta_n = zeta_2n^2 reaches only the even powers
+            assert not lifted.num[1::2].any()
+        assert canonical((lifted @ b).entries) == canonical(ref_product(lifted, b))
         c = rand_matrix(rng, rows, inner, n)
         assert canonical((a + c).entries) == canonical([x + y for x, y in zip(a.entries, c.entries)])
         assert canonical((a - c).entries) == canonical([x - y for x, y in zip(a.entries, c.entries)])
@@ -80,6 +88,128 @@ def test_huge_coefficients_take_the_object_path_and_stay_exact():
         assert canonical(prod.entries) == canonical(ref_product(a, b))
         assert canonical((a + a).entries) == canonical(x + x for x in a.entries)
         assert a.scale(2) == a + a and a != a.scale(2)
+
+
+def test_rational_scale_keeps_the_common_conductor():
+    rng = random.Random(3)
+    a = rand_matrix(rng, 2, 3, 3)
+    q = CycNum.from_rational(Fraction(-2, 7), 12)
+    for c, n in ((q, 12), (Fraction(-2, 7), 3), (CycNum.from_rational(0, 4), 12)):
+        scaled = a.scale(c)
+        assert scaled.conductor == n
+        assert canonical(scaled.entries) == canonical((e * c).lift(n) for e in a.entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 76, 84])
+def test_split_tables_evaluate_at_the_roots_of_the_cyclotomic_polynomial(n):
+    sp = split_primes(n, 1 << 120)
+    phi = kernel.euler_phi(n)
+    units = [e for e in range(n) if math.gcd(e, n) == 1]
+    assert sp.modulus == math.prod(sp.primes.tolist()) > 1 << 121
+    assert (np.diff(sp.primes) < 0).all()
+    poly = kernel.cyclotomic_int_coeffs(n)
+    for p, ev, iv in zip(sp.primes.tolist(), sp.ev, sp.iv):
+        assert p < PRIME_LIMIT and (p - 1) % n == 0 and sympy.isprime(p)
+        assert ev.shape == iv.shape == (phi, phi)
+        if phi > 1:
+            w = int(ev[0, 1])   # units[0] = 1, so row 0 holds the powers of w
+            assert pow(w, n, p) == 1
+            assert all(pow(w, n // q, p) != 1 for q in sympy.primefactors(n))
+            assert ev.tolist() == [[pow(w, e * j, p) for j in range(phi)] for e in units]
+            for root in ev[:, 1].tolist():
+                assert sum(c * pow(root, i, p) for i, c in enumerate(poly)) % p == 0
+        ident = ev.astype(object) @ iv.astype(object) % p
+        assert (ident == np.eye(phi, dtype=np.int64)).all()
+
+
+def test_running_out_of_split_primes_raises():
+    # 2^25 + 1 = 3 * 11 * 251 * 4051 is the only candidate p = 1 (mod 2^25) below 2^26
+    with pytest.raises(OverflowError, match="split primes"):
+        split_primes(1 << 25, 0)
+
+
+def test_products_at_the_one_and_two_prime_limits_are_exact():
+    p1, p2 = split_primes(1, 1 << 60).primes[:2].tolist()
+    tab = kernel.table(1)
+    for limit, k in (((p1 - 1) // 2, 1), ((p1 * p2 - 1) // 2, 2)):
+        # one operand entry v and the other +-1: the bound is exactly |v|
+        for v, primes in ((limit - 1, k), (limit, k), (limit + 1, k + 1)):
+            assert len(split_primes(1, v).primes) == primes
+            for sign in (1, -1):
+                out = slice_matmul(np.array([[[v]]]), np.array([[[sign]]]), tab)
+                assert out.dtype == np.int64 and out.tolist() == [[[sign * v]]]
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_long_contractions_do_not_wrap_int64(n):
+    # residues of -1 are p - 1 ~ 2^26: 2049 of their products pass 2^63
+    phi = kernel.euler_phi(n)
+    row = np.zeros((phi, 1, 2049), dtype=np.int64)
+    row[0] = -1
+    a = CycMatrix.from_slices(n, row, 1)
+    b = CycMatrix.from_slices(n, row.transpose(0, 2, 1).copy(), 1)
+    assert (a @ b)[0, 0] == 2049
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([3, 5, 8, 9, 12, 20, 76, 84]), data=st.data())
+def test_products_commute_with_the_galois_action(n, data):
+    rng = random.Random(data.draw(st.integers(0, 1 << 30)))
+    j = data.draw(st.sampled_from([j for j in range(2, n) if math.gcd(j, n) == 1]))
+    a = rand_matrix(rng, 2, 3, n)
+    b = rand_matrix(rng, 3, 2, n)
+    assert (a @ b).galois(j) == a.galois(j) @ b.galois(j)
+    assert a.scale_rows(b.col(0)[:2]).galois(j) == a.galois(j).scale_rows(
+        [e.galois(j) for e in b.col(0)[:2]])
+
+
+def ref_structure_constants(a, c):
+    """The tensor (None unless integral), witnesses, negative count and first
+    negative of _structure_constants, entry by entry with CycNum."""
+    k = a.cols
+    tensor = np.zeros((k, k, k), dtype=np.int64)
+    witnesses, negatives, first = [], 0, None
+    for x in range(k):
+        for y in range(x, k):
+            for z in range(k):
+                v = sum((a[w, x] * a[w, y] * c[w, z] for w in range(k)), ZERO)
+                if not v.is_integer():
+                    witnesses.append((x, y, z, v))
+                    continue
+                tensor[x, y, z] = tensor[y, x, z] = q = v.num[0]
+                if q < 0:
+                    negatives += 1 if x == y else 2
+                    first = first or (x, y, z, q)
+    return (None if witnesses else tensor), witnesses[:5], negatives, first
+
+
+@pytest.mark.parametrize("n", [12, 84])
+def test_structure_constants_match_the_entrywise_triple_sum(n):
+    rng = random.Random(n)
+    phi = kernel.euler_phi(n)
+
+    def entry(p_rational, dens):
+        if rng.random() < p_rational:
+            return CycNum.from_rational(Fraction(rng.randint(-3, 3), rng.choice(dens)))
+        return CycNum.from_coeffs(n, [Fraction(rng.randint(-3, 3), rng.choice(dens))
+                                      for _ in range(phi)])
+
+    cases = [(1.0, (1,), 1.0, (1,)), (1.0, (1,), 0.9, (1, 2)), (0.8, (1,), 0.8, (1, 3)),
+             (0.0, (1, 2), 0.5, (1, 3 ** 40))]   # the last common denominator passes 2^63
+    for pa, da, pc, dc in cases:
+        k = rng.randint(3, 4)
+        a = CycMatrix(k, k, [entry(pa, da) for _ in range(k * k)])
+        c = CycMatrix(k, k, [entry(pc, dc) for _ in range(k * k)])
+        tensor, rep = _structure_constants(a, c)
+        ref_tensor, witnesses, negatives, first = ref_structure_constants(a, c)
+        assert rep.entries == k ** 3
+        assert rep.integral == (ref_tensor is not None)
+        assert (tensor is None) == (ref_tensor is None)
+        if tensor is not None:
+            assert np.array_equal(tensor, ref_tensor)
+        assert rep.non_integral == witnesses
+        assert (rep.negative_count, rep.first_negative) == (negatives, first)
+        assert rep.nonnegative == (negatives == 0)
 
 
 @pytest.mark.parametrize("family", ["taft:d=5", "pointed:n=7"])
