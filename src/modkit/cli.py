@@ -18,6 +18,7 @@ import sys
 from typing import Optional
 
 from . import io
+from .checks import FAIL, PASS, SKIPPED
 from .datum import (KIND_FULL, DegeneracyError, ModularDatum, RawDatum,
                     reduce_slightly_degenerate)
 from .families import FamilySpecError, FamilyInstance, from_spec
@@ -236,13 +237,25 @@ def cmd_reduce(args) -> int:
 # report
 # ---------------------------------------------------------------------------
 
+def _check_report(entries) -> None:
+    """Every entry is an object with a string ``check`` and a known ``status``."""
+    if not isinstance(entries, list):
+        raise ValueError("a report file holds a list of check entries")
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ValueError(f"entry {i} is not an object")
+        if not isinstance(e.get("check"), str):
+            raise ValueError(f"entry {i} has no string 'check'")
+        if e.get("status") not in (PASS, FAIL, SKIPPED):
+            raise ValueError(f"entry {i} has a 'status' other than {PASS}, {FAIL} or {SKIPPED}")
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             entries = json.load(fh)
-        if not isinstance(entries, list):
-            raise ValueError("a report file holds a list of check entries")
-    except (OSError, ValueError) as exc:
+        _check_report(entries)
+    except (OSError, ValueError, RecursionError) as exc:
         return _fail_usage(f"cannot read report: {exc}")
     print(io.render_report(entries) if args.pretty else json.dumps(entries, indent=1))
     return 0 if all(e.get("status") != "fail" for e in entries) else 1

@@ -6,6 +6,12 @@ optionally the duality permutation.  Everything else - quantum dimensions,
 the symmetric center, the fermion's tensoring action, the representative set,
 the bar involution - is recomputed here from those entries, exactly.
 
+Each datum has one :class:`CharacterTable`, built on first use.  The center
+(rows equal to the unit row of S), the duality (conjugated columns), the bar
+involution (a signed column permutation), tensoring by an invertible (rows
+scaled by a column) and the fermion action (negated rows of S) are read off
+it by matching whole rows or columns of integer slices.
+
 ``kind`` distinguishes a full matrix (every simple is a row) from a bold one
 (rows indexed by representatives of the fermion orbits only).  For a bold
 datum the duality involution may leave the representative set; ``duality``
@@ -16,7 +22,10 @@ dim(eps)^a relating the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .cyclotomic import CycNum
 from .matrix import CycMatrix
@@ -27,6 +36,10 @@ KIND_BOLD = "raw-bold"
 
 class DegeneracyError(ValueError):
     """The input does not have the structure the operation requires."""
+
+
+class ZeroGlobalDimensionError(DegeneracyError):
+    """D * dim_r(unit_bar) = 0: the datum cannot be normalized."""
 
 
 def _check_labels(labels: Sequence[str]) -> None:
@@ -68,6 +81,11 @@ class RawDatum:
     def dim_r(self, i: int) -> CycNum:
         return self.s_matrix[self.unit, i]
 
+    @cached_property
+    def characters(self) -> "CharacterTable":
+        """The character table of this datum, built once."""
+        return CharacterTable(self)
+
 
 @dataclass(frozen=True)
 class ModularDatum:
@@ -100,15 +118,6 @@ class Dims(NamedTuple):
     global_dim: CycNum
 
 
-def _entry_key(e: CycNum):
-    # entries of one CycMatrix share a conductor, so (num, den) is canonical
-    return (e.num, e.den)
-
-
-def _row_key(row) -> tuple:
-    return tuple(_entry_key(e) for e in row)
-
-
 def dims_of(raw: RawDatum, duality: Optional[Sequence[int]] = None,
             duality_signs: Optional[Sequence[int]] = None) -> Dims:
     """Right/left dimensions, squared norms and their sum.
@@ -127,35 +136,93 @@ def dims_of(raw: RawDatum, duality: Optional[Sequence[int]] = None,
     dim_l = tuple(dim_r[duality[i]] if signs[i] == 1 else -dim_r[duality[i]]
                   for i in range(raw.size))
     sqnorm = tuple(r * l for r, l in zip(dim_r, dim_l))
-    total = CycNum.from_rational(0)
-    for q in sqnorm:
-        total = total + q
-    return Dims(tuple(dim_r), dim_l, sqnorm, total)
+    return Dims(tuple(dim_r), dim_l, sqnorm, sum(sqnorm, CycNum.from_rational(0)))
 
 
-def character_rows(raw: RawDatum) -> list[tuple[CycNum, ...]]:
-    """Row X holds s_X(Y) = S[X,Y] / dim_r(X) for all Y."""
-    s = raw.s_matrix
-    dim_r = s.row(raw.unit)
-    out = []
-    for x in range(raw.size):
-        if dim_r[x].is_zero():
-            raise DegeneracyError(f"dim_r({raw.labels[x]}) = 0")
-        inv = dim_r[x].inv()
-        out.append(tuple(e * inv for e in s.row(x)))
+def _keys(a: np.ndarray) -> list:
+    """One key per row of the slices ``a`` ``(phi, rows, cols)``: two rows of
+    arrays of one dtype have equal keys exactly when their slices are equal.
+    Pass ``a.transpose(0, 2, 1)`` to key the columns."""
+    lines = np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)
+    if lines.dtype == object:
+        return [tuple(line) for line in lines.tolist()]
+    return [line.tobytes() for line in lines]
+
+
+class CharacterTable:
+    """The characters of one datum, with its symmetric center and fermion
+    action, each computed once.
+
+    ``matrix[X, Y] = S[X, Y] / dim_r(X)`` is the character s_X at Y: one
+    :class:`CycMatrix`, so its entries share one conductor and denominator,
+    and a negated, conjugated or multiplied copy is brought to the same
+    denominator before rows or columns are matched.  A label of dimension
+    zero has no character: its row stays its S-row and :meth:`chars` refuses.
+    """
+
+    def __init__(self, raw: RawDatum):
+        self.labels, self.unit, self.s = raw.labels, raw.unit, raw.s_matrix
+        dims = self.s.row(raw.unit)
+        self.has_dim = np.array([bool(d) for d in dims])
+        self.matrix = self.s.scale_rows([d.inv() if d else 1 for d in dims])
+
+    def chars(self) -> CycMatrix:
+        """The character matrix, once every label is known to have a character."""
+        if not self.has_dim.all():
+            raise DegeneracyError(f"dim_r({self.labels[int(np.argmin(self.has_dim))]}) = 0")
+        return self.matrix
+
+    @cached_property
+    def center(self) -> tuple[int, ...]:
+        """The labels X with S[X, Y] = dim_r(X) dim_r(Y) for every Y: the rows
+        of the table equal to the unit row of S (a row of dimension zero
+        qualifies when it vanishes)."""
+        c, s, _, _ = self.matrix._aligned(self.s)
+        want = np.where(self.has_dim[:, None], s[:, self.unit:self.unit + 1, :], 0)
+        return tuple(np.flatnonzero((c == want).all(axis=(0, 2))).tolist())
+
+    @cached_property
+    def eps_action(self) -> tuple[int, ...]:
+        """X -> eps (x) X: the label whose S-row is the negated S-row of X."""
+        rows = {key: x for x, key in enumerate(_keys(self.s.num))}
+        act = _match(rows, _keys(-self.s.num),
+                     lambda x: f"no label with the negated S-row of {self.labels[x]}")
+        _involution(act, "row negation does not define an involution")
+        fixed = [x for x in range(len(act)) if act[x] == x]
+        if fixed:
+            raise DegeneracyError(f"fermion action fixes {self.labels[fixed[0]]}")
+        return act
+
+
+def _unique_keys(raw: RawDatum, keys: list) -> dict:
+    """Key -> label; two labels with one key have identical characters."""
+    out = {}
+    for x, key in enumerate(keys):
+        if key in out:
+            raise DegeneracyError(
+                f"labels {raw.labels[out[key]]} and {raw.labels[x]} have identical characters")
+        out[key] = x
     return out
 
 
+def _match(index: dict, keys: list, missing) -> tuple:
+    """``index[key]`` for each key; the first key x not in ``index`` raises
+    the message ``missing(x)``."""
+    for x, key in enumerate(keys):
+        if key not in index:
+            raise DegeneracyError(missing(x))
+    return tuple(index[key] for key in keys)
+
+
+def _involution(f: Sequence[int], message: str) -> None:
+    if any(f[f[x]] != x for x in range(len(f))):
+        raise DegeneracyError(message)
+
+
 def detect_symmetric_center(raw: RawDatum) -> tuple[int, ...]:
-    """All labels X with S[X,Y] = dim_r(X) * dim_r(Y) for every Y."""
-    s = raw.s_matrix
-    dim_r = s.row(raw.unit)
-    out = []
-    for x in range(raw.size):
-        dx = dim_r[x]
-        if all(s[x, y] == dx * dim_r[y] for y in range(raw.size)):
-            out.append(x)
-    return tuple(out)
+    """All labels X with S[X,Y] = dim_r(X) * dim_r(Y) for every Y (computed
+    once per datum, on its character table)."""
+    return raw.characters.center
 
 
 def derive_duality(raw: RawDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -166,44 +233,31 @@ def derive_duality(raw: RawDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
     as an overall factor dim(eps) = -1 on the column.  Returns (duality,
     signs); signs are all +1 on a full datum.
     """
-    chars = character_rows(raw)
-    n = raw.size
-    cols = {}
-    for x in range(n):
-        key = _row_key([chars[y][x] for y in range(n)])
-        if key in cols:
-            raise DegeneracyError(
-                f"labels {raw.labels[cols[key]]} and {raw.labels[x]} have identical characters")
-        cols[key] = x
-    duality = [0] * n
-    signs = [1] * n
-    for x in range(n):
-        conj_col = [chars[y][x].conj() for y in range(n)]
-        hit = cols.get(_row_key(conj_col))
-        if hit is not None:
-            duality[x], signs[x] = hit, 1
-            continue
-        if raw.kind == KIND_BOLD:
-            hit = cols.get(_row_key([-e for e in conj_col]))
-            if hit is not None:
-                duality[x], signs[x] = hit, -1
-                continue
-        raise DegeneracyError(f"no dual found for label {raw.labels[x]}")
-    if any(duality[duality[x]] != x for x in range(n)):
-        raise DegeneracyError("derived duality is not an involution")
-    return tuple(duality), tuple(signs)
+    c = raw.characters.chars()
+    cols, conj, _, _ = c._aligned(c.conj())
+    cols, conj = cols.transpose(0, 2, 1), conj.transpose(0, 2, 1)
+    index = {key: (y, 1) for key, y in _unique_keys(raw, _keys(cols)).items()}
+    if raw.kind == KIND_BOLD:   # a column times dim(eps) = -1, matched after every column
+        for y, key in enumerate(_keys(-cols)):
+            index.setdefault(key, (y, -1))
+    found = _match(index, _keys(conj), lambda x: f"no dual found for label {raw.labels[x]}")
+    duality = tuple(y for y, _ in found)
+    _involution(duality, "derived duality is not an involution")
+    return duality, tuple(sign for _, sign in found)
 
 
 def with_duality(raw: RawDatum) -> RawDatum:
-    """The same datum with duality data present (derived when missing)."""
+    """The same datum with duality data present (derived when missing).  The
+    result shares the character table of ``raw``."""
     if raw.duality is not None:
         if raw.duality_signs is not None or raw.kind == KIND_FULL:
             return raw
-        return RawDatum(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind,
-                        raw.duality, (1,) * raw.size)
-    duality, signs = derive_duality(raw)
-    return RawDatum(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind,
-                    duality, signs)
+        duality, signs = raw.duality, (1,) * raw.size
+    else:
+        duality, signs = derive_duality(raw)
+    out = RawDatum(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind, duality, signs)
+    object.__setattr__(out, "characters", raw.characters)
+    return out
 
 
 def epsilon_action(raw: RawDatum) -> tuple[int, ...]:
@@ -211,23 +265,10 @@ def epsilon_action(raw: RawDatum) -> tuple[int, ...]:
 
     The fermion is central with dim(eps) = -1, so its tensoring action negates
     S-rows; the map is recovered from exact row negation (which also forces
-    dim_r(eps (x) X) = -dim_r(X), reading the unit column).
+    dim_r(eps (x) X) = -dim_r(X), reading the unit column).  Computed once per
+    datum, on its character table.
     """
-    s = raw.s_matrix
-    n = raw.size
-    rows = {_row_key(s.row(x)): x for x in range(n)}
-    act = []
-    for x in range(n):
-        hit = rows.get(_row_key([-e for e in s.row(x)]))
-        if hit is None:
-            raise DegeneracyError(f"no label with the negated S-row of {raw.labels[x]}")
-        act.append(hit)
-    if any(act[act[x]] != x for x in range(n)):
-        raise DegeneracyError("row negation does not define an involution")
-    if any(act[x] == x for x in range(n)):
-        x = next(x for x in range(n) if act[x] == x)
-        raise DegeneracyError(f"fermion action fixes {raw.labels[x]}")
-    return tuple(act)
+    return raw.characters.eps_action
 
 
 def bar_involution(raw: RawDatum) -> tuple[tuple[int, ...], int]:
@@ -235,50 +276,32 @@ def bar_involution(raw: RawDatum) -> tuple[tuple[int, ...], int]:
 
     Works on a full nondegenerate datum or on a bold datum whose duality
     (with orbit signs) is known; character rows must be pairwise distinct.
+    The wanted rows are the character matrix with its columns permuted by the
+    duality and signed by the orbit signs.
     """
     raw = with_duality(raw)
-    chars = character_rows(raw)
-    n = raw.size
-    rows = {}
-    for x in range(n):
-        key = _row_key(chars[x])
-        if key in rows:
-            raise DegeneracyError(
-                f"labels {raw.labels[rows[key]]} and {raw.labels[x]} have identical characters")
-        rows[key] = x
-    signs = raw.duality_signs or (1,) * n
-    bar = []
-    for x in range(n):
-        target = [chars[x][raw.duality[y]] if signs[y] == 1 else -chars[x][raw.duality[y]]
-                  for y in range(n)]
-        hit = rows.get(_row_key(target))
-        if hit is None:
-            raise DegeneracyError(f"no bar partner for label {raw.labels[x]}")
-        bar.append(hit)
-    if any(bar[bar[x]] != x for x in range(n)):
-        raise DegeneracyError("bar is not an involution")
-    return tuple(bar), bar[raw.unit]
+    c = raw.characters.chars()
+    rows = _unique_keys(raw, _keys(c.num))
+    signs = np.array(raw.duality_signs or (1,) * raw.size)
+    bar = _match(rows, _keys(c.num[:, :, list(raw.duality)] * signs),
+                 lambda x: f"no bar partner for label {raw.labels[x]}")
+    _involution(bar, "bar is not an involution")
+    return bar, bar[raw.unit]
 
 
 def tensor_by_invertible(raw: RawDatum, g: int) -> tuple[int, ...]:
     """The label map X -> X (x) g for an invertible label g (full datum).
 
     Characters are ring homomorphisms, so the character column of X (x) g is
-    the entrywise product of the columns of X and g; exact column matching
-    recovers the map.
+    the entrywise product of the columns of X and g: the columns of the
+    character matrix with its rows scaled by the column of g.
     """
-    chars = character_rows(raw)
-    n = raw.size
-    cols = {_row_key([chars[y][x] for y in range(n)]): x for x in range(n)}
-    out = []
-    for x in range(n):
-        prod = [chars[y][x] * chars[y][g] for y in range(n)]
-        hit = cols.get(_row_key(prod))
-        if hit is None:
-            raise DegeneracyError(
-                f"{raw.labels[x]} (x) {raw.labels[g]} does not match any label")
-        out.append(hit)
-    return tuple(out)
+    c = raw.characters.chars()
+    col = CycMatrix.from_slices(c.conductor, c.num[:, :, g:g + 1], c.den)
+    cols, prod, _, _ = c._aligned(c.scale_rows(col.entries))
+    index = {key: x for x, key in enumerate(_keys(cols.transpose(0, 2, 1)))}
+    return _match(index, _keys(prod.transpose(0, 2, 1)),
+                  lambda x: f"{raw.labels[x]} (x) {raw.labels[g]} does not match any label")
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +332,17 @@ class World:
         self.twists = raw.twists
         self.duality = raw.duality
         self.duality_signs = raw.duality_signs or (1,) * raw.size
-        d = dims_of(raw)
+        self.dim_r, self.dim_l, self.sqnorm, self.global_dim = dims_of(raw)
         for label, t in zip(raw.labels, raw.twists):
             if t.is_zero():
                 raise DegeneracyError(f"twist({label}) = 0")
-        self.dim_r = d.dim_r
-        self.dim_l = d.dim_l
-        self.sqnorm = d.sqnorm
-        self.global_dim = d.global_dim
         self.bar, self.unit_bar = bar_involution(raw)
         self.dim_unit_bar = self.dim_r[self.unit_bar]
         if (self.global_dim * self.dim_unit_bar).is_zero():
-            raise DegeneracyError("D * dim_r(unit_bar) = 0")
-        tp = CycNum.from_rational(0)
-        tm = CycNum.from_rational(0)
-        for q, t in zip(self.sqnorm, self.twists):
-            tp = tp + q * t
-            tm = tm + q * t.inv()
-        self.tau_plus = tp
-        self.tau_minus = tm
+            raise ZeroGlobalDimensionError("D * dim_r(unit_bar) = 0")
+        zero = CycNum.from_rational(0)
+        self.tau_plus = sum((q * t for q, t in zip(self.sqnorm, self.twists)), zero)
+        self.tau_minus = sum((q * t.inv() for q, t in zip(self.sqnorm, self.twists)), zero)
         self._s2 = None
         self._e = None
         self._xi_sq = None
@@ -451,7 +466,8 @@ def reduce_slightly_degenerate(full: RawDatum,
     if full.kind != KIND_FULL:
         raise DegeneracyError("reduction starts from a full datum")
     full = with_duality(full)
-    center = detect_symmetric_center(full)
+    table = full.characters
+    center = table.center
     if len(center) == 1:
         raise DegeneracyError("symmetric center is trivial: the datum is nondegenerate")
     if len(center) != 2:
@@ -470,36 +486,27 @@ def reduce_slightly_degenerate(full: RawDatum,
         raise DegeneracyError(f"dim(eps) = {dim_eps}, expected -1")
     if full.twists[eps] != one:
         raise DegeneracyError(f"twist(eps) = {full.twists[eps]}, expected 1")
-    act = epsilon_action(full)
+    act = table.eps_action
     if act[full.unit] != eps:
         raise DegeneracyError("row negation of the unit does not land on eps")
 
     reps_l = orbit_reps(act, full.unit, reps)
     pos = {r: i for i, r in enumerate(reps_l)}
-    k = len(reps_l)
-    bold_s = CycMatrix(k, k, [full.s_matrix[x, y] for x in reps_l for y in reps_l])
-    bold_duality = []
-    bold_signs = []
-    for x in reps_l:
-        d = full.duality[x]
-        if d in pos:
-            bold_duality.append(pos[d])
-            bold_signs.append(1)
-        else:
-            bold_duality.append(pos[act[d]])
-            bold_signs.append(-1)
+    s = full.s_matrix
+    bold_s = CycMatrix.from_slices(s.conductor, s.num[:, reps_l][:, :, reps_l], s.den)
+    # a dual outside the representatives is eps (x) a representative: sign -1
+    duals = [full.duality[x] for x in reps_l]
     bold = RawDatum(
         labels=tuple(full.labels[r] for r in reps_l),
         unit=pos[full.unit],
         s_matrix=bold_s,
         twists=tuple(full.twists[r] for r in reps_l),
         kind=KIND_BOLD,
-        duality=tuple(bold_duality),
-        duality_signs=tuple(bold_signs),
+        duality=tuple(pos[d] if d in pos else pos[act[d]] for d in duals),
+        duality_signs=tuple(1 if d in pos else -1 for d in duals),
     )
     w = bold_world(bold)
-    full_dims = dims_of(full)
-    if w.global_dim + w.global_dim != full_dims.global_dim:
+    if w.global_dim + w.global_dim != dims_of(full).global_dim:
         raise DegeneracyError("representative squared norms do not sum to half the global dimension")
 
     e = w.e_matrix()
@@ -517,16 +524,6 @@ def reduce_slightly_degenerate(full: RawDatum,
                 f"sign of S^2 at {full.labels[x]} is {sp.signs[i]}, expected {expected}")
 
     return SlightlyDegenerateData(
-        parent=full,
-        epsilon=eps,
-        eps_action=act,
-        reps=tuple(reps_l),
-        bold=bold,
-        bar=w.bar,
-        unit_bar=w.unit_bar,
-        e_matrix=e,
-        e_signs=sp.signs,
-        sdim=w.global_dim,
-        dim_unit_bar=w.dim_unit_bar,
-        bold_world=w,
-    )
+        parent=full, epsilon=eps, eps_action=act, reps=tuple(reps_l), bold=bold, bar=w.bar,
+        unit_bar=w.unit_bar, e_matrix=e, e_signs=sp.signs, sdim=w.global_dim,
+        dim_unit_bar=w.dim_unit_bar, bold_world=w)

@@ -13,7 +13,7 @@ from .datum import orbit_reps
 @dataclass(frozen=True)
 class FusionTensor:
     labels: tuple[str, ...]
-    table: np.ndarray            # int64, table[i, j, k] = N_{i,j}^k
+    table: np.ndarray            # int64 (object past 2^63), table[i, j, k] = N_{i,j}^k
     unit: int
     duality: tuple[int, ...]
 
@@ -96,13 +96,8 @@ def quotient_constants(fusion: FusionTensor, eps: int, sign: int,
         raise ValueError("sign must be +1 or -1")
     act = epsilon_action_from_fusion(fusion, eps)
     reps = orbit_reps(act, fusion.unit, reps)
-    k = len(reps)
-    out = np.zeros((k, k, k), dtype=np.int64)
     t = fusion.table
-    for a, x in enumerate(reps):
-        for b, y in enumerate(reps):
-            for c, z in enumerate(reps):
-                out[a, b, c] = t[x, y, z] + sign * t[x, y, act[z]]
+    out = t[np.ix_(reps, reps, reps)] + sign * t[np.ix_(reps, reps, [act[z] for z in reps])]
     return out, tuple(reps)
 
 

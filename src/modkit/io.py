@@ -217,7 +217,7 @@ def load_datum(path: str) -> Union[RawDatum, ModularDatum]:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # bad JSON or UTF-8, or nested too deep
             raise FormatError(f"not valid JSON: {exc}") from exc
     return datum_from_json(obj)
 

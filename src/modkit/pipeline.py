@@ -22,9 +22,9 @@ from .checks import (FAIL, CheckResult, VerificationReport, check_axioms, check_
 from .cyclotomic import (CycNum, PrecisionError, _canonical_root, root_of_unity_sqrt,
                          sqrt_in_field)
 from .datum import (KIND_BOLD, MODE_NONDEGENERATE, DegeneracyError, ModularDatum, RawDatum,
-                    SlightlyDegenerateData, World, bold_world, detect_symmetric_center,
-                    epsilon_action, nondegenerate_world, reduce_slightly_degenerate,
-                    with_duality)
+                    SlightlyDegenerateData, World, ZeroGlobalDimensionError, bold_world,
+                    detect_symmetric_center, epsilon_action, nondegenerate_world,
+                    reduce_slightly_degenerate, with_duality)
 from .fusion import FusionTensor, quotient_constants
 from .verlinde import verlinde_raw
 
@@ -77,13 +77,11 @@ def verify_raw(raw: RawDatum, mode: str = "auto", precision_bits: int = 256,
         rep.add(CheckResult(name, "pass" if ok else FAIL, detail, witness))
         return ok
 
-    s = raw.s_matrix
-    if not structural("s_raw_symmetric", s.is_symmetric()):
+    if not structural("s_raw_symmetric", raw.s_matrix.is_symmetric()):
         return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
-    unit_row = s.row(raw.unit)
-    if not structural("dims_nonzero", all(not d.is_zero() for d in unit_row)):
+    if not structural("dims_nonzero", all(raw.s_matrix.row(raw.unit))):
         return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
-    if not structural("twists_nonzero", all(not t.is_zero() for t in raw.twists)):
+    if not structural("twists_nonzero", all(raw.twists)):
         return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
     try:
         raw = with_duality(raw)
@@ -114,36 +112,37 @@ def verify_raw(raw: RawDatum, mode: str = "auto", precision_bits: int = 256,
             if mode == "sldeg":
                 structural("mode", False, "requested sldeg but the center is trivial")
                 return PipelineResult(rep, FAILED, branch)
-
-    if raw.kind != KIND_BOLD and branch == BRANCH_SLDEG:
-        # exactly two central simples: candidate slightly degenerate datum
-        stage = "reduction"
-        structural("symmetric_center", True, f"center {{{names}}}: slightly degenerate candidate")
-        if mode == "nondeg":
-            structural("mode", False, "requested nondeg but the center is not trivial")
-            return PipelineResult(rep, FAILED, branch)
-        eps = center[0] if center[1] == raw.unit else center[1]
-        dim_eps = raw.dim_r(eps)
-        t_eps = raw.twists[eps]
-        one = CycNum.from_rational(1)
-        if not structural("epsilon_shape", dim_eps == -one and t_eps == one,
-                          f"dim(eps) = {dim_eps}, twist(eps) = {t_eps}"
-                          + ("; the dim +1 / twist -1 regime does not satisfy the S/T relations"
-                             if dim_eps == one and t_eps == -one else "")):
-            return PipelineResult(rep, FAILED, branch)
-        try:
-            act = epsilon_action(raw)
-            structural("epsilon_row_negation", True)
-        except DegeneracyError as exc:
-            structural("epsilon_row_negation", False, str(exc))
-            return PipelineResult(rep, FAILED, branch)
-        structural("epsilon_fixed_point_free", all(act[i] != i for i in range(raw.size)))
+        else:   # exactly two central simples: candidate slightly degenerate datum
+            stage = "reduction"
+            structural("symmetric_center", True,
+                       f"center {{{names}}}: slightly degenerate candidate")
+            if mode == "nondeg":
+                structural("mode", False, "requested nondeg but the center is not trivial")
+                return PipelineResult(rep, FAILED, branch)
+            eps = center[0] if center[1] == raw.unit else center[1]
+            dim_eps, t_eps = raw.dim_r(eps), raw.twists[eps]
+            one = CycNum.from_rational(1)
+            if not structural("epsilon_shape", dim_eps == -one and t_eps == one,
+                              f"dim(eps) = {dim_eps}, twist(eps) = {t_eps}"
+                              + ("; the dim +1 / twist -1 regime does not satisfy the S/T "
+                                 "relations" if dim_eps == one and t_eps == -one else "")):
+                return PipelineResult(rep, FAILED, branch)
+            try:
+                epsilon_action(raw)
+                structural("epsilon_row_negation", True)
+            except DegeneracyError as exc:
+                structural("epsilon_row_negation", False, str(exc))
+                return PipelineResult(rep, FAILED, branch)
+            # epsilon_action refuses an action with a fixed point
+            structural("epsilon_fixed_point_free", True)
 
     try:
         world, sldeg = resolve_world(raw, reps)
     except DegeneracyError as exc:
         if stage == "reduction":
             rep.skip("rank_half", "not certified: the reduction failed")
+        if isinstance(exc, ZeroGlobalDimensionError):   # a check of its own
+            stage = "global_dimension_nonzero"
         structural(stage, False, str(exc))
         return PipelineResult(rep, FAILED, branch)
     if sldeg is not None:
@@ -163,12 +162,12 @@ def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
     nondegenerate world; any other full datum is reduced to its fermion-orbit
     representatives (``reps``, or the canonical choice), which checks that it
     is slightly degenerate.  Raises :class:`DegeneracyError` when no world can
-    be built.
+    be built.  The center comes from the datum's character table, computed once.
     """
     raw = with_duality(raw)
     if raw.kind == KIND_BOLD:
         return bold_world(raw), None
-    if len(detect_symmetric_center(raw)) == 1:
+    if len(raw.characters.center) == 1:
         return nondegenerate_world(raw), None
     sldeg = reduce_slightly_degenerate(raw, reps=reps)
     return sldeg.world(), sldeg

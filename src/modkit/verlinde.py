@@ -69,10 +69,11 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
     tab = _K.table(n)
     den = a.den * a.den * c.den
     rep = IntegralityReport(entries=k * k * k)
-    tensor = np.zeros((k, k, k), dtype=np.int64)
     # a pair product grows by at most G, and its product with c by k G more
     g = slice_growth(tab)
     bound = max_abs(a.num) ** 2 * max_abs(c.num) * k * g * g
+    # a constant is at most bound // den in magnitude (one more when negative)
+    tensor = with_bound(np.zeros((k, k, k), dtype=np.int64), bound // den)
     sp = split_primes(n, bound)
     ea, ec = evaluate(a.num, sp), evaluate(c.num, sp)
     xs, ys = np.triu_indices(k)
@@ -110,13 +111,12 @@ def verlinde_raw(world: World) -> tuple[Optional[np.ndarray], IntegralityReport]
     k = world.size
     sp = world.e_matrix().is_signed_permutation()
     signs = sp.signs if sp is not None and sp.perm == world.bar else (1,) * k
-    s = world.s
-    # c[w, z] = sign(z) S[w, bar(z)] / (dim_r(w) D u)
-    signed = CycMatrix.from_slices(s.conductor, s.num[:, :, list(world.bar)] * np.array(signs),
-                                   s.den)
-    scale_inv = (world.global_dim * world.dim_unit_bar).inv()
-    c = signed.scale_rows([d.inv() * scale_inv for d in world.dim_r])
-    return _structure_constants(s, c)
+    # c[w, z] = sign(z) S[w, bar(z)] / (dim_r(w) D u), read off the character table
+    chars = world.raw.characters.chars()
+    signed = CycMatrix.from_slices(chars.conductor,
+                                   chars.num[:, :, list(world.bar)] * np.array(signs), chars.den)
+    c = signed.scale((world.global_dim * world.dim_unit_bar).inv())
+    return _structure_constants(world.s, c)
 
 
 def verlinde_fusion(datum: ModularDatum) -> tuple[Optional[FusionTensor], IntegralityReport]:

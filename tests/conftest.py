@@ -3,9 +3,11 @@ import time
 
 import pytest
 
+from modkit.datum import RawDatum
 from modkit.families import (FamilyInstance, from_spec, pointed_cyclic,
                              pointed_fusion_tensor, taft_double, taft_fusion_tensor,
                              taft_J_indices)
+from modkit.matrix import CycMatrix
 from modkit.pipeline import PipelineResult, verify_raw
 
 TAFT_RANGE = range(2, 9)
@@ -49,3 +51,22 @@ def pointed_verified() -> dict[tuple[int, int, int], PipelineResult]:
         raw = pointed_cyclic(n, a, k0)
         out[(n, a, k0)] = verify_raw(raw, fusion_oracle=pointed_fusion_tensor(n))
     return out
+
+
+def relabel(raw: RawDatum, perm: list[int]) -> RawDatum:
+    """The same datum with label x moved to position perm[x]."""
+    n = raw.size
+    src = [0] * n
+    for x, p in enumerate(perm):
+        src[p] = x
+    s = CycMatrix(n, n, [raw.s_matrix[src[i], src[j]] for i in range(n) for j in range(n)])
+    signs = None if raw.duality_signs is None else tuple(raw.duality_signs[x] for x in src)
+    return RawDatum(tuple(raw.labels[x] for x in src), perm[raw.unit], s,
+                    tuple(raw.twists[x] for x in src), raw.kind,
+                    tuple(perm[raw.duality[x]] for x in src), signs)
+
+
+def galois_conjugate(raw: RawDatum, j: int) -> RawDatum:
+    return RawDatum(raw.labels, raw.unit, raw.s_matrix.galois(j),
+                    tuple(t.galois(j) for t in raw.twists), raw.kind, raw.duality,
+                    raw.duality_signs)

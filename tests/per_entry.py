@@ -1,0 +1,117 @@
+"""Per-entry reference versions of the maps :mod:`modkit.datum` reads off a
+datum's character table.
+
+Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
+matches rows or columns as tuples of entries, keyed by their coordinates (the
+entries of one line share a conductor), the way the maps were computed before
+the table existed.  They raise the same errors in the same order, so a
+test can compare whole outcomes, messages included.
+"""
+
+from modkit.datum import KIND_BOLD, DegeneracyError
+
+
+def key(line):
+    return tuple((e.conductor, e.num, e.den) for e in line)
+
+
+def characters(raw):
+    s = raw.s_matrix
+    n = raw.size
+    out = []
+    for x in range(n):
+        dx = s[raw.unit, x]
+        if dx.is_zero():
+            raise DegeneracyError(f"dim_r({raw.labels[x]}) = 0")
+        inv = dx.inv()
+        out.append(tuple(s[x, y] * inv for y in range(n)))
+    return out
+
+
+def column(chars, x):
+    return tuple(row[x] for row in chars)
+
+
+def unique(raw, lines):
+    out = {}
+    for x, line in enumerate(map(key, lines)):
+        if line in out:
+            raise DegeneracyError(
+                f"labels {raw.labels[out[line]]} and {raw.labels[x]} have identical characters")
+        out[line] = x
+    return out
+
+
+def center(raw):
+    s, n = raw.s_matrix, raw.size
+    dim = [s[raw.unit, y] for y in range(n)]
+    return tuple(x for x in range(n) if all(s[x, y] == dim[x] * dim[y] for y in range(n)))
+
+
+def duality(raw):
+    chars = characters(raw)
+    n = raw.size
+    cols = unique(raw, [column(chars, x) for x in range(n)])
+    dual, signs = [], []
+    for x in range(n):
+        conj = key(e.conj() for e in column(chars, x))
+        neg = key(-e.conj() for e in column(chars, x))
+        if conj in cols:
+            dual.append(cols[conj])
+            signs.append(1)
+        elif raw.kind == KIND_BOLD and neg in cols:
+            dual.append(cols[neg])
+            signs.append(-1)
+        else:
+            raise DegeneracyError(f"no dual found for label {raw.labels[x]}")
+    if any(dual[dual[x]] != x for x in range(n)):
+        raise DegeneracyError("derived duality is not an involution")
+    return tuple(dual), tuple(signs)
+
+
+def epsilon_action(raw):
+    s, n = raw.s_matrix, raw.size
+    rows = {key(s.row(x)): x for x in range(n)}
+    act = []
+    for x in range(n):
+        hit = rows.get(key(-e for e in s.row(x)))
+        if hit is None:
+            raise DegeneracyError(f"no label with the negated S-row of {raw.labels[x]}")
+        act.append(hit)
+    if any(act[act[x]] != x for x in range(n)):
+        raise DegeneracyError("row negation does not define an involution")
+    for x in range(n):
+        if act[x] == x:
+            raise DegeneracyError(f"fermion action fixes {raw.labels[x]}")
+    return tuple(act)
+
+
+def bar(raw):
+    """On a datum whose duality (and, on a bold datum, signs) is present."""
+    chars = characters(raw)
+    n = raw.size
+    rows = unique(raw, chars)
+    signs = raw.duality_signs or (1,) * n
+    out = []
+    for x in range(n):
+        target = key(chars[x][raw.duality[y]] * signs[y] for y in range(n))
+        if target not in rows:
+            raise DegeneracyError(f"no bar partner for label {raw.labels[x]}")
+        out.append(rows[target])
+    if any(out[out[x]] != x for x in range(n)):
+        raise DegeneracyError("bar is not an involution")
+    return tuple(out), out[raw.unit]
+
+
+def tensor_by_invertible(raw, g):
+    chars = characters(raw)
+    n = raw.size
+    cols = {key(column(chars, x)): x for x in range(n)}
+    out = []
+    for x in range(n):
+        prod = key(a * b for a, b in zip(column(chars, x), column(chars, g)))
+        if prod not in cols:
+            raise DegeneracyError(
+                f"{raw.labels[x]} (x) {raw.labels[g]} does not match any label")
+        out.append(cols[prod])
+    return tuple(out)

@@ -1,13 +1,19 @@
+import math
+import random
+
 import pytest
 
+import per_entry
+from conftest import POINTED_GRID, galois_conjugate, relabel
 from modkit.cyclotomic import CycNum, zeta
-from modkit.datum import (DegeneracyError, bar_involution, bold_world, derive_duality,
+from modkit.datum import (DegeneracyError, RawDatum, bar_involution, bold_world, derive_duality,
                           detect_symmetric_center, dims_of, epsilon_action,
                           nondegenerate_world, reduce_slightly_degenerate,
                           tensor_by_invertible, with_duality)
 from modkit.families import (TaftLabel, pointed_cyclic, sl2_q16_counterexample,
                              taft_double, taft_epsilon_action, taft_J, taft_J_indices,
                              taft_label_index, taft_labels, taft_sdim)
+from modkit.matrix import CycMatrix
 
 one = CycNum.from_rational(1)
 
@@ -219,3 +225,140 @@ def test_worlds_reject_wrong_kinds():
     _, bold = sl2_q16_counterexample()
     with pytest.raises(DegeneracyError):
         nondegenerate_world(bold)
+
+
+# ---------------------------------------------------------------------------
+# the character table against the per-entry reference, and its symmetries
+# ---------------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of the DegeneracyError it raises."""
+    try:
+        return fn(*args)
+    except DegeneracyError as exc:
+        return f"DegeneracyError: {exc}"
+
+
+def strip_duality(raw):
+    return type(raw)(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind)
+
+
+TABLE_DATA = ([(f"taft{d}", lambda d=d: taft_double(d)) for d in range(2, 10)]
+              + [(f"pointed{key}", lambda key=key: pointed_cyclic(*key)) for key in POINTED_GRID]
+              + [("q16-full", lambda: sl2_q16_counterexample()[0]),
+                 ("q16-bold", lambda: sl2_q16_counterexample()[1])])
+
+
+@pytest.mark.parametrize("make", [m for _, m in TABLE_DATA], ids=[i for i, _ in TABLE_DATA])
+def test_maps_read_off_the_table_equal_the_per_entry_reference(make):
+    raw = make()
+    assert outcome(detect_symmetric_center, raw) == per_entry.center(raw)
+    stripped = strip_duality(raw)
+    assert outcome(derive_duality, stripped) == outcome(per_entry.duality, stripped)
+    full = with_duality(raw)
+    bar = outcome(bar_involution, full)
+    assert bar == outcome(per_entry.bar, full)
+    assert outcome(epsilon_action, raw) == outcome(per_entry.epsilon_action, raw)
+    if raw.kind == "raw-full" and len(detect_symmetric_center(raw)) == 2 \
+            and isinstance(outcome(epsilon_action, raw), tuple):
+        sld = reduce_slightly_degenerate(raw)
+        unit_bar = sld.reps[sld.unit_bar]
+    elif isinstance(bar, tuple):
+        unit_bar = bar[1]
+    else:
+        return   # q16 full: neither a bar nor a reduction
+    assert outcome(tensor_by_invertible, full, unit_bar) == \
+        per_entry.tensor_by_invertible(full, unit_bar)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 0]], [[1, 0], [0, 1]],
+                                  [[1, 0, 2], [0, 0, 0], [2, 0, 4]]])
+def test_a_label_of_dimension_zero_is_central_when_its_row_vanishes(rows):
+    s = CycMatrix.from_rows(rows)
+    raw = RawDatum(tuple("abc"[:s.rows]), 0, s, (one,) * s.rows, duality=tuple(range(s.rows)))
+    assert detect_symmetric_center(raw) == per_entry.center(raw)
+    with pytest.raises(DegeneracyError, match="dim_r\\(b\\) = 0"):
+        bar_involution(raw)
+
+
+def test_every_map_is_defined_somewhere_on_the_reference_data():
+    # the comparison above compares values, not only matching errors
+    kinds = {"center": 0, "duality": 0, "bar": 0, "eps": 0}
+    for _, make in TABLE_DATA:
+        raw = make()
+        kinds["duality"] += isinstance(outcome(derive_duality, strip_duality(raw)), tuple)
+        kinds["bar"] += isinstance(outcome(bar_involution, raw), tuple)
+        kinds["eps"] += isinstance(outcome(epsilon_action, raw), tuple)
+        kinds["center"] += len(detect_symmetric_center(raw)) == 2
+    assert all(count > 1 for count in kinds.values())
+
+
+def moved(f, perm):
+    """The map pi f pi^-1 as a tuple: x -> perm[f[perm^-1 x]]."""
+    out = [0] * len(perm)
+    for x, fx in enumerate(f):
+        out[perm[x]] = perm[fx]
+    return tuple(out)
+
+
+def moved_signs(signs, perm):
+    """The signs of the moved labels: x -> signs[perm^-1 x]."""
+    out = [0] * len(perm)
+    for x, s in enumerate(signs):
+        out[perm[x]] = s
+    return tuple(out)
+
+
+@pytest.mark.parametrize("make", [lambda: taft_double(4), lambda: pointed_cyclic(7, 1, 1),
+                                  lambda: reduce_slightly_degenerate(taft_double(4)).bold],
+                         ids=["taft4", "pointed7", "taft4-bold"])
+def test_relabelling_moves_every_map_of_the_table(make):
+    raw = make()
+    perm = random.Random(raw.size).sample(range(raw.size), raw.size)
+    other = relabel(raw, perm)
+    assert detect_symmetric_center(other) == \
+        tuple(sorted(perm[x] for x in detect_symmetric_center(raw)))
+    duality, signs = derive_duality(strip_duality(raw))
+    duality2, signs2 = derive_duality(strip_duality(other))
+    assert duality2 == moved(duality, perm) and signs2 == moved_signs(signs, perm)
+    if raw.kind == "raw-full" and len(detect_symmetric_center(raw)) == 2:
+        assert epsilon_action(other) == moved(epsilon_action(raw), perm)
+        g = reduce_slightly_degenerate(raw)
+        g = g.reps[g.unit_bar]
+        assert tensor_by_invertible(other, perm[g]) == \
+            moved(tensor_by_invertible(raw, g), perm)
+    else:
+        bar, unit_bar = bar_involution(raw)
+        assert bar_involution(other) == (moved(bar, perm), perm[unit_bar])
+        if raw.kind == "raw-full":
+            assert tensor_by_invertible(other, perm[unit_bar]) == \
+                moved(tensor_by_invertible(raw, unit_bar), perm)
+
+
+@pytest.mark.parametrize("make", [lambda: taft_double(4), lambda: taft_double(5),
+                                  lambda: pointed_cyclic(9, 2, 1)],
+                         ids=["taft4", "taft5", "pointed9"])
+def test_galois_conjugation_keeps_the_center_and_the_fermion_action(make):
+    raw = make()
+    n = math.lcm(raw.s_matrix.conductor, *(t.conductor for t in raw.twists))
+    center = detect_symmetric_center(raw)
+    act = outcome(epsilon_action, raw)
+    for j in range(2, n):
+        if math.gcd(j, n) != 1:
+            continue
+        conj = galois_conjugate(raw, j)
+        assert detect_symmetric_center(conj) == center, j
+        assert outcome(epsilon_action, conj) == act, j
+
+
+def test_maps_on_slices_past_int64():
+    # S times 2^70 holds Python integers: the fermion action (negated rows of S)
+    # and the maps read off the characters, which the scale cancels from, stay
+    raw = with_duality(taft_double(3))
+    big = type(raw)(raw.labels, raw.unit, raw.s_matrix.scale(2 ** 70), raw.twists, raw.kind)
+    assert big.s_matrix.num.dtype == object
+    assert detect_symmetric_center(big) == per_entry.center(big)
+    assert epsilon_action(big) == epsilon_action(raw)
+    assert derive_duality(big) == derive_duality(raw)
+    ub = taft_idx(3, 2, 0)
+    assert tensor_by_invertible(with_duality(big), ub) == tensor_by_invertible(raw, ub)

@@ -284,6 +284,75 @@ def test_cli_report_roundtrip(tmp_path, capsys):
     assert "classification" in out and "N-modular" in out
 
 
+MALFORMED_REPORTS = {
+    "entry-not-object": [1],
+    "entry-without-check": [{}],
+    "check-not-string": [{"check": 3, "status": "pass"}],
+    "status-unknown": [{"check": "a", "status": "ok"}],
+    "status-list": [{"check": "a", "status": ["pass"]}],
+    "not-a-list": {"check": "a", "status": "pass"},
+}
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["json", "pretty"])
+@pytest.mark.parametrize("which", sorted(MALFORMED_REPORTS))
+def test_cli_report_rejects_malformed_entries_with_one_error_line(tmp_path, capsys, which,
+                                                                   pretty):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(MALFORMED_REPORTS[which]))
+    assert run_cli(["report", str(path)] + pretty) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("verb", ["report", "verify"])
+@pytest.mark.parametrize("text", [b"\xff\xfe bad", b"[" * 100000], ids=["not-utf8", "deep"])
+def test_cli_rejects_undecodable_json_with_one_error_line(tmp_path, capsys, verb, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert run_cli([verb, str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+REPORT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 8), st.floats(),
+              st.sampled_from(["pass", "fail", "skipped"]),
+              st.text(alphabet="abc pasfilkd", max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["check", "status", "detail", "witness", "ms"]),
+                        inner, max_size=5)),
+    max_leaves=12)
+REPORT_ENTRIES = st.fixed_dictionaries(
+    {"check": st.text(alphabet="abc_", max_size=4),
+     "status": st.sampled_from(["pass", "fail", "skipped"])},
+    optional={"detail": REPORT_VALUES, "witness": REPORT_VALUES, "ms": REPORT_VALUES})
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(entries=st.one_of(REPORT_VALUES, st.lists(st.one_of(REPORT_ENTRIES, REPORT_VALUES),
+                                                 max_size=4)),
+       pretty=st.booleans())
+def test_fuzzed_report_ends_with_a_rendering_or_one_error_line(entries, pretty,
+                                                               tmp_path_factory):
+    """``modkit report`` on any small JSON value (well-formed entries mixed
+    with arbitrary lists, objects and scalars) exits with 0, 1 or 2 and never
+    with a traceback; exit 2 comes with one ``error:`` line.  Integers stay
+    within -3..8 and strings within four characters, as in the datum fuzz."""
+    path = tmp_path_factory.mktemp("fuzz") / "report.json"
+    path.write_text(json.dumps(entries))
+    out, err = io_text.StringIO(), io_text.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(["report", str(path)] + (["--pretty"] if pretty else []))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_cli_verify_degenerate_pointed(tmp_path, capsys):
     p = tmp_path / "deg.json"
     assert run_cli(["generate", "pointed:n=9,a=3,k0=0", str(p)]) == 0
@@ -422,9 +491,13 @@ def test_cli_fails_degenerate_datum_without_traceback(tmp_path, capsys, which, v
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     if verb == "verify":
-        classification = json.loads(captured.out)[0]
-        assert classification["check"] == "classification"
-        assert classification["detail"] == "fail"
+        entries = json.loads(captured.out)
+        assert entries[0]["check"] == "classification"
+        assert entries[0]["detail"] == "fail"
+        if which == "zero-global-dimension":
+            # a zero D * dim_r(unit_bar) is its own check, not a bar failure
+            failed = [(e["check"], e["detail"]) for e in entries[1:] if e["status"] == "fail"]
+            assert failed == [("global_dimension_nonzero", "D * dim_r(unit_bar) = 0")]
     else:
         assert len(captured.err.strip().splitlines()) == 1
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import POINTED_GRID
+from conftest import POINTED_GRID, galois_conjugate, relabel
 from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
 from modkit.datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, bold_world,
                           nondegenerate_world, reduce_slightly_degenerate)
@@ -108,6 +108,40 @@ def test_slightly_degenerate_verify_reuses_one_world_and_its_square(monkeypatch)
     assert counts == {"products": 9, "worlds": 1, "ranks": 0}
 
 
+def test_slightly_degenerate_verify_builds_one_table_center_and_eps_action(monkeypatch):
+    # one character table per datum (the full one and the bold one), and the
+    # symmetric center and the fermion action computed once, in verify_raw and
+    # in emit_zmodular after it
+    from functools import cached_property
+    from modkit.datum import CharacterTable
+    counts = {"tables": [], "center": 0, "eps_action": 0}
+    init = CharacterTable.__init__
+
+    def counting_init(self, raw):
+        counts["tables"].append(raw.size)
+        init(self, raw)
+
+    def counted(name):
+        compute = CharacterTable.__dict__[name].func
+
+        def wrapper(self):
+            counts[name] += 1
+            return compute(self)
+        prop = cached_property(wrapper)
+        prop.__set_name__(CharacterTable, name)
+        return prop
+
+    monkeypatch.setattr(CharacterTable, "__init__", counting_init)
+    for name in ("center", "eps_action"):
+        monkeypatch.setattr(CharacterTable, name, counted(name))
+    want = {"tables": [6, 3], "center": 1, "eps_action": 1}
+    res = verify_raw(taft_double(3), reps=taft_J_indices(3))
+    assert res.classification == "Z-modular"
+    assert counts == want
+    assert emit_zmodular(res.sldeg).datum is not None
+    assert counts == want
+
+
 @pytest.mark.parametrize("bad", [-3, 99])
 def test_out_of_range_reps_are_rejected(bad):
     reps = [0, 1, bad]
@@ -119,18 +153,6 @@ def test_out_of_range_reps_are_rejected(bad):
     oracle = taft_fusion_tensor(3)
     with pytest.raises(DegeneracyError):
         quotient_constants(oracle, oracle.labels.index("(2,1)"), -1, reps=reps)
-
-
-def relabel(raw: RawDatum, perm: list[int]) -> RawDatum:
-    """The same datum with label x moved to position perm[x]."""
-    n = raw.size
-    src = [0] * n
-    for x, p in enumerate(perm):
-        src[p] = x
-    s = CycMatrix(n, n, [raw.s_matrix[src[i], src[j]] for i in range(n) for j in range(n)])
-    return RawDatum(tuple(raw.labels[x] for x in src), perm[raw.unit], s,
-                    tuple(raw.twists[x] for x in src), raw.kind,
-                    tuple(perm[raw.duality[x]] for x in src))
 
 
 @pytest.mark.parametrize("raw, reps", [(pointed_cyclic(7, 1, 1), None),
@@ -155,11 +177,6 @@ def test_relabelling_moves_the_tensor_with_the_labels(raw, reps):
 # ---------------------------------------------------------------------------
 # the normalizer: Gauss sum against the square-root search
 # ---------------------------------------------------------------------------
-
-def galois_conjugate(raw: RawDatum, j: int) -> RawDatum:
-    return RawDatum(raw.labels, raw.unit, raw.s_matrix.galois(j),
-                    tuple(t.galois(j) for t in raw.twists), raw.kind, raw.duality)
-
 
 def assert_routes_agree(world):
     """The Gauss normalizer is the square-root search's root, in conductor,

@@ -1,14 +1,15 @@
 import numpy as np
 
+from modkit.checks import check_balancing
 from modkit.cyclotomic import CycNum
 from modkit.datum import (ModularDatum, nondegenerate_world, reduce_slightly_degenerate,
                           with_duality)
 from modkit.matrix import CycMatrix
 from modkit.families import (TaftLabel, pointed_cyclic, taft_double, taft_fusion_tensor,
                              taft_J, taft_J_indices, taft_normalizer)
-from modkit.fusion import quotient_constants
-from modkit.pipeline import emit_zmodular
-from modkit.verlinde import verlinde_fusion, verlinde_raw
+from modkit.fusion import FusionTensor, quotient_constants, tensor_duality
+from modkit.pipeline import emit_zmodular, verify_raw
+from modkit.verlinde import _structure_constants, verlinde_fusion, verlinde_raw
 from conftest import TAFT_RANGE
 
 one = CycNum.from_rational(1)
@@ -103,3 +104,34 @@ def test_fusion_tensor_invariants_on_verlinde_outputs():
         # associativity and unit law hold even with signed entries
         assert tensor.unit_law_holds()
         assert tensor.is_associative()
+
+
+def test_structure_constants_past_int64_are_exact():
+    # N = a^3 = 2^120 and -2^120: the tensor holds Python integers where int64 cannot
+    for v in (2 ** 40, -2 ** 40):
+        a = CycMatrix(1, 1, [v])
+        tensor, rep = _structure_constants(a, a)
+        assert rep.integral and rep.nonnegative == (v > 0)
+        assert tensor.dtype == object and tensor[0, 0, 0] == v ** 3
+    tensor, _ = _structure_constants(CycMatrix(1, 1, [3]), CycMatrix(1, 1, [5]))
+    assert tensor.dtype == np.int64 and tensor[0, 0, 0] == 45
+
+
+def test_object_tensors_pass_balancing_quotient_and_duality():
+    # the consumers of a structure-constant tensor accept the object dtype it
+    # takes past 2^63, with the same results as on int64
+    w = nondegenerate_world(with_duality(pointed_cyclic(5, 1, 1)))
+    tensor, _ = verlinde_raw(w)
+    wide = tensor.astype(object)
+    assert check_balancing(w, wide).status == "pass"
+    assert tensor_duality(wide, w.unit) == tensor_duality(tensor, w.unit) == w.duality
+    d = 3
+    oracle = taft_fusion_tensor(d)
+    wide_oracle = FusionTensor(oracle.labels, oracle.table.astype(object), oracle.unit,
+                               oracle.duality)
+    eps = oracle.labels.index("(2,1)")
+    want, reps = quotient_constants(oracle, eps, -1, reps=taft_J_indices(d))
+    got, reps_wide = quotient_constants(wide_oracle, eps, -1, reps=taft_J_indices(d))
+    assert reps == reps_wide and got.dtype == object and np.array_equal(got, want)
+    res = verify_raw(taft_double(d), reps=taft_J_indices(d), fusion_oracle=wide_oracle)
+    assert res.report["oracle_equivalence"].status == "pass"
