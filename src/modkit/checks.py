@@ -252,14 +252,17 @@ def check_balancing(w: World, tensor: np.ndarray) -> CheckResult:
     return _run_check("balancing", balance)
 
 
-def check_total_positivity(w: World, precision_bits: int = 256) -> CheckResult:
+def check_total_positivity(w: World) -> CheckResult:
     """Each squared norm |X|^2 = dim_r(X) dim_l(X) is totally positive
-    (rigorous interval check at the given precision)."""
+    (decided exactly, by :func:`is_totally_positive`).  A squared norm
+    outside the real subfield fails, with the detail "not real"."""
 
     def positive():
         for x, q in enumerate(w.sqnorm):
-            if not is_totally_positive(q, precision_bits):
-                return False, "", {"at": x, "label": w.labels[x], "value": q}
+            real = q.conj() == q
+            if not (real and is_totally_positive(q)):
+                return False, "" if real else "not real", \
+                    {"at": x, "label": w.labels[x], "value": q}
         return True, "", None
 
     return _run_check("sqnorm_totally_positive", positive)

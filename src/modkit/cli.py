@@ -5,8 +5,6 @@ Verbs: generate family data, verify datum files, decompose fusion products
 restriction, and render report files.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/parse errors.
-The environment variable MODKIT_PRECISION_BITS (an integer >= 16, default
-256) sets the precision of the rigorous interval checks.
 """
 
 from __future__ import annotations
@@ -27,17 +25,6 @@ from .pipeline import (PipelineResult, emit_zmodular, resolve_world, verify_norm
 from .verlinde import verlinde_raw
 
 USAGE_ERROR = 2
-
-
-def _precision_bits() -> int:
-    text = os.environ.get("MODKIT_PRECISION_BITS", "256")
-    try:
-        bits = int(text)
-    except ValueError:
-        bits = 0
-    if bits < 16:
-        raise ValueError(f"MODKIT_PRECISION_BITS must be an integer >= 16, got {text!r}")
-    return bits
 
 
 def _fail_usage(msg: str) -> int:
@@ -66,10 +53,6 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        bits = _precision_bits()
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    try:
         datum = io.load_datum(args.input)
     except (OSError, io.FormatError) as exc:
         return _fail_usage(f"cannot read datum: {exc}")
@@ -77,7 +60,7 @@ def cmd_verify(args) -> int:
     if isinstance(datum, ModularDatum):
         result = verify_normalized(datum)
     else:
-        result = verify_raw(datum, mode=args.mode, precision_bits=bits)
+        result = verify_raw(datum, mode=args.mode)
 
     if args.emit_zmodular:
         _emit(result, args.emit_zmodular)

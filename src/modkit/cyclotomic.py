@@ -4,9 +4,10 @@ A :class:`CycNum` stores coordinates in the power basis ``1, z, ...,
 z^(phi(N)-1)`` of the N-th cyclotomic polynomial, as an integer vector over a
 common positive denominator.  That representation is canonical, so equality
 is coefficient-vector equality (after lifting both operands to the lcm of
-their conductors).  All field operations are exact; floating point enters
-only through the rigorous interval routines :func:`embed_complex` and
-:func:`is_totally_positive`, which are never used to decide exact identities.
+their conductors).  All field operations are exact, and so are the sign
+questions: :func:`is_totally_positive` and the sign rule of the square roots
+read integer traces (Ramanujan sums) through Newton's identities.  The module
+uses no floating point.
 """
 
 from __future__ import annotations
@@ -14,15 +15,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .kernel import impl as _K
 
 Rat = Union[int, Fraction]
-
-
-class PrecisionError(ArithmeticError):
-    """An interval computation could not separate a value from zero."""
 
 
 class RootOfUnityWitness(NamedTuple):
@@ -401,71 +398,85 @@ def root_of_unity_sqrt(a: CycNum) -> Optional[CycNum]:
     return root_of_unity(4 * n, n + 2 * wit.exponent)
 
 
-def _iv_context(precision_bits: int):
-    from mpmath.ctx_iv import MPIntervalContext
+# ---------------------------------------------------------------------------
+# traces and signs
+# ---------------------------------------------------------------------------
 
-    if precision_bits < 16:
-        raise ValueError(f"precision_bits must be at least 16, got {precision_bits}")
-    ctx = MPIntervalContext()
-    ctx.prec = precision_bits
-    return ctx
-
-
-def _iv_embedding(a: CycNum, j: int, ctx):
-    """Rigorous enclosure of the image of a under zeta -> exp(2*pi*i*j/n)."""
-    n = a.conductor
-    re = ctx.mpf(0)
-    im = ctx.mpf(0)
-    two_pi = 2 * ctx.pi
-    for i, v in enumerate(a.num):
-        if v:
-            angle = two_pi * ((i * j) % n) / n
-            re += v * ctx.cos(angle)
-            im += v * ctx.sin(angle)
-    return re / a.den, im / a.den
+def _mobius(q: int) -> int:
+    out, p = 1, 2
+    while p * p <= q:
+        if q % p == 0:
+            q //= p
+            if q % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if q > 1 else out
 
 
-class ComplexEnclosure(NamedTuple):
-    re: object  # interval
-    im: object  # interval
-
-    def contains(self, z: complex) -> bool:
-        z = complex(z)
-        return (self.re.a <= z.real <= self.re.b) and (self.im.a <= z.imag <= self.im.b)
-
-
-def embed_complex(a: CycNum, precision_bits: int = 256) -> ComplexEnclosure:
-    """Rigorous complex enclosure of a under zeta_n -> exp(2*pi*i/n)."""
-    ctx = _iv_context(precision_bits)
-    re, im = _iv_embedding(a, 1, ctx)
-    return ComplexEnclosure(re, im)
+@lru_cache(maxsize=None)
+def _power_traces(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n**i) down to Q for i < phi(n): the Ramanujan sums
+    mu(q) phi(n) / phi(q) with q = n / gcd(i, n)."""
+    phi = _K.euler_phi(n)
+    return tuple(_mobius(q) * (phi // _K.euler_phi(q))
+                 for q in (n // math.gcd(i, n) for i in range(phi)))
 
 
-def is_totally_positive(a: CycNum, precision_bits: int = 256) -> bool:
-    """True iff every Galois embedding of a is provably > 0.
+def _power_sums(y: CycNum, step: int = 1) -> Iterator[int]:
+    """The power sums p_k = Tr(x^k) down to Q of the integral x = den * y,
+    for k = 1, 1 + step, 1 + 2 step, ...: integers, with the signs of the
+    Tr(y^k).  Each is read off x^k by the Ramanujan sums."""
+    n = y.conductor
+    traces = _power_traces(n)
+    x = CycNum._make(n, y.num, 1)
+    power, mult = x, x ** step
+    while True:
+        yield sum(v * r for v, r in zip(power.num, traces))
+        power = power * mult
 
-    Requires a to lie in the real subfield (conj(a) == a).  Raises
-    :class:`PrecisionError` when some embedding's enclosure straddles zero.
+
+def is_totally_positive(a: CycNum) -> bool:
+    """True iff every Galois conjugate of a is > 0, decided exactly.
+
+    Requires a to lie in the real subfield (conj(a) == a).  There x = den * a
+    is an integral element with the signs of a, and its conjugates over the
+    real subfield, of degree d = phi / 2, are the real roots of an integer
+    polynomial.  They are all > 0 iff each elementary symmetric function
+    e_1, ..., e_d is > 0 (for real roots, Descartes' rule of signs is exact).
+    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i give
+    them in integers from the power sums p_i = Tr(x^i) / 2 over that
+    subfield (each conjugate appears twice in the full field's trace).
     """
     if a.conj() != a:
         raise ValueError("total positivity is only defined in the real subfield")
-    if a.is_zero():
-        return False
     if a.is_rational():
         return a.as_rational() > 0
-    ctx = _iv_context(precision_bits)
-    n = a.conductor
-    for j in range(1, n + 1):
-        if math.gcd(j, n) != 1 or 2 * j > n:
-            continue  # conjugate embeddings agree on real values
-        re, _ = _iv_embedding(a, j, ctx)
-        if re.a > 0:
-            continue
-        if re.b < 0:
+    e, p = [1], []
+    for k, tr in zip(range(1, _K.table(a.conductor).phi // 2 + 1), _power_sums(a)):
+        p.append(tr // 2)
+        ek = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) // k
+        if ek <= 0:
             return False
-        raise PrecisionError(
-            f"embedding zeta -> zeta^{j} of {a} straddles zero at {precision_bits} bits")
+        e.append(ek)
     return True
+
+
+def _odd_trace_sign(y: CycNum) -> int:
+    """The sign of the first nonzero odd elementary symmetric function e_i of
+    the conjugates of y, or 0 when every odd e_i vanishes (-y is then a
+    conjugate of y).
+
+    In log(sum_k e_k t^k) = sum_k (-1)^(k-1) p_k t^k / k the odd part starts
+    with the odd part of the series itself, so the first nonzero odd e_i and
+    the first nonzero odd power sum p_i = Tr(y^i) sit at one index, with
+    p_i = i e_i: Newton's identities reduce to reading Tr(y), Tr(y^3), ...
+    up to the degree phi of the characteristic polynomial.
+    """
+    for _, t in zip(range(0, _K.table(y.conductor).phi, 2), _power_sums(y, 2)):
+        if t:
+            return 1 if t > 0 else -1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -531,49 +542,6 @@ def _sqrt_at_conductor(x: CycNum, retry: bool = True) -> Optional[CycNum]:
                 if y * y == x:
                     return y
     return None
-
-
-def _mobius(q: int) -> int:
-    out, p = 1, 2
-    while p * p <= q:
-        if q % p == 0:
-            q //= p
-            if q % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if q > 1 else out
-
-
-@lru_cache(maxsize=None)
-def _power_traces(n: int) -> tuple[int, ...]:
-    """Tr(zeta_n**i) down to Q for i < phi(n): the Ramanujan sums
-    mu(q) phi(n) / phi(q) with q = n / gcd(i, n)."""
-    phi = _K.euler_phi(n)
-    return tuple(_mobius(q) * (phi // _K.euler_phi(q))
-                 for q in (n // math.gcd(i, n) for i in range(phi)))
-
-
-def _odd_trace_sign(y: CycNum) -> int:
-    """The sign of the first nonzero odd elementary symmetric function e_i of
-    the conjugates of y, or 0 when every odd e_i vanishes (-y is then a
-    conjugate of y).
-
-    In log(sum_k e_k t^k) = sum_k (-1)^(k-1) p_k t^k / k the odd part starts
-    with the odd part of the series itself, so the first nonzero odd e_i and
-    the first nonzero odd power sum p_i = Tr(y^i) sit at one index, with
-    p_i = i e_i: Newton's identities reduce to reading Tr(y), Tr(y^3), ...
-    up to the degree phi of the characteristic polynomial.
-    """
-    n = y.conductor
-    traces = _power_traces(n)
-    power, y2 = y, y * y
-    for _ in range(0, _K.table(n).phi, 2):   # power = y^k for k = 1, 3, ... <= phi
-        t = sum(v * r for v, r in zip(power.num, traces))
-        if t:
-            return 1 if t > 0 else -1
-        power = power * y2
-    return 0
 
 
 def _halve(y: CycNum) -> Optional[CycNum]:

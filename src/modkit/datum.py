@@ -79,7 +79,7 @@ class RawDatum:
         return len(self.labels)
 
     def dim_r(self, i: int) -> CycNum:
-        return self.s_matrix[self.unit, i]
+        return self.s_matrix.row(self.unit)[i]   # builds one row of S, not all of it
 
     @cached_property
     def characters(self) -> "CharacterTable":

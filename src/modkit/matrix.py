@@ -377,12 +377,12 @@ class CycMatrix:
     def entries(self) -> tuple[CycNum, ...]:
         """The entries in row-major order, each in canonical form."""
         if self._entries is None:
-            object.__setattr__(self, "_entries", self._build_entries())
+            flat = self.num.reshape(self.num.shape[0], self.rows * self.cols).T
+            object.__setattr__(self, "_entries", self._entries_of(flat))
         return self._entries
 
-    def _build_entries(self) -> tuple[CycNum, ...]:
-        phi = self.num.shape[0]
-        flat = self.num.reshape(phi, self.rows * self.cols).T
+    def _entries_of(self, flat: np.ndarray) -> tuple[CycNum, ...]:
+        """The entries whose coordinates are the rows of ``flat`` ``(count, phi)``."""
         den = self.den
         if flat.dtype == object or den >= INT64_LIMIT:
             pairs = [_K.normalize(v, den) for v in flat.tolist()]
@@ -397,7 +397,10 @@ class CycMatrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[CycNum, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        """Row i; until every entry is built, only this row's are."""
+        if self._entries is None:
+            return self._entries_of(self.num[:, i, :].T)
+        return self._entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[CycNum, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))

@@ -19,8 +19,7 @@ import numpy as np
 from .checks import (FAIL, CheckResult, VerificationReport, check_axioms, check_balancing,
                      check_raw_unitarity, check_sl2_relations, check_total_positivity,
                      check_twist_laws, check_vafa, gauss_sums)
-from .cyclotomic import (CycNum, PrecisionError, _canonical_root, root_of_unity_sqrt,
-                         sqrt_in_field)
+from .cyclotomic import CycNum, _canonical_root, root_of_unity_sqrt, sqrt_in_field
 from .datum import (KIND_BOLD, MODE_NONDEGENERATE, DegeneracyError, ModularDatum, RawDatum,
                     SlightlyDegenerateData, World, ZeroGlobalDimensionError, bold_world,
                     detect_symmetric_center, epsilon_action, nondegenerate_world,
@@ -57,7 +56,7 @@ class PipelineResult:
         return 0 if self.passed else 1
 
 
-def verify_raw(raw: RawDatum, mode: str = "auto", precision_bits: int = 256,
+def verify_raw(raw: RawDatum, mode: str = "auto",
                reps: Optional[Sequence[int]] = None,
                fusion_oracle: Optional[FusionTensor] = None) -> PipelineResult:
     """Full verification of a raw datum.
@@ -149,7 +148,7 @@ def verify_raw(raw: RawDatum, mode: str = "auto", precision_bits: int = 256,
         # rows pair under negation (rank <= n/2); S[reps,reps]^2 = D*u*E is invertible (>= n/2)
         structural("rank_half", True, f"rank {len(sldeg.reps)} of size {raw.size}")
         structural("reduction", True, f"representatives {[raw.labels[r] for r in sldeg.reps]}")
-    tensor = _world_suite(rep, world, sldeg, precision_bits, fusion_oracle)
+    tensor = _world_suite(rep, world, sldeg, fusion_oracle)
     cls = (N_MODULAR if branch == BRANCH_NONDEG else Z_MODULAR) if rep.passed else FAILED
     return PipelineResult(rep, cls, branch, world=world, sldeg=sldeg, tensor=tensor)
 
@@ -174,7 +173,7 @@ def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
 
 
 def _world_suite(rep: VerificationReport, world: World,
-                 sldeg: Optional[SlightlyDegenerateData], precision_bits: int,
+                 sldeg: Optional[SlightlyDegenerateData],
                  fusion_oracle: Optional[FusionTensor]) -> Optional[np.ndarray]:
     rep.add(_raw_unitarity(world))
     g = gauss_sums(world)
@@ -187,10 +186,7 @@ def _world_suite(rep: VerificationReport, world: World,
         rep.add(c)
     for c in check_vafa(world):
         rep.add(c)
-    try:
-        rep.add(check_total_positivity(world, precision_bits))
-    except PrecisionError as exc:
-        rep.add(CheckResult("sqnorm_totally_positive", FAIL, f"indecisive: {exc}"))
+    rep.add(check_total_positivity(world))
 
     tensor, irep = verlinde_raw(world)
     if not irep.integral:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modkit.cyclotomic import (CycNum, PrecisionError, _canonical_root, _sqrt_at_conductor,
-                               embed_complex, is_root_of_unity, is_totally_positive,
-                               root_of_unity, root_of_unity_sqrt, sqrt_in_field, zeta)
-from modkit.families import pointed_cyclic, taft_double
+import intervals
+from modkit.cyclotomic import (CycNum, _canonical_root, _sqrt_at_conductor, is_root_of_unity,
+                               is_totally_positive, root_of_unity, root_of_unity_sqrt,
+                               sqrt_in_field, zeta)
+from modkit.families import pointed_cyclic, sl2_q16_counterexample, taft_double
+from modkit.pipeline import resolve_world
 from conftest import POINTED_GRID
 
 one = CycNum.from_rational(1)
@@ -167,39 +169,121 @@ def sign_to_value(w, n):
 
 
 # ---------------------------------------------------------------------------
-# intervals
+# total positivity, against the interval reference (tests/intervals.py)
 # ---------------------------------------------------------------------------
 
 def test_totally_positive_examples():
-    assert is_totally_positive(rat(3), 64)
-    assert is_totally_positive(rat(2) - zeta(3) - zeta(3, 2), 64)   # equals 3
-    assert not is_totally_positive(rat(-1), 64)
+    assert is_totally_positive(rat(3))
+    assert is_totally_positive(rat(2) - zeta(3) - zeta(3, 2))   # equals 3
+    assert not is_totally_positive(rat(-1))
+    assert not is_totally_positive(rat(0).lift(5))
+    assert is_totally_positive(rat(2) + zeta(5) + zeta(5, 4))   # 2 + 2 cos(2 pi k / 5)
+    assert not is_totally_positive(zeta(5) + zeta(5, 4))       # 2 cos(4 pi / 5) < 0
+    assert not is_totally_positive(-rat(2) - zeta(5) - zeta(5, 4))
     with pytest.raises(ValueError):
-        is_totally_positive(zeta(5), 64)   # not in the real subfield
+        is_totally_positive(zeta(5))   # not in the real subfield
+
+
+def near_zero_square():
+    """(z5 + z5^4 - 633/1024)^2: totally positive, but ~2e-8 at one embedding."""
+    u = zeta(5) + zeta(5, 4) - rat(Fraction(633, 1024))
+    return u * u
 
 
 def test_totally_positive_precision_failure_is_loud():
-    # (z5 + z5^4 - 633/1024)^2 is totally positive but ~2e-9 at one embedding
-    u = zeta(5) + zeta(5, 4) - rat(Fraction(633, 1024))
-    x = u * u
-    with pytest.raises(PrecisionError):
-        is_totally_positive(x, 16)
-    assert is_totally_positive(x, 256)
+    # the interval reference cannot tell the sign at 16 bits, and says so
+    x = near_zero_square()
+    with pytest.raises(intervals.PrecisionError):
+        intervals.is_totally_positive(x, 16)
+    assert intervals.is_totally_positive(x, 256)
+
+
+def test_near_zero_square_is_decided_exactly():
+    # no precision to choose: the verdict flips exactly where the smallest
+    # conjugate is crossed, as the interval reference confirms at 256 bits
+    x = near_zero_square()
+    assert is_totally_positive(x)
+    assert not is_totally_positive(-x)
+    for eps, want in ((Fraction(1, 10 ** 9), True), (Fraction(1, 10 ** 7), False)):
+        shifted = x - rat(eps)
+        assert is_totally_positive(shifted) is want
+        assert intervals.is_totally_positive(shifted) is want
 
 
 def test_precision_below_16_bits_is_rejected():
     x = zeta(5) + zeta(5, 4) + rat(2)
     for bits in (15, 0, -5):
         with pytest.raises(ValueError):
-            is_totally_positive(x, bits)
+            intervals.is_totally_positive(x, bits)
         with pytest.raises(ValueError):
-            embed_complex(x, bits)
+            intervals.embed_complex(x, bits)
 
 
 def test_embed_complex_enclosures():
-    assert embed_complex(one, 64).contains(1 + 0j)
-    assert embed_complex(zeta(4), 64).contains(1j)
-    assert embed_complex(zeta(3) + zeta(3, 2), 64).contains(-1 + 0j)
+    assert intervals.embed_complex(one, 64).contains(1 + 0j)
+    assert intervals.embed_complex(zeta(4), 64).contains(1j)
+    assert intervals.embed_complex(zeta(3) + zeta(3, 2), 64).contains(-1 + 0j)
+
+
+def family_sqnorms():
+    """The squared norms of the worlds of Taft d = 2..11, the pointed grid and
+    the q16 bold datum."""
+    raws = [taft_double(d) for d in range(2, 12)]
+    raws += [pointed_cyclic(*grid) for grid in POINTED_GRID]
+    raws.append(sl2_q16_counterexample()[1])
+    return [q for raw in raws for q in resolve_world(raw)[0].sqnorm]
+
+
+def test_family_sqnorms_agree_with_the_interval_reference():
+    values = family_sqnorms()
+    assert sum(not q.is_rational() for q in values) > 100
+    for q in values:
+        assert is_totally_positive(q) == intervals.is_totally_positive(q)
+
+
+def real_values(n):
+    """Elements of the real subfield of Q(zeta_n): c + conj(c) + q,
+    c conj(c) + q, or (c + conj(c))^2 - q."""
+    parts = st.tuples(cyc_values(n), st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                      st.integers(0, 2))
+    return parts.map(lambda t: (t[0] + t[0].conj() + t[1], t[0] * t[0].conj() + t[1],
+                                (t[0] + t[0].conj()) ** 2 - t[1])[t[2]])
+
+
+REAL_CONDUCTORS = [5, 7, 8, 12, 15, 16, 20, 21, 36, 40, 60, 84]
+
+
+@pytest.mark.parametrize("n", REAL_CONDUCTORS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_totally_positive_agrees_with_the_interval_reference(n, data):
+    a = data.draw(real_values(n))
+    assert is_totally_positive(a) == intervals.is_totally_positive(a)
+
+
+@pytest.mark.parametrize("n", REAL_CONDUCTORS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_totally_positive_is_galois_invariant(n, data):
+    a = data.draw(real_values(n))
+    want = is_totally_positive(a)
+    for j in range(2, n):
+        if math.gcd(j, n) == 1:
+            assert is_totally_positive(a.galois(j)) == want
+
+
+@pytest.mark.parametrize("n", [5, 12, 21, 84])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_totally_positive_is_closed_under_products_and_flips_under_negation(n, data):
+    x, y = data.draw(real_values(n)), data.draw(real_values(n))
+    c = data.draw(cyc_values(n))
+    if not c.is_zero():
+        assert is_totally_positive(c * c.conj())   # |sigma(c)|^2 > 0 at every embedding
+    if is_totally_positive(x):
+        assert not is_totally_positive(-x)
+        if is_totally_positive(y):
+            assert is_totally_positive(x * y) and is_totally_positive(x + y)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import intervals
+from conftest import galois_conjugate
 from modkit import io
 from modkit.cli import main as cli_main
-from modkit.cyclotomic import CycNum
-from modkit.datum import ModularDatum, reduce_slightly_degenerate
+from modkit.cyclotomic import CycNum, root_of_unity
+from modkit.datum import KIND_FULL, ModularDatum, RawDatum, reduce_slightly_degenerate
 from modkit.matrix import CycMatrix
-from modkit.families import pointed_cyclic, taft_double, taft_J_indices, taft_normalizer
-from modkit.pipeline import emit_zmodular
+from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
+                             taft_J_indices, taft_normalizer)
+from modkit.pipeline import emit_zmodular, resolve_world
 
 
 def run_cli(args):
@@ -502,15 +505,46 @@ def test_cli_fails_degenerate_datum_without_traceback(tmp_path, capsys, which, v
         assert len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("bits", ["abc", "0", "-5"])
-def test_cli_rejects_bad_precision_setting(tmp_path, capsys, monkeypatch, bits):
-    path = tmp_path / "t.json"
-    assert run_cli(["generate", "taft:d=2", str(path)]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("MODKIT_PRECISION_BITS", bits)
-    assert run_cli(["verify", str(path)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "MODKIT_PRECISION_BITS" in err[0]
+def rank_two(a, b):
+    """The full datum S = [[1, a], [a, b]], twists (1, zeta_3), self-dual:
+    its squared norms are 1 and a^2."""
+    one = CycNum.from_rational(1)
+    return RawDatum(("u", "x"), 0, CycMatrix.from_rows([[one, a], [a, b]]),
+                    (one, root_of_unity(3)), KIND_FULL, (0, 1))
+
+
+def interval_verdict(world):
+    """The positivity check's status, detail and witness index, from the
+    interval reference on the world's squared norms."""
+    for x, q in enumerate(world.sqnorm):
+        try:
+            if not intervals.is_totally_positive(q):
+                return "fail", "", x
+        except ValueError:   # outside the real subfield
+            return "fail", "not real", x
+    return "pass", "", None
+
+
+def test_cli_positivity_agrees_with_the_interval_reference(tmp_path, monkeypatch):
+    # squared norms are decided exactly, so a precision setting reaches nothing
+    monkeypatch.setenv("MODKIT_PRECISION_BITS", "abc")
+    raws = [galois_conjugate(taft_double(5), j) for j in (1, 2, 3, 4)]
+    raws += [galois_conjugate(taft_double(7), j) for j in (1, 3)]
+    raws += [pointed_cyclic(7, 2, 1), sl2_q16_counterexample()[1]]
+    sqrt2 = root_of_unity(8) + root_of_unity(8, 7)
+    raws += [rank_two(sqrt2 - 1, CycNum.from_rational(-1)), rank_two(root_of_unity(8), sqrt2)]
+    verdicts = []
+    for k, raw in enumerate(raws):
+        path, out = tmp_path / f"{k}.json", tmp_path / f"{k}.report.json"
+        io.save_datum(raw, str(path))
+        assert run_cli(["verify", str(path), "--out", str(out)]) in (0, 1)
+        entry = next(e for e in json.loads(out.read_text())
+                     if e["check"] == "sqnorm_totally_positive")
+        status, detail, at = interval_verdict(resolve_world(io.load_datum(str(path)))[0])
+        assert (entry["status"], entry["detail"]) == (status, detail)
+        assert (entry["witness"] or {}).get("at") == at
+        verdicts.append(status)
+    assert verdicts.count("fail") == 1   # the rank-2 datum with a^2 = i
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from modkit.cyclotomic import CycNum, zeta
@@ -33,6 +34,41 @@ def test_shape_errors():
         a + b
     with pytest.raises(ShapeError):
         CycMatrix(2, 2, [1, 2, 3])
+
+
+def row_test_slices():
+    """(num, den) at conductor 12 with zero entries, on the int64 path, the
+    object path (coefficients past 2^63) and a denominator past 2^63."""
+    rng = np.random.default_rng(5)
+    num = rng.integers(-4, 5, size=(4, 3, 5)) * 6
+    num[:, 1, 2] = 0
+    num[:, 0, 0] = [6, 0, 0, 0]
+    return [(num, 4), (num.astype(object) * 2 ** 70, 4 * 3 ** 5), (num, 3 ** 41)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_row_builds_only_its_own_entries(case, monkeypatch):
+    num, den = row_test_slices()[case]
+    full = CycMatrix.from_slices(12, num, den)
+    assert (full.num.dtype == object) == (case == 1) and (full.den >= 2 ** 63) == (case == 2)
+    made = []
+    make = CycNum._make
+
+    def counting(n, coords, d):
+        made.append(coords)
+        return make(n, coords, d)
+
+    for i in range(full.rows):
+        m = CycMatrix.from_slices(12, num, den)
+        monkeypatch.setattr(CycNum, "_make", staticmethod(counting))
+        got = m.row(i)
+        monkeypatch.setattr(CycNum, "_make", staticmethod(make))
+        assert len(made) == m.cols and m._entries is None
+        made.clear()
+        want = full.entries[i * full.cols:(i + 1) * full.cols]
+        assert [(e.conductor, e.num, e.den) for e in got] == \
+            [(e.conductor, e.num, e.den) for e in want]
+    assert full.row(1) == full.entries[full.cols:2 * full.cols]
 
 
 def test_matmul_associativity_randomized():

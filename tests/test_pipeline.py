@@ -1,4 +1,8 @@
+import glob
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,3 +243,29 @@ def test_emit_takes_the_gauss_route_and_keeps_the_search_as_fallback(monkeypatch
     c = z + z ** 3 - z ** 5 - z ** 7
     assert (em.normalizer.conductor, em.normalizer.num, em.normalizer.den) == (c.conductor, c.num, 1)
     assert em.datum.s_matrix == world.s.scale(c.inv())
+
+
+def test_verification_imports_no_mpmath():
+    # every verdict is exact; mpmath backs only the tests' interval reference
+    import modkit
+    src = os.path.dirname(os.path.dirname(modkit.__file__))
+    for path in glob.glob(os.path.join(src, "modkit", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            assert "mpmath" not in fh.read(), path
+    code = ("import sys\n"
+            "from modkit.families import taft_double\n"
+            "from modkit.pipeline import verify_raw\n"
+            "res = verify_raw(taft_double(5))\n"
+            "assert res.classification == 'Z-modular', res.classification\n"
+            "assert res.report['sqnorm_totally_positive'].status == 'pass'\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'mpmath']\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_raw_reads_rows_of_s_without_building_its_entries():
+    # dims_nonzero, dim_r and dims_of read the unit row only
+    for raw in (taft_double(5), pointed_cyclic(7, 2, 1)):
+        assert verify_raw(raw).passed
+        assert raw.s_matrix._entries is None
