@@ -145,13 +145,13 @@ def check_twist_laws(w: World) -> list[CheckResult]:
         return tb == 1, f"twist(unit_bar) = {tb}", None if tb == 1 else {"value": tb}
 
     def tau_plus_rows():
-        lhs = w.s.row_combination([t * d for t, d in zip(w.twists, w.dim_l)])
+        lhs = CycMatrix(1, w.size, [t * d for t, d in zip(w.twists, w.dim_l)]) @ w.s
         want = [t.inv() * d * w.tau_plus for t, d in zip(w.twists, w.dim_r)]
         return _row_sum_check(lhs, want)
 
     def tau_minus_rows():
         tb = w.twists[w.unit_bar]
-        lhs = w.s.row_combination([t.inv() * d for t, d in zip(w.twists, w.dim_r)])
+        lhs = CycMatrix(1, w.size, [t.inv() * d for t, d in zip(w.twists, w.dim_r)]) @ w.s
         want = [tb * t * d * w.tau_minus for t, d in zip(w.twists, w.dim_r)]
         return _row_sum_check(lhs, want)
 
@@ -164,11 +164,12 @@ def check_twist_laws(w: World) -> list[CheckResult]:
 
 def check_sl2_relations(w: World) -> list[CheckResult]:
     """(ST)^3 = tau^- S^2, S^4 = (D u)^2 Id, (S T^-1)^3 = tau^+ D u^2 Id and
-    S^2 = D u E with E a signed permutation matching bar; T = diag(theta^-1)."""
+    S^2 = D u E with E a signed permutation matching bar; T = diag(theta^-1),
+    so S T is S with its columns scaled by the row theta^-1."""
     d_u = w.global_dim * w.dim_unit_bar
 
     def st_cubed():
-        lhs = (w.s @ w.t_matrix).power(3)
+        lhs = (w.s * CycMatrix(1, w.size, [t.inv() for t in w.twists])).power(3)
         rhs = w.s_squared().scale(w.tau_minus)
         return (diff := _first_diff(lhs, rhs)) is None, "(S T)^3 = tau_minus * S^2", diff
 
@@ -178,8 +179,7 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
         return (diff := _first_diff(lhs, rhs)) is None, "S^4 = (D u)^2 Id", diff
 
     def st_inv_cubed():
-        t_inv = CycMatrix.diagonal(list(w.twists))
-        lhs = (w.s @ t_inv).power(3)
+        lhs = (w.s * CycMatrix(1, w.size, w.twists)).power(3)
         rhs = CycMatrix.identity(w.size).scale(w.tau_plus * w.global_dim
                                                * w.dim_unit_bar * w.dim_unit_bar)
         return (diff := _first_diff(lhs, rhs)) is None, "(S T^-1)^3 = tau_plus D u^2 Id", diff
@@ -229,7 +229,7 @@ def check_balancing(w: World, tensor: np.ndarray) -> CheckResult:
 
     def balance():
         weights = [w.dim_r[z] * w.twists[z] for z in range(w.size)]
-        lhs = w.s.scale_rows(w.twists).transpose().scale_rows(w.twists).transpose()
+        lhs = w.s * CycMatrix(w.size, 1, w.twists) * CycMatrix(1, w.size, w.twists)
         # rhs[x, y] = sum_z N[x, y, z] weights[z], on the weights' slices
         wv = CycMatrix(1, w.size, weights)
         bound = max_abs(tensor) * max_abs(wv.num) * w.size
@@ -294,7 +294,8 @@ def check_axioms(datum: ModularDatum) -> VerificationReport:
     rep = VerificationReport()
     s = datum.s_matrix
     n = datum.size
-    t = CycMatrix.diagonal(list(datum.t_diag))
+    t_row = CycMatrix(1, n, datum.t_diag)   # T = diag(t_diag) acts by scaling
+    t_col = CycMatrix(n, 1, datum.t_diag)
 
     def unit_row():
         for j in range(n):
@@ -315,7 +316,7 @@ def check_axioms(datum: ModularDatum) -> VerificationReport:
         (diff := _first_diff(s2 @ s2, CycMatrix.identity(n))) is None, "", diff))
 
     def st_cubed_scalar():
-        m = (s @ t).power(3)
+        m = (s * t_row).power(3)
         lam = m.is_scalar_multiple_of_identity()
         if lam is None:
             wit = _first_diff(m, CycMatrix.identity(n).scale(m[0, 0]))
@@ -325,7 +326,7 @@ def check_axioms(datum: ModularDatum) -> VerificationReport:
     rep.run("st_cubed_scalar", st_cubed_scalar)
 
     rep.run("s_squared_t_commute", lambda: (
-        (diff := _first_diff(s2 @ t, t @ s2)) is None, "", diff))
+        (diff := _first_diff(s2 * t_row, t_col * s2)) is None, "", diff))
 
     if not unit_ok:
         rep.skip("verlinde_integrality", "unit row has zeros")

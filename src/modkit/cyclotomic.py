@@ -38,14 +38,13 @@ class CycNum:
 
     __slots__ = ("conductor", "num", "den", "_min")
 
-    def __init__(self, conductor: int, num: tuple[int, ...], den: int, _trusted: bool = False):
-        if not _trusted:
-            _check_conductor(conductor)
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            num, den = _K.normalize(list(num), den)
-            if len(num) != _K.table(conductor).phi:
-                raise ValueError(f"need phi({conductor}) = {_K.table(conductor).phi} coordinates")
+    def __init__(self, conductor: int, num: tuple[int, ...], den: int):
+        _check_conductor(conductor)
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        num, den = _K.normalize(list(num), den)
+        if len(num) != _K.table(conductor).phi:
+            raise ValueError(f"need phi({conductor}) = {_K.table(conductor).phi} coordinates")
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

@@ -7,10 +7,11 @@ the symmetric center, the fermion's tensoring action, the representative set,
 the bar involution - is recomputed here from those entries, exactly.
 
 Each datum has one :class:`CharacterTable`, built on first use.  The center
-(rows equal to the unit row of S), the duality (conjugated columns), the bar
-involution (a signed column permutation), tensoring by an invertible (rows
-scaled by a column) and the fermion action (negated rows of S) are read off
-it by matching whole rows or columns of integer slices.
+(rows equal to the unit row of S), the duality (conjugated columns, which a
+supplied duality must not contradict), the bar involution (a signed column
+permutation), tensoring by an invertible (rows scaled by a column) and the
+fermion action (negated rows of S) are read off it by matching whole rows or
+columns of integer slices.
 
 ``kind`` distinguishes a full matrix (every simple is a row) from a bold one
 (rows indexed by representatives of the fermion orbits only).  For a bold
@@ -161,10 +162,11 @@ class CharacterTable:
     """
 
     def __init__(self, raw: RawDatum):
-        self.labels, self.unit, self.s = raw.labels, raw.unit, raw.s_matrix
+        self.labels, self.unit, self.s, self.kind = raw.labels, raw.unit, raw.s_matrix, raw.kind
+        self.duality, self.duality_signs = raw.duality, raw.duality_signs
         dims = self.s.row(raw.unit)
         self.has_dim = np.array([bool(d) for d in dims])
-        self.matrix = self.s.scale_rows([d.inv() if d else 1 for d in dims])
+        self.matrix = self.s * CycMatrix(len(dims), 1, [d.inv() if d else 1 for d in dims])
 
     def chars(self) -> CycMatrix:
         """The character matrix, once every label is known to have a character."""
@@ -180,6 +182,30 @@ class CharacterTable:
         c, s, _, _ = self.matrix._aligned(self.s)
         want = np.where(self.has_dim[:, None], s[:, self.unit:self.unit + 1, :], 0)
         return tuple(np.flatnonzero((c == want).all(axis=(0, 2))).tolist())
+
+    def conjugates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of the character matrix and of its conjugate, over one
+        denominator, as slices ``(phi, cols, rows)``."""
+        c = self.chars()
+        cols, conj, _, _ = c._aligned(c.conj())
+        return cols.transpose(0, 2, 1), conj.transpose(0, 2, 1)
+
+    @cached_property
+    def dual_mismatch(self) -> Optional[int]:
+        """The first label X whose conjugated character column is not the
+        column of the supplied duality[X], times its sign on a bold datum,
+        though it is the column of some label (times -1 or 1 on a bold
+        datum): the supplied duality contradicts the one S defines.  None
+        when no duality is supplied or none contradicts; a label whose
+        conjugate matches no column has no dual in S to compare with."""
+        if self.duality is None:
+            return None
+        cols, conj = self.conjugates()
+        signs = np.array(self.duality_signs or (1,) * len(self.labels))
+        bad = (conj != cols[:, list(self.duality)] * signs[:, None]).any(axis=(0, 2))
+        known = set(_keys(cols)) | (set(_keys(-cols)) if self.kind == KIND_BOLD else set())
+        conj_keys = _keys(conj)
+        return next((int(x) for x in np.flatnonzero(bad) if conj_keys[x] in known), None)
 
     @cached_property
     def eps_action(self) -> tuple[int, ...]:
@@ -233,9 +259,7 @@ def derive_duality(raw: RawDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
     as an overall factor dim(eps) = -1 on the column.  Returns (duality,
     signs); signs are all +1 on a full datum.
     """
-    c = raw.characters.chars()
-    cols, conj, _, _ = c._aligned(c.conj())
-    cols, conj = cols.transpose(0, 2, 1), conj.transpose(0, 2, 1)
+    cols, conj = raw.characters.conjugates()
     index = {key: (y, 1) for key, y in _unique_keys(raw, _keys(cols)).items()}
     if raw.kind == KIND_BOLD:   # a column times dim(eps) = -1, matched after every column
         for y, key in enumerate(_keys(-cols)):
@@ -248,8 +272,13 @@ def derive_duality(raw: RawDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def with_duality(raw: RawDatum) -> RawDatum:
     """The same datum with duality data present (derived when missing).  The
-    result shares the character table of ``raw``."""
+    result shares the character table of ``raw``.  A supplied duality must
+    not contradict the one the characters define."""
     if raw.duality is not None:
+        x = raw.characters.dual_mismatch
+        if x is not None:
+            raise DegeneracyError(f"the supplied duality does not conjugate the "
+                                  f"character of {raw.labels[x]}")
         if raw.duality_signs is not None or raw.kind == KIND_FULL:
             return raw
         duality, signs = raw.duality, (1,) * raw.size
@@ -298,7 +327,7 @@ def tensor_by_invertible(raw: RawDatum, g: int) -> tuple[int, ...]:
     """
     c = raw.characters.chars()
     col = CycMatrix.from_slices(c.conductor, c.num[:, :, g:g + 1], c.den)
-    cols, prod, _, _ = c._aligned(c.scale_rows(col.entries))
+    cols, prod, _, _ = c._aligned(c * col)
     index = {key: x for x, key in enumerate(_keys(cols.transpose(0, 2, 1)))}
     return _match(index, _keys(prod.transpose(0, 2, 1)),
                   lambda x: f"{raw.labels[x]} (x) {raw.labels[g]} does not match any label")
@@ -346,11 +375,6 @@ class World:
         self._s2 = None
         self._e = None
         self._xi_sq = None
-
-    @property
-    def t_matrix(self) -> CycMatrix:
-        """The categorical T-matrix diag(theta^-1)."""
-        return CycMatrix.diagonal([t.inv() for t in self.twists])
 
     def s_squared(self) -> CycMatrix:
         """S^2, computed once."""

@@ -362,15 +362,6 @@ class CycMatrix:
     def zeros(cls, rows: int, cols: int) -> "CycMatrix":
         return cls.from_slices(1, np.zeros((1, rows, cols), dtype=np.int64), 1)
 
-    @classmethod
-    def diagonal(cls, values: Sequence[CycNum]) -> "CycMatrix":
-        n = len(values)
-        z = CycNum.from_rational(0)
-        ent = [z] * (n * n)
-        for i, v in enumerate(values):
-            ent[i * n + i] = v
-        return cls(n, n, ent)
-
     # ---------- access ----------
 
     @property
@@ -471,7 +462,7 @@ class CycMatrix:
     def scale(self, c) -> "CycMatrix":
         c = c if isinstance(c, CycNum) else CycNum.from_rational(Fraction(c))
         if not c.is_rational():
-            return self._combine(CycMatrix(1, 1, [c]), slice_mul)
+            return self * CycMatrix(1, 1, [c])
         # a rational multiplies the numerators; the result sits at the common
         # conductor, as a product would
         m = self.lift(math.lcm(self.conductor, c.conductor))
@@ -479,23 +470,18 @@ class CycMatrix:
         num = with_bound(m.num, max(max_abs(m.num), 1) * abs(q.numerator)) * q.numerator
         return CycMatrix.from_slices(m.conductor, num, m.den * q.denominator)
 
-    def scale_rows(self, values: Sequence[CycNum]) -> "CycMatrix":
-        """Row i multiplied by ``values[i]``: diag(values) @ self, entrywise."""
-        if len(values) != self.rows:
-            raise ShapeError(f"{len(values)} scales for {self.rows} rows")
-        return self._combine(CycMatrix(self.rows, 1, values), slice_mul)
+    def __mul__(self, other: "CycMatrix") -> "CycMatrix":
+        """The entrywise product; a factor with one row or one column is
+        repeated along it, so a column scales rows and a row scales columns."""
+        shapes = ((self.rows, other.rows), (self.cols, other.cols))
+        if any(a != b and 1 not in (a, b) for a, b in shapes):
+            raise ShapeError(f"{self.rows}x{self.cols} and {other.rows}x{other.cols} do not broadcast")
+        return self._combine(other, slice_mul)
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return self._combine(other, slice_matmul)
-
-    def row_combination(self, weights: Sequence[CycNum]) -> "CycMatrix":
-        """The 1 x cols matrix ``sum_i weights[i] * row(i)``: a vector-matrix
-        product, kept apart from ``@`` (the matrix-by-matrix product)."""
-        if len(weights) != self.rows:
-            raise ShapeError(f"{len(weights)} weights for {self.rows} rows")
-        return CycMatrix(1, self.rows, weights)._combine(self, slice_matmul)
 
     def power(self, e: int) -> "CycMatrix":
         if self.rows != self.cols:
@@ -533,26 +519,6 @@ class CycMatrix:
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and \
             bool(np.array_equal(self.num, self.num.transpose(0, 2, 1)))
-
-    def rank(self) -> int:
-        """Rank over Q(zeta_N) by exact Gaussian elimination (first nonzero pivot)."""
-        work = [list(self.row(i)) for i in range(self.rows)]
-        rank = 0
-        for col in range(self.cols):
-            piv = next((r for r in range(rank, self.rows) if work[r][col]), None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            inv = work[rank][col].inv()
-            work[rank] = [v * inv for v in work[rank]]
-            for r in range(rank + 1, self.rows):
-                f = work[r][col]
-                if f:
-                    work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
 
     def is_scalar_multiple_of_identity(self) -> Optional[CycNum]:
         """The scalar c when self == c * Id, else None."""

@@ -86,7 +86,9 @@ def verify_raw(raw: RawDatum, mode: str = "auto",
         raw = with_duality(raw)
         structural("duality", True, "supplied" if raw.duality is not None else "derived")
     except DegeneracyError as exc:
-        structural("duality", False, str(exc))
+        x = raw.characters.dual_mismatch
+        structural("duality", False, str(exc), None if x is None else
+                   {"at": x, "label": raw.labels[x]})
         return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
 
     stage = "bar_involution"   # the check a failure to build the world is reported as

@@ -40,12 +40,6 @@ class IntegralityReport:
     first_negative: Optional[tuple[int, int, int, int]] = None
     non_integral: list = field(default_factory=list)  # up to 5 witnesses (x, y, z, value)
 
-    @property
-    def classifies_as(self) -> str:
-        if not self.integral or not self.duality_ok:
-            return "fail"
-        return "natural" if self.nonnegative else "integer"
-
 
 # rows of pairwise products handled at once: each transient residue stack
 # (primes x phi slices of rows x k int64 values) stays near this size
@@ -128,7 +122,7 @@ def verlinde_fusion(datum: ModularDatum) -> tuple[Optional[FusionTensor], Integr
         raise ZeroDivisionError(f"unit row vanishes at {datum.labels[bad]}")
     # the summation index is the column index l: a[l, x] = S[x, l] and
     # c[l, z] = conj(S[z, l]) / S[unit, l]
-    c = s.conj_transpose().scale_rows([e.inv() for e in unit_row])
+    c = s.conj_transpose() * CycMatrix(datum.size, 1, [e.inv() for e in unit_row])
     tensor, rep = _structure_constants(s.transpose(), c)
     if tensor is None:
         return None, rep

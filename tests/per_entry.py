@@ -1,5 +1,5 @@
 """Per-entry reference versions of the maps :mod:`modkit.datum` reads off a
-datum's character table.
+datum's character table, and the exact rank of a matrix.
 
 Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
 matches rows or columns as tuples of entries, keyed by their coordinates (the
@@ -115,3 +115,24 @@ def tensor_by_invertible(raw, g):
                 f"{raw.labels[x]} (x) {raw.labels[g]} does not match any label")
         out.append(cols[prod])
     return tuple(out)
+
+
+def rank(m):
+    """Rank over Q(zeta_N) by exact Gaussian elimination (first nonzero pivot)."""
+    work = [list(m.row(i)) for i in range(m.rows)]
+    out = 0
+    for col in range(m.cols):
+        piv = next((r for r in range(out, m.rows) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[out], work[piv] = work[piv], work[out]
+        inv = work[out][col].inv()
+        work[out] = [v * inv for v in work[out]]
+        for r in range(out + 1, m.rows):
+            f = work[r][col]
+            if f:
+                work[r] = [a - f * b for a, b in zip(work[r], work[out])]
+        out += 1
+        if out == m.rows:
+            break
+    return out

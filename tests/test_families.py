@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import POINTED_GRID
+from per_entry import rank
 from modkit._kernel import euler_phi
 from modkit.cyclotomic import CycNum, zeta
 from modkit.datum import RawDatum
@@ -208,7 +209,7 @@ def test_counterexample_full_matrix_shape():
     full, bold = sl2_q16_counterexample()
     assert full.size == 4 and bold.size == 2
     assert full.s_matrix.is_symmetric()
-    assert full.s_matrix.rank() == 2
+    assert rank(full.s_matrix) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from conftest import galois_conjugate
 from modkit import io
 from modkit.cli import main as cli_main
 from modkit.cyclotomic import CycNum, root_of_unity
-from modkit.datum import KIND_FULL, ModularDatum, RawDatum, reduce_slightly_degenerate
+from modkit.datum import (KIND_FULL, DegeneracyError, ModularDatum, RawDatum,
+                          reduce_slightly_degenerate)
 from modkit.matrix import CycMatrix
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_J_indices, taft_normalizer)
-from modkit.pipeline import emit_zmodular, resolve_world
+from modkit.pipeline import emit_zmodular, resolve_world, verify_raw
 
 
 def run_cli(args):
@@ -503,6 +504,50 @@ def test_cli_fails_degenerate_datum_without_traceback(tmp_path, capsys, which, v
             assert failed == [("global_dimension_nonzero", "D * dim_r(unit_bar) = 0")]
     else:
         assert len(captured.err.strip().splitlines()) == 1
+
+
+def swapped_duality(raw, i, j):
+    """``raw`` with the supplied duals of labels i and j swapped."""
+    dual = list(raw.duality)
+    dual[i], dual[j] = dual[j], dual[i]
+    return RawDatum(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind, tuple(dual),
+                    raw.duality_signs)
+
+
+def test_cli_fails_a_wrong_supplied_duality_without_traceback(tmp_path, capsys):
+    # Taft d=3 with the duals of (1,1) and (2,1) swapped: still a permutation,
+    # but not the duality the characters define
+    path = tmp_path / "d.json"
+    io.save_datum(swapped_duality(taft_double(3), 1, 4), str(path))
+    assert run_cli(["verify", str(path)]) == 1
+    entries = json.loads(capsys.readouterr().out)
+    assert [(e["check"], e["witness"]) for e in entries if e["status"] == "fail"] == \
+        [("classification", None), ("duality", {"at": 1, "label": "(1,1)"})]
+    for argv in (["reduce", str(path), str(tmp_path / "out.json")],
+                 ["fusion", str(path), "(1,1)", "(2,1)"]):
+        assert run_cli(argv) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+TRANSPOSABLE = {"taft3": lambda: taft_double(3), "taft4": lambda: taft_double(4),
+                "taft5": lambda: taft_double(5), "pointed5,1,0": lambda: pointed_cyclic(5, 1, 0),
+                "pointed5,2,1": lambda: pointed_cyclic(5, 2, 1)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.sampled_from(sorted(TRANSPOSABLE)), data=st.data())
+def test_a_transposed_supplied_duality_fails_at_its_first_moved_label(which, data):
+    # the characters of these data are distinct, so they define one duality
+    # and any transposition of it contradicts S at both labels it moves
+    raw = TRANSPOSABLE[which]()
+    i, j = sorted(data.draw(st.lists(st.integers(0, raw.size - 1), min_size=2, max_size=2,
+                                     unique=True)))
+    wrong = swapped_duality(raw, i, j)
+    res = verify_raw(wrong)
+    assert res.exit_code == 1
+    assert res.report["duality"].witness == {"at": i, "label": raw.labels[i]}
+    with pytest.raises(DegeneracyError, match="supplied duality"):
+        resolve_world(wrong)
 
 
 def rank_two(a, b):
