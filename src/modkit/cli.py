@@ -66,14 +66,13 @@ def cmd_verify(args) -> int:
         _emit(result, args.emit_zmodular)
 
     entries = io.report_to_json(result.report, classification=result.classification)
-    text = io.render_report(entries) if args.pretty else json.dumps(entries, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(entries, indent=1) + "\n")
-        if args.pretty:
-            print(text)
-    else:
-        print(text)
+    if args.pretty:
+        print(io.render_report(entries))
+    elif not args.out:
+        print(json.dumps(entries, indent=1))
     if not args.pretty:
         print(f"classification: {result.classification}", file=sys.stderr)
     return result.exit_code

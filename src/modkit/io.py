@@ -3,7 +3,8 @@
 Round trips are bit-exact: values are serialized in their canonical
 power-basis form with rational coefficient strings ``p`` or ``p/q`` in
 lowest terms.  Matrices are read and written as integer coefficient slices,
-without a :class:`CycNum` per entry.
+without a :class:`CycNum` per entry; one writer, :func:`datum_text`, renders
+a datum file's text from those slices.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Union
 
 import numpy as np
@@ -37,9 +39,15 @@ def _int(v: Any) -> int:
     return v
 
 
-def _list(v: Any, *types: type) -> list:
-    if not isinstance(v, list) or any(type(x) not in types for x in v):
-        raise FormatError(f"expected a list of {'/'.join(t.__name__ for t in types)}, got {v!r}")
+def _list(v: Any, *types: type, what: str = "list items") -> list:
+    """A JSON list whose items are each of one of ``types`` exactly (so
+    ``True`` is not an int), checked with one pass over the items."""
+    if not isinstance(v, list):
+        raise FormatError(f"expected a list, got {v!r}")
+    bad = set(map(type, v)).difference(types)
+    if bad:
+        raise FormatError(f"{what} must be {'/'.join(t.__name__ for t in types)}, "
+                          f"got {'/'.join(sorted(t.__name__ for t in bad))}")
     return v
 
 
@@ -91,24 +99,109 @@ def _scalar(obj: Any, ratios: _Ratios) -> tuple[int, list[tuple[int, int]]]:
     """The conductor and the ``(p, q)`` coefficients of a scalar object; the
     conductor is checked before any table of it is built."""
     n = _int(obj["conductor"])
+    coeffs = [ratios[c] for c in _list(obj["coeffs"], str, int)]
+    _check_phi(n, {len(coeffs)})
+    return n, coeffs
+
+
+def _check_phi(n: int, counts: set[int]) -> None:
+    """Every coefficient count in ``counts`` is phi(n).  Since phi(n) >=
+    sqrt(n / 2), a conductor above twice the largest count squared is refused
+    before the trial division behind phi, which then takes O(count) steps,
+    not O(sqrt(n))."""
     if n < 1:
         raise FormatError(f"conductor must be >= 1, got {n}")
-    coeffs = [ratios[c] for c in _list(obj["coeffs"], str, int)]
-    if len(coeffs) != _K.euler_phi(n):
-        raise FormatError(f"need phi({n}) = {_K.euler_phi(n)} coordinates, got {len(coeffs)}")
-    return n, coeffs
+    top = max(counts)
+    if n > 2 * top * top:
+        raise FormatError(f"need phi({n}) > {top} coordinates, got {top}")
+    phi = _K.euler_phi(n)
+    if counts != {phi}:
+        raise FormatError(f"need phi({n}) = {phi} coordinates, got {min(counts - {phi})}")
+
+
+# ---------- text ----------
+#
+# One writer lays out every datum file: the text ``json.dumps(obj, indent=1)``
+# gives, rendered from the integer slices without building ``obj``.  A value
+# at nesting ``level`` has its closing bracket indented by ``level`` spaces.
+
+def _coeff_texts(num: np.ndarray, den: int) -> list[str]:
+    """The texts ``p`` or ``p/q`` of ``num / den`` in lowest terms, in the
+    order of ``num.flat``; each distinct value is formatted once."""
+    values, where = np.unique(num.ravel(), return_inverse=True)
+    texts = np.array([_ratio_text(v, den) for v in values.tolist()], dtype=object)
+    return texts[where].tolist()
+
+
+def _list_text(items: list[str], level: int) -> str:
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (level + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * level + "]"
+
+
+def _object_text(fields: list[tuple[str, str]], level: int) -> str:
+    inner = "\n" + " " * (level + 1)
+    return ("{" + inner + ("," + inner).join(f'"{k}": {v}' for k, v in fields)
+            + "\n" + " " * level + "}")
+
+
+def _scalar_text(conductor: int, texts: list[str], level: int) -> str:
+    return _object_text([("conductor", str(conductor)),
+                         ("coeffs", _list_text([f'"{t}"' for t in texts], level + 1))], level)
+
+
+def _cyc_text(x: CycNum, level: int) -> str:
+    return _scalar_text(x.conductor, [_ratio_text(v, x.den) for v in x.num], level)
+
+
+def _matrix_text(m: CycMatrix, level: int) -> str:
+    """Every entry shares the matrix's conductor and phi, so one entry's text
+    is a fixed head and tail around its quoted coefficients."""
+    phi, rows, cols = m.num.shape
+    texts = _coeff_texts(m.num.transpose(1, 2, 0), m.den)   # entry by entry
+    head, tail = _scalar_text(m.conductor, ["\0"], level + 3).split("\0")
+    sep = '",\n' + " " * (level + 5) + '"'
+    entries = [head + sep.join(texts[k:k + phi]) + tail for k in range(0, len(texts), phi)]
+    grid = [_list_text(entries[i * cols:(i + 1) * cols], level + 2) for i in range(rows)]
+    return _object_text([("rows", str(rows)), ("cols", str(cols)),
+                         ("entries", _list_text(grid, level + 1))], level)
+
+
+def datum_text(datum: Union[RawDatum, ModularDatum]) -> str:
+    """The datum file's text: exactly ``json.dumps(obj, indent=1)`` of its
+    JSON object ``obj`` (:func:`datum_to_json`), without the final newline."""
+    if isinstance(datum, ModularDatum):
+        kind, name, scalars = KIND_NORMALIZED, "T", datum.t_diag
+    else:
+        kind, name, scalars = datum.kind, "twists", datum.twists
+    fields = [("labels", _list_text(list(map(json.dumps, datum.labels)), 1)),
+              ("unit", str(datum.unit)),
+              ("conductor", str(datum.s_matrix.conductor)),
+              ("kind", json.dumps(kind)),
+              ("S", _matrix_text(datum.s_matrix, 1)),
+              (name, _list_text([_cyc_text(x, 2) for x in scalars], 1))]
+    if isinstance(datum, RawDatum):
+        for key in ("duality", "duality_signs"):
+            values = getattr(datum, key)
+            if values is not None:
+                fields.append((key, _list_text(list(map(str, values)), 1)))
+    return _object_text(fields, 0)
 
 
 # ---------- scalars ----------
 
 def cyc_to_json(x: CycNum) -> dict:
-    return {"conductor": x.conductor,
-            "coeffs": [_ratio_text(v, x.den) for v in x.num]}
+    return json.loads(_cyc_text(x, 0))
 
 
 def cyc_from_json(obj: dict) -> CycNum:
+    return _cyc(obj, _Ratios())
+
+
+def _cyc(obj: dict, ratios: _Ratios) -> CycNum:
     try:
-        n, coeffs = _scalar(obj, _Ratios())
+        n, coeffs = _scalar(obj, ratios)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad scalar object: {exc}") from exc
     den = math.lcm(*(q for _, q in coeffs))
@@ -118,37 +211,47 @@ def cyc_from_json(obj: dict) -> CycNum:
 # ---------- matrices ----------
 
 def matrix_to_json(m: CycMatrix) -> dict:
-    n, den, cols = m.conductor, m.den, m.cols
-    flat = m.num.reshape(m.num.shape[0], m.rows * cols).T.tolist()
-    entries = [{"conductor": n, "coeffs": [_ratio_text(v, den) for v in c]} for c in flat]
-    return {"rows": m.rows, "cols": cols,
-            "entries": [entries[i * cols:(i + 1) * cols] for i in range(m.rows)]}
+    return json.loads(_matrix_text(m, 0))
 
 
 def matrix_from_json(obj: dict) -> CycMatrix:
+    return _matrix(obj, _Ratios())
+
+
+def _matrix(obj: dict, ratios: _Ratios) -> CycMatrix:
     """The matrix of a JSON object: ``entries`` is ``rows`` lists of ``cols``
-    scalar objects.  The coefficients fill one ``(phi, rows, cols)`` array
-    over the lcm of their denominators; each group of entries at a smaller
-    conductor is lifted to the lcm of the conductors as a whole."""
+    scalar objects.  Each check runs once over all entries, or once per
+    conductor.  The coefficients fill one ``(phi, rows, cols)`` array over the
+    lcm of their denominators; each group of entries at a smaller conductor is
+    lifted to the lcm of the conductors as a whole."""
     try:
         rows, cols = _int(obj["rows"]), _int(obj["cols"])
         grid = _list(obj["entries"], list)
         if len(grid) != rows or cols < 0 or any(len(r) != cols for r in grid):
             raise FormatError(f"entries must be {rows} lists of {cols} scalars")
-        ratios = _Ratios()
-        scalars = [_scalar(e, ratios) for r in grid for e in _list(r, dict)]
+        flat = _list(list(chain.from_iterable(grid)), dict, what="matrix entries")
+        conductors = _list([e["conductor"] for e in flat], int, what="conductors")
+        lists = _list([e["coeffs"] for e in flat], list, what="coefficient lists")
+        groups: dict[int, list[int]] = {}
+        for k, m in enumerate(conductors):
+            groups.setdefault(m, []).append(k)
+        texts: dict[int, list] = {}   # each group's coefficients, entry by entry
+        for m, where in groups.items():
+            part = [lists[k] for k in where]
+            _check_phi(m, set(map(len, part)))
+            texts[m] = _list(list(chain.from_iterable(part)), str, int, what="coefficients")
+        pq = {c: ratios[c] for c in set().union(*texts.values())}
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad matrix object: {exc}") from exc
-    groups: dict[int, list[int]] = {}
-    for k, (m, _) in enumerate(scalars):
-        groups.setdefault(m, []).append(k)
     n = math.lcm(*groups)
-    den = math.lcm(*(q for _, q in ratios.values()))
+    den = math.lcm(*(q for _, q in pq.values()))
+    value = {c: p * (den // q) for c, (p, q) in pq.items()}
     phi = _K.euler_phi(n)
     num = np.zeros((phi, rows * cols), dtype=np.int64)
     for m, where in groups.items():
-        part = int_array([[p * (den // q) for p, q in scalars[k][1]] for k in where])
-        part = CycMatrix.from_slices(m, part.T[:, None, :], 1).lift(n).num[:, 0, :]
+        part = int_array(list(map(value.__getitem__, texts[m])))
+        part = part.reshape(len(where), -1).T[:, None, :]
+        part = CycMatrix.from_slices(m, part, 1).lift(n).num[:, 0, :]
         if part.dtype == object:
             num = num.astype(object)
         num[:, where] = part
@@ -158,46 +261,27 @@ def matrix_from_json(obj: dict) -> CycMatrix:
 # ---------- datum files ----------
 
 def datum_to_json(datum: Union[RawDatum, ModularDatum]) -> dict:
-    if isinstance(datum, ModularDatum):
-        return {
-            "labels": list(datum.labels),
-            "unit": datum.unit,
-            "conductor": datum.s_matrix.conductor,
-            "kind": KIND_NORMALIZED,
-            "S": matrix_to_json(datum.s_matrix),
-            "T": [cyc_to_json(t) for t in datum.t_diag],
-        }
-    out = {
-        "labels": list(datum.labels),
-        "unit": datum.unit,
-        "conductor": datum.s_matrix.conductor,
-        "kind": datum.kind,
-        "S": matrix_to_json(datum.s_matrix),
-        "twists": [cyc_to_json(t) for t in datum.twists],
-    }
-    if datum.duality is not None:
-        out["duality"] = list(datum.duality)
-    if datum.duality_signs is not None:
-        out["duality_signs"] = list(datum.duality_signs)
-    return out
+    return json.loads(datum_text(datum))
 
 
 def datum_from_json(obj: dict) -> Union[RawDatum, ModularDatum]:
+    """One coefficient text is parsed once, wherever it appears in the datum."""
+    ratios = _Ratios()
     try:
         labels = tuple(_list(obj["labels"], str))
         unit = _int(obj["unit"])
         kind = obj["kind"]
-        s = matrix_from_json(obj["S"])
+        s = _matrix(obj["S"], ratios)
         if kind == KIND_NORMALIZED:
             if "T" not in obj:
                 raise FormatError("normalized datum needs T")
-            t = tuple(cyc_from_json(v) for v in obj["T"])
+            t = tuple(_cyc(v, ratios) for v in obj["T"])
             return ModularDatum(labels, unit, s, t)
         if kind not in (KIND_FULL, KIND_BOLD):
             raise FormatError(f"unknown kind {kind!r}")
         if "twists" not in obj:
             raise FormatError("raw datum needs twists")
-        twists = tuple(cyc_from_json(v) for v in obj["twists"])
+        twists = tuple(_cyc(v, ratios) for v in obj["twists"])
         duality = tuple(_list(obj["duality"], int)) if "duality" in obj else None
         signs = tuple(_list(obj["duality_signs"], int)) if "duality_signs" in obj else None
         return RawDatum(labels, unit, s, twists, kind, duality, signs)
@@ -208,9 +292,8 @@ def datum_from_json(obj: dict) -> Union[RawDatum, ModularDatum]:
 
 
 def save_datum(datum: Union[RawDatum, ModularDatum], path: str) -> None:
-    text = json.dumps(datum_to_json(datum), indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(datum_text(datum) + "\n")
 
 
 def load_datum(path: str) -> Union[RawDatum, ModularDatum]:

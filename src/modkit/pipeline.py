@@ -82,10 +82,16 @@ def verify_raw(raw: RawDatum, mode: str = "auto",
         return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
     if not structural("twists_nonzero", all(raw.twists)):
         return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
+    supplied = raw.duality is not None
     try:
         raw = with_duality(raw)
-        structural("duality", True, "supplied" if raw.duality is not None else "derived")
+        structural("duality", True, "supplied" if supplied else "derived")
     except DegeneracyError as exc:
+        center = () if supplied or raw.kind == KIND_BOLD else raw.characters.center
+        if raw.unit in center and len(center) > 2:   # repeated characters: the center decides
+            rep.skip("duality", "not derived: the symmetric center is degenerate")
+            structural("symmetric_center", False, _degenerate_detail(raw, center))
+            return PipelineResult(rep, DEGENERATE, BRANCH_DEGENERATE)
         x = raw.characters.dual_mismatch
         structural("duality", False, str(exc), None if x is None else
                    {"at": x, "label": raw.labels[x]})
@@ -104,8 +110,7 @@ def verify_raw(raw: RawDatum, mode: str = "auto",
             structural("symmetric_center", False, "unit is not in the symmetric center")
             return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
         if len(center) > 2:
-            structural("symmetric_center", False,
-                       f"{len(center)} simples in the symmetric center ({names}): degenerate")
+            structural("symmetric_center", False, _degenerate_detail(raw, center))
             return PipelineResult(rep, DEGENERATE, BRANCH_DEGENERATE)
         if len(center) == 1:
             branch = BRANCH_NONDEG
@@ -153,6 +158,11 @@ def verify_raw(raw: RawDatum, mode: str = "auto",
     tensor = _world_suite(rep, world, sldeg, fusion_oracle)
     cls = (N_MODULAR if branch == BRANCH_NONDEG else Z_MODULAR) if rep.passed else FAILED
     return PipelineResult(rep, cls, branch, world=world, sldeg=sldeg, tensor=tensor)
+
+
+def _degenerate_detail(raw: RawDatum, center: Sequence[int]) -> str:
+    names = ", ".join(raw.labels[i] for i in center)
+    return f"{len(center)} simples in the symmetric center ({names}): degenerate"
 
 
 def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None

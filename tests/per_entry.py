@@ -1,5 +1,6 @@
 """Per-entry reference versions of the maps :mod:`modkit.datum` reads off a
-datum's character table, and the exact rank of a matrix.
+datum's character table, the exact rank of a matrix, and the JSON objects of
+a datum file.
 
 Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
 matches rows or columns as tuples of entries, keyed by their coordinates (the
@@ -8,7 +9,8 @@ the table existed.  They raise the same errors in the same order, so a
 test can compare whole outcomes, messages included.
 """
 
-from modkit.datum import KIND_BOLD, DegeneracyError
+from modkit.datum import KIND_BOLD, DegeneracyError, ModularDatum
+from modkit.io import KIND_NORMALIZED, _ratio_text
 
 
 def key(line):
@@ -135,4 +137,36 @@ def rank(m):
         out += 1
         if out == m.rows:
             break
+    return out
+
+
+def matrix_to_json(m):
+    """The JSON object of a matrix, built one scalar object per entry."""
+    n, den, cols = m.conductor, m.den, m.cols
+    flat = m.num.reshape(m.num.shape[0], m.rows * cols).T.tolist()
+    entries = [{"conductor": n, "coeffs": [_ratio_text(v, den) for v in c]} for c in flat]
+    return {"rows": m.rows, "cols": cols,
+            "entries": [entries[i * cols:(i + 1) * cols] for i in range(m.rows)]}
+
+
+def cyc_to_json(x):
+    return {"conductor": x.conductor, "coeffs": [_ratio_text(v, x.den) for v in x.num]}
+
+
+def datum_to_json(datum):
+    """The JSON object of a datum file; ``json.dumps(obj, indent=1)`` of it is
+    the file's text."""
+    if isinstance(datum, ModularDatum):
+        return {"labels": list(datum.labels), "unit": datum.unit,
+                "conductor": datum.s_matrix.conductor, "kind": KIND_NORMALIZED,
+                "S": matrix_to_json(datum.s_matrix),
+                "T": [cyc_to_json(t) for t in datum.t_diag]}
+    out = {"labels": list(datum.labels), "unit": datum.unit,
+           "conductor": datum.s_matrix.conductor, "kind": datum.kind,
+           "S": matrix_to_json(datum.s_matrix),
+           "twists": [cyc_to_json(t) for t in datum.twists]}
+    if datum.duality is not None:
+        out["duality"] = list(datum.duality)
+    if datum.duality_signs is not None:
+        out["duality_signs"] = list(datum.duality_signs)
     return out

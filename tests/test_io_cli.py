@@ -2,6 +2,7 @@ import io as io_text
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,13 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import intervals
+import per_entry
 from conftest import galois_conjugate
 from modkit import io
 from modkit.cli import main as cli_main
 from modkit.cyclotomic import CycNum, root_of_unity
 from modkit.datum import (KIND_FULL, DegeneracyError, ModularDatum, RawDatum,
                           reduce_slightly_degenerate)
-from modkit.matrix import CycMatrix
+from modkit._kernel import euler_phi
+from modkit.matrix import CycMatrix, int_array
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_J_indices, taft_normalizer)
 from modkit.pipeline import emit_zmodular, resolve_world, verify_raw
@@ -39,7 +42,6 @@ def run_cli(args):
 def test_cyc_roundtrip_bit_exact():
     rng = random.Random(0)
     for n in (1, 3, 8, 12, 16):
-        from modkit._kernel import euler_phi
         for _ in range(20):
             x = CycNum.from_coeffs(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                                        for _ in range(euler_phi(n))])
@@ -135,7 +137,8 @@ def _round_trip(datum, path):
 
 def test_every_fixture_world_round_trips(taft_verified, pointed_verified, tmp_path):
     """The raw, bold and emitted data of the session fixtures, written and
-    read back: the objects and the saved bytes are unchanged."""
+    read back: the objects and the saved bytes are unchanged, and the bytes
+    are those of the per-entry reference object."""
     cases = [(taft_double(d), t.result) for d, t in taft_verified.items()]
     cases += [(pointed_cyclic(*key), res) for key, res in pointed_verified.items()]
     for k, (raw, res) in enumerate(cases):
@@ -143,7 +146,9 @@ def test_every_fixture_world_round_trips(taft_verified, pointed_verified, tmp_pa
         if res.sldeg is not None:
             data.append(res.sldeg.bold)
         for m, datum in enumerate(data):
-            _round_trip(datum, tmp_path / f"{k}-{m}.json")
+            path = tmp_path / f"{k}-{m}.json"
+            _round_trip(datum, path)
+            assert path.read_text() == json.dumps(per_entry.datum_to_json(datum), indent=1) + "\n"
 
 
 def test_load_datum_builds_no_scalar_per_matrix_entry(tmp_path, monkeypatch):
@@ -167,6 +172,106 @@ def test_load_datum_builds_no_scalar_per_matrix_entry(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert len(calls) <= len(raw.twists) < raw.size ** 2
     assert back.s_matrix == raw.s_matrix and back.twists == raw.twists
+
+
+# ---------------------------------------------------------------------------
+# the writer against the per-entry reference
+# ---------------------------------------------------------------------------
+
+PHI = {1: 1, 3: 2, 4: 2, 5: 4, 8: 4, 9: 6, 12: 4}
+BIG = 1 << 70   # past int64: the matrix is held in an object array
+LABELS = st.text(alphabet=st.sampled_from('ab"\\/ \n\té€😀\x00'), max_size=4)
+
+
+@st.composite
+def cyc_numbers(draw, big):
+    n = draw(st.sampled_from(sorted(PHI)))
+    coeffs = draw(st.lists(st.integers(-BIG if big else -9, BIG if big else 9),
+                           min_size=PHI[n], max_size=PHI[n]))
+    return CycNum(n, tuple(coeffs), draw(st.sampled_from([1, 2, 6, BIG + 1])))
+
+
+@st.composite
+def data(draw):
+    """Raw and normalized data of size 1..4 with any slices: int64 or object,
+    any denominator, zero entries or a zero matrix, twists at mixed
+    conductors, labels that need escaping, with or without duality data."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.sampled_from(sorted(PHI)))
+    big = draw(st.booleans())
+    bound = BIG if big else 9
+    values = draw(st.lists(st.integers(-bound, bound), min_size=PHI[n] * k * k,
+                           max_size=PHI[n] * k * k))
+    if draw(st.booleans()):
+        values = [0] * len(values)
+    num = int_array(values).reshape(PHI[n], k, k)
+    s = CycMatrix.from_slices(n, num, draw(st.sampled_from([1, 3, 12, BIG + 1])))
+    labels = tuple(draw(st.lists(LABELS, min_size=k, max_size=k, unique=True)))
+    unit = draw(st.integers(0, k - 1))
+    scalars = tuple(draw(st.lists(cyc_numbers(big), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        return ModularDatum(labels, unit, s, scalars)
+    duality = draw(st.none() | st.permutations(range(k)).map(tuple))
+    signs = draw(st.none() | st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k)
+                 .map(tuple))
+    kind = draw(st.sampled_from(["raw-full", "raw-bold"]))
+    return RawDatum(labels, unit, s, scalars, kind, duality, signs)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(datum=data())
+def test_saved_bytes_are_the_indented_dump_of_the_per_entry_object(datum, tmp_path):
+    obj = per_entry.datum_to_json(datum)
+    path = tmp_path / "d.json"
+    io.save_datum(datum, str(path))
+    assert path.read_bytes() == (json.dumps(obj, indent=1) + "\n").encode()
+    assert io.datum_to_json(datum) == obj
+    assert per_entry.datum_to_json(io.load_datum(str(path))) == obj
+
+
+def test_save_datum_does_not_use_the_pure_python_encoder(tmp_path, monkeypatch):
+    # json.dumps with an indent runs json.encoder._make_iterencode, a Python loop
+    import json.encoder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=1)
+    res = verify_raw(taft_double(3))
+    for datum in (taft_double(3), res.sldeg.bold, emit_zmodular(res.sldeg).datum):
+        io.save_datum(datum, str(tmp_path / "d.json"))
+
+
+def test_load_datum_parses_each_coefficient_text_once(tmp_path, monkeypatch):
+    res = verify_raw(taft_double(5))
+    real = io._ratio
+    for datum in (taft_double(5), emit_zmodular(res.sldeg).datum):
+        path = tmp_path / "d.json"
+        io.save_datum(datum, str(path))
+        obj = json.loads(path.read_text())
+        texts = {c for row in obj["S"]["entries"] for e in row for c in e["coeffs"]}
+        texts |= {c for t in obj.get("twists", obj.get("T")) for c in t["coeffs"]}
+        calls = []
+        monkeypatch.setattr(io, "_ratio", lambda c: calls.append(c) or real(c))
+        io.load_datum(str(path))
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(texts)
+
+
+@pytest.mark.parametrize("where", ["conductor", "coeff"])
+def test_a_boolean_is_not_an_integer_anywhere_in_a_matrix(where):
+    # True hashes and compares like 1, so a set of values alone would let it in
+    obj = io.matrix_to_json(taft_double(3).s_matrix)
+    entry = obj["entries"][1][2]
+    if where == "conductor":
+        obj["entries"][0][0] = {"conductor": True, "coeffs": ["1"]}
+    else:
+        entry["coeffs"][0] = True
+    with pytest.raises(io.FormatError, match="bool|True"):
+        io.matrix_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +393,34 @@ def test_cli_report_roundtrip(tmp_path, capsys):
     assert "classification" in out and "N-modular" in out
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+def test_cli_verify_encodes_the_report_once(tmp_path, capsys, monkeypatch, out, pretty):
+    datum, rep = tmp_path / "p.json", tmp_path / "rep.json"
+    io.save_datum(pointed_cyclic(5, 2, 1), str(datum))
+    entries = io.report_to_json(verify_raw(pointed_cyclic(5, 2, 1)).report, "N-modular")
+    want = json.dumps([{**e, "ms": 0} for e in entries], indent=1) + "\n"
+    real, calls = json.dumps, []
+
+    def dumps(obj, *args, **kwargs):
+        calls.append(obj)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    argv = ["verify", str(datum)] + ["--out", str(rep)] * out + ["--pretty"] * pretty
+    assert run_cli(argv) == 0
+    monkeypatch.undo()
+    assert len(calls) == (0 if pretty and not out else 1)
+    text = capsys.readouterr().out
+    zero_ms = re.compile(r'"ms": [0-9.e-]+')
+    if out:
+        assert zero_ms.sub('"ms": 0', rep.read_text()) == want
+    if pretty:
+        assert text.startswith("classification") and "N-modular" in text
+    else:
+        assert zero_ms.sub('"ms": 0', text) == ("" if out else want)
+
+
 MALFORMED_REPORTS = {
     "entry-not-object": [1],
     "entry-without-check": [{}],
@@ -401,6 +534,12 @@ HOSTILE = {
     "cols-string": lambda obj: obj["S"].__setitem__("cols", "6"),
     "coeff-float": lambda obj: obj["S"]["entries"][0][0]["coeffs"].__setitem__(0, 0.1),
     "coeff-bool": lambda obj: obj["twists"][0]["coeffs"].__setitem__(0, True),
+    "s-conductor-bool": lambda obj: obj["S"]["entries"][2][0].__setitem__("conductor", True),
+    # a prime conductor: phi by trial division would take O(sqrt(n)) steps
+    "conductor-huge-prime": lambda obj: obj["twists"][1].__setitem__("conductor", 2 ** 89 - 1),
+    "s-conductor-huge-prime": lambda obj: obj["S"]["entries"][3][3].__setitem__(
+        "conductor", 2 ** 89 - 1),
+    "s-coeff-bool": lambda obj: obj["S"]["entries"][0][4]["coeffs"].__setitem__(1, True),
     "coeffs-string": lambda obj: obj["S"]["entries"][1][2].__setitem__("coeffs", "12"),
     "duality-float": lambda obj: obj["duality"].__setitem__(1, 2.5),
     "duality-string": lambda obj: obj.__setitem__("duality", "021543"),
@@ -428,6 +567,12 @@ def test_cli_rejects_hostile_datum_with_one_error_line(tmp_path, capsys, which):
     assert run_cli(["verify", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_a_conductor_is_refused_unfactored_only_when_phi_exceeds_the_count():
+    # the reader refuses a conductor n > 2 c^2 for c coefficients without
+    # computing phi(n): sound because phi(n) >= sqrt(n / 2) for every n
+    assert all(2 * euler_phi(n) ** 2 >= n for n in range(1, 20001))
 
 
 @pytest.mark.parametrize("c", ["1e2", "1e4300", "-3.5E-2", " 1_0e0_2 "])

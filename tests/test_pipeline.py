@@ -286,3 +286,40 @@ def test_verify_raw_reads_rows_of_s_without_building_its_entries():
     for raw in (taft_double(5), pointed_cyclic(7, 2, 1)):
         assert verify_raw(raw).passed
         assert raw.s_matrix._entries is None
+
+
+def without_duality(raw):
+    return RawDatum(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind)
+
+
+@pytest.mark.parametrize("raw", [pointed_cyclic(5, 1, 0), taft_double(3)], ids=["pointed", "taft"])
+def test_duality_detail_says_whether_it_was_supplied_or_derived(raw):
+    assert verify_raw(raw).report["duality"].detail == "supplied"
+    assert verify_raw(without_duality(raw)).report["duality"].detail == "derived"
+
+
+DEGENERATE_POINTED = [(9, 3, 0), (9, 3, 1), (9, 6, 2), (15, 3, 0), (15, 5, 2), (15, 10, 1),
+                      (21, 7, 1)]
+
+
+@pytest.mark.parametrize("params", DEGENERATE_POINTED)
+def test_a_degenerate_datum_is_degenerate_with_or_without_its_duality(params):
+    # repeated characters leave the duality underived; the center still decides
+    raw = pointed_cyclic(*params)
+    given, dropped = verify_raw(raw), verify_raw(without_duality(raw))
+    assert given.classification == dropped.classification == "degenerate"
+    assert dropped.report["duality"].status == "skipped"
+    assert dropped.report["symmetric_center"].detail == given.report["symmetric_center"].detail
+    assert [c.name for c in dropped.report.failures()] == ["symmetric_center"]
+
+
+@pytest.mark.parametrize("raw", [taft_double(d) for d in (3, 4, 5)] +
+                         [pointed_cyclic(*p) for p in POINTED_GRID],
+                         ids=[f"taft{d}" for d in (3, 4, 5)] +
+                         ["pointed{},{},{}".format(*p) for p in POINTED_GRID])
+def test_dropping_the_duality_keeps_the_classification_and_the_later_checks(raw):
+    given, dropped = verify_raw(raw), verify_raw(without_duality(raw))
+    assert given.classification == dropped.classification
+    strip = [(c.name, c.status, c.detail) for c in given.report.checks if c.name != "duality"]
+    assert strip == [(c.name, c.status, c.detail) for c in dropped.report.checks
+                     if c.name != "duality"]
