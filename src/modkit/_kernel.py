@@ -5,15 +5,25 @@ tuple of ints of length phi(n) holding the coordinates in the power basis
 ``1, zeta, ..., zeta^(phi(n)-1)`` of the n-th cyclotomic polynomial, and
 ``den`` is a positive int with gcd(den, content(num)) == 1.  Everything in
 this module stays at that level; the user-facing wrapper is
-:class:`modkit.cyclotomic.CycNum`.  Whole matrices run on integer coefficient
-slices in :mod:`modkit.matrix`, which reads the power vectors and the largest
-reduction row entry kept here.
+:class:`modkit.cyclotomic.CycNum`.
+
+Only the integer coefficients of Phi_n are kept.  One function,
+:func:`reduce`, takes a polynomial modulo Phi_n: it wraps modulo x^n - 1
+(x^(n/2) + 1 for an even n), then divides by the nonzero coefficients of
+Phi_n.  It reduces the product
+of two numbers (:func:`mul`), the images under zeta_n^i -> zeta_m^(i e) of
+:func:`substitute` (lifts, Galois conjugates and roots of unity), and, along
+the leading axis of an integer array, the coefficient slices of the matrices
+of :mod:`modkit.matrix`, which also read :func:`max_row` here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from typing import Iterator
+
+import numpy as np
 
 BACKEND = "python"
 
@@ -30,6 +40,7 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     out, m, p = n, n, 2
     while p * p <= m:
@@ -43,72 +54,107 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _poly_div_exact(a: list[int], b: list[int]) -> list[int]:
-    # ascending coefficients, b monic; remainder is asserted to vanish
-    a = list(a)
-    db = len(b) - 1
-    out = [0] * (len(a) - db)
-    for i in range(len(out) - 1, -1, -1):
-        c = a[i + db]
-        out[i] = c
-        if c:
-            for j in range(db + 1):
-                a[i + j] -= c * b[j]
-    assert all(v == 0 for v in a[:db]), "inexact polynomial division"
-    return out
+def mobius(q: int) -> int:
+    out, p = 1, 2
+    while p * p <= q:
+        if q % p == 0:
+            q //= p
+            if q % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if q > 1 else out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    p = [-1] + [0] * (n - 1) + [1]
+    """Ascending integer coefficients of the n-th cyclotomic polynomial: the
+    product of (x^d - 1)^mu(n/d) over the divisors d of n.  Each factor with
+    mu = 1 multiplies first, then each with mu = -1 divides exactly."""
+    p, dividers = [1], []
     for d in divisors(n):
-        if d < n:
-            p = _poly_div_exact(p, list(cyclotomic_int_coeffs(d)))
+        mu = mobius(n // d)
+        if mu == 1:
+            p = [a - b for a, b in zip([0] * d + p, p + [0] * d)]
+        elif mu == -1:
+            dividers.append(d)
+    for d in dividers:   # p = q (x^d - 1), so q[k] = q[k - d] - p[k]
+        q: list[int] = []
+        for k in range(len(p) - d):
+            q.append((q[k - d] if k >= d else 0) - p[k])
+        p = q
     return tuple(p)
 
 
-class ConductorTable:
-    """Reduction data for one conductor: x^k mod Phi_n for phi(n) <= k."""
+@lru_cache(maxsize=None)
+def _reduction(n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """phi(n); w and s with x^w = s modulo Phi_n, that is w = n / 2, s = -1
+    for an even n and w = n, s = 1 otherwise; and the nonzero coefficients
+    ``(j, c)`` of Phi_n below its leading 1."""
+    poly = cyclotomic_int_coeffs(n)
+    w, s = (n // 2, -1) if n % 2 == 0 else (n, 1)
+    return len(poly) - 1, w, s, tuple((j, c) for j, c in enumerate(poly[:-1]) if c)
 
-    __slots__ = ("n", "phi", "poly", "rows", "max_row")
 
-    def __init__(self, n: int):
-        poly = cyclotomic_int_coeffs(n)
-        phi = len(poly) - 1
-        upto = max(2 * phi - 2, n - 1)
-        rows: list[tuple[int, ...]] = []
-        if upto >= phi:
-            base = tuple(-c for c in poly[:phi])
-            cur = base
-            rows.append(base)
-            for _ in range(phi + 1, upto + 1):
-                top = cur[-1]
-                shifted = (0,) + cur[:-1]
-                cur = tuple(s + top * b for s, b in zip(shifted, base))
-                rows.append(cur)
-        self.n = n
-        self.phi = phi
-        self.poly = poly
-        self.rows = tuple(rows)
-        self.max_row = max((max(abs(v) for v in r) for r in rows), default=1)
+def reduce(c, n: int):
+    """The phi(n) coefficients of the remainder modulo Phi_n of the polynomial
+    whose coefficient of x^k is ``c[k]``.  ``c`` is a list of at least phi(n)
+    ints, or an integer array whose leading axis indexes the powers and whose
+    dtype holds every value reached; it is overwritten, and the result is of
+    the same kind.  The powers from w on are first wrapped by x^w = s (a
+    wrap modulo x^n - 1, or modulo x^(n/2) + 1 when n is even); then Phi_n
+    divides from the top down, one step per power from w - 1 to phi(n)
+    that is still nonzero."""
+    phi, w, s, terms = _reduction(n)
+    is_array = isinstance(c, np.ndarray)
+    for k in range(len(c) - 1, w - 1, -1):   # from the top, so x^(2w) wraps twice
+        c[k - w] += s * c[k]
+    for k in range(min(len(c), w) - 1, phi - 1, -1):
+        top = c[k]
+        if top.any() if is_array else top:
+            for j, p in terms:
+                c[k - phi + j] -= p * top
+    return c[:phi].copy() if is_array else c[:phi]
+
+
+def substitute(num, n: int, m: int, e: int):
+    """The coordinates at conductor m of the image of ``num`` (coordinates at
+    conductor n) under zeta_n^i -> zeta_m^(i e): each coordinate is scattered
+    to the power i e mod m, then the whole is reduced modulo Phi_m.  ``num``
+    is a sequence of ints (one number) or an integer array of slices along
+    its leading axis (a matrix), whose dtype must hold the result."""
+    if n * e % m:
+        raise ValueError(f"zeta_{n} -> zeta_{m}^{e} does not respect zeta_{n}^{n} = 1")
+    if isinstance(num, np.ndarray):
+        out = np.zeros((m,) + num.shape[1:], dtype=num.dtype)
+    else:
+        out = [0] * m
+    for i in range(len(num)):
+        out[i * e % m] = num[i]
+    return reduce(out, m)
+
+
+def powers(n: int) -> Iterator[list[int]]:
+    """x^k mod Phi_n for k = 0, 1, ..., n - 1, each from the one before by
+    one step of the division in :func:`reduce`; one vector is held at a time."""
+    phi, _, _, terms = _reduction(n)
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(n):
+        yield cur
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            for j, p in terms:
+                cur[j] -= p * top
 
 
 @lru_cache(maxsize=None)
-def table(n: int) -> ConductorTable:
-    return ConductorTable(n)
-
-
-def power_vector(tab: ConductorTable, e: int) -> tuple[int, ...]:
-    """x^e mod Phi_n as an integer coordinate vector (0 <= e < n required)."""
-    phi = tab.phi
-    if e < phi:
-        v = [0] * phi
-        v[e] = 1
-        return tuple(v)
-    return tab.rows[e - phi]
+def max_row(n: int) -> int:
+    """The largest magnitude of a coordinate of x^k mod Phi_n over
+    phi(n) <= k < n (1 when n = 1): how far the reduction can grow a
+    coefficient."""
+    phi = euler_phi(n)
+    return max((abs(v) for k, row in enumerate(powers(n)) if k >= phi for v in row), default=1)
 
 
 def normalize(num, den: int):
@@ -136,25 +182,15 @@ def add(num_a, den_a: int, num_b, den_b: int):
     return normalize([x * fa + y * fb for x, y in zip(num_a, num_b)], den_a * fa)
 
 
-def mul(num_a, den_a: int, num_b, den_b: int, tab: ConductorTable):
-    phi = tab.phi
+def mul(num_a, den_a: int, num_b, den_b: int, n: int):
+    phi = len(num_a)
     conv = [0] * (2 * phi - 1)
+    terms_b = [(j, bj) for j, bj in enumerate(num_b) if bj]
     for i, ai in enumerate(num_a):
         if ai:
-            for j, bj in enumerate(num_b):
-                if bj:
-                    conv[i + j] += ai * bj
-    out = conv[:phi]
-    rows = tab.rows
-    for k in range(phi, 2 * phi - 1):
-        ck = conv[k]
-        if ck:
-            row = rows[k - phi]
-            for i in range(phi):
-                ri = row[i]
-                if ri:
-                    out[i] += ck * ri
-    return normalize(out, den_a * den_b)
+            for j, bj in terms_b:
+                conv[i + j] += ai * bj
+    return normalize(reduce(conv, n), den_a * den_b)
 
 
 def scale(num, den: int, p: int, q: int):

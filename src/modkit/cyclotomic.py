@@ -43,8 +43,8 @@ class CycNum:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         num, den = _K.normalize(list(num), den)
-        if len(num) != _K.table(conductor).phi:
-            raise ValueError(f"need phi({conductor}) = {_K.table(conductor).phi} coordinates")
+        if len(num) != _K.euler_phi(conductor):
+            raise ValueError(f"need phi({conductor}) = {_K.euler_phi(conductor)} coordinates")
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -68,15 +68,14 @@ class CycNum:
     def from_rational(cls, q: Rat, conductor: int = 1) -> "CycNum":
         _check_conductor(conductor)
         q = Fraction(q)
-        phi = _K.table(conductor).phi
-        num = [0] * phi
+        num = [0] * _K.euler_phi(conductor)
         num[0] = q.numerator
         return cls._make(conductor, *_K.normalize(num, q.denominator))
 
     @classmethod
     def from_coeffs(cls, conductor: int, coeffs) -> "CycNum":
         _check_conductor(conductor)
-        phi = _K.table(conductor).phi
+        phi = _K.euler_phi(conductor)
         fracs = [Fraction(c) for c in coeffs]
         if len(fracs) != phi:
             raise ValueError(f"need phi({conductor}) = {phi} coordinates, got {len(fracs)}")
@@ -116,15 +115,7 @@ class CycNum:
             return self
         if m % n or m < 1:
             raise ValueError(f"cannot lift conductor {n} to {m}")
-        tab = _K.table(m)
-        step = m // n
-        out = [0] * tab.phi
-        for i, v in enumerate(self.num):
-            if v:
-                for k, r in enumerate(_K.power_vector(tab, i * step)):
-                    if r:
-                        out[k] += v * r
-        return CycNum._make(m, *_K.normalize(out, self.den))
+        return CycNum._make(m, *_K.normalize(_K.substitute(self.num, n, m, m // n), self.den))
 
     def _pair(self, other: "CycNum") -> tuple["CycNum", "CycNum", int]:
         n = math.lcm(self.conductor, other.conductor)
@@ -145,16 +136,13 @@ class CycNum:
         n = self.conductor
         if m == n:
             return self
-        tab_n, tab_m = _K.table(n), _K.table(m)
-        step = n // m
-        cols = [_K.power_vector(tab_n, i * step) for i in range(tab_m.phi)]
+        phi_m, rows = _K.euler_phi(m), _K.euler_phi(n)
+        cols = [root_of_unity(n, i * (n // m)).num for i in range(phi_m)]   # zeta_m^i
         # solve sum_i x_i cols[i] = self over Q; None when inconsistent
-        rows = tab_n.phi
-        aug = [[Fraction(cols[c][r]) for c in range(tab_m.phi)] + [Fraction(self.num[r], self.den)]
+        aug = [[Fraction(cols[c][r]) for c in range(phi_m)] + [Fraction(self.num[r], self.den)]
                for r in range(rows)]
-        x: list[Optional[Fraction]] = [None] * tab_m.phi
         pr = 0
-        for pc in range(tab_m.phi):
+        for pc in range(phi_m):
             piv = next((r for r in range(pr, rows) if aug[r][pc]), None)
             if piv is None:
                 continue
@@ -167,9 +155,9 @@ class CycNum:
                     aug[r] = [a - f * b for a, b in zip(aug[r], aug[pr])]
             pr += 1
         # rank == phi(m) always (the columns are linearly independent)
-        sol = [Fraction(0)] * tab_m.phi
+        sol = [Fraction(0)] * phi_m
         pr = 0
-        for pc in range(tab_m.phi):
+        for pc in range(phi_m):
             if pr < rows and aug[pr][pc] == 1 and all(aug[pr][c] == 0 for c in range(pc)):
                 sol[pc] = aug[pr][-1]
                 pr += 1
@@ -222,7 +210,7 @@ class CycNum:
         if self.conductor == 1:
             return CycNum._make(o.conductor, *_K.scale(o.num, o.den, self.num[0], self.den))
         a, b, n = self._pair(o)
-        return CycNum._make(n, *_K.mul(a.num, a.den, b.num, b.den, _K.table(n)))
+        return CycNum._make(n, *_K.mul(a.num, a.den, b.num, b.den, n))
 
     __rmul__ = __mul__
 
@@ -277,15 +265,7 @@ class CycNum:
         n = self.conductor
         if math.gcd(j, n) != 1:
             raise ValueError(f"galois exponent {j} is not coprime to the conductor {n}")
-        j %= n
-        tab = _K.table(n)
-        out = [0] * tab.phi
-        for i, v in enumerate(self.num):
-            if v:
-                for k, r in enumerate(_K.power_vector(tab, (i * j) % n)):
-                    if r:
-                        out[k] += v * r
-        return CycNum._make(n, *_K.normalize(out, self.den))
+        return CycNum._make(n, *_K.normalize(_K.substitute(self.num, n, n, j % n), self.den))
 
     def conj(self) -> "CycNum":
         return self.galois(-1 % self.conductor) if self.conductor > 1 else self
@@ -342,8 +322,9 @@ def root_of_unity(n: int, k: int = 1) -> CycNum:
     """The canonical representation of zeta_n**k in Q(zeta_n)."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    tab = _K.table(n)
-    return CycNum._make(n, _K.power_vector(tab, k % n), 1)
+    c = [0] * n
+    c[k % n] = 1
+    return CycNum._make(n, tuple(_K.reduce(c, n)), 1)
 
 
 zeta = root_of_unity
@@ -370,15 +351,12 @@ def is_root_of_unity(a: CycNum) -> Optional[RootOfUnityWitness]:
     if a.den != 1:
         return None
     n = a.conductor
-    tab = _K.table(n)
-    for k in range(n):
-        cand = _K.power_vector(tab, k)
-        if a.num == cand:
-            order = n // math.gcd(n, k) if k else 1
-            return RootOfUnityWitness(order, k, 1)
-        if all(x == -y for x, y in zip(a.num, cand)):
-            order = n // math.gcd(n, k) if k else 1
-            return RootOfUnityWitness(math.lcm(2, order), k, -1)
+    pos, neg = list(a.num), [-v for v in a.num]
+    for k, power in enumerate(_K.powers(n)):   # zeta^k, one at a time
+        if power == pos:
+            return RootOfUnityWitness(n // math.gcd(n, k), k, 1)
+        if power == neg:
+            return RootOfUnityWitness(math.lcm(2, n // math.gcd(n, k)), k, -1)
     return None
 
 
@@ -401,24 +379,12 @@ def root_of_unity_sqrt(a: CycNum) -> Optional[CycNum]:
 # traces and signs
 # ---------------------------------------------------------------------------
 
-def _mobius(q: int) -> int:
-    out, p = 1, 2
-    while p * p <= q:
-        if q % p == 0:
-            q //= p
-            if q % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if q > 1 else out
-
-
 @lru_cache(maxsize=None)
 def _power_traces(n: int) -> tuple[int, ...]:
     """Tr(zeta_n**i) down to Q for i < phi(n): the Ramanujan sums
     mu(q) phi(n) / phi(q) with q = n / gcd(i, n)."""
     phi = _K.euler_phi(n)
-    return tuple(_mobius(q) * (phi // _K.euler_phi(q))
+    return tuple(_K.mobius(q) * (phi // _K.euler_phi(q))
                  for q in (n // math.gcd(i, n) for i in range(phi)))
 
 
@@ -452,7 +418,7 @@ def is_totally_positive(a: CycNum) -> bool:
     if a.is_rational():
         return a.as_rational() > 0
     e, p = [1], []
-    for k, tr in zip(range(1, _K.table(a.conductor).phi // 2 + 1), _power_sums(a)):
+    for k, tr in zip(range(1, _K.euler_phi(a.conductor) // 2 + 1), _power_sums(a)):
         p.append(tr // 2)
         ek = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) // k
         if ek <= 0:
@@ -472,7 +438,7 @@ def _odd_trace_sign(y: CycNum) -> int:
     p_i = i e_i: Newton's identities reduce to reading Tr(y), Tr(y^3), ...
     up to the degree phi of the characteristic polynomial.
     """
-    for _, t in zip(range(0, _K.table(y.conductor).phi, 2), _power_sums(y, 2)):
+    for _, t in zip(range(0, _K.euler_phi(y.conductor), 2), _power_sums(y, 2)):
         if t:
             return 1 if t > 0 else -1
     return 0
@@ -552,17 +518,10 @@ def _halve(y: CycNum) -> Optional[CycNum]:
         if any(y.num[1::2]):
             return None
         return CycNum._make(m, y.num[0::2], y.den)
-    # m odd: Q(zeta_2m) = Q(zeta_m), with zeta_2m = -zeta_m^((m+1)/2)
-    tab = _K.table(m)
-    h = (m + 1) // 2
-    out = [0] * tab.phi
-    for i, v in enumerate(y.num):
-        if v:
-            v = -v if i % 2 else v
-            for k, r in enumerate(_K.power_vector(tab, i * h % m)):
-                if r:
-                    out[k] += v * r
-    return CycNum._make(m, *_K.normalize(out, y.den))
+    # m odd: Q(zeta_2m) = Q(zeta_m), with zeta_2m = -zeta_m^((m+1)/2), so
+    # y = sum_i (-1)^i v_i zeta_m^(i (m+1)/2)
+    signed = [-v if i % 2 else v for i, v in enumerate(y.num)]
+    return CycNum._make(m, *_K.normalize(_K.substitute(signed, 2 * m, m, (m + 1) // 2), y.den))
 
 
 def _canonical_root(c: CycNum, n: int) -> Optional[CycNum]:

@@ -73,6 +73,13 @@ class RawDatum:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.duality is not None and sorted(self.duality) != list(range(n)):
             raise ValueError("duality is not a permutation")
+        if self.duality_signs is not None:
+            if self.duality is None:
+                raise ValueError("duality_signs given without a duality")
+            if len(self.duality_signs) != n:
+                raise ValueError("duality_signs length does not match the label count")
+            if any(v not in (1, -1) for v in self.duality_signs):
+                raise ValueError("duality_signs entries must be 1 or -1")
         _check_labels(self.labels)
 
     @property

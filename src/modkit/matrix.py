@@ -6,6 +6,9 @@ A :class:`CycMatrix` of conductor N holds one integer array ``num`` of shape
 the N-th cyclotomic polynomial.  Products, sums, comparisons and the Galois
 action run as whole-array integer operations.  The :class:`CycNum` entries
 are built from the slices, normalized one by one, only when they are read.
+Lifts, Galois conjugates and matrices of roots of unity reduce their slices
+modulo Phi_N with the scalar kernel's own :func:`modkit._kernel.reduce`,
+along the leading axis, so scalars and matrices share one substitution.
 
 Products are multimodular.  For a prime p = 1 (mod N), Phi_N splits modulo p
 into phi(N) linear factors, so evaluating the slices at its roots turns one
@@ -73,12 +76,13 @@ def int_array(values) -> np.ndarray:
     return a.astype(object) if a.size and a.min() == -INT64_LIMIT else a
 
 
-def slice_growth(tab) -> int:
-    """How far one slice product can grow a coefficient: each product
-    coefficient sums at most phi terms before the reduction modulo Phi_n, which
-    adds at most phi - 1 further multiples of it, each by a reduction row entry
-    of magnitude at most max_row."""
-    return tab.phi * (1 + (tab.phi - 1) * tab.max_row)
+def slice_growth(n: int) -> int:
+    """How far one slice product at conductor n can grow a coefficient: each
+    product coefficient sums at most phi terms before the reduction modulo
+    Phi_n, which adds at most phi - 1 further multiples of it, each by a
+    coordinate of x^k mod Phi_n of magnitude at most max_row(n)."""
+    phi = _K.euler_phi(n)
+    return phi * (1 + (phi - 1) * _K.max_row(n))
 
 
 # ---------------------------------------------------------------------------
@@ -252,49 +256,29 @@ def interpolate(vals: np.ndarray, sp: SplitPrimes, bound: int) -> np.ndarray:
     return with_bound(x, bound).reshape(vals.shape[1:])
 
 
-def slice_matmul(a: np.ndarray, b: np.ndarray, tab) -> np.ndarray:
+def slice_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Slices ``(phi, r, c)`` of the matrix product of the numerators ``a``
-    ``(phi, r, m)`` and ``b`` ``(phi, m, c)``, both at the conductor of ``tab``."""
-    bound = max_abs(a) * max_abs(b) * a.shape[2] * slice_growth(tab)
-    sp = split_primes(tab.n, bound)
+    ``(phi, r, m)`` and ``b`` ``(phi, m, c)``, both at conductor n."""
+    bound = max_abs(a) * max_abs(b) * a.shape[2] * slice_growth(n)
+    sp = split_primes(n, bound)
     return interpolate(residue_matmul(evaluate(a, sp), evaluate(b, sp), sp), sp, bound)
 
 
-def slice_mul(a: np.ndarray, b: np.ndarray, tab) -> np.ndarray:
-    """Slices of the entrywise product of ``a`` and ``b``, whose trailing
-    shapes (of one length) broadcast against each other."""
-    bound = max_abs(a) * max_abs(b) * slice_growth(tab)
-    sp = split_primes(tab.n, bound)
+def slice_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Slices of the entrywise product of ``a`` and ``b`` at conductor n,
+    whose trailing shapes (of one length) broadcast against each other."""
+    bound = max_abs(a) * max_abs(b) * slice_growth(n)
+    sp = split_primes(n, bound)
     return interpolate(sp.mod(evaluate(a, sp) * evaluate(b, sp)), sp, bound)
-
-
-@lru_cache(maxsize=None)
-def _power_columns(n: int) -> np.ndarray:
-    """Column e holds the power-basis coordinates of zeta_n^e, for 0 <= e < n."""
-    tab = _K.table(n)
-    out = int_array([_K.power_vector(tab, e) for e in range(n)]).T.copy()
-    out.flags.writeable = False
-    return out
 
 
 def root_slices(n: int, exps) -> np.ndarray:
     """Slices ``(phi(n),) + exps.shape`` of the matrix with entries zeta_n^exps,
-    for any integer array of exponents."""
-    return _power_columns(n)[:, np.asarray(exps) % n]
-
-
-@lru_cache(maxsize=None)
-def _power_map(n: int, m: int, e: int) -> np.ndarray:
-    """Column i holds the coordinates of zeta_m^(i e) at conductor m: the
-    image of zeta_n^i under zeta_n -> zeta_m^e."""
-    out = root_slices(m, [i * e for i in range(_K.table(n).phi)])
-    out.flags.writeable = False
-    return out
-
-
-def _apply_map(mp: np.ndarray, num: np.ndarray) -> np.ndarray:
-    bound = max_abs(mp) * max_abs(num) * mp.shape[1]
-    return np.tensordot(with_bound(mp, bound), with_bound(num, bound), axes=1)
+    for any integer array of exponents: the indicator of each exponent
+    modulo n along the leading axis, reduced modulo Phi_n."""
+    exps = np.asarray(exps) % n
+    powers = np.arange(n).reshape((n,) + (1,) * exps.ndim)
+    return _K.reduce(with_bound((powers == exps).astype(np.int64), _K.max_row(n)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +296,7 @@ class CycMatrix:
         n = math.lcm(*(e.conductor for e in entries))
         entries = tuple(e.lift(n) for e in entries)
         den = math.lcm(*(e.den for e in entries))
-        phi = _K.table(n).phi
+        phi = _K.euler_phi(n)
         flat = int_array([[v * (den // e.den) for v in e.num] for e in entries])
         num = flat.reshape(rows * cols, phi).T.reshape(phi, rows, cols)
         self._set(n, np.ascontiguousarray(num), den, entries)
@@ -436,7 +420,15 @@ class CycMatrix:
             return self
         if n % m or n < 1:
             raise ValueError(f"cannot lift conductor {m} to {n}")
-        return CycMatrix.from_slices(n, _apply_map(_power_map(m, n, n // m), self.num), self.den)
+        return self._substitute(n, n // m)
+
+    def _substitute(self, n: int, e: int) -> "CycMatrix":
+        """The image at conductor n under zeta_m -> zeta_n^e, m the conductor."""
+        num = self.num
+        # each coordinate of the image sums at most phi(m) coordinates of num,
+        # through one coordinate of some x^k mod Phi_n each
+        num = with_bound(num, max_abs(num) * len(num) * _K.max_row(n))
+        return CycMatrix.from_slices(n, _K.substitute(num, self.conductor, n, e), self.den)
 
     def __add__(self, other: "CycMatrix") -> "CycMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -457,7 +449,7 @@ class CycMatrix:
         """``slice_op`` (:func:`slice_mul` or :func:`slice_matmul`) on the two
         numerators at the common conductor, over the product of denominators."""
         a, b, n = self._common(other)
-        return CycMatrix.from_slices(n, slice_op(a.num, b.num, _K.table(n)), a.den * b.den)
+        return CycMatrix.from_slices(n, slice_op(a.num, b.num, n), a.den * b.den)
 
     def scale(self, c) -> "CycMatrix":
         c = c if isinstance(c, CycNum) else CycNum.from_rational(Fraction(c))
@@ -514,7 +506,7 @@ class CycMatrix:
         n = self.conductor
         if math.gcd(j, n) != 1:
             raise ValueError(f"galois exponent {j} is not coprime to the conductor {n}")
-        return CycMatrix.from_slices(n, _apply_map(_power_map(n, n, j % n), self.num), self.den)
+        return self._substitute(n, j % n)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and \

@@ -60,18 +60,17 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
     k = a.cols
     n = math.lcm(a.conductor, c.conductor)
     a, c = a.lift(n), c.lift(n)
-    tab = _K.table(n)
     den = a.den * a.den * c.den
     rep = IntegralityReport(entries=k * k * k)
     # a pair product grows by at most G, and its product with c by k G more
-    g = slice_growth(tab)
+    g = slice_growth(n)
     bound = max_abs(a.num) ** 2 * max_abs(c.num) * k * g * g
     # a constant is at most bound // den in magnitude (one more when negative)
     tensor = with_bound(np.zeros((k, k, k), dtype=np.int64), bound // den)
     sp = split_primes(n, bound)
     ea, ec = evaluate(a.num, sp), evaluate(c.num, sp)
     xs, ys = np.triu_indices(k)
-    block = max(1, _BLOCK_BYTES // (8 * len(sp.primes) * tab.phi * max(k, 1)))
+    block = max(1, _BLOCK_BYTES // (8 * len(sp.primes) * a.num.shape[0] * max(k, 1)))
     for start in range(0, len(xs), block):
         bx, by = xs[start:start + block], ys[start:start + block]
         pairs = sp.mod(ea[..., bx] * ea[..., by]).swapaxes(2, 3)

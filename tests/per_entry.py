@@ -1,6 +1,6 @@
 """Per-entry reference versions of the maps :mod:`modkit.datum` reads off a
-datum's character table, the exact rank of a matrix, and the JSON objects of
-a datum file.
+datum's character table, the lift and Galois action on a matrix, the exact
+rank of a matrix, and the JSON objects of a datum file.
 
 Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
 matches rows or columns as tuples of entries, keyed by their coordinates (the
@@ -117,6 +117,16 @@ def tensor_by_invertible(raw, g):
                 f"{raw.labels[x]} (x) {raw.labels[g]} does not match any label")
         out.append(cols[prod])
     return tuple(out)
+
+
+def lift(m, n):
+    """The entries of ``m`` lifted to conductor n, one at a time."""
+    return [e.lift(n) for e in m.entries]
+
+
+def galois(m, j):
+    """The entries of ``m`` conjugated by zeta -> zeta^j, one at a time."""
+    return [e.galois(j) for e in m.entries]
 
 
 def rank(m):

@@ -212,8 +212,10 @@ def data(draw):
     if draw(st.booleans()):
         return ModularDatum(labels, unit, s, scalars)
     duality = draw(st.none() | st.permutations(range(k)).map(tuple))
-    signs = draw(st.none() | st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k)
-                 .map(tuple))
+    signs = None   # signs need a duality
+    if duality is not None:
+        signs = draw(st.none() | st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k)
+                     .map(tuple))
     kind = draw(st.sampled_from(["raw-full", "raw-bold"]))
     return RawDatum(labels, unit, s, scalars, kind, duality, signs)
 
@@ -569,6 +571,24 @@ def test_cli_rejects_hostile_datum_with_one_error_line(tmp_path, capsys, which):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("signs", [[1], [1, 1], [1, 1, 1, 1], [1, 2, 1], "no duality"])
+def test_bold_datum_with_bad_duality_signs_exits_2(tmp_path, capsys, signs):
+    """``duality_signs`` of the wrong length, with a value other than +-1, or
+    without a ``duality``, on the 3-label Taft d=3 bold datum."""
+    obj = io.datum_to_json(
+        reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3)).bold)
+    assert len(obj["labels"]) == 3 and "duality_signs" in obj
+    if signs == "no duality":
+        del obj["duality"]
+    else:
+        obj["duality_signs"] = signs
+    path = tmp_path / "bold.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(["verify", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "duality" in err[0]
+
+
 def test_a_conductor_is_refused_unfactored_only_when_phi_exceeds_the_count():
     # the reader refuses a conductor n > 2 c^2 for c coefficients without
     # computing phi(n): sound because phi(n) >= sqrt(n / 2) for every n
@@ -769,7 +789,7 @@ WRONG_TYPES = st.one_of(
 
 
 def _mutate(obj, data):
-    kind = data.draw(st.sampled_from(["drop", "retype", "ragged", "truncate"]))
+    kind = data.draw(st.sampled_from(["drop", "retype", "ragged", "truncate", "big"]))
     paths = _positions(obj)
     if kind == "drop":
         keyed = [p for p in paths if isinstance(_parent(obj, p), dict)]
@@ -785,6 +805,13 @@ def _mutate(obj, data):
         if rows:
             path = data.draw(st.sampled_from(rows))
             _parent(obj, path)[path[-1]].pop()
+    elif kind == "big":
+        # an integer value, or a coefficient (an integer written as a string)
+        ints = [p for p in paths if type(_parent(obj, p)[p[-1]]) is int
+                or (len(p) > 1 and p[-2] == "coeffs")]
+        if ints:
+            path = data.draw(st.sampled_from(ints))
+            _parent(obj, path)[path[-1]] = data.draw(st.integers(-(1 << 70), 1 << 70))
     else:
         scalars = [p for p in paths if p[-1] == "coeffs"
                    and isinstance(_parent(obj, p)[p[-1]], list)]
@@ -800,15 +827,13 @@ def _mutate(obj, data):
 def test_fuzzed_taft_datum_ends_with_a_verdict_or_one_error_line(data, tmp_path_factory):
     """``modkit verify`` on a Taft d=3 datum with one to three mutations (a
     key dropped; a string, float, bool, dict or list put where another type
-    belongs; a row of S made ragged; a ``coeffs`` list truncated) exits with
-    0, 1 or 2 and never with a traceback; exit 2 comes with one ``error:``
-    line.
+    belongs; a row of S made ragged; a ``coeffs`` list truncated; an integer
+    of magnitude up to 2^70 put where an integer or a coefficient stands)
+    exits with 0, 1 or 2 and never with a traceback; exit 2 comes with one
+    ``error:`` line.
 
-    Not covered: the size of the values themselves.  A conductor near 10^5
-    asks for an O(phi^2) ``ConductorTable`` (ROADMAP item 6, still open) and
-    a string such as ``"1e9999999"`` for a ten-million-digit ``Fraction``, so
-    the mutations here write no integer beyond 8 in magnitude and no string
-    longer than four characters."""
+    Strings are at most four characters long: the long decimal exponents a
+    string can carry are tested apart, among the hostile files above."""
     obj = io.datum_to_json(taft_double(3))
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(obj, data)

@@ -1,9 +1,11 @@
-"""The slice path of :class:`CycMatrix` against an entry-by-entry
-:class:`CycNum` reference, the split-prime tables and CRT limits of the
-product kernel, and Galois invariance of the Verlinde tensor."""
+"""The one reduction modulo Phi_n against sympy and through the relations
+of lifts and Galois conjugates, the slice path of :class:`CycMatrix` against
+an entry-by-entry :class:`CycNum` reference, the split-prime tables and CRT
+limits of the product kernel, and Galois invariance of the Verlinde tensor."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +14,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_entry
 from modkit import _kernel as kernel
-from modkit.cyclotomic import CycNum
+from modkit.cyclotomic import CycNum, _halve, zeta
 from modkit.datum import RawDatum, nondegenerate_world, reduce_slightly_degenerate
 from modkit.families import pointed_cyclic, sl2_q16_counterexample, taft_double, taft_J_indices
 from modkit.matrix import CycMatrix, PRIME_LIMIT, slice_matmul, split_primes
@@ -38,6 +41,101 @@ def canonical(entries):
 def ref_product(a, b):
     return [sum((a[i, k] * b[k, j] for k in range(a.cols)), ZERO)
             for i in range(a.rows) for j in range(b.cols)]
+
+
+# ---------------------------------------------------------------------------
+# the one reduction modulo Phi_n
+# ---------------------------------------------------------------------------
+
+GRID = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 19, 20, 30, 36, 42, 60, 84, 105, 120]
+
+
+def sympy_rem(coeffs, n):
+    """The phi(n) coordinates of sum_k coeffs[k] x^k modulo Phi_n, by sympy."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x)
+    rem = poly.rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x))
+    out = [int(c) for c in reversed(rem.all_coeffs())]
+    return out + [0] * (kernel.euler_phi(n) - len(out))
+
+
+@pytest.mark.parametrize("n", GRID + [210, 420, 1155, 2310])
+def test_cyclotomic_coefficients_match_sympy(n):
+    x = sympy.Symbol("x")
+    want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+    assert kernel.cyclotomic_int_coeffs(n) == tuple(int(c) for c in reversed(want))
+
+
+@pytest.mark.parametrize("n", GRID)
+def test_powers_and_max_row_match_sympy(n):
+    phi = kernel.euler_phi(n)
+    rows = [sympy_rem([0] * e + [1], n) for e in range(n)]
+    assert list(kernel.powers(n)) == rows
+    assert kernel.max_row(n) == max((abs(v) for row in rows[phi:] for v in row), default=1)
+    for e in range(0, 3 * n, 1 + n // 7):   # past x^n = 1 too
+        c = [0] * max(e + 1, phi)   # reduce reads at least phi coefficients
+        c[e] = 1
+        assert kernel.reduce(c, n) == rows[e % n]
+
+
+@pytest.mark.parametrize("n", GRID)
+def test_reduce_of_lists_and_arrays_matches_sympy(n):
+    rng = random.Random(n)
+    for length in (kernel.euler_phi(n), n, 2 * n + 3):
+        coeffs = [rng.randint(-9, 9) for _ in range(length)]
+        want = sympy_rem(coeffs, n)
+        assert kernel.reduce(list(coeffs), n) == want
+        for dtype in (np.int64, object):
+            # two columns: the coefficients and their negatives
+            arr = np.array([[c, -c] for c in coeffs], dtype=dtype)
+            out = kernel.reduce(arr, n)
+            assert out.dtype == dtype and out.tolist() == [[w, -w] for w in want]
+
+
+def random_cyc(rng, n):
+    return CycNum.from_coeffs(n, [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5)))
+                                  for _ in range(kernel.euler_phi(n))])
+
+
+@pytest.mark.parametrize("n", GRID)
+def test_galois_and_lift_relations(n):
+    rng = random.Random(n)
+    units = [j for j in range(1, n + 1) if math.gcd(j, n) == 1]
+    for _ in range(4):
+        y = random_cyc(rng, n)
+        i, j = rng.choice(units), rng.choice(units)
+        # equal conductors: == compares coordinates and denominators
+        assert y.galois(i).galois(j) == y.galois(i * j)
+        for m in (2 * n, 3 * n):
+            if m > 120:
+                continue
+            # a unit mod m restricts to a unit mod n
+            k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
+            assert y.lift(m).galois(k) == y.galois(k % n).lift(m)
+        half = _halve(y.lift(2 * n))
+        assert half.conductor == n and half == y
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 15, 36, 84])
+def test_matrix_lift_and_galois_match_the_entrywise_reference(n):
+    rng = random.Random(n)
+    a = rand_matrix(rng, 3, 2, n, span=1 << 40, dens=(1, 3))
+    for m in (n, 2 * n, 5 * n):
+        assert canonical(a.lift(m).entries) == canonical(per_entry.lift(a, m))
+        k = next(k for k in range(m - 1, 0, -1) if math.gcd(k, m) == 1)
+        lifted = a.lift(m)
+        assert canonical(lifted.galois(k).entries) == canonical(per_entry.galois(lifted, k))
+
+
+def test_a_product_at_conductor_2003_holds_no_quadratic_table():
+    tracemalloc.start()
+    try:
+        x = zeta(2003, 2002) * zeta(2003, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x == zeta(2003, 4)
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("n", [1, 4, 9, 12, 76, 84])
@@ -130,13 +228,12 @@ def test_running_out_of_split_primes_raises():
 
 def test_products_at_the_one_and_two_prime_limits_are_exact():
     p1, p2 = split_primes(1, 1 << 60).primes[:2].tolist()
-    tab = kernel.table(1)
     for limit, k in (((p1 - 1) // 2, 1), ((p1 * p2 - 1) // 2, 2)):
         # one operand entry v and the other +-1: the bound is exactly |v|
         for v, primes in ((limit - 1, k), (limit, k), (limit + 1, k + 1)):
             assert len(split_primes(1, v).primes) == primes
             for sign in (1, -1):
-                out = slice_matmul(np.array([[[v]]]), np.array([[[sign]]]), tab)
+                out = slice_matmul(np.array([[[v]]]), np.array([[[sign]]]), 1)
                 assert out.dtype == np.int64 and out.tolist() == [[[sign * v]]]
 
 
