@@ -7,14 +7,19 @@ tuple of ints of length phi(n) holding the coordinates in the power basis
 this module stays at that level; the user-facing wrapper is
 :class:`modkit.cyclotomic.CycNum`.
 
-Only the integer coefficients of Phi_n are kept.  One function,
-:func:`reduce`, takes a polynomial modulo Phi_n: it wraps modulo x^n - 1
-(x^(n/2) + 1 for an even n), then divides by the nonzero coefficients of
-Phi_n.  It reduces the product
-of two numbers (:func:`mul`), the images under zeta_n^i -> zeta_m^(i e) of
-:func:`substitute` (lifts, Galois conjugates and roots of unity), and, along
-the leading axis of an integer array, the coefficient slices of the matrices
-of :mod:`modkit.matrix`, which also read :func:`max_row` here.
+Only the integer coefficients of Phi_n are kept.  Three functions move
+coordinates:
+
+- :func:`reduce` takes a polynomial modulo Phi_n: it wraps modulo x^n - 1
+  (x^(n/2) + 1 for an even n), then divides by the nonzero coefficients of
+  Phi_n.  It reduces the product of two numbers (:func:`mul`) and, along the
+  leading axis of an integer array, the coefficient slices of the matrices
+  of :mod:`modkit.matrix`, which also read :func:`max_row` here.
+- :func:`substitute` maps zeta_n^i -> zeta_m^(i e), then reduces: lifts to a
+  larger conductor, Galois conjugates and roots of unity.
+- :func:`descend` goes the other way, to a divisor m of n, one prime of
+  n / m at a time, and says when the value is not in Q(zeta_m).  It finds
+  the smallest field of a value and the conductor of a normalizer.
 """
 
 from __future__ import annotations
@@ -29,41 +34,32 @@ BACKEND = "python"
 
 
 def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@lru_cache(maxsize=None)
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, in increasing order."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return tuple(out + [n] if n > 1 else out)
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    out, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+    for p in prime_divisors(n):
+        n -= n // p
+    return n
 
 
 def mobius(q: int) -> int:
-    out, p = 1, 2
-    while p * p <= q:
-        if q % p == 0:
-            q //= p
-            if q % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if q > 1 else out
+    primes = prime_divisors(q)
+    return 0 if any(q % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
 
 @lru_cache(maxsize=None)
@@ -132,6 +128,38 @@ def substitute(num, n: int, m: int, e: int):
     for i in range(len(num)):
         out[i * e % m] = num[i]
     return reduce(out, m)
+
+
+def descend(num, n: int, m: int):
+    """The coordinates at conductor m | n of the value whose coordinates at
+    conductor n are ``num``, as a tuple, or None when the value is not in
+    Q(zeta_m).  One prime p of n / m goes at a time, with k = n / p.  When
+    p | k, Phi_n(x) = Phi_k(x^p): only the multiples of p may be nonzero, and
+    num[::p] is the value at k.  Otherwise Q(zeta_n) = Q(zeta_k) (x) Q(zeta_p)
+    with zeta_n = zeta_k^u zeta_p^v, u p + v k = 1: coordinate i goes to
+    (i u mod k, i v mod p), reduced modulo Phi_k and then Phi_p, and only the
+    zeta_p^0 column may be left."""
+    if m < 1 or n % m:
+        raise ValueError(f"conductor {m} does not divide {n}")
+    num = tuple(num)
+    while n != m:
+        p = prime_divisors(n // m)[0]
+        k = n // p
+        if k % p == 0:
+            if any(v for i, v in enumerate(num) if i % p):
+                return None
+            num = num[::p]
+        else:
+            u, v = pow(p, -1, k), pow(k, -1, p)
+            grid = np.zeros((k, p), dtype=object)
+            for i, c in enumerate(num):
+                grid[i * u % k, i * v % p] = c
+            out = reduce(reduce(grid, k).T, p)
+            if out[1:].any():
+                return None
+            num = tuple(out[0].tolist())
+        n = k
+    return num
 
 
 def powers(n: int) -> Iterator[list[int]]:

@@ -121,51 +121,24 @@ class CycNum:
         n = math.lcm(self.conductor, other.conductor)
         return self.lift(n), other.lift(n), n
 
+    def descend(self, m: int) -> Optional["CycNum"]:
+        """The same value expressed in Q(zeta_m), m | conductor, or None when
+        it is not in that field."""
+        num = _K.descend(self.num, self.conductor, m)
+        return None if num is None else CycNum._make(m, num, self.den)
+
     def minimal(self) -> "CycNum":
-        """Equivalent value at the smallest conductor dividing the current one."""
+        """Equivalent value at the smallest conductor dividing the current one:
+        the conductors holding a value are closed under gcd, so each prime is
+        removed while the value stays in the smaller field."""
         m = self._min
         if m is None:
-            for d in _K.divisors(self.conductor):
-                m = self._project(d)
-                if m is not None:
-                    break
+            m = self
+            for p in _K.prime_divisors(self.conductor):
+                while m.conductor % p == 0 and (down := m.descend(m.conductor // p)) is not None:
+                    m = down
             object.__setattr__(self, "_min", m)
         return m
-
-    def _project(self, m: int) -> Optional["CycNum"]:
-        n = self.conductor
-        if m == n:
-            return self
-        phi_m, rows = _K.euler_phi(m), _K.euler_phi(n)
-        cols = [root_of_unity(n, i * (n // m)).num for i in range(phi_m)]   # zeta_m^i
-        # solve sum_i x_i cols[i] = self over Q; None when inconsistent
-        aug = [[Fraction(cols[c][r]) for c in range(phi_m)] + [Fraction(self.num[r], self.den)]
-               for r in range(rows)]
-        pr = 0
-        for pc in range(phi_m):
-            piv = next((r for r in range(pr, rows) if aug[r][pc]), None)
-            if piv is None:
-                continue
-            aug[pr], aug[piv] = aug[piv], aug[pr]
-            inv = 1 / aug[pr][pc]
-            aug[pr] = [v * inv for v in aug[pr]]
-            for r in range(rows):
-                if r != pr and aug[r][pc]:
-                    f = aug[r][pc]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[pr])]
-            pr += 1
-        # rank == phi(m) always (the columns are linearly independent)
-        sol = [Fraction(0)] * phi_m
-        pr = 0
-        for pc in range(phi_m):
-            if pr < rows and aug[pr][pc] == 1 and all(aug[pr][c] == 0 for c in range(pc)):
-                sol[pc] = aug[pr][-1]
-                pr += 1
-        for r in range(pr, rows):
-            if aug[r][-1] != 0:
-                return None
-        cand = CycNum.from_coeffs(m, sol)
-        return cand if cand.lift(n) == self else None
 
     # ---------- arithmetic ----------
 
@@ -282,7 +255,10 @@ class CycNum:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
+        # a rational value hashes as the Fraction it equals
         m = self.minimal()
+        if m.conductor == 1:
+            return hash(Fraction(m.num[0], m.den))
         return hash((m.conductor, m.num, m.den))
 
     # ---------- display ----------
@@ -509,21 +485,6 @@ def _sqrt_at_conductor(x: CycNum, retry: bool = True) -> Optional[CycNum]:
     return None
 
 
-def _halve(y: CycNum) -> Optional[CycNum]:
-    """y at conductor m = y.conductor / 2 when it lies in Q(zeta_m), else None."""
-    m = y.conductor // 2
-    if m % 2 == 0:
-        # Phi_2m(x) = Phi_m(x^2): Q(zeta_m) is what sigma_(1+m): zeta -> -zeta
-        # fixes, the values with no odd coordinate
-        if any(y.num[1::2]):
-            return None
-        return CycNum._make(m, y.num[0::2], y.den)
-    # m odd: Q(zeta_2m) = Q(zeta_m), with zeta_2m = -zeta_m^((m+1)/2), so
-    # y = sum_i (-1)^i v_i zeta_m^(i (m+1)/2)
-    signed = [-v if i % 2 else v for i, v in enumerate(y.num)]
-    return CycNum._make(m, *_K.normalize(_K.substitute(signed, 2 * m, m, (m + 1) // 2), y.den))
-
-
 def _canonical_root(c: CycNum, n: int) -> Optional[CycNum]:
     """The one of +-c that the sign rule picks, at the first conductor m in
     (n, 2n, 4n) whose field holds c.
@@ -540,8 +501,10 @@ def _canonical_root(c: CycNum, n: int) -> Optional[CycNum]:
     if (4 * n) % c.conductor:
         return None
     y = c.lift(4 * n)
-    while y.conductor > n and (down := _halve(y)) is not None:
-        y = down
+    for m in (n, 2 * n):
+        if (down := y.descend(m)) is not None:
+            y = down
+            break
     while True:
         m = y.conductor
         one, z = CycNum.from_rational(1, m), root_of_unity(m)

@@ -378,7 +378,8 @@ class World:
             raise ZeroGlobalDimensionError("D * dim_r(unit_bar) = 0")
         zero = CycNum.from_rational(0)
         self.tau_plus = sum((q * t for q, t in zip(self.sqnorm, self.twists)), zero)
-        self.tau_minus = sum((q * t.inv() for q, t in zip(self.sqnorm, self.twists)), zero)
+        self.twists_inv = tuple(t.inv() for t in self.twists)
+        self.tau_minus = sum((q * t for q, t in zip(self.sqnorm, self.twists_inv)), zero)
         self._s2 = None
         self._e = None
         self._xi_sq = None

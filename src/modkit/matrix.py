@@ -368,8 +368,11 @@ class CycMatrix:
         return tuple(CycNum._make(n, tuple(v), d) for v, d in pairs)
 
     def __getitem__(self, ij: tuple[int, int]) -> CycNum:
+        """Entry (i, j); until every entry is built, only this one is."""
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if self._entries is None:
+            return self._entries_of(self.num[:, i, j][None])[0]
+        return self._entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[CycNum, ...]:
         """Row i; until every entry is built, only this row's are."""

@@ -1,6 +1,7 @@
 """Per-entry reference versions of the maps :mod:`modkit.datum` reads off a
 datum's character table, the lift and Galois action on a matrix, the exact
-rank of a matrix, and the JSON objects of a datum file.
+rank of a matrix, the JSON objects of a datum file, and the descent of a
+value to a smaller conductor by linear algebra over Q.
 
 Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
 matches rows or columns as tuples of entries, keyed by their coordinates (the
@@ -9,6 +10,10 @@ the table existed.  They raise the same errors in the same order, so a
 test can compare whole outcomes, messages included.
 """
 
+from fractions import Fraction
+
+from modkit._kernel import euler_phi
+from modkit.cyclotomic import CycNum, root_of_unity
 from modkit.datum import KIND_BOLD, DegeneracyError, ModularDatum
 from modkit.io import KIND_NORMALIZED, _ratio_text
 
@@ -127,6 +132,41 @@ def lift(m, n):
 def galois(m, j):
     """The entries of ``m`` conjugated by zeta -> zeta^j, one at a time."""
     return [e.galois(j) for e in m.entries]
+
+
+def project(y, m):
+    """y at conductor m (m | y.conductor), or None when it is not in
+    Q(zeta_m): a dense Gauss-Jordan solve over Fraction of
+    sum_i x_i zeta_m^i = y, with the zeta_m^i written at y's conductor."""
+    n = y.conductor
+    phi_m, rows = euler_phi(m), len(y.num)
+    cols = [root_of_unity(n, i * (n // m)).num for i in range(phi_m)]
+    aug = [[Fraction(cols[c][r]) for c in range(phi_m)] + [Fraction(y.num[r], y.den)]
+           for r in range(rows)]
+    pr = 0
+    for pc in range(phi_m):
+        piv = next((r for r in range(pr, rows) if aug[r][pc]), None)
+        if piv is None:
+            continue
+        aug[pr], aug[piv] = aug[piv], aug[pr]
+        inv = 1 / aug[pr][pc]
+        aug[pr] = [v * inv for v in aug[pr]]
+        for r in range(rows):
+            if r != pr and aug[r][pc]:
+                f = aug[r][pc]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[pr])]
+        pr += 1
+    # the columns are linearly independent, so row c holds x_c
+    if any(aug[r][-1] for r in range(phi_m, rows)):
+        return None
+    cand = CycNum.from_coeffs(m, [aug[c][-1] for c in range(phi_m)])
+    return cand if cand.lift(n) == y else None
+
+
+def minimal(y):
+    """y at the smallest divisor of its conductor whose field holds it."""
+    n = y.conductor
+    return next(p for d in range(1, n + 1) if n % d == 0 and (p := project(y, d)) is not None)
 
 
 def rank(m):

@@ -135,6 +135,14 @@ def test_hash_consistent_across_conductors():
     assert len(s) == 1  # z6^2 = z3
 
 
+def test_rational_values_hash_as_their_fractions():
+    five = CycNum.from_rational(5)
+    assert five == 5 and 5 in {five} and five in {5}
+    half = CycNum.from_rational(Fraction(1, 2), 12)
+    assert half == Fraction(1, 2) and Fraction(1, 2) in {half}
+    assert zeta(6) + zeta(6, 5) in {1}   # z6 + z6^-1 = 1
+
+
 # ---------------------------------------------------------------------------
 # roots of unity
 # ---------------------------------------------------------------------------

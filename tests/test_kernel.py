@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import per_entry
 from modkit import _kernel as kernel
-from modkit.cyclotomic import CycNum, _halve, zeta
+from modkit.cyclotomic import CycNum, zeta
 from modkit.datum import RawDatum, nondegenerate_world, reduce_slightly_degenerate
 from modkit.families import pointed_cyclic, sl2_q16_counterexample, taft_double, taft_J_indices
 from modkit.matrix import CycMatrix, PRIME_LIMIT, slice_matmul, split_primes
@@ -112,8 +112,64 @@ def test_galois_and_lift_relations(n):
             # a unit mod m restricts to a unit mod n
             k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
             assert y.lift(m).galois(k) == y.galois(k % n).lift(m)
-        half = _halve(y.lift(2 * n))
+        half = y.lift(2 * n).descend(n)
         assert half.conductor == n and half == y
+
+
+# ---------------------------------------------------------------------------
+# descent to a divisor of the conductor
+# ---------------------------------------------------------------------------
+
+def draw_value(data, n):
+    """A value at conductor n that lies in Q(zeta_lcm(a, b)) for two drawn
+    divisors a, b of n, so that some descents succeed and some fail."""
+    rng = random.Random(data.draw(st.integers(0, 1 << 30)))
+    a, b = (data.draw(st.sampled_from(kernel.divisors(n))) for _ in range(2))
+    return random_cyc(rng, a).lift(n) + random_cyc(rng, b).lift(n)
+
+
+def same(x, y):
+    return (x is None and y is None) or (
+        x is not None and y is not None and (x.conductor, x.num, x.den) == (y.conductor, y.num, y.den))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 420), data=st.data())
+def test_descend_undoes_a_lift(n, data):
+    rng = random.Random(data.draw(st.integers(0, 1 << 30)))
+    for d in kernel.divisors(n):
+        x = random_cyc(rng, d)
+        assert same(x.lift(n).descend(d), x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 120), data=st.data())
+def test_descend_fails_exactly_where_linear_algebra_does(n, data):
+    y = draw_value(data, n)
+    for d in kernel.divisors(n):
+        assert same(y.descend(d), per_entry.project(y, d)), d
+    assert same(y.minimal(), per_entry.minimal(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 420), data=st.data())
+def test_descend_commutes_with_the_galois_action(n, data):
+    y = draw_value(data, n)
+    j = data.draw(st.sampled_from([j for j in range(1, n) if math.gcd(j, n) == 1]))
+    for d in kernel.divisors(n):
+        down = y.descend(d)
+        assert same(y.galois(j).descend(d), down if down is None else down.galois(j % d))
+
+
+def test_hashing_at_conductor_420_takes_a_few_reductions(monkeypatch):
+    # one failed descent per odd prime of 420, two reductions each; the
+    # even prime fails on the odd coordinates alone
+    calls = []
+    reduce = kernel.reduce
+    monkeypatch.setattr(kernel, "reduce", lambda c, n: calls.append(n) or reduce(c, n))
+    y = random_cyc(random.Random(420), 420)
+    hash(y)
+    assert y.minimal() is y and len(calls) <= 8
 
 
 @pytest.mark.parametrize("n", [3, 4, 12, 15, 36, 84])

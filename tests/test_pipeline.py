@@ -129,6 +129,40 @@ def test_diagonal_factors_cost_no_matrix_product(monkeypatch):
     assert verify_normalized(datum).classification == "Z-modular" and len(calls) == 5
 
 
+def test_verify_normalized_builds_the_unit_row_and_one_scalar(monkeypatch):
+    # the unit row is tested on the slices and read once by verlinde_fusion;
+    # the scalar of (ST)^3 is one entry, not the whole matrix
+    res = verify_raw(taft_double(5), reps=taft_J_indices(5))
+    datum = emit_zmodular(res.sldeg).datum
+    built = []
+    entries_of = CycMatrix._entries_of
+
+    def counting(self, flat):
+        built.append(len(flat))
+        return entries_of(self, flat)
+
+    monkeypatch.setattr(CycMatrix, "_entries_of", counting)
+    assert verify_normalized(datum).classification == "Z-modular"
+    assert sum(built) <= datum.size + 1
+
+
+def test_verify_raw_inverts_each_twist_once(monkeypatch):
+    # the 72 dimensions of the full table, the 36 of the bold table, the 36
+    # twists once, held by the World, and three more scalars; each of the
+    # four sites that read the inverted twists used to invert them again
+    calls = []
+    inv = CycNum.inv
+
+    def counting(self):
+        calls.append(None)
+        return inv(self)
+
+    raw, reps = taft_double(9), taft_J_indices(9)
+    monkeypatch.setattr(CycNum, "inv", counting)
+    assert verify_raw(raw, reps=reps).classification == "Z-modular"
+    assert len(calls) <= 147
+
+
 def test_slightly_degenerate_verify_builds_one_table_center_and_eps_action(monkeypatch):
     # one character table per datum (the full one and the bold one), and the
     # symmetric center and the fermion action computed once, in verify_raw and
