@@ -115,18 +115,27 @@ def reduce(c, n: int):
 
 def substitute(num, n: int, m: int, e: int):
     """The coordinates at conductor m of the image of ``num`` (coordinates at
-    conductor n) under zeta_n^i -> zeta_m^(i e): each coordinate is scattered
-    to the power i e mod m, then the whole is reduced modulo Phi_m.  ``num``
-    is a sequence of ints (one number) or an integer array of slices along
-    its leading axis (a matrix), whose dtype must hold the result."""
+    conductor n) under zeta_n^i -> zeta_m^(i e), for a lift (e = m / n) or a
+    Galois map (m = n, e a unit): each coordinate is scattered to the power
+    i e mod m, then the whole is reduced modulo Phi_m.  ``num`` is a sequence
+    of ints (one number) or an integer array of slices along its leading axis
+    (a matrix), whose dtype must hold the result.  On an array the scatter is
+    one indexed assignment, already wrapped by x^w = s (see :func:`reduce`):
+    the targets i e for i < phi(n) are distinct even modulo w, since two of
+    them w apart would need i - i' = n / 2 (mod n), with both below
+    phi(n) <= n / 2."""
     if n * e % m:
         raise ValueError(f"zeta_{n} -> zeta_{m}^{e} does not respect zeta_{n}^{n} = 1")
-    if isinstance(num, np.ndarray):
-        out = np.zeros((m,) + num.shape[1:], dtype=num.dtype)
-    else:
+    if not isinstance(num, np.ndarray):
         out = [0] * m
-    for i in range(len(num)):
-        out[i * e % m] = num[i]
+        for i in range(len(num)):
+            out[i * e % m] = num[i]
+        return reduce(out, m)
+    _, w, s, _ = _reduction(m)
+    t = np.arange(len(num)) * e % m
+    out = np.zeros((w,) + num.shape[1:], dtype=num.dtype)
+    out[t % w] = num
+    out[t[t >= w] - w] *= s
     return reduce(out, m)
 
 

@@ -137,17 +137,17 @@ def cmd_fusion(args) -> int:
         return _fail_usage(f"unknown label {bad!r} (labels: {', '.join(labels)})")
 
     oracle = args.oracle
-    family_tensor = inst.fusion_oracle if inst is not None else None
-    if oracle == "family" and family_tensor is None:
+    has_family = inst is not None and inst.oracle is not None
+    if oracle == "family" and not has_family:
         return _fail_usage("no independent fusion oracle for this source")
     if oracle == "auto":
-        oracle = "family" if family_tensor is not None and not args.compare else "verlinde"
+        oracle = "family" if has_family and not args.compare else "verlinde"
 
     outputs = {}
     if args.compare or oracle == "family":
-        if family_tensor is None:
+        if not has_family:
             return _fail_usage("no independent fusion oracle for this source")
-        row = family_tensor.table[x, y]
+        row = inst.fusion_oracle.table[x, y]
         outputs["family"] = [(labels[k], int(m)) for k, m in enumerate(row) if m]
     if args.compare or oracle == "verlinde":
         try:
@@ -175,7 +175,7 @@ def cmd_fusion(args) -> int:
     # compare in the world the verlinde route lives in: push the family
     # decomposition through the same quotient when orbits were folded
     folded: dict[int, int] = {}
-    for k, m in enumerate(family_tensor.table[x, y]):
+    for k, m in enumerate(inst.fusion_oracle.table[x, y]):
         if m:
             ki, sk = mapping[k]
             folded[ki] = folded.get(ki, 0) + sk * int(m)

@@ -20,9 +20,9 @@ Three sources of data:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,9 +40,15 @@ class FamilySpecError(ValueError):
 class FamilyInstance:
     name: str
     raw: RawDatum
-    fusion_oracle: Optional[FusionTensor] = None
+    oracle: Optional[Callable[[], FusionTensor]] = field(default=None, repr=False, compare=False)
     reps: Optional[tuple[int, ...]] = None      # representative indices for the reduction
     normalizer: Optional[CycNum] = None          # exact c with c^2 = D * dim_r(unit_bar)
+
+    @cached_property
+    def fusion_oracle(self) -> Optional[FusionTensor]:
+        """The independent fusion tensor, built on first read (``modkit
+        generate`` never reads it) and the same object on every later read."""
+        return None if self.oracle is None else self.oracle()
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +324,7 @@ def from_spec(spec: str) -> FamilyInstance:
         return FamilyInstance(
             name=f"taft:d={d}",
             raw=taft_double(d),
-            fusion_oracle=taft_fusion_tensor(d),
+            oracle=lambda: taft_fusion_tensor(d),
             reps=taft_J_indices(d),
             normalizer=taft_normalizer(d),
         )
@@ -329,7 +335,7 @@ def from_spec(spec: str) -> FamilyInstance:
         return FamilyInstance(
             name=f"pointed:n={n},a={a},k0={k0}",
             raw=pointed_cyclic(n, a, k0),
-            fusion_oracle=pointed_fusion_tensor(n),
+            oracle=lambda: pointed_fusion_tensor(n),
         )
     if name == "counterexample":
         if flags != ["sl2q16"] and "sl2q16" not in flags:

@@ -225,20 +225,28 @@ def residue_matmul(x: np.ndarray, y: np.ndarray, sp: SplitPrimes) -> np.ndarray:
 
 
 def evaluate(a: np.ndarray, sp: SplitPrimes) -> np.ndarray:
-    """Residues ``(k, phi) + a.shape[1:]`` of the slices ``a`` (int64 or
-    object) at the roots of Phi_n, modulo each of the k primes."""
+    """Residues ``(k, r) + a.shape[1:]`` of the slices ``a`` (int64 or
+    object) at the r roots of Phi_n that ``sp.ev`` holds (all phi of them,
+    or the first row alone), modulo each of the k primes."""
     flat = sp.mod(a.reshape(1, a.shape[0], -1 if a.size else 0))
     vals = residue_matmul(sp.ev, flat.astype(np.int64, copy=False), sp)
-    return vals.reshape(sp.primes.shape + a.shape)
+    return vals.reshape(sp.ev.shape[:2] + a.shape[1:])
 
 
 def interpolate(vals: np.ndarray, sp: SplitPrimes, bound: int) -> np.ndarray:
     """The integer slices ``(phi,) + shape`` of magnitude at most ``bound``
     whose residues at the roots are ``vals`` ``(k, phi) + shape``: one
-    interpolation per prime, then Garner's mixed-radix digits and the
-    symmetric lift.  The digits are int64; the combined integers are int64
-    while the modulus is below 2^62 and Python integers above it."""
+    interpolation per prime, then :func:`crt`."""
     coeffs = residue_matmul(sp.iv, vals.reshape(vals.shape[:2] + (-1 if vals.size else 0,)), sp)
+    return crt(coeffs, sp, bound).reshape(vals.shape[1:])
+
+
+def crt(coeffs: np.ndarray, sp: SplitPrimes, bound: int) -> np.ndarray:
+    """The integers ``shape`` of magnitude at most ``bound`` whose residues
+    modulo the k primes are ``coeffs`` ``(k,) + shape``: Garner's mixed-radix
+    digits, then the symmetric lift.  The digits are int64; the combined
+    integers are int64 while the modulus is below 2^62 and Python integers
+    above it."""
     ps = sp.primes.tolist()
     digits = [coeffs[0]]
     for t in range(1, len(ps)):
@@ -253,7 +261,7 @@ def interpolate(vals: np.ndarray, sp: SplitPrimes, bound: int) -> np.ndarray:
     for s in range(len(ps) - 2, -1, -1):
         x = x * ps[s] + digits[s].astype(dtype, copy=False)
     x = np.where(x > m // 2, x - m, x)
-    return with_bound(x, bound).reshape(vals.shape[1:])
+    return with_bound(x, bound)
 
 
 def slice_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -10,6 +10,15 @@ Two routes compute structure constants from an S-matrix:
 * :func:`verlinde_fusion` works on a normalized datum:
   N_{i,j}^k = sum_l S_{i,l} S_{j,l} conj(S_{k,l}) / S_{unit,l}.
 
+Both are one triple sum N[x, y, z] = sum_w a[w, x] a[w, y] c[w, z], read off
+as integers modulo split primes.  Galois automorphisms permute the characters
+of a fusion ring (Coste & Gannon, Phys. Lett. B 323 (1994) 316): when each
+sigma_e, e a generator of (Z/n)^x, maps the rows of ``a`` to rows of ``a`` up
+to sign and the rows of ``c`` to the rows of ``c`` by one permutation, every N
+is fixed by the Galois group, so rational, and its value at one root of Phi_n
+per prime gives it.  The check is exact equality of integer slices; when it
+fails, the sum is evaluated at all phi(n) roots and interpolated.
+
 Integrality (and signs) of the output is a classification outcome, reported,
 never an exception.
 """
@@ -17,7 +26,9 @@ never an exception.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,8 +37,11 @@ from .cyclotomic import CycNum
 from .datum import ModularDatum, World
 from .fusion import FusionTensor, tensor_duality
 from .kernel import impl as _K
-from .matrix import (CycMatrix, evaluate, interpolate, max_abs, residue_matmul,
+from .matrix import (CycMatrix, crt, evaluate, interpolate, max_abs, residue_matmul,
                      slice_growth, split_primes, with_bound)
+
+ROUTE_ONE_ROOT = "one root"    # the operands passed the Galois check
+ROUTE_ALL_ROOTS = "all roots"  # every root of Phi_n, then interpolation
 
 
 @dataclass
@@ -39,6 +53,7 @@ class IntegralityReport:
     negative_count: int = 0
     first_negative: Optional[tuple[int, int, int, int]] = None
     non_integral: list = field(default_factory=list)  # up to 5 witnesses (x, y, z, value)
+    route: str = ROUTE_ALL_ROOTS   # how the triple sum was evaluated; not part of any report
 
 
 # rows of pairwise products handled at once: each transient residue stack
@@ -46,15 +61,99 @@ class IntegralityReport:
 _BLOCK_BYTES = 1 << 18
 
 
+@lru_cache(maxsize=None)
+def galois_generators(n: int) -> tuple[int, ...]:
+    """Few units e of Z/n that generate (Z/n)^x (none when n <= 2): each is
+    a unit of the largest multiplicative order outside the subgroup the ones
+    before it generate, so a cyclic group gets one generator."""
+    phi = _K.euler_phi(n)
+
+    def order(e: int) -> int:
+        o = phi
+        for q in _K.prime_divisors(phi):
+            while o % q == 0 and pow(e, o // q, n) == 1:
+                o //= q
+        return o
+
+    group, gens = {1 % n}, []
+    for e in sorted((e for e in range(2, n) if math.gcd(e, n) == 1), key=lambda e: (-order(e), e)):
+        if e not in group:
+            gens.append(e)
+            # <H, e> is the union of the cosets e^i H up to the first e^i in H
+            grown, x = set(group), e
+            while x not in group:
+                grown |= {x * h % n for h in group}
+                x = x * e % n
+            group = grown
+    return tuple(gens)
+
+
+def _row_keys(a: np.ndarray, c: np.ndarray, dtype) -> list:
+    """One key per row w of the slices ``a`` and ``c`` ``(phi, rows, cols)``,
+    whose values ``dtype`` holds: row w of ``a`` up to sign (made positive at
+    its first nonzero value), then row w of ``c``.  Two rows have equal keys
+    exactly when their ``a`` rows agree up to sign and their ``c`` rows agree."""
+    lines_a, lines_c = (np.ascontiguousarray(x.transpose(1, 0, 2), dtype=dtype)
+                        .reshape(x.shape[1], -1) for x in (a, c))
+    first = lines_a[np.arange(len(lines_a)), (lines_a != 0).argmax(axis=1)]
+    lines = np.concatenate([np.where((first < 0)[:, None], -lines_a, lines_a), lines_c], axis=1)
+    if dtype == object:
+        return [tuple(line) for line in lines.tolist()]
+    return [line.tobytes() for line in lines]
+
+
+def galois_permutations(a: CycMatrix, c: CycMatrix,
+                        exponents) -> Optional[list[tuple[int, ...]]]:
+    """For each exponent e, a permutation pi_e of the rows with
+    sigma_e(a[w]) = +-a[pi_e(w)] and sigma_e(c[w]) = c[pi_e(w)] for every row
+    w, where sigma_e: zeta -> zeta^e; None as soon as one e has none.  Rows
+    are matched by their integer slices, so the test is exact.  They are
+    keyed once, in the smallest integer type that holds every value (Python
+    integers past int64), whatever the dtype of the slices: an image that
+    moves the rows up to sign has the same largest magnitudes, so its keys
+    take the same type."""
+    bounds = (max_abs(a.num), max_abs(c.num))
+    dtype = np.min_scalar_type(-max(bounds) - 1)
+    index = defaultdict(list)
+    for w, key in enumerate(_row_keys(a.num, c.num, dtype)):
+        index[key].append(w)
+    perms = []
+    for e in exponents:
+        ga, gc = a.galois(e), c.galois(e)
+        if (ga.den, gc.den) != (a.den, c.den) or (max_abs(ga.num), max_abs(gc.num)) != bounds:
+            return None
+        taken: dict = defaultdict(int)   # equal keys are interchangeable rows, taken in order
+        perm = []
+        for key in _row_keys(ga.num, gc.num, dtype):
+            rows = index.get(key, ())
+            if taken[key] == len(rows):
+                return None
+            perm.append(rows[taken[key]])
+            taken[key] += 1
+        perms.append(tuple(perm))
+    return perms
+
+
+def galois_fixed(a: CycMatrix, c: CycMatrix) -> bool:
+    """True when every generator of the Galois group of the common conductor
+    permutes the rows of ``a`` (up to sign) and of ``c`` together: then each
+    sum_w a[w, x] a[w, y] c[w, z] is fixed by every sigma_e, so rational."""
+    gens = galois_generators(math.lcm(a.conductor, c.conductor))
+    return galois_permutations(a, c, gens) is not None
+
+
 def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarray],
                                                                IntegralityReport]:
     """N[x, y, z] = sum_w a[w, x] a[w, y] c[w, z], read off as integers.
 
-    ``a`` and ``c`` are evaluated once at the roots of Phi_n modulo split
-    primes.  N is symmetric in (x, y), so only the rows x <= y of the pairwise
-    products P[(x, y), w] = a[w, x] a[w, y] are formed, a block of rows at a
-    time, multiplied by ``c`` and interpolated.  An entry is an integer exactly
-    when its non-constant slices vanish and its constant slice is divisible by
+    ``a`` and ``c`` are evaluated once modulo split primes: at one root of
+    Phi_n per prime when :func:`galois_fixed` shows each X = den N to be a
+    rational integer, so that its residue is its value there; otherwise at
+    all the roots, and the slices of X are interpolated.  N is symmetric in
+    (x, y), so only the rows x <= y of the pairwise products P[(x, y), w] =
+    a[w, x] a[w, y] are formed, a block of rows at a time, and multiplied by
+    ``c``.  An entry is an integer exactly when its non-constant slices vanish
+    (always, on the one-root route) and its constant slice is divisible by
     the common denominator.  Witnesses come in the order x <= y, then z.
     """
     k = a.cols
@@ -68,13 +167,21 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
     # a constant is at most bound // den in magnitude (one more when negative)
     tensor = with_bound(np.zeros((k, k, k), dtype=np.int64), bound // den)
     sp = split_primes(n, bound)
+    if galois_fixed(a, c):
+        rep.route = ROUTE_ONE_ROOT
+        sp = sp._replace(ev=sp.ev[:, :1])   # row 0: the powers of w itself, w of order n
     ea, ec = evaluate(a.num, sp), evaluate(c.num, sp)
+    phi, roots = len(a.num), ea.shape[1]
     xs, ys = np.triu_indices(k)
-    block = max(1, _BLOCK_BYTES // (8 * len(sp.primes) * a.num.shape[0] * max(k, 1)))
+    block = max(1, _BLOCK_BYTES // (8 * len(sp.primes) * roots * max(k, 1)))
     for start in range(0, len(xs), block):
         bx, by = xs[start:start + block], ys[start:start + block]
         pairs = sp.mod(ea[..., bx] * ea[..., by]).swapaxes(2, 3)
-        vals = interpolate(residue_matmul(pairs, ec, sp), sp, bound)
+        prods = residue_matmul(pairs, ec, sp)
+        if roots == 1:   # the constant slice alone; the others vanish
+            vals = crt(prods[:, 0], sp, bound)[None]
+        else:
+            vals = interpolate(prods, sp, bound)
         vals = with_bound(vals, max(max_abs(vals), den))
         quot, rem = vals[0] // den, vals[0] % den   # np.divmod refuses object arrays
         integral = ~(vals[1:] != 0).any(axis=0) & (rem == 0)
@@ -85,7 +192,8 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
             rep.integral = False
             if len(rep.non_integral) == 5:
                 break
-            num, d = _K.normalize([int(v) for v in vals[:, r, z]], den)
+            coords = [int(v) for v in vals[:, r, z]] + [0] * (phi - len(vals))
+            num, d = _K.normalize(coords, den)
             rep.non_integral.append((int(bx[r]), int(by[r]), int(z), CycNum._make(n, num, d)))
         negative = quot < 0
         if negative.any():
@@ -99,30 +207,43 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
     return tensor, rep
 
 
-def verlinde_raw(world: World) -> tuple[Optional[np.ndarray], IntegralityReport]:
-    """Structure constants of a raw world, indexed like its labels."""
+def raw_operands(world: World) -> tuple[CycMatrix, CycMatrix]:
+    """``(a, c)`` whose triple sum is the structure constants of a raw world:
+    a[w, x] = s_w(x), the character table, and c[w, z] = sign(z) s_w(bar(z))
+    dim_r(w)^2 / (D u) = sign(z) S[w, bar(z)] dim_r(w) / (D u).  The terms are
+    those of the sum above, in operands that the Galois group permutes."""
     k = world.size
     sp = world.e_matrix().is_signed_permutation()
     signs = sp.signs if sp is not None and sp.perm == world.bar else (1,) * k
-    # c[w, z] = sign(z) S[w, bar(z)] / (dim_r(w) D u), read off the character table
-    chars = world.raw.characters.chars()
-    signed = CycMatrix.from_slices(chars.conductor,
-                                   chars.num[:, :, list(world.bar)] * np.array(signs), chars.den)
-    c = signed.scale((world.global_dim * world.dim_unit_bar).inv())
-    return _structure_constants(world.s, c)
+    s = world.s
+    signed = CycMatrix.from_slices(s.conductor, s.num[:, :, list(world.bar)] * np.array(signs),
+                                   s.den)
+    dims = CycMatrix.from_slices(s.conductor, s.num[:, world.unit, :, None], s.den)
+    c = signed * dims.scale((world.global_dim * world.dim_unit_bar).inv())
+    return world.raw.characters.chars(), c
 
 
-def verlinde_fusion(datum: ModularDatum) -> tuple[Optional[FusionTensor], IntegralityReport]:
-    """Structure constants of a normalized datum, with duality read off the tensor."""
+def fusion_operands(datum: ModularDatum) -> tuple[CycMatrix, CycMatrix]:
+    """``(a, c)`` whose triple sum is the structure constants of a normalized
+    datum.  The summation index is the column index l: a[l, x] = S[x, l] and
+    c[l, z] = conj(S[z, l]) / S[unit, l]."""
     s = datum.s_matrix
     unit_row = s.row(datum.unit)
     if any(e.is_zero() for e in unit_row):
         bad = next(i for i, e in enumerate(unit_row) if e.is_zero())
         raise ZeroDivisionError(f"unit row vanishes at {datum.labels[bad]}")
-    # the summation index is the column index l: a[l, x] = S[x, l] and
-    # c[l, z] = conj(S[z, l]) / S[unit, l]
     c = s.conj_transpose() * CycMatrix(datum.size, 1, [e.inv() for e in unit_row])
-    tensor, rep = _structure_constants(s.transpose(), c)
+    return s.transpose(), c
+
+
+def verlinde_raw(world: World) -> tuple[Optional[np.ndarray], IntegralityReport]:
+    """Structure constants of a raw world, indexed like its labels."""
+    return _structure_constants(*raw_operands(world))
+
+
+def verlinde_fusion(datum: ModularDatum) -> tuple[Optional[FusionTensor], IntegralityReport]:
+    """Structure constants of a normalized datum, with duality read off the tensor."""
+    tensor, rep = _structure_constants(*fusion_operands(datum))
     if tensor is None:
         return None, rep
     duality = tensor_duality(tensor, datum.unit)

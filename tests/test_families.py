@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import POINTED_GRID
@@ -233,3 +234,37 @@ def test_from_spec_errors():
                 "counterexample:other", "counterexample:sl2q16,part=weird"):
         with pytest.raises(FamilySpecError):
             from_spec(bad)
+
+
+def test_family_oracle_is_built_on_first_read_only(monkeypatch, tmp_path):
+    import modkit.families as families
+    from modkit import cli
+
+    calls = []
+    real = families.taft_fusion_tensor
+    monkeypatch.setattr(families, "taft_fusion_tensor", lambda d: calls.append(d) or real(d))
+    inst = from_spec("taft:d=5")
+    assert calls == []
+    assert cli.main(["generate", "taft:d=5", str(tmp_path / "t5.json")]) == 0
+    assert cli.main(["fusion", "taft:d=4", "(2,1)", "(3,2)", "--oracle", "verlinde"]) == 0
+    assert calls == []
+    first = inst.fusion_oracle
+    assert calls == [5] and inst.fusion_oracle is first
+    assert cli.main(["fusion", "taft:d=4", "(2,1)", "(3,2)", "--compare"]) == 0
+    assert calls == [5, 4]
+    assert from_spec("counterexample:sl2q16").fusion_oracle is None
+
+
+def test_family_oracle_is_the_tensor_verify_raw_is_checked_against(taft_instances):
+    from modkit.families import pointed_fusion_tensor, taft_fusion_tensor
+
+    for d, inst in taft_instances.items():
+        want = taft_fusion_tensor(d)
+        got = inst.fusion_oracle
+        assert (got.labels, got.unit, got.duality) == (want.labels, want.unit, want.duality)
+        assert np.array_equal(got.table, want.table), d
+    got = from_spec("pointed:n=7,a=2,k0=1").fusion_oracle
+    assert np.array_equal(got.table, pointed_fusion_tensor(7).table)
+    inst = taft_instances[4]
+    res = verify_raw(inst.raw, reps=inst.reps, fusion_oracle=inst.fusion_oracle)
+    assert res.report["oracle_equivalence"].status == "pass"
