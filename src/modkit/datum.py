@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cyclotomic import CycNum
-from .matrix import CycMatrix
+from .matrix import CycMatrix, max_abs, with_bound
 
 KIND_FULL = "raw-full"
 KIND_BOLD = "raw-bold"
@@ -171,9 +171,13 @@ class CharacterTable:
     def __init__(self, raw: RawDatum):
         self.labels, self.unit, self.s, self.kind = raw.labels, raw.unit, raw.s_matrix, raw.kind
         self.duality, self.duality_signs = raw.duality, raw.duality_signs
-        dims = self.s.row(raw.unit)
-        self.has_dim = np.array([bool(d) for d in dims])
-        self.matrix = self.s * CycMatrix(len(dims), 1, [d.inv() if d else 1 for d in dims])
+        s = self.s
+        dims = s.num[:, raw.unit, :, None]
+        self.has_dim = dims.any(axis=(0, 2))
+        # a label of dimension zero keeps its S-row: its entry is replaced by 1
+        col = with_bound(dims, max(max_abs(dims), s.den)).copy()
+        col[0, ~self.has_dim] = s.den
+        self.matrix = s * CycMatrix.from_slices(s.conductor, col, s.den).inverse()
 
     def chars(self) -> CycMatrix:
         """The character matrix, once every label is known to have a character."""
@@ -378,7 +382,7 @@ class World:
             raise ZeroGlobalDimensionError("D * dim_r(unit_bar) = 0")
         zero = CycNum.from_rational(0)
         self.tau_plus = sum((q * t for q, t in zip(self.sqnorm, self.twists)), zero)
-        self.twists_inv = tuple(t.inv() for t in self.twists)
+        self.twists_inv = CycMatrix(1, self.size, self.twists).inverse().entries
         self.tau_minus = sum((q * t for q, t in zip(self.sqnorm, self.twists_inv)), zero)
         self._s2 = None
         self._e = None

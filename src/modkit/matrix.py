@@ -21,6 +21,12 @@ below 2^26 and sums of their products below 2^63.  ``object`` inputs are
 reduced to int64 residues first; past that, Python integers appear only in
 the CRT combine, once the product of the primes passes 2^62.
 
+The entrywise inverse runs on the same residues: the product of an entry's
+residues at the other phi(N) - 1 roots is the residue there of the product
+of its other Galois conjugates, so one evaluation, one interpolation and one
+CRT invert a whole row, with primes chosen by an L1 bound on the norm
+(:func:`slice_inv`).
+
 Every array is ``int64`` when a bound on every value a computation can reach
 stays below 2^63 in magnitude, and ``object`` (Python integers) otherwise, so
 results are exact on both paths.  Matrices are immutable.
@@ -280,6 +286,34 @@ def slice_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return interpolate(sp.mod(evaluate(a, sp) * evaluate(b, sp)), sp, bound)
 
 
+def slice_inv(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the slices ``a`` ``(phi,) + shape`` of nonzero entries at conductor
+    n, the slices ``adj`` of the product of the other phi - 1 Galois
+    conjugates of each entry and the rational integers ``norm`` ``shape`` of
+    its Galois norm, so that each entry's inverse is ``adj / norm``.
+
+    The residue of adj at a root of Phi_n is the product of the entry's
+    residues at the other phi - 1 roots: prefix times suffix products, with
+    no modular division, so a prime that divides a norm does no harm.  In
+    Z[x]/(x^n - 1) the Galois maps permute coefficients and products are
+    cyclic convolutions, so the L1 norm of coefficients is submultiplicative.
+    With L the largest L1 norm of an entry, |norm| <= L^phi, and adj,
+    reduced modulo Phi_n, has coordinates of magnitude at most
+    L^(phi - 1) max_row(n)."""
+    phi = a.shape[0]
+    l1 = max_abs(np.abs(with_bound(a, max_abs(a) * phi)).sum(axis=0))
+    norm_bound, adj_bound = l1 ** phi, l1 ** (phi - 1) * _K.max_row(n)
+    sp = split_primes(n, max(norm_bound, adj_bound))
+    vals = evaluate(a, sp)
+    # the products before each root, in root order and in reverse root order
+    both = np.stack([vals, vals[:, ::-1]], axis=1)
+    before = np.ones_like(both)
+    for i in range(1, phi):
+        before[:, :, i] = sp.mod(before[:, :, i - 1] * both[:, :, i - 1])
+    adj = interpolate(sp.mod(before[:, 0] * before[:, 1, ::-1]), sp, adj_bound)
+    return adj, crt(sp.mod(before[:, 0, -1] * vals[:, -1]), sp, norm_bound)
+
+
 def root_slices(n: int, exps) -> np.ndarray:
     """Slices ``(phi(n),) + exps.shape`` of the matrix with entries zeta_n^exps,
     for any integer array of exponents: the indicator of each exponent
@@ -485,6 +519,20 @@ class CycMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return self._combine(other, slice_matmul)
+
+    def inverse(self) -> "CycMatrix":
+        """The entrywise inverse, from one :func:`slice_inv`: the entry
+        ``num / den`` has the inverse ``den * adj / norm``."""
+        num, den = self.num, self.den
+        if not num.any(axis=0).all():
+            raise ZeroDivisionError("entrywise inverse of a matrix with a zero entry")
+        adj, norm = slice_inv(num, self.conductor)
+        # over the lcm of the norms; from_slices cancels what the entries share
+        norms = norm.ravel().tolist()
+        d = math.lcm(*norms)
+        factors = int_array([den * d // v for v in norms]).reshape(norm.shape)
+        out = with_bound(adj, max_abs(adj) * max_abs(factors)) * factors
+        return CycMatrix.from_slices(self.conductor, out, d)
 
     def power(self, e: int) -> "CycMatrix":
         if self.rows != self.cols:

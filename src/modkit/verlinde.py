@@ -228,11 +228,12 @@ def fusion_operands(datum: ModularDatum) -> tuple[CycMatrix, CycMatrix]:
     datum.  The summation index is the column index l: a[l, x] = S[x, l] and
     c[l, z] = conj(S[z, l]) / S[unit, l]."""
     s = datum.s_matrix
-    unit_row = s.row(datum.unit)
-    if any(e.is_zero() for e in unit_row):
-        bad = next(i for i, e in enumerate(unit_row) if e.is_zero())
-        raise ZeroDivisionError(f"unit row vanishes at {datum.labels[bad]}")
-    c = s.conj_transpose() * CycMatrix(datum.size, 1, [e.inv() for e in unit_row])
+    unit_row = s.num[:, datum.unit, :]
+    zero = np.flatnonzero(~unit_row.any(axis=0))
+    if zero.size:
+        raise ZeroDivisionError(f"unit row vanishes at {datum.labels[zero[0]]}")
+    dims = CycMatrix.from_slices(s.conductor, unit_row[:, :, None], s.den)
+    c = s.conj_transpose() * dims.inverse()
     return s.transpose(), c
 
 

@@ -220,3 +220,8 @@ def datum_to_json(datum):
     if datum.duality_signs is not None:
         out["duality_signs"] = list(datum.duality_signs)
     return out
+
+
+def inverses(values):
+    """The inverse of each value, one ``CycNum.inv`` (a Galois norm) at a time."""
+    return [v.inv() for v in values]

@@ -1,13 +1,23 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import per_entry
+from conftest import POINTED_GRID
 from per_entry import rank
+from modkit import matrix
+from modkit._kernel import euler_phi, max_row
 from modkit.cyclotomic import CycNum, zeta
-from modkit.matrix import CycMatrix, ShapeError
-from modkit.families import taft_double, taft_J, taft_normalizer, taft_label_index
+from modkit.matrix import CycMatrix, ShapeError, slice_inv
+from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double, taft_J,
+                             taft_J_indices, taft_normalizer, taft_label_index)
+from modkit.pipeline import emit_zmodular, resolve_world
 
 
 def rand_matrix(rng, rows, cols, n):
@@ -181,3 +191,126 @@ def test_galois_entrywise():
     a = rand_matrix(rng, 2, 2, 5)
     b = a.galois(2)
     assert all(b[i, j] == a[i, j].galois(2) for i in range(2) for j in range(2))
+
+
+# ---------------------------------------------------------------------------
+# the entrywise inverse on slices
+# ---------------------------------------------------------------------------
+
+def as_row(values):
+    return CycMatrix(1, len(values), values)
+
+
+def unit_row(s, unit):
+    """Row ``unit`` of ``s`` as a 1 x k matrix, straight from the slices."""
+    return CycMatrix.from_slices(s.conductor, s.num[:, unit:unit + 1, :], s.den)
+
+
+INVERSE_DATA = ([(f"taft{d}", lambda d=d: taft_double(d)) for d in range(2, 10)]
+                + [(f"pointed{key}", lambda key=key: pointed_cyclic(*key)) for key in POINTED_GRID]
+                + [("q16-full", lambda: sl2_q16_counterexample()[0]),
+                   ("q16-bold", lambda: sl2_q16_counterexample()[1])])
+
+
+def ones_like(m):
+    return CycMatrix.from_slices(1, np.ones((1, m.rows, m.cols), dtype=np.int64), 1)
+
+
+def assert_inverts(m):
+    """m.inverse() equals the per-entry inverses, and m * m.inverse() = 1."""
+    inv = m.inverse()
+    assert list(inv.entries) == per_entry.inverses(m.entries)
+    assert m * inv == ones_like(m)
+
+
+@pytest.mark.parametrize("make", [m for _, m in INVERSE_DATA], ids=[i for i, _ in INVERSE_DATA])
+def test_entrywise_inverse_equals_the_per_entry_reference(make):
+    raw = make()
+    assert_inverts(unit_row(raw.s_matrix, raw.unit))
+    assert_inverts(as_row(raw.twists))
+
+
+def test_entrywise_inverse_on_the_normalized_taft_datum():
+    _, sldeg = resolve_world(taft_double(9), taft_J_indices(9))
+    datum = emit_zmodular(sldeg, normalizer=taft_normalizer(9)).datum
+    assert_inverts(unit_row(datum.s_matrix, datum.unit))
+
+
+def test_entrywise_inverse_of_a_column_and_past_int64():
+    row = unit_row(taft_double(5).s_matrix, 0)
+    assert_inverts(row.transpose())
+    big = row.scale(2 ** 70 + 1)
+    assert big.num.dtype == object
+    assert_inverts(big)
+
+
+def relational_rows():
+    out = [(f"taft{d}", taft_double(d)) for d in (5, 7)]
+    out += [(f"pointed{key}", pointed_cyclic(*key)) for key in POINTED_GRID]
+    return [pytest.param(tag, row, id=f"{tag} {what}") for tag, raw in out
+            for what, row in (("unit row", unit_row(raw.s_matrix, raw.unit)),
+                              ("twists", as_row(raw.twists)))]
+
+
+RELATIONAL_ROWS = relational_rows()
+
+
+@pytest.mark.parametrize("tag,row", RELATIONAL_ROWS)
+def test_the_inverse_commutes_with_the_galois_action(tag, row):
+    n = row.conductor
+    inv = row.inverse()
+    for j in range(1, max(n, 2)):
+        if math.gcd(j, n) == 1:
+            assert row.galois(j).inverse() == inv.galois(j), (tag, j)
+
+
+@pytest.mark.parametrize("tag,row", RELATIONAL_ROWS)
+def test_a_permuted_row_has_the_permuted_inverse(tag, row):
+    perm = list(range(row.cols))
+    random.Random(row.cols).shuffle(perm)
+    moved = CycMatrix.from_slices(row.conductor, row.num[:, :, perm], row.den)
+    inv = row.inverse()
+    assert moved.inverse() == CycMatrix.from_slices(inv.conductor, inv.num[:, :, perm], inv.den)
+
+
+def test_a_zero_entry_has_no_inverse():
+    with pytest.raises(ZeroDivisionError):
+        as_row([1, zeta(5), 0]).inverse()
+
+
+def nonzero_rows(n):
+    phi = euler_phi(n)
+    coeffs = st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).filter(any)
+    return st.lists(coeffs, min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 84, 105])
+def test_the_inverse_stays_within_its_l1_bounds(n):
+    assert max_row(105) == 2
+    phi = euler_phi(n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(nonzero_rows(n))
+    def check(rows):
+        a = np.array(rows, dtype=np.int64).T
+        moduli = []
+        split = matrix.split_primes
+
+        def recording(m, bound):
+            sp = split(m, bound)
+            moduli.append(sp.modulus)
+            return sp
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix, "split_primes", recording)
+            adj, norm = slice_inv(a, n)
+        l1 = max(sum(abs(v) for v in row) for row in rows)
+        adj_bound, norm_bound = l1 ** (phi - 1) * max_row(n), l1 ** phi
+        assert all(abs(int(v)) <= adj_bound for v in adj.ravel())
+        assert all(0 < abs(int(v)) <= norm_bound for v in norm.ravel())
+        assert len(moduli) == 1 and moduli[0] > 2 * max(adj_bound, norm_bound)
+        # exact: each entry times its adjugate is its norm
+        prod = CycMatrix.from_slices(n, a[:, None, :], 1) * CycMatrix.from_slices(n, adj[:, None, :], 1)
+        assert prod == CycMatrix(1, len(rows), [int(v) for v in norm])
+
+    check()

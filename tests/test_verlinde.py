@@ -29,6 +29,16 @@ def test_trivial_datum_fusion():
     assert tensor.table[0, 0, 0] == 1
 
 
+@pytest.mark.parametrize("unit_row", [[1, 0, zeta(5)], [zeta(3), 2, 0]])
+def test_a_zero_unit_row_entry_names_its_label(unit_row):
+    k = len(unit_row)
+    s = CycMatrix(k, k, unit_row + [1] * (k * k - k))
+    datum = ModularDatum(tuple("abc"), 0, s, (one,) * k)
+    bad = "abc"[unit_row.index(0)]
+    with pytest.raises(ZeroDivisionError, match=f"^unit row vanishes at {bad}$"):
+        verlinde_fusion(datum)
+
+
 def test_pointed_normalized_datum_gives_group_law():
     w = nondegenerate_world(with_duality(pointed_cyclic(3, 1, 1)))
     em = emit_zmodular(w)
