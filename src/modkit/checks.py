@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .cyclotomic import CycNum, is_root_of_unity, is_totally_positive
-from .datum import MODE_NONDEGENERATE, ModularDatum, World
+from .datum import ModularDatum, World
 from .matrix import CycMatrix, max_abs, with_bound
 from .verlinde import verlinde_fusion
 
@@ -91,13 +91,13 @@ def _first_diff(a: CycMatrix, b: CycMatrix) -> Optional[dict]:
     return {"at": (i, j), "lhs": a[i, j], "rhs": b[i, j]}
 
 
-def _row_sum_check(lhs: CycMatrix, want: list[CycNum]) -> tuple:
-    """Compare the 1 x k row ``lhs`` with ``want``; the witness names the column."""
-    at = lhs.first_difference(CycMatrix(1, len(want), want))
+def _row_sum_check(lhs: CycMatrix, want: CycMatrix) -> tuple:
+    """Compare the 1 x k rows ``lhs`` and ``want``; the witness names the column."""
+    at = lhs.first_difference(want)
     if at is None:
         return True, "", None
     y = at[1]
-    return False, "", {"at": y, "lhs": lhs[0, y], "rhs": want[y]}
+    return False, "", {"at": y, "lhs": lhs[0, y], "rhs": want[0, y]}
 
 
 # ---------------------------------------------------------------------------
@@ -127,33 +127,32 @@ def gauss_sums(w: World) -> GaussSums:
 
 
 def check_twist_laws(w: World) -> list[CheckResult]:
+    """Each law compares two 1 x k rows; its witness is the first label at
+    which they differ."""
+    tb = w.twists[w.unit_bar]
+
+    def label_check(lhs: CycMatrix, rhs: CycMatrix) -> tuple:
+        at = lhs.first_difference(rhs)
+        if at is None:
+            return True, "", None
+        return False, "", {"at": at[1], "label": w.labels[at[1]]}
+
     def dual_dim():
-        for x in range(w.size):
-            if w.twists[w.duality[x]] * w.dim_r[x] != w.twists[x] * w.dim_l[x]:
-                return False, "", {"at": x, "label": w.labels[x]}
-        return True, "", None
+        return label_check(w.theta.columns(w.duality) * w.dim_r, w.theta * w.dim_l)
 
     def bar_law():
-        tb = w.twists[w.unit_bar]
-        for x in range(w.size):
-            if w.twists[w.bar[x]] != w.twists[x] * tb:
-                return False, "", {"at": x, "label": w.labels[x]}
-        return True, "", None
+        return label_check(w.theta.columns(w.bar), w.theta.scale(tb))
 
     def unit_bar_law():
-        tb = w.twists[w.unit_bar]
         return tb == 1, f"twist(unit_bar) = {tb}", None if tb == 1 else {"value": tb}
 
     def tau_plus_rows():
-        lhs = CycMatrix(1, w.size, [t * d for t, d in zip(w.twists, w.dim_l)]) @ w.s
-        want = [t * d * w.tau_plus for t, d in zip(w.twists_inv, w.dim_r)]
-        return _row_sum_check(lhs, want)
+        return _row_sum_check((w.theta * w.dim_l) @ w.s,
+                              (w.theta_inv * w.dim_r).scale(w.tau_plus))
 
     def tau_minus_rows():
-        tb = w.twists[w.unit_bar]
-        lhs = CycMatrix(1, w.size, [t * d for t, d in zip(w.twists_inv, w.dim_r)]) @ w.s
-        want = [tb * t * d * w.tau_minus for t, d in zip(w.twists, w.dim_r)]
-        return _row_sum_check(lhs, want)
+        return _row_sum_check((w.theta_inv * w.dim_r) @ w.s,
+                              (w.theta * w.dim_r).scale(tb * w.tau_minus))
 
     return [_run_check("twist_dual_dim", dual_dim),
             _run_check("twist_bar", bar_law),
@@ -169,7 +168,7 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
     d_u = w.global_dim * w.dim_unit_bar
 
     def st_cubed():
-        lhs = (w.s * CycMatrix(1, w.size, w.twists_inv)).power(3)
+        lhs = (w.s * w.theta_inv).power(3)
         rhs = w.s_squared().scale(w.tau_minus)
         return (diff := _first_diff(lhs, rhs)) is None, "(S T)^3 = tau_minus * S^2", diff
 
@@ -179,7 +178,7 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
         return (diff := _first_diff(lhs, rhs)) is None, "S^4 = (D u)^2 Id", diff
 
     def st_inv_cubed():
-        lhs = (w.s * CycMatrix(1, w.size, w.twists)).power(3)
+        lhs = (w.s * w.theta).power(3)
         rhs = CycMatrix.identity(w.size).scale(w.tau_plus * w.global_dim
                                                * w.dim_unit_bar * w.dim_unit_bar)
         return (diff := _first_diff(lhs, rhs)) is None, "(S T^-1)^3 = tau_plus D u^2 Id", diff
@@ -190,7 +189,7 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
             return False, "S^2 / (D u) is not a signed permutation", {"matrix": "S^2/(D u)"}
         if sp.perm != w.bar:
             return False, "signed permutation does not match bar", {"perm": sp.perm, "bar": w.bar}
-        if w.mode == MODE_NONDEGENERATE and any(s != 1 for s in sp.signs):
+        if w.nondegenerate and any(s != 1 for s in sp.signs):
             return False, "nondegenerate E must have all signs +1", {"signs": sp.signs}
         return True, f"signs {sp.signs}", None
 
@@ -228,10 +227,9 @@ def check_balancing(w: World, tensor: np.ndarray) -> CheckResult:
     """
 
     def balance():
-        weights = [w.dim_r[z] * w.twists[z] for z in range(w.size)]
-        lhs = w.s * CycMatrix(w.size, 1, w.twists) * CycMatrix(1, w.size, w.twists)
-        # rhs[x, y] = sum_z N[x, y, z] weights[z], on the weights' slices
-        wv = CycMatrix(1, w.size, weights)
+        lhs = w.s * w.theta.transpose() * w.theta
+        # rhs[x, y] = sum_z N[x, y, z] dim_r(z) theta(z), on the weights' slices
+        wv = w.dim_r * w.theta
         bound = max_abs(tensor) * max_abs(wv.num) * w.size
         rhs_num = np.tensordot(with_bound(wv.num[:, 0, :], bound), with_bound(tensor, bound),
                                axes=([1], [2]))
@@ -245,7 +243,7 @@ def check_balancing(w: World, tensor: np.ndarray) -> CheckResult:
         for z in range(w.size):
             m = int(tensor[x, y, z])
             if m:
-                rhs = rhs + m * weights[z]
+                rhs = rhs + m * (w.dim_r[0, z] * w.twists[z])
         return False, "", {"at": (x, y), "lhs": w.twists[x] * w.twists[y] * w.s[x, y],
                            "rhs": rhs}
 
@@ -258,10 +256,11 @@ def check_total_positivity(w: World) -> CheckResult:
     outside the real subfield fails, with the detail "not real"."""
 
     def positive():
-        for x, q in enumerate(w.sqnorm):
-            real = q.conj() == q
-            if not (real and is_totally_positive(q)):
-                return False, "" if real else "not real", \
+        a, a_bar, _, _ = w.sqnorm._aligned(w.sqnorm.conj())
+        real = (a == a_bar).all(axis=(0, 1)).tolist()
+        for x, q in enumerate(w.sqnorm.entries):
+            if not (real[x] and is_totally_positive(q)):
+                return False, "" if real[x] else "not real", \
                     {"at": x, "label": w.labels[x], "value": q}
         return True, "", None
 

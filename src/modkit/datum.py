@@ -120,31 +120,26 @@ class ModularDatum:
 
 
 class Dims(NamedTuple):
-    dim_r: tuple[CycNum, ...]
-    dim_l: tuple[CycNum, ...]
-    sqnorm: tuple[CycNum, ...]
+    dim_r: CycMatrix       # 1 x k rows
+    dim_l: CycMatrix
+    sqnorm: CycMatrix
     global_dim: CycNum
 
 
-def dims_of(raw: RawDatum, duality: Optional[Sequence[int]] = None,
-            duality_signs: Optional[Sequence[int]] = None) -> Dims:
+def dims_of(raw: RawDatum) -> Dims:
     """Right/left dimensions, squared norms and their sum.
 
-    dim_r is the unit row; dim_l(X) = dim_r(X*) needs the duality involution,
-    supplied here or on the datum itself.
+    dim_r is the unit row of S; dim_l(X) = dim_r(X*) times the orbit sign of
+    X is that row with its columns permuted by the duality, which the datum
+    must carry, and signed by ``duality_signs``.
     """
-    s = raw.s_matrix
-    dim_r = s.row(raw.unit)
-    duality = raw.duality if duality is None else tuple(duality)
-    if duality is None:
+    if raw.duality is None:
         raise DegeneracyError("duality data is required to compute left dimensions")
-    signs = raw.duality_signs if duality_signs is None else tuple(duality_signs)
-    if signs is None:
-        signs = (1,) * raw.size
-    dim_l = tuple(dim_r[duality[i]] if signs[i] == 1 else -dim_r[duality[i]]
-                  for i in range(raw.size))
-    sqnorm = tuple(r * l for r, l in zip(dim_r, dim_l))
-    return Dims(tuple(dim_r), dim_l, sqnorm, sum(sqnorm, CycNum.from_rational(0)))
+    s = raw.s_matrix
+    dim_r = CycMatrix.from_slices(s.conductor, s.num[:, raw.unit:raw.unit + 1, :], s.den)
+    dim_l = dim_r.columns(raw.duality, raw.duality_signs or 1)
+    sqnorm = dim_r * dim_l
+    return Dims(dim_r, dim_l, sqnorm, sqnorm.total())
 
 
 def _keys(a: np.ndarray) -> list:
@@ -337,8 +332,7 @@ def tensor_by_invertible(raw: RawDatum, g: int) -> tuple[int, ...]:
     character matrix with its rows scaled by the column of g.
     """
     c = raw.characters.chars()
-    col = CycMatrix.from_slices(c.conductor, c.num[:, :, g:g + 1], c.den)
-    cols, prod, _, _ = c._aligned(c * col)
+    cols, prod, _, _ = c._aligned(c * c.columns([g]))
     index = {key: x for x, key in enumerate(_keys(cols.transpose(0, 2, 1)))}
     return _match(index, _keys(prod.transpose(0, 2, 1)),
                   lambda x: f"{raw.labels[x]} (x) {raw.labels[g]} does not match any label")
@@ -348,42 +342,40 @@ def tensor_by_invertible(raw: RawDatum, g: int) -> tuple[int, ...]:
 # worlds: the uniform view the identity checks operate on
 # ---------------------------------------------------------------------------
 
-MODE_NONDEGENERATE = "nondegenerate"
-MODE_SLIGHTLY_DEGENERATE = "slightly_degenerate"
-
-
 class World:
     """A raw datum together with everything the exact identities consume.
 
-    Covers both regimes: the full matrix of a nondegenerate category, and the
-    bold (representative-indexed) matrix of a slightly degenerate one.  In
-    the latter case dim(eps) = -1 and twist(eps) = 1 are the standing
-    hypotheses under which all J-world identities are stated.
+    Covers both regimes, read off the datum's kind: the full matrix of a
+    nondegenerate category, and the bold (representative-indexed) matrix of a
+    slightly degenerate one.  In the latter case dim(eps) = -1 and
+    twist(eps) = 1 are the standing hypotheses under which all J-world
+    identities are stated.  Every per-label quantity is a 1 x k row:
+    dim_r, dim_l, sqnorm, theta (the twists) and theta_inv; the Gauss sums
+    tau_plus and tau_minus are the sums of sqnorm * theta and sqnorm * theta_inv.
     """
 
-    def __init__(self, raw: RawDatum, mode: str):
+    def __init__(self, raw: RawDatum):
         raw = with_duality(raw)
         self.raw = raw
-        self.mode = mode
+        self.nondegenerate = raw.kind == KIND_FULL
         self.labels = raw.labels
         self.size = raw.size
         self.unit = raw.unit
         self.s = raw.s_matrix
         self.twists = raw.twists
         self.duality = raw.duality
-        self.duality_signs = raw.duality_signs or (1,) * raw.size
         self.dim_r, self.dim_l, self.sqnorm, self.global_dim = dims_of(raw)
-        for label, t in zip(raw.labels, raw.twists):
-            if t.is_zero():
-                raise DegeneracyError(f"twist({label}) = 0")
+        self.theta = CycMatrix(1, raw.size, raw.twists)
+        zero = np.flatnonzero(~self.theta.num.any(axis=(0, 1)))
+        if zero.size:
+            raise DegeneracyError(f"twist({raw.labels[zero[0]]}) = 0")
         self.bar, self.unit_bar = bar_involution(raw)
-        self.dim_unit_bar = self.dim_r[self.unit_bar]
+        self.dim_unit_bar = self.dim_r[0, self.unit_bar]
         if (self.global_dim * self.dim_unit_bar).is_zero():
             raise ZeroGlobalDimensionError("D * dim_r(unit_bar) = 0")
-        zero = CycNum.from_rational(0)
-        self.tau_plus = sum((q * t for q, t in zip(self.sqnorm, self.twists)), zero)
-        self.twists_inv = CycMatrix(1, self.size, self.twists).inverse().entries
-        self.tau_minus = sum((q * t for q, t in zip(self.sqnorm, self.twists_inv)), zero)
+        self.theta_inv = self.theta.inverse()
+        self.tau_plus = (self.sqnorm * self.theta).total()
+        self.tau_minus = (self.sqnorm * self.theta_inv).total()
         self._s2 = None
         self._e = None
         self._xi_sq = None
@@ -400,7 +392,7 @@ class World:
         if self._xi_sq is None:
             u = self.dim_unit_bar
             xi_sq = self.tau_plus * self.tau_plus * u
-            if self.mode != MODE_NONDEGENERATE:
+            if not self.nondegenerate:
                 xi_sq = xi_sq * u
             self._xi_sq = xi_sq / self.global_dim
         return self._xi_sq
@@ -411,18 +403,6 @@ class World:
             scale_inv = (self.global_dim * self.dim_unit_bar).inv()
             self._e = self.s_squared().scale(scale_inv)
         return self._e
-
-
-def nondegenerate_world(raw: RawDatum) -> World:
-    if raw.kind != KIND_FULL:
-        raise DegeneracyError("a nondegenerate world needs the full matrix")
-    return World(raw, MODE_NONDEGENERATE)
-
-
-def bold_world(raw: RawDatum) -> World:
-    if raw.kind != KIND_BOLD:
-        raise DegeneracyError("a bold world needs a representative-indexed matrix")
-    return World(raw, MODE_SLIGHTLY_DEGENERATE)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +521,7 @@ def reduce_slightly_degenerate(full: RawDatum,
         duality=tuple(pos[d] if d in pos else pos[act[d]] for d in duals),
         duality_signs=tuple(1 if d in pos else -1 for d in duals),
     )
-    w = bold_world(bold)
+    w = World(bold)
     if w.global_dim + w.global_dim != dims_of(full).global_dim:
         raise DegeneracyError("representative squared norms do not sum to half the global dimension")
 

@@ -22,14 +22,6 @@ class FusionTensor:
         if self.table.shape != (n, n, n):
             raise ValueError(f"tensor shape {self.table.shape} does not match {n} labels")
 
-    def multiplicity(self, i: int, j: int, k: int) -> int:
-        return int(self.table[i, j, k])
-
-    def product(self, i: int, j: int) -> dict[int, int]:
-        """Decomposition of i (x) j as {label index: multiplicity}."""
-        row = self.table[i, j]
-        return {int(k): int(m) for k, m in enumerate(row) if m}
-
     # ---------- invariants ----------
 
     def unit_law_holds(self) -> bool:

@@ -520,6 +520,11 @@ class CycMatrix:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return self._combine(other, slice_matmul)
 
+    def total(self) -> CycNum:
+        """The sum of all entries, taken along the slices."""
+        num = with_bound(self.num, max_abs(self.num) * self.rows * self.cols)
+        return self._entries_of(num.sum(axis=(1, 2))[None])[0]
+
     def inverse(self) -> "CycMatrix":
         """The entrywise inverse, from one :func:`slice_inv`: the entry
         ``num / den`` has the inverse ``den * adj / norm``."""
@@ -553,6 +558,12 @@ class CycMatrix:
 
     def transpose(self) -> "CycMatrix":
         num = np.ascontiguousarray(self.num.transpose(0, 2, 1))
+        return CycMatrix.from_slices(self.conductor, num, self.den)
+
+    def columns(self, idx: Sequence[int], signs=1) -> "CycMatrix":
+        """The columns ``idx``, in that order, each times its sign in
+        ``signs`` (1 or -1, or one per column)."""
+        num = self.num[:, :, list(idx)] * np.asarray(signs)
         return CycMatrix.from_slices(self.conductor, num, self.den)
 
     def conj(self) -> "CycMatrix":

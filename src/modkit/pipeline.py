@@ -20,10 +20,9 @@ from .checks import (FAIL, CheckResult, VerificationReport, check_axioms, check_
                      check_raw_unitarity, check_sl2_relations, check_total_positivity,
                      check_twist_laws, check_vafa, gauss_sums)
 from .cyclotomic import CycNum, _canonical_root, root_of_unity_sqrt, sqrt_in_field
-from .datum import (KIND_BOLD, MODE_NONDEGENERATE, DegeneracyError, ModularDatum, RawDatum,
-                    SlightlyDegenerateData, World, ZeroGlobalDimensionError, bold_world,
-                    detect_symmetric_center, epsilon_action, nondegenerate_world,
-                    reduce_slightly_degenerate, with_duality)
+from .datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, SlightlyDegenerateData,
+                    World, ZeroGlobalDimensionError, detect_symmetric_center,
+                    epsilon_action, reduce_slightly_degenerate, with_duality)
 from .fusion import FusionTensor, quotient_constants
 from .verlinde import verlinde_raw
 
@@ -176,10 +175,8 @@ def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
     be built.  The center comes from the datum's character table, computed once.
     """
     raw = with_duality(raw)
-    if raw.kind == KIND_BOLD:
-        return bold_world(raw), None
-    if len(raw.characters.center) == 1:
-        return nondegenerate_world(raw), None
+    if raw.kind == KIND_BOLD or len(raw.characters.center) == 1:
+        return World(raw), None
     sldeg = reduce_slightly_degenerate(raw, reps=reps)
     return sldeg.world(), sldeg
 
@@ -207,7 +204,7 @@ def _world_suite(rep: VerificationReport, world: World,
                             {"at": (x, y, z), "value": v}))
         rep.skip("balancing", "no integral fusion tensor")
         return None
-    if world.mode == "nondegenerate":
+    if world.nondegenerate:
         ok = irep.nonnegative
         detail = "N-modular" if ok else \
             f"negative coefficient {irep.first_negative} in a nondegenerate datum"
@@ -309,7 +306,7 @@ def gauss_normalizer(world: World) -> Optional[CycNum]:
     if xi is None:
         return None
     c = world.tau_plus * world.dim_unit_bar * xi.conj()   # 1/xi = conj(xi)
-    if world.mode != MODE_NONDEGENERATE:
+    if not world.nondegenerate:
         root_u = root_of_unity_sqrt(world.dim_unit_bar)
         if root_u is None:
             return None

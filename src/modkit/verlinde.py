@@ -212,14 +212,10 @@ def raw_operands(world: World) -> tuple[CycMatrix, CycMatrix]:
     a[w, x] = s_w(x), the character table, and c[w, z] = sign(z) s_w(bar(z))
     dim_r(w)^2 / (D u) = sign(z) S[w, bar(z)] dim_r(w) / (D u).  The terms are
     those of the sum above, in operands that the Galois group permutes."""
-    k = world.size
     sp = world.e_matrix().is_signed_permutation()
-    signs = sp.signs if sp is not None and sp.perm == world.bar else (1,) * k
-    s = world.s
-    signed = CycMatrix.from_slices(s.conductor, s.num[:, :, list(world.bar)] * np.array(signs),
-                                   s.den)
-    dims = CycMatrix.from_slices(s.conductor, s.num[:, world.unit, :, None], s.den)
-    c = signed * dims.scale((world.global_dim * world.dim_unit_bar).inv())
+    signs = sp.signs if sp is not None and sp.perm == world.bar else 1
+    signed = world.s.columns(world.bar, signs)
+    c = signed * world.dim_r.transpose().scale((world.global_dim * world.dim_unit_bar).inv())
     return world.raw.characters.chars(), c
 
 

@@ -1,7 +1,8 @@
 """Per-entry reference versions of the maps :mod:`modkit.datum` reads off a
-datum's character table, the lift and Galois action on a matrix, the exact
-rank of a matrix, the JSON objects of a datum file, and the descent of a
-value to a smaller conductor by linear algebra over Q.
+datum's character table, the rows of a world (dimensions, Gauss sums, twist
+laws), the lift and Galois action on a matrix, the exact rank of a matrix,
+the JSON objects of a datum file, and the descent of a value to a smaller
+conductor by linear algebra over Q.
 
 Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
 matches rows or columns as tuples of entries, keyed by their coordinates (the
@@ -225,3 +226,50 @@ def datum_to_json(datum):
 def inverses(values):
     """The inverse of each value, one ``CycNum.inv`` (a Galois norm) at a time."""
     return [v.inv() for v in values]
+
+
+def dims(raw):
+    """dim_r, dim_l, the squared norms and their sum D, one scalar at a time,
+    on a datum whose duality is present."""
+    dim_r = raw.s_matrix.row(raw.unit)
+    signs = raw.duality_signs or (1,) * raw.size
+    dim_l = tuple(dim_r[raw.duality[x]] if signs[x] == 1 else -dim_r[raw.duality[x]]
+                  for x in range(raw.size))
+    sqnorm = tuple(r * l for r, l in zip(dim_r, dim_l))
+    return dim_r, dim_l, sqnorm, sum(sqnorm, CycNum.from_rational(0))
+
+
+def gauss(raw):
+    """tau_plus = sum theta |X|^2 and tau_minus = sum theta^-1 |X|^2, one
+    scalar at a time."""
+    sqnorm = dims(raw)[2]
+    zero = CycNum.from_rational(0)
+    return (sum((q * t for q, t in zip(sqnorm, raw.twists)), zero),
+            sum((q * t for q, t in zip(sqnorm, inverses(raw.twists))), zero))
+
+
+def twist_laws(raw):
+    """For each of the checks twist_dual_dim, twist_bar, twist_tau_plus_rows
+    and twist_tau_minus_rows, the labels at which it fails, in label order,
+    one scalar at a time."""
+    dim_r, dim_l, _, _ = dims(raw)
+    t = raw.twists
+    t_inv = inverses(t)
+    tau_plus, tau_minus = gauss(raw)
+    bar_of, unit_bar = bar(raw)
+    tb = t[unit_bar]
+    s, labels = raw.s_matrix, range(raw.size)
+
+    def row_sum(weights, y):
+        return sum((weights[x] * s[x, y] for x in labels), CycNum.from_rational(0))
+
+    plus = [t[x] * dim_l[x] for x in labels]
+    minus = [t_inv[x] * dim_r[x] for x in labels]
+    return {
+        "twist_dual_dim": [x for x in labels if t[raw.duality[x]] * dim_r[x] != t[x] * dim_l[x]],
+        "twist_bar": [x for x in labels if t[bar_of[x]] != t[x] * tb],
+        "twist_tau_plus_rows": [y for y in labels
+                                if row_sum(plus, y) != t_inv[y] * dim_r[y] * tau_plus],
+        "twist_tau_minus_rows": [y for y in labels
+                                 if row_sum(minus, y) != tb * t[y] * dim_r[y] * tau_minus],
+    }

@@ -1,9 +1,14 @@
+import random
+
+import pytest
+
+import per_entry
+from conftest import relabel
 from modkit.checks import (AXIOM_CHECKS, check_axioms, check_balancing,
                            check_raw_unitarity, check_sl2_relations, check_twist_laws,
                            check_vafa, gauss_sums)
 from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
-from modkit.datum import (ModularDatum, RawDatum, bold_world, nondegenerate_world,
-                          reduce_slightly_degenerate)
+from modkit.datum import ModularDatum, RawDatum, World, reduce_slightly_degenerate
 from modkit.matrix import CycMatrix
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_J_indices)
@@ -42,7 +47,7 @@ def test_axioms_fail_with_witness_on_non_symmetric_s():
 
 def test_axioms_on_naively_normalized_counterexample():
     _, bold = sl2_q16_counterexample()
-    w = bold_world(bold)
+    w = World(bold)
     scale = w.global_dim * w.dim_unit_bar
     c = sqrt_in_field(scale)
     assert c is not None and c * c == scale
@@ -63,17 +68,17 @@ def test_raw_unitarity_examples():
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
     ok, _ = check_raw_unitarity(sld.world(), CycNum.from_rational(3))
     assert ok
-    ok, _ = check_raw_unitarity(nondegenerate_world(pointed_cyclic(5, 1, 1)),
+    ok, _ = check_raw_unitarity(World(pointed_cyclic(5, 1, 1)),
                                 CycNum.from_rational(5))
     assert ok
     ident = RawDatum(("1",), 0, CycMatrix.identity(1), (one,), "raw-full", (0,))
-    ok, witness = check_raw_unitarity(nondegenerate_world(ident), CycNum.from_rational(2))
+    ok, witness = check_raw_unitarity(World(ident), CycNum.from_rational(2))
     assert not ok
     assert witness["at"] == (0, 0)
 
 
 def test_gauss_sums_pointed():
-    g = gauss_sums(nondegenerate_world(pointed_cyclic(3, 1, 1)))
+    g = gauss_sums(World(pointed_cyclic(3, 1, 1)))
     assert g.tau_plus == 2 + zeta(3, 2)
     assert g.tau_minus == 2 + zeta(3)
     assert g.product == 3
@@ -100,13 +105,51 @@ def test_twist_laws_taft_and_pointed():
     by = checks_by_name(check_twist_laws(sld.world()))
     assert all(c.status == "pass" for c in by.values())
     assert "twist(unit_bar) = 1" in by["twist_unit_bar"].detail
-    by = checks_by_name(check_twist_laws(nondegenerate_world(pointed_cyclic(3, 1, 1))))
+    by = checks_by_name(check_twist_laws(World(pointed_cyclic(3, 1, 1))))
     assert all(c.status == "pass" for c in by.values())
+
+
+TWIST_LAWS = ("twist_dual_dim", "twist_bar", "twist_tau_plus_rows", "twist_tau_minus_rows")
+
+
+def with_twist(raw, x, z):
+    twists = list(raw.twists)
+    twists[x] = twists[x] * z
+    return RawDatum(raw.labels, raw.unit, raw.s_matrix, tuple(twists), raw.kind, raw.duality,
+                    raw.duality_signs)
+
+
+def law_witnesses(raw):
+    """The label index of each twist law's witness, None when it passes."""
+    return {c.name: None if c.status == "pass" else c.witness["at"]
+            for c in check_twist_laws(World(raw)) if c.name in TWIST_LAWS}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3)).bold,
+    lambda: pointed_cyclic(5, 1, 0)], ids=["taft3", "pointed5,1,0"])
+def test_twist_law_witnesses_are_the_first_failing_labels(make):
+    # one twist times a root of unity, at each label in turn: each law's
+    # witness is the first label at which the scalar reference fails, and a
+    # relabelling moves it to the first failing label in the new order
+    raw = make()
+    perm = list(range(raw.size))
+    random.Random(1).shuffle(perm)   # moves every label, the unit too
+    failed = set()
+    for z in (zeta(raw.s_matrix.conductor), zeta(4)):
+        for x in range(raw.size):
+            moved = with_twist(raw, x, z)
+            fails = per_entry.twist_laws(moved)
+            assert law_witnesses(moved) == {k: v[0] if v else None for k, v in fails.items()}
+            assert law_witnesses(relabel(moved, perm)) == \
+                {k: min((perm[y] for y in v), default=None) for k, v in fails.items()}
+            failed.update(k for k, v in fails.items() if v)
+    assert failed == set(TWIST_LAWS)
 
 
 def test_sl2_relations_pass_for_families():
     for k0 in (0, 1):
-        w = nondegenerate_world(pointed_cyclic(5, 1, k0))
+        w = World(pointed_cyclic(5, 1, k0))
         assert all(c.status == "pass" for c in check_sl2_relations(w))
     for d in (2, 3, 4, 5):
         sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
@@ -115,14 +158,14 @@ def test_sl2_relations_pass_for_families():
 
 def test_sl2_relations_fail_for_counterexample_with_witness():
     _, bold = sl2_q16_counterexample()
-    by = checks_by_name(check_sl2_relations(bold_world(bold)))
+    by = checks_by_name(check_sl2_relations(World(bold)))
     assert by["sl2_st_cubed"].status == "fail"
     wit = by["sl2_st_cubed"].witness
     assert wit is not None and wit["lhs"] != wit["rhs"]
 
 
 def test_vafa_examples():
-    w = nondegenerate_world(pointed_cyclic(5, 1, 1))
+    w = World(pointed_cyclic(5, 1, 1))
     assert all(c.status == "pass" for c in check_vafa(w))
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
     assert all(c.status == "pass" for c in check_vafa(sld.world()))
@@ -133,21 +176,21 @@ def test_vafa_rejects_non_root_twist():
     twists = list(raw.twists)
     twists[2] = CycNum.from_rational(2)
     bad = RawDatum(raw.labels, raw.unit, raw.s_matrix, tuple(twists), raw.kind, raw.duality)
-    by = checks_by_name(check_vafa(nondegenerate_world(bad)))
+    by = checks_by_name(check_vafa(World(bad)))
     assert by["vafa_twists"].status == "fail"
     assert by["vafa_twists"].witness["at"] == 2
 
 
 def test_balancing_with_oracle_tensor():
     from modkit.families import pointed_fusion_tensor
-    w = nondegenerate_world(pointed_cyclic(3, 1, 1))
+    w = World(pointed_cyclic(3, 1, 1))
     res = check_balancing(w, pointed_fusion_tensor(3).table)
     assert res.status == "pass"
 
 
 def test_balancing_detects_wrong_tensor():
     from modkit.families import pointed_fusion_tensor
-    w = nondegenerate_world(pointed_cyclic(3, 1, 1))
+    w = World(pointed_cyclic(3, 1, 1))
     t = pointed_fusion_tensor(3).table.copy()
     t[1, 1, 0], t[1, 1, 2] = 1, 0
     res = check_balancing(w, t)

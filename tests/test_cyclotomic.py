@@ -239,7 +239,7 @@ def family_sqnorms():
     raws = [taft_double(d) for d in range(2, 12)]
     raws += [pointed_cyclic(*grid) for grid in POINTED_GRID]
     raws.append(sl2_q16_counterexample()[1])
-    return [q for raw in raws for q in resolve_world(raw)[0].sqnorm]
+    return [q for raw in raws for q in resolve_world(raw)[0].sqnorm.entries]
 
 
 def test_family_sqnorms_agree_with_the_interval_reference():

@@ -6,14 +6,14 @@ import pytest
 import per_entry
 from conftest import POINTED_GRID, galois_conjugate, relabel
 from modkit.cyclotomic import CycNum, zeta
-from modkit.datum import (DegeneracyError, RawDatum, bar_involution, bold_world, derive_duality,
+from modkit.datum import (DegeneracyError, RawDatum, bar_involution, derive_duality,
                           detect_symmetric_center, dims_of, epsilon_action,
-                          nondegenerate_world, reduce_slightly_degenerate,
-                          tensor_by_invertible, with_duality)
+                          reduce_slightly_degenerate, tensor_by_invertible, with_duality)
 from modkit.families import (TaftLabel, pointed_cyclic, sl2_q16_counterexample,
                              taft_double, taft_epsilon_action, taft_J, taft_J_indices,
                              taft_label_index, taft_labels, taft_sdim)
 from modkit.matrix import CycMatrix
+from modkit.pipeline import resolve_world
 
 one = CycNum.from_rational(1)
 
@@ -56,16 +56,16 @@ def test_center_counterexample_has_dim_plus_one():
 def test_dims_pointed():
     raw = pointed_cyclic(3, 1, 1)
     d = dims_of(raw)
-    assert d.dim_r[1] == zeta(3)
-    assert d.dim_l[1] == zeta(3, 2)
-    assert d.sqnorm[1] == 1
+    assert d.dim_r[0, 1] == zeta(3)
+    assert d.dim_l[0, 1] == zeta(3, 2)
+    assert d.sqnorm[0, 1] == 1
     assert d.global_dim == 3
 
 
 def test_dims_taft_fermion_is_minus_one():
     raw = taft_double(3)
     d = dims_of(raw)
-    assert d.dim_r[taft_idx(3, 2, 1)] == -1
+    assert d.dim_r[0, taft_idx(3, 2, 1)] == -1
 
 
 def test_taft_sdim_simplifies():
@@ -80,6 +80,51 @@ def test_dims_require_duality():
     stripped = type(raw)(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind)
     with pytest.raises(DegeneracyError):
         dims_of(stripped)
+
+
+def taft3_twisted():
+    """Taft d = 3 with the twist of label 1 moved by zeta_3."""
+    raw = taft_double(3)
+    twists = list(raw.twists)
+    twists[1] = twists[1] * zeta(3)
+    return RawDatum(raw.labels, raw.unit, raw.s_matrix, tuple(twists), raw.kind, raw.duality)
+
+
+def taft_conjugates(d):
+    n = taft_double(d).s_matrix.conductor
+    return [(f"taft{d}-sigma{j}", lambda d=d, j=j: galois_conjugate(taft_double(d), j))
+            for j in range(2, n) if math.gcd(j, n) == 1]
+
+
+ROW_DATA = ([(f"taft{d}", lambda d=d: taft_double(d)) for d in range(2, 10)]
+            + taft_conjugates(5) + taft_conjugates(7)
+            + [(f"pointed{key}", lambda key=key: pointed_cyclic(*key)) for key in POINTED_GRID]
+            + [("q16-full", lambda: sl2_q16_counterexample()[0]),
+               ("q16-bold", lambda: sl2_q16_counterexample()[1]),
+               ("taft3-twisted", taft3_twisted)])
+
+
+def keys(*lines):
+    return [per_entry.key(line) for line in lines]
+
+
+@pytest.mark.parametrize("tag, make", ROW_DATA, ids=[tag for tag, _ in ROW_DATA])
+def test_rows_equal_the_per_entry_reference(tag, make):
+    # entries and scalars agree with the scalar loops, conductors included
+    raw = with_duality(make())
+    d = dims_of(raw)
+    dim_r, dim_l, sqnorm, global_dim = per_entry.dims(raw)
+    assert keys(d.dim_r.entries, d.dim_l.entries, d.sqnorm.entries, [d.global_dim]) == \
+        keys(dim_r, dim_l, sqnorm, [global_dim])
+    if tag == "q16-full":   # dim(eps) = +1 and twist(eps) = -1: no world
+        with pytest.raises(DegeneracyError):
+            resolve_world(raw)
+        return
+    w = resolve_world(raw)[0]
+    dim_r, dim_l, sqnorm, global_dim = per_entry.dims(w.raw)
+    assert keys(w.dim_r.entries, w.dim_l.entries, w.sqnorm.entries,
+                [w.global_dim, w.tau_plus, w.tau_minus]) == \
+        keys(dim_r, dim_l, sqnorm, [global_dim, *per_entry.gauss(w.raw)])
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +261,6 @@ def test_tensor_by_invertible_unit_bar():
     assert t[raw.unit] == ub
     # and the map is a bijection
     assert sorted(t) == list(range(raw.size))
-
-
-def test_worlds_reject_wrong_kinds():
-    raw = pointed_cyclic(5, 1, 0)
-    with pytest.raises(DegeneracyError):
-        bold_world(raw)
-    _, bold = sl2_q16_counterexample()
-    with pytest.raises(DegeneracyError):
-        nondegenerate_world(bold)
 
 
 # ---------------------------------------------------------------------------

@@ -726,7 +726,7 @@ def rank_two(a, b):
 def interval_verdict(world):
     """The positivity check's status, detail and witness index, from the
     interval reference on the world's squared norms."""
-    for x, q in enumerate(world.sqnorm):
+    for x, q in enumerate(world.sqnorm.entries):
         try:
             if not intervals.is_totally_positive(q):
                 return "fail", "", x

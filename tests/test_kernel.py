@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import per_entry
 from modkit import _kernel as kernel
 from modkit.cyclotomic import CycNum, zeta
-from modkit.datum import RawDatum, nondegenerate_world, reduce_slightly_degenerate
+from modkit.datum import RawDatum, World, reduce_slightly_degenerate
 from modkit.families import pointed_cyclic, sl2_q16_counterexample, taft_double, taft_J_indices
 from modkit.matrix import CycMatrix, PRIME_LIMIT, slice_matmul, split_primes
 from modkit.pipeline import verify_raw
@@ -372,7 +372,7 @@ def test_verlinde_tensor_is_galois_invariant(family):
         world_of = lambda r: reduce_slightly_degenerate(r, reps=taft_J_indices(5)).world()  # noqa: E731
     else:
         raw = pointed_cyclic(7, 1, 0)
-        world_of = nondegenerate_world
+        world_of = World
     base, rep = verlinde_raw(world_of(raw))
     assert base is not None and rep.integral
     n = raw.s_matrix.conductor

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import POINTED_GRID, galois_conjugate, relabel
 from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
-from modkit.datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, bold_world,
-                          nondegenerate_world, reduce_slightly_degenerate)
+from modkit.datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, World,
+                          reduce_slightly_degenerate)
 from modkit.fusion import quotient_constants
 from modkit.matrix import CycMatrix
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
@@ -61,7 +61,7 @@ def test_emit_certificate_when_no_normalizer_exists():
     # a 1x1 toy whose scale 8 has no square root below conductor 4
     raw = RawDatum(("1",), 0, CycMatrix.from_rows([[2]]), (one,), KIND_BOLD,
                    (0,), (1,))
-    em = emit_zmodular(bold_world(raw))
+    em = emit_zmodular(World(raw))
     assert em.datum is None
     assert em.certificate is not None
     assert "up to scalar" in em.note
@@ -70,7 +70,7 @@ def test_emit_certificate_when_no_normalizer_exists():
 def test_emit_on_counterexample_produces_failing_datum():
     # a normalizer exists here, but the emitted datum must fail its axioms
     _, bold = sl2_q16_counterexample()
-    em = emit_zmodular(bold_world(bold))
+    em = emit_zmodular(World(bold))
     assert em.datum is not None
     from modkit.checks import check_axioms
     assert not check_axioms(em.datum).passed
@@ -281,12 +281,12 @@ def test_emit_takes_the_gauss_route_and_keeps_the_search_as_fallback(monkeypatch
 
     monkeypatch.setattr(cyclotomic, "_sqrt_at_conductor", counting_search)
     for world in (reduce_slightly_degenerate(taft_double(5), reps=taft_J_indices(5)).world(),
-                  nondegenerate_world(pointed_cyclic(9, 2, 1))):
+                  World(pointed_cyclic(9, 2, 1))):
         em = emit_zmodular(world)
         assert em.datum is not None and em.note == "normalizer from the Gauss sum"
     assert calls == []
     # q16 bold fails vafa_anomaly: no Gauss normalizer, the search gives c
-    world = bold_world(sl2_q16_counterexample()[1])
+    world = World(sl2_q16_counterexample()[1])
     assert gauss_normalizer(world) is None
     em = emit_zmodular(world)
     assert em.note == "normalizer from the square-root search" and calls
@@ -320,6 +320,25 @@ def test_verify_raw_reads_rows_of_s_without_building_its_entries():
     for raw in (taft_double(5), pointed_cyclic(7, 2, 1)):
         assert verify_raw(raw).passed
         assert raw.s_matrix._entries is None
+
+
+def test_verify_raw_multiplies_few_scalars(monkeypatch):
+    # per-label data are rows on slices: the scalar products left are those
+    # of the Gauss sums, the anomaly, D u and the reduction
+    calls = []
+    mul = CycNum.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycNum, "__mul__", counting)
+    monkeypatch.setattr(CycNum, "__rmul__", counting)
+    for raw, reps, most in ((taft_double(5), taft_J_indices(5), 60),
+                            (pointed_cyclic(9, 2, 1), None, 30)):
+        calls.clear()
+        assert verify_raw(raw, reps=reps).passed
+        assert len(calls) <= most
 
 
 def without_duality(raw):

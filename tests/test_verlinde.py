@@ -7,8 +7,7 @@ import pytest
 from modkit import verlinde
 from modkit.checks import check_balancing
 from modkit.cyclotomic import CycNum, zeta
-from modkit.datum import (ModularDatum, nondegenerate_world, reduce_slightly_degenerate,
-                          with_duality)
+from modkit.datum import ModularDatum, World, reduce_slightly_degenerate, with_duality
 from modkit.matrix import CycMatrix
 from modkit.families import (TaftLabel, pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_fusion_tensor, taft_J, taft_J_indices, taft_normalizer)
@@ -40,7 +39,7 @@ def test_a_zero_unit_row_entry_names_its_label(unit_row):
 
 
 def test_pointed_normalized_datum_gives_group_law():
-    w = nondegenerate_world(with_duality(pointed_cyclic(3, 1, 1)))
+    w = World(with_duality(pointed_cyclic(3, 1, 1)))
     em = emit_zmodular(w)
     assert em.datum is not None
     tensor, rep = verlinde_fusion(em.datum)
@@ -53,7 +52,7 @@ def test_pointed_normalized_datum_gives_group_law():
 
 def test_pointed_raw_route_gives_group_law():
     for (n, a, k0) in ((3, 1, 0), (5, 1, 1), (7, 2, 1)):
-        w = nondegenerate_world(with_duality(pointed_cyclic(n, a, k0)))
+        w = World(with_duality(pointed_cyclic(n, a, k0)))
         tensor, rep = verlinde_raw(w)
         assert rep.integral and rep.nonnegative
         for k in range(n):
@@ -137,7 +136,7 @@ def test_structure_constants_past_int64_are_exact():
 def test_object_tensors_pass_balancing_quotient_and_duality():
     # the consumers of a structure-constant tensor accept the object dtype it
     # takes past 2^63, with the same results as on int64
-    w = nondegenerate_world(with_duality(pointed_cyclic(5, 1, 1)))
+    w = World(with_duality(pointed_cyclic(5, 1, 1)))
     tensor, _ = verlinde_raw(w)
     wide = tensor.astype(object)
     assert check_balancing(w, wide).status == "pass"
@@ -225,7 +224,7 @@ def test_a_perturbed_entry_fails_the_check_and_keeps_todays_witness():
     # every root, and the witnesses match the entry-by-entry triple sum
     from test_kernel import ref_structure_constants
 
-    world = nondegenerate_world(with_duality(pointed_cyclic(5, 1, 1)))
+    world = World(with_duality(pointed_cyclic(5, 1, 1)))
     s = emit_zmodular(world).datum.s_matrix
     failed = 0
     for (i, j), delta in (((1, 2), zeta(5)), ((0, 0), CycNum.from_rational(1)),
