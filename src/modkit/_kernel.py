@@ -31,6 +31,7 @@ from typing import Iterator
 import numpy as np
 
 BACKEND = "python"
+INT64_LIMIT = 1 << 63   # int64 holds every v with |v| < 2^63
 
 
 def divisors(n: int) -> list[int]:
@@ -189,9 +190,34 @@ def powers(n: int) -> Iterator[list[int]]:
 def max_row(n: int) -> int:
     """The largest magnitude of a coordinate of x^k mod Phi_n over
     phi(n) <= k < n (1 when n = 1): how far the reduction can grow a
-    coefficient."""
-    phi = euler_phi(n)
-    return max((abs(v) for k, row in enumerate(powers(n)) if k >= phi for v in row), default=1)
+    coefficient.
+
+    With r the product of the primes of n and s = n / r, Phi_n(x) =
+    Phi_r(x^s), so x^(a s + b) mod Phi_n, for b < s, has the coordinates of
+    y^a mod Phi_r at the powers i s + b: n and r have the same rows.  Those
+    of r are walked from x^phi(r) as one numpy vector, shifted up a power
+    and reduced by one multiple of Phi_r per step, in int64 while the next
+    step cannot reach 2^63 and in Python integers past that."""
+    r = 1
+    for p in prime_divisors(n):
+        r *= p
+    phi, _, _, terms = _reduction(r)
+    low = np.zeros(phi, dtype=np.int64)   # Phi_r below its leading 1
+    for j, c in terms:
+        low[j] = c
+    grow = 1 + max(abs(c) for _, c in terms)   # |next row| <= grow * |row|
+    cur = -low   # x^phi(r)
+    best = int(np.abs(cur).max())
+    for _ in range(phi + 1, r):
+        if cur.dtype != object and best * grow >= INT64_LIMIT:
+            cur, low = cur.astype(object), low.astype(object)
+        top = cur[-1]
+        cur[1:] = cur[:-1].copy()
+        cur[0] = 0
+        if top:
+            cur -= top * low
+        best = max(best, int(np.abs(cur).max()))
+    return best
 
 
 def normalize(num, den: int):

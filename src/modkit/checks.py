@@ -165,8 +165,6 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
     """(ST)^3 = tau^- S^2, S^4 = (D u)^2 Id, (S T^-1)^3 = tau^+ D u^2 Id and
     S^2 = D u E with E a signed permutation matching bar; T = diag(theta^-1),
     so S T is S with its columns scaled by the row theta^-1."""
-    d_u = w.global_dim * w.dim_unit_bar
-
     def st_cubed():
         lhs = (w.s * w.theta_inv).power(3)
         rhs = w.s_squared().scale(w.tau_minus)
@@ -174,7 +172,7 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
 
     def s_fourth():
         lhs = w.s_squared() @ w.s_squared()
-        rhs = CycMatrix.identity(w.size).scale(d_u * d_u)
+        rhs = CycMatrix.identity(w.size).scale(w.d_u * w.d_u)
         return (diff := _first_diff(lhs, rhs)) is None, "S^4 = (D u)^2 Id", diff
 
     def st_inv_cubed():

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import io
@@ -245,7 +246,10 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once: parse_args leaves it unchanged,
+    and each call fills a new namespace."""
     p = argparse.ArgumentParser(
         prog="modkit",
         description="construct, verify and classify modular data with exact "
@@ -290,7 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OverflowError as exc:   # too few split primes for an exact product
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -371,8 +371,10 @@ class World:
             raise DegeneracyError(f"twist({raw.labels[zero[0]]}) = 0")
         self.bar, self.unit_bar = bar_involution(raw)
         self.dim_unit_bar = self.dim_r[0, self.unit_bar]
-        if (self.global_dim * self.dim_unit_bar).is_zero():
+        self.d_u = self.global_dim * self.dim_unit_bar
+        if self.d_u.is_zero():
             raise ZeroGlobalDimensionError("D * dim_r(unit_bar) = 0")
+        self.d_u_inv = self.d_u.inv()   # scales S^2 to E, and the Verlinde sum
         self.theta_inv = self.theta.inverse()
         self.tau_plus = (self.sqnorm * self.theta).total()
         self.tau_minus = (self.sqnorm * self.theta_inv).total()
@@ -400,8 +402,7 @@ class World:
     def e_matrix(self) -> CycMatrix:
         """S^2 / (D * dim_r(unit_bar)); a signed permutation on valid input."""
         if self._e is None:
-            scale_inv = (self.global_dim * self.dim_unit_bar).inv()
-            self._e = self.s_squared().scale(scale_inv)
+            self._e = self.s_squared().scale(self.d_u_inv)
         return self._e
 
 

@@ -12,14 +12,25 @@ along the leading axis, so scalars and matrices share one substitution.
 
 Products are multimodular.  For a prime p = 1 (mod N), Phi_N splits modulo p
 into phi(N) linear factors, so evaluating the slices at its roots turns one
-product over Q(zeta_N) into phi(N) independent residue products: one batched
-int64 matmul (or entrywise product) per prime, then one interpolation.  Each
-product states a bound on the magnitude of its exact result, and takes split
-primes below 2^26 until their product exceeds twice that bound; Garner's
-CRT and the symmetric lift then give the exact integers.  Residues stay
-below 2^26 and sums of their products below 2^63.  ``object`` inputs are
+product over Q(zeta_N) into phi(N) independent residue products, then one
+interpolation.  Each product states a bound on the magnitude of its exact
+result, and takes split primes below 2^21 until their product exceeds twice
+that bound; Garner's CRT and the symmetric lift then give the exact integers.
+Every residue matmul is a float64 (BLAS) matmul over blocks of at most 2^11
+products: residues below 2^21 make each partial sum an integer below 2^53,
+which float64 holds exactly whatever the order of summation, and each block
+goes back to int64 to be reduced.  Float64 carries exact integers only;
+nothing is rounded or compared with a tolerance.  ``object`` inputs are
 reduced to int64 residues first; past that, Python integers appear only in
 the CRT combine, once the product of the primes passes 2^62.
+
+A matrix keeps the residues of its numerator at the most primes and roots
+asked of it: every split prime set of a conductor is a leading set of one
+list, so a product needing fewer primes reads a slice, and the one-root
+Verlinde route reads the first root.  A product starts with the residues it
+was computed from, and Galois conjugates and transposes pass the residues
+on, permuted along the roots or with their trailing axes swapped; a lift
+changes the primes, so it starts with none.
 
 The entrywise inverse runs on the same residues: the product of an entry's
 residues at the other phi(N) - 1 roots is the residue there of the product
@@ -27,9 +38,10 @@ of its other Galois conjugates, so one evaluation, one interpolation and one
 CRT invert a whole row, with primes chosen by an L1 bound on the norm
 (:func:`slice_inv`).
 
-Every array is ``int64`` when a bound on every value a computation can reach
-stays below 2^63 in magnitude, and ``object`` (Python integers) otherwise, so
-results are exact on both paths.  Matrices are immutable.
+Every integer array is ``int64`` when a bound on every value a computation
+can reach stays below 2^63 in magnitude, and ``object`` (Python integers)
+otherwise, so results are exact on both paths; the float64 blocks of a
+residue matmul hold integers in [0, 2^53).  Matrices are immutable.
 """
 
 from __future__ import annotations
@@ -95,8 +107,11 @@ def slice_growth(n: int) -> int:
 # products modulo split primes
 # ---------------------------------------------------------------------------
 
-PRIME_LIMIT = 1 << 26   # residues stay below 2^26, so a product of two is below 2^52
-_TERMS = 1 << 11        # and a sum of 2^11 such products stays below 2^63
+PRIME_LIMIT = 1 << 21   # residues stay below 2^21, so a product of two is below 2^42
+_TERMS = 1 << 11        # and a sum of 2^11 such products stays below 2^53
+# float64 holds every integer below 2^53 exactly, so a residue product summed
+# in float64 is exact in any order of summation
+assert PRIME_LIMIT ** 2 * _TERMS <= 1 << 53
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 
 
@@ -164,20 +179,20 @@ def _split_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _split_stack(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``count`` largest primes p = 1 (mod n) below 2^26, with their
-    evaluation and interpolation matrices stacked.  ``count`` is a power of
-    two; each stack extends the one of half its size."""
+    """The ``count`` largest primes p = 1 (mod n) below PRIME_LIMIT (fewer
+    when there are no more), with their evaluation and interpolation matrices
+    stacked.  ``count`` is a power of two; each stack extends the one of half
+    its size."""
     if count > 1:
         primes, ev, iv = _split_stack(n, count // 2)
-        found, evs, ivs = primes.tolist(), [ev], [iv]
+        found = primes.tolist()
     else:
-        found, evs, ivs = [], [], []
+        phi = _K.euler_phi(n)
+        found, ev, iv = [], np.zeros((0, phi, phi), np.int64), np.zeros((0, phi, phi), np.int64)
+    evs, ivs = [ev], [iv]
     step = n if n % 2 == 0 else 2 * n   # the odd p = 1 (mod n) are the p = 1 (mod step)
     cand = found[-1] - step if found else 1 + (PRIME_LIMIT - 2) // step * step
-    while len(found) < count:
-        if cand < 3:
-            raise OverflowError(f"conductor {n} has only {len(found)} split primes below "
-                                f"2^26; their product cannot hold this exact product")
+    while len(found) < count and cand >= 3:
         if _is_prime(cand):
             ev, iv = _split_tables(n, cand)
             found.append(cand)
@@ -191,42 +206,57 @@ def _split_stack(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 class SplitPrimes(NamedTuple):
-    """Primes p = 1 (mod n) below 2^26, and for each the evaluation of the
-    power basis at the phi roots of Phi_n modulo p, and its inverse."""
+    """Primes p = 1 (mod n) below PRIME_LIMIT, and for each the evaluation of
+    the power basis at the phi roots of Phi_n modulo p, and its inverse."""
     primes: np.ndarray   # (k,) int64
-    ev: np.ndarray       # (k, phi, phi): ev[t, i, j] = (i-th root mod primes[t]) ** j
-    iv: np.ndarray       # (k, phi, phi): the inverse of ev[t] modulo primes[t]
+    ev: np.ndarray       # (k, r, phi): ev[t, i, j] = (i-th root mod primes[t]) ** j
+    iv: np.ndarray       # (k, phi, phi): the inverse of ev[t] (all phi roots) modulo primes[t]
     modulus: int         # the product of the primes
 
     def mod(self, x: np.ndarray) -> np.ndarray:
-        """``x`` modulo the prime of its leading index."""
-        p = self.primes.reshape((-1,) + (1,) * (x.ndim - 1))
-        return x - x // p * p   # numpy's floor division is about 4x faster than its %
+        """``x`` (integers, int64 or object) modulo the prime of its leading index."""
+        return x % self.primes.reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def leading_primes(n: int, k: int) -> SplitPrimes:
+    """The k largest split primes of conductor n; every :func:`split_primes`
+    of n is such a leading set, so residues at k primes serve any fewer."""
+    primes, ev, iv = _split_stack(n, 1 << (k - 1).bit_length())
+    if len(primes) < k:
+        raise OverflowError(f"conductor {n} has only {len(primes)} split primes below "
+                            f"2^{PRIME_LIMIT.bit_length() - 1}; their product cannot hold "
+                            f"this exact product")
+    return SplitPrimes(primes[:k], ev[:k], iv[:k], math.prod(primes[:k].tolist()))
 
 
 def split_primes(n: int, bound: int) -> SplitPrimes:
     """The fewest split primes of conductor n whose product exceeds 2 * bound,
     so that every integer of magnitude at most ``bound`` is read back exactly
-    from its residues."""
+    from its residues; OverflowError when n has too few below PRIME_LIMIT."""
     count, k, modulus = 1, 0, 1
-    while True:
-        primes, ev, iv = _split_stack(n, count)
-        while k < count and (k == 0 or modulus <= 2 * bound):
+    while k == 0 or modulus <= 2 * bound:
+        primes = _split_stack(n, count)[0]
+        if k == count:
+            count *= 2
+        elif k == len(primes):   # n has no more: leading_primes raises
+            return leading_primes(n, k + 1)
+        else:
             modulus *= int(primes[k])
             k += 1
-        if modulus > 2 * bound:
-            return SplitPrimes(primes[:k], ev[:k], iv[:k], modulus)
-        count *= 2
+    return leading_primes(n, k)
 
 
 def residue_matmul(x: np.ndarray, y: np.ndarray, sp: SplitPrimes) -> np.ndarray:
-    """``x @ y`` modulo the prime of the leading index, for residues below
-    2^26.  The contraction is summed in blocks of at most 2^11 products, each
-    block reduced, so no int64 partial sum reaches 2^63."""
-    out = sp.mod(np.matmul(x[..., :_TERMS], y[..., :_TERMS, :]))
+    """``x @ y`` modulo the prime of the leading index, for int64 residues
+    below PRIME_LIMIT.  The contraction runs as one float64 matmul per block
+    of at most _TERMS products: every partial sum is an integer below 2^53,
+    so each block is exact whatever order BLAS sums it in, and is reduced in
+    int64."""
+    xf, yf = x.astype(np.float64), y.astype(np.float64)
+    out = sp.mod(np.matmul(xf[..., :_TERMS], yf[..., :_TERMS, :]).astype(np.int64))
     for s in range(_TERMS, x.shape[-1], _TERMS):
-        out += sp.mod(np.matmul(x[..., s:s + _TERMS], y[..., s:s + _TERMS, :]))
-        out = sp.mod(out)
+        block = np.matmul(xf[..., s:s + _TERMS], yf[..., s:s + _TERMS, :]).astype(np.int64)
+        out = sp.mod(out + sp.mod(block))
     return out
 
 
@@ -270,20 +300,26 @@ def crt(coeffs: np.ndarray, sp: SplitPrimes, bound: int) -> np.ndarray:
     return with_bound(x, bound)
 
 
-def slice_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Slices ``(phi, r, c)`` of the matrix product of the numerators ``a``
-    ``(phi, r, m)`` and ``b`` ``(phi, m, c)``, both at conductor n."""
-    bound = max_abs(a) * max_abs(b) * a.shape[2] * slice_growth(n)
+def slice_matmul(a: "CycMatrix", b: "CycMatrix") -> tuple[np.ndarray, np.ndarray]:
+    """Slices ``(phi, r, c)`` of the product of the numerators of ``a``
+    ``r x m`` and ``b`` ``m x c``, both at one conductor, from their kept
+    residues, and the residues of the product (:meth:`CycMatrix.residues`)."""
+    n = a.conductor
+    bound = max_abs(a.num) * max_abs(b.num) * a.cols * slice_growth(n)
     sp = split_primes(n, bound)
-    return interpolate(residue_matmul(evaluate(a, sp), evaluate(b, sp), sp), sp, bound)
+    vals = residue_matmul(a.residues(sp), b.residues(sp), sp)
+    return interpolate(vals, sp, bound), vals
 
 
-def slice_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Slices of the entrywise product of ``a`` and ``b`` at conductor n,
-    whose trailing shapes (of one length) broadcast against each other."""
-    bound = max_abs(a) * max_abs(b) * slice_growth(n)
+def slice_mul(a: "CycMatrix", b: "CycMatrix") -> tuple[np.ndarray, np.ndarray]:
+    """Slices of the entrywise product of the numerators of ``a`` and ``b``,
+    both at one conductor, whose shapes broadcast against each other, and
+    the residues of the product."""
+    n = a.conductor
+    bound = max_abs(a.num) * max_abs(b.num) * slice_growth(n)
     sp = split_primes(n, bound)
-    return interpolate(sp.mod(evaluate(a, sp) * evaluate(b, sp)), sp, bound)
+    vals = sp.mod(a.residues(sp) * b.residues(sp))
+    return interpolate(vals, sp, bound), vals
 
 
 def slice_inv(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,6 +350,16 @@ def slice_inv(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return adj, crt(sp.mod(before[:, 0, -1] * vals[:, -1]), sp, norm_bound)
 
 
+@lru_cache(maxsize=None)
+def _root_permutation(n: int, e: int) -> np.ndarray:
+    """The roots axis of :func:`evaluate` holds the roots w^u, u the units
+    mod n in increasing order; at w^u the image of x under sigma_e:
+    zeta -> zeta^e has the value of x at w^(u e), at this position."""
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    at = {u: i for i, u in enumerate(units)}
+    return np.array([at[u * e % n] for u in units])
+
+
 def root_slices(n: int, exps) -> np.ndarray:
     """Slices ``(phi(n),) + exps.shape`` of the matrix with entries zeta_n^exps,
     for any integer array of exponents: the indicator of each exponent
@@ -328,7 +374,7 @@ def root_slices(n: int, exps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class CycMatrix:
-    __slots__ = ("rows", "cols", "conductor", "num", "den", "_entries")
+    __slots__ = ("rows", "cols", "conductor", "num", "den", "_entries", "_res")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         entries = [e if isinstance(e, CycNum) else CycNum.from_rational(Fraction(e))
@@ -351,6 +397,7 @@ class CycMatrix:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_res", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycMatrix is immutable")
@@ -492,9 +539,32 @@ class CycMatrix:
 
     def _combine(self, other: "CycMatrix", slice_op) -> "CycMatrix":
         """``slice_op`` (:func:`slice_mul` or :func:`slice_matmul`) on the two
-        numerators at the common conductor, over the product of denominators."""
+        matrices at the common conductor, over the product of denominators.
+        The product keeps the residues it was computed from, unless
+        from_slices cancelled a common factor out of them."""
         a, b, n = self._common(other)
-        return CycMatrix.from_slices(n, slice_op(a.num, b.num, n), a.den * b.den)
+        num, vals = slice_op(a, b)
+        out = CycMatrix.from_slices(n, num, a.den * b.den)
+        if out.den == a.den * b.den:
+            vals.flags.writeable = False
+            object.__setattr__(out, "_res", vals)
+        return out
+
+    def residues(self, sp: SplitPrimes) -> np.ndarray:
+        """The residues ``(k, r, rows, cols)`` of the numerator at the r roots
+        and k primes of ``sp`` (:func:`evaluate`), a split prime set of the
+        conductor.  The matrix keeps the residues at the most primes and roots
+        asked of it; every smaller set of primes leads it, and one root is
+        the first, so the rest are slices of them."""
+        k, r = sp.ev.shape[:2]
+        res = self._res
+        if res is None or len(res) < k or res.shape[1] < r:
+            more, roots = (k, r) if res is None else (max(k, len(res)), max(r, res.shape[1]))
+            full = leading_primes(self.conductor, more)
+            res = evaluate(self.num, full._replace(ev=full.ev[:, :roots]))
+            res.flags.writeable = False
+            object.__setattr__(self, "_res", res)
+        return res[:k, :r]
 
     def scale(self, c) -> "CycMatrix":
         c = c if isinstance(c, CycNum) else CycNum.from_rational(Fraction(c))
@@ -556,9 +626,18 @@ class CycMatrix:
 
     # ---------- structural operations ----------
 
+    def _passing_residues(self, out: "CycMatrix", move) -> "CycMatrix":
+        """``out``, an image of this matrix with the same denominator, given
+        ``move`` of its residues, if any: a numerator that from_slices left
+        uncancelled is the image of this one, so its residues are theirs."""
+        if self._res is not None and out.den == self.den:
+            object.__setattr__(out, "_res", move(self._res))
+        return out
+
     def transpose(self) -> "CycMatrix":
         num = np.ascontiguousarray(self.num.transpose(0, 2, 1))
-        return CycMatrix.from_slices(self.conductor, num, self.den)
+        out = CycMatrix.from_slices(self.conductor, num, self.den)
+        return self._passing_residues(out, lambda res: res.swapaxes(2, 3))
 
     def columns(self, idx: Sequence[int], signs=1) -> "CycMatrix":
         """The columns ``idx``, in that order, each times its sign in
@@ -576,7 +655,10 @@ class CycMatrix:
         n = self.conductor
         if math.gcd(j, n) != 1:
             raise ValueError(f"galois exponent {j} is not coprime to the conductor {n}")
-        return self._substitute(n, j % n)
+        out = self._substitute(n, j % n)
+        if self._res is None or self._res.shape[1] < len(self.num):
+            return out   # sigma_j moves root 0 to another root
+        return self._passing_residues(out, lambda res: res[:, _root_permutation(n, j % n)])
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and \

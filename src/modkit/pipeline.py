@@ -271,7 +271,7 @@ def emit_zmodular(source: Union[SlightlyDegenerateData, World],
     which route gave c.
     """
     world = source.world() if isinstance(source, SlightlyDegenerateData) else source
-    scale = world.global_dim * world.dim_unit_bar
+    scale = world.d_u
     if normalizer is not None:
         if normalizer * normalizer != scale:
             raise ValueError("normalizer^2 does not equal D * dim_r(unit_bar)")
@@ -301,7 +301,7 @@ def gauss_normalizer(world: World) -> Optional[CycNum]:
     exactly.  The sign and conductor are those of :func:`sqrt_in_field`.
     None when xi^2 or u is not a root of unity.
     """
-    scale = world.global_dim * world.dim_unit_bar
+    scale = world.d_u
     xi = root_of_unity_sqrt(world.anomaly_squared())
     if xi is None:
         return None

@@ -37,8 +37,8 @@ from .cyclotomic import CycNum
 from .datum import ModularDatum, World
 from .fusion import FusionTensor, tensor_duality
 from .kernel import impl as _K
-from .matrix import (CycMatrix, crt, evaluate, interpolate, max_abs, residue_matmul,
-                     slice_growth, split_primes, with_bound)
+from .matrix import (CycMatrix, crt, interpolate, max_abs, residue_matmul, slice_growth,
+                     split_primes, with_bound)
 
 ROUTE_ONE_ROOT = "one root"    # the operands passed the Galois check
 ROUTE_ALL_ROOTS = "all roots"  # every root of Phi_n, then interpolation
@@ -146,7 +146,7 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
                                                                IntegralityReport]:
     """N[x, y, z] = sum_w a[w, x] a[w, y] c[w, z], read off as integers.
 
-    ``a`` and ``c`` are evaluated once modulo split primes: at one root of
+    ``a`` and ``c`` give their residues modulo split primes: at one root of
     Phi_n per prime when :func:`galois_fixed` shows each X = den N to be a
     rational integer, so that its residue is its value there; otherwise at
     all the roots, and the slices of X are interpolated.  N is symmetric in
@@ -170,7 +170,7 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
     if galois_fixed(a, c):
         rep.route = ROUTE_ONE_ROOT
         sp = sp._replace(ev=sp.ev[:, :1])   # row 0: the powers of w itself, w of order n
-    ea, ec = evaluate(a.num, sp), evaluate(c.num, sp)
+    ea, ec = a.residues(sp), c.residues(sp)
     phi, roots = len(a.num), ea.shape[1]
     xs, ys = np.triu_indices(k)
     block = max(1, _BLOCK_BYTES // (8 * len(sp.primes) * roots * max(k, 1)))
@@ -215,7 +215,7 @@ def raw_operands(world: World) -> tuple[CycMatrix, CycMatrix]:
     sp = world.e_matrix().is_signed_permutation()
     signs = sp.signs if sp is not None and sp.perm == world.bar else 1
     signed = world.s.columns(world.bar, signs)
-    c = signed * world.dim_r.transpose().scale((world.global_dim * world.dim_unit_bar).inv())
+    c = signed * world.dim_r.transpose().scale(world.d_u_inv)
     return world.raw.characters.chars(), c
 
 

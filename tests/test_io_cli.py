@@ -423,6 +423,36 @@ def test_cli_verify_encodes_the_report_once(tmp_path, capsys, monkeypatch, out, 
         assert zero_ms.sub('"ms": 0', text) == ("" if out else want)
 
 
+def test_cli_main_builds_its_parser_once_and_carries_nothing_over(tmp_path, capsys):
+    from modkit.cli import build_parser
+    datum, bold, rep = tmp_path / "t.json", tmp_path / "b.json", tmp_path / "rep.json"
+    assert build_parser() is build_parser()
+    steps = [(["generate", "taft:d=3", str(datum)], 0),
+             (["verify", str(datum), "--pretty"], 0),
+             (["verify", str(datum)], 0),
+             (["verify", str(datum), "--out", str(rep), "--mode", "nondeg"], 1),
+             (["verify", str(datum)], 0),
+             (["fusion", "taft:d=3", "(2,0)", "(2,0)", "--compare"], 0),
+             (["fusion", "taft:d=3", "(2,0)", "(2,0)"], 0),
+             (["reduce", str(datum), str(bold)], 0),
+             (["verify", str(bold), "--pretty"], 0),
+             (["report", str(rep)], 1),
+             (["verify", str(bold)], 0)]
+    outs = []
+    for argv, code in steps:
+        assert run_cli(argv) == code, argv
+        outs.append(capsys.readouterr())
+    for i in (2, 4, 10):   # no --pretty after one: JSON, and the classification on stderr
+        assert json.loads(outs[i].out)[0]["check"] == "classification"
+        assert outs[i].err.startswith("classification: Z-modular")
+    for i in (1, 8):
+        assert outs[i].out.startswith("classification") and outs[i].err == ""
+    assert outs[3].out == "" and json.loads(rep.read_text())[0]["detail"] == "fail"
+    assert outs[5].out.startswith("family") and outs[6].out.count("\n") == 1
+    zero_ms = re.compile(r'"ms": [0-9.e-]+')
+    assert zero_ms.sub("", outs[4].out) == zero_ms.sub("", outs[2].out)
+
+
 MALFORMED_REPORTS = {
     "entry-not-object": [1],
     "entry-without-check": [{}],
@@ -669,6 +699,29 @@ def test_cli_fails_degenerate_datum_without_traceback(tmp_path, capsys, which, v
             assert failed == [("global_dimension_nonzero", "D * dim_r(unit_bar) = 0")]
     else:
         assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", ["verify", "reduce", "fusion"])
+def test_cli_ends_with_one_error_line_when_split_primes_run_out(tmp_path, capsys, monkeypatch,
+                                                                  verb):
+    from modkit import matrix, verlinde
+
+    def exhausted(n, bound):
+        raise OverflowError(f"conductor {n} has only 0 split primes below 2^21; "
+                            f"their product cannot hold this exact product")
+
+    path = tmp_path / "t.json"
+    io.save_datum(taft_double(3), str(path))
+    monkeypatch.setattr(matrix, "split_primes", exhausted)
+    monkeypatch.setattr(verlinde, "split_primes", exhausted)
+    argv = {"verify": ["verify", str(path)],
+            "reduce": ["reduce", str(path), str(tmp_path / "out.json")],
+            "fusion": ["fusion", str(path), "(1,0)", "(2,0)", "--oracle", "verlinde"]}[verb]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: conductor 3 has only 0 split primes below 2^21; "
+                                         "their product cannot hold this exact product"]
 
 
 def swapped_duality(raw, i, j):

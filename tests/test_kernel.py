@@ -19,7 +19,8 @@ from modkit import _kernel as kernel
 from modkit.cyclotomic import CycNum, zeta
 from modkit.datum import RawDatum, World, reduce_slightly_degenerate
 from modkit.families import pointed_cyclic, sl2_q16_counterexample, taft_double, taft_J_indices
-from modkit.matrix import CycMatrix, PRIME_LIMIT, slice_matmul, split_primes
+from modkit import matrix
+from modkit.matrix import CycMatrix, PRIME_LIMIT, residue_matmul, slice_matmul, split_primes
 from modkit.pipeline import verify_raw
 from modkit.verlinde import _structure_constants, verlinde_raw
 
@@ -57,6 +58,26 @@ def sympy_rem(coeffs, n):
     rem = poly.rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x))
     out = [int(c) for c in reversed(rem.all_coeffs())]
     return out + [0] * (kernel.euler_phi(n) - len(out))
+
+
+def max_row_of_powers(n):
+    """max_row read off the list-based rows of :func:`modkit._kernel.powers`."""
+    phi = kernel.euler_phi(n)
+    return max((abs(v) for k, row in enumerate(kernel.powers(n)) if k >= phi for v in row),
+               default=1)
+
+
+def test_max_row_matches_the_rows_of_powers():
+    for n in list(range(1, 401)) + [2003, 5040]:
+        assert kernel.max_row(n) == max_row_of_powers(n), n
+
+
+@pytest.mark.parametrize("n", [105, 385, 1155])
+def test_max_row_falls_back_to_python_integers(monkeypatch, n):
+    # with an int64 limit of 1 every step runs on Python integers; the rows,
+    # and so the result, stay the same
+    monkeypatch.setattr(kernel, "INT64_LIMIT", 1)
+    assert kernel.max_row.__wrapped__(n) == max_row_of_powers(n) > 1
 
 
 @pytest.mark.parametrize("n", GRID + [210, 420, 1155, 2310])
@@ -277,9 +298,25 @@ def test_split_tables_evaluate_at_the_roots_of_the_cyclotomic_polynomial(n):
 
 
 def test_running_out_of_split_primes_raises():
-    # 2^25 + 1 = 3 * 11 * 251 * 4051 is the only candidate p = 1 (mod 2^25) below 2^26
+    # 2^20 + 1 = 17 * 61681 is the only candidate p = 1 (mod 2^20) below 2^21
     with pytest.raises(OverflowError, match="split primes"):
-        split_primes(1 << 25, 0)
+        split_primes(1 << 20, 0)
+
+
+def test_every_split_prime_is_used_before_running_out(monkeypatch):
+    # below 2^8 the primes p = 1 (mod 12) are these eleven, so the stack of
+    # sixteen comes back short
+    primes = [241, 229, 193, 181, 157, 109, 97, 73, 61, 37, 13]
+    monkeypatch.setattr(matrix, "PRIME_LIMIT", 1 << 8)
+    matrix._split_stack.cache_clear()
+    try:
+        for k in range(1, len(primes) + 1):
+            bound = (math.prod(primes[:k]) - 1) // 2
+            assert split_primes(12, bound).primes.tolist() == primes[:k]
+        with pytest.raises(OverflowError, match=r"only 11 split primes below 2\^8"):
+            split_primes(12, math.prod(primes) // 2 + 1)
+    finally:
+        matrix._split_stack.cache_clear()
 
 
 def test_products_at_the_one_and_two_prime_limits_are_exact():
@@ -289,13 +326,41 @@ def test_products_at_the_one_and_two_prime_limits_are_exact():
         for v, primes in ((limit - 1, k), (limit, k), (limit + 1, k + 1)):
             assert len(split_primes(1, v).primes) == primes
             for sign in (1, -1):
-                out = slice_matmul(np.array([[[v]]]), np.array([[[sign]]]), 1)
+                a = CycMatrix.from_slices(1, np.array([[[v]]]), 1)
+                out, _ = slice_matmul(a, CycMatrix.from_slices(1, np.array([[[sign]]]), 1))
                 assert out.dtype == np.int64 and out.tolist() == [[[sign * v]]]
+
+
+def test_float_products_stay_below_two_to_the_53():
+    # a block of _TERMS products of residues below PRIME_LIMIT sums to less
+    # than 2^53, so float64 holds every partial sum exactly
+    assert matrix.PRIME_LIMIT ** 2 * matrix._TERMS <= 1 << 53
+    assert all(p < matrix.PRIME_LIMIT for p in split_primes(1, 1 << 400).primes.tolist())
+    assert float((1 << 53) + 1) == float(1 << 53)   # where float64 stops
+
+
+@pytest.mark.parametrize("m", [1 << 11, (1 << 11) + 1])
+@pytest.mark.parametrize("fill", ["top", "random"])
+def test_the_float_kernel_agrees_with_an_object_reference(m, fill):
+    # batched (k, phi, r, m) @ (k, phi, m, c) at conductor 12, three primes
+    sp = split_primes(12, 1 << 60)
+    p = sp.primes.reshape(-1, 1, 1, 1)
+    shape_x, shape_y = (len(sp.primes), 4, 2, m), (len(sp.primes), 4, m, 3)
+    if fill == "top":   # every residue p - 1, the largest partial sums
+        x, y = np.broadcast_to(p - 1, shape_x), np.broadcast_to(p - 1, shape_y)
+    else:
+        rng = np.random.default_rng(m)
+        x, y = (rng.integers(0, 1 << 62, size=s) % p for s in (shape_x, shape_y))
+    got = residue_matmul(x, y, sp)
+    want = np.matmul(x.astype(object), y.astype(object)) % p.astype(object)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all()
 
 
 @pytest.mark.parametrize("n", [1, 12])
 def test_long_contractions_do_not_wrap_int64(n):
-    # residues of -1 are p - 1 ~ 2^26: 2049 of their products pass 2^63
+    # residues of -1 are p - 1 ~ 2^21: 2049 of their products pass 2^53, past
+    # which float64 no longer holds every integer
     phi = kernel.euler_phi(n)
     row = np.zeros((phi, 1, 2049), dtype=np.int64)
     row[0] = -1

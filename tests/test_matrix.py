@@ -314,3 +314,105 @@ def test_the_inverse_stays_within_its_l1_bounds(n):
         assert prod == CycMatrix(1, len(rows), [int(v) for v in norm])
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# residues kept by a matrix
+# ---------------------------------------------------------------------------
+
+CACHE_DATA = ([(f"taft{d}", lambda d=d: taft_double(d)) for d in (5, 7)]
+              + [(f"pointed{key}", lambda key=key: pointed_cyclic(*key)) for key in POINTED_GRID])
+
+
+def cold(m):
+    """The same matrix, keeping no residues."""
+    return CycMatrix.from_slices(m.conductor, m.num, m.den)
+
+
+def units(n):
+    return [e for e in range(1, max(n, 2)) if math.gcd(e, n) == 1]
+
+
+@pytest.mark.parametrize("make", [m for _, m in CACHE_DATA], ids=[i for i, _ in CACHE_DATA])
+def test_passed_residues_equal_a_fresh_evaluation(make):
+    raw = make()
+    k = raw.size
+    n = raw.s_matrix.conductor
+    sp = matrix.split_primes(n, 1 << 100)
+    one_root = sp._replace(ev=sp.ev[:, :1])
+    # S, and S without its first column and the rest reversed: not symmetric
+    for s in (cold(raw.s_matrix), raw.s_matrix.columns(range(k - 1, 0, -1))):
+        s.residues(sp)
+        for e in units(n):
+            g = s.galois(e)
+            row = CycMatrix.from_slices(n, s.num[:, :1, :], s.den)
+            for product in (g @ s.transpose(), g * s, g * row):
+                # kept from the product, at its own primes
+                res = product._res
+                assert res is not None and res.shape[1] == len(product.num)
+                assert np.array_equal(res, matrix.evaluate(
+                    product.num, matrix.leading_primes(n, len(res))))
+            for image in (g, g.transpose(), s.conj_transpose(), s.transpose()):
+                assert image._res is not None   # passed on, not evaluated
+                for at in (sp, one_root):
+                    assert np.array_equal(image.residues(at), matrix.evaluate(image.num, at))
+    s = cold(raw.s_matrix)
+    # residues at one root move to another root under sigma_e: none pass
+    s1 = cold(raw.s_matrix)
+    s1.residues(one_root)
+    for e in units(n):
+        image = s1.galois(e)
+        assert image._res is None
+        assert np.array_equal(image.residues(sp), matrix.evaluate(image.num, sp))
+
+
+@pytest.mark.parametrize("make", [m for _, m in CACHE_DATA], ids=[i for i, _ in CACHE_DATA])
+def test_products_agree_with_warm_and_cold_residues(make):
+    from modkit.verlinde import _structure_constants, raw_operands
+    raw = make()
+    s = cold(raw.s_matrix)
+    theta = CycMatrix(1, raw.size, raw.twists).lift(s.conductor)
+    # warm at more primes than any product here asks, then at one root
+    s.residues(matrix.split_primes(s.conductor, 1 << 300))
+    for e in units(s.conductor):
+        g = s.galois(e)
+        assert g @ s.conj_transpose() == cold(g) @ cold(s.conj_transpose())
+        assert g * theta == cold(g) * cold(theta)
+    world = resolve_world(raw)[0]
+    a, c = raw_operands(world)
+    cold_a, cold_c = cold(a), cold(c)
+    for m in (a, c):
+        m.residues(matrix.split_primes(m.conductor, 1 << 300))
+    (warm_t, warm_rep), (cold_t, cold_rep) = (_structure_constants(a, c),
+                                              _structure_constants(cold_a, cold_c))
+    assert warm_rep == cold_rep
+    assert (warm_t is None) == (cold_t is None)
+    assert warm_t is None or np.array_equal(warm_t, cold_t)
+
+
+def test_each_matrix_is_evaluated_once(monkeypatch):
+    s = cold(taft_double(5).s_matrix)
+    want = [cold(s) @ cold(s), cold(s) * cold(s), cold(s.conj_transpose()) @ cold(s)]
+    calls = []
+    evaluate = matrix.evaluate
+
+    def counting(a, sp):
+        calls.append(a.shape)
+        return evaluate(a, sp)
+
+    monkeypatch.setattr(matrix, "evaluate", counting)
+    # the entrywise product needs no more primes than the first, and the
+    # adjoint's residues are S's moved
+    assert [s @ s, s * s, s.conj_transpose() @ s] == want
+    assert calls == [s.num.shape]
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_a_product_that_cancels_keeps_no_residues(n):
+    # (x / 2) times 2 x has numerator 2 x^2 over 2: from_slices cancels the 2
+    x = CycMatrix(1, 2, [zeta(n), CycNum.from_rational(3, n)])
+    for product in (x.scale(Fraction(1, 2)) * x.scale(2),
+                    x.scale(Fraction(1, 2)) @ x.transpose().scale(2)):
+        assert product.den == 1 and product._res is None
+        sp = matrix.split_primes(product.conductor, 1 << 40)
+        assert np.array_equal(product.residues(sp), matrix.evaluate(product.num, sp))

@@ -341,6 +341,31 @@ def test_verify_raw_multiplies_few_scalars(monkeypatch):
         assert len(calls) <= most
 
 
+@pytest.mark.parametrize("raw,reps", [(taft_double(5), taft_J_indices(5)),
+                                      (taft_double(5), None),
+                                      (pointed_cyclic(9, 2, 1), None)],
+                         ids=["taft-reps", "taft", "pointed"])
+def test_verify_raw_inverts_d_u_once_per_world(monkeypatch, raw, reps):
+    # E = S^2 / (D u) and the Verlinde operands share one inverse of D u
+    inverted, worlds = [], []
+    inv, init = CycNum.inv, World.__init__
+
+    def recording_inv(self):
+        inverted.append(self)
+        return inv(self)
+
+    def recording_init(self, *args):
+        init(self, *args)
+        worlds.append(self)
+
+    monkeypatch.setattr(CycNum, "inv", recording_inv)
+    monkeypatch.setattr(World, "__init__", recording_init)
+    res = verify_raw(raw, reps=reps)
+    assert res.passed and worlds
+    for w in worlds:
+        assert sum(x == w.d_u for x in inverted) == 1
+
+
 def without_duality(raw):
     return RawDatum(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind)
 
