@@ -544,11 +544,16 @@ class CycMatrix:
         from_slices cancelled a common factor out of them."""
         a, b, n = self._common(other)
         num, vals = slice_op(a, b)
-        out = CycMatrix.from_slices(n, num, a.den * b.den)
-        if out.den == a.den * b.den:
-            vals.flags.writeable = False
-            object.__setattr__(out, "_res", vals)
-        return out
+        return CycMatrix.from_slices(n, num, a.den * b.den)._keeping(vals, a.den * b.den)
+
+    def _keeping(self, res: Optional[np.ndarray], den: int) -> "CycMatrix":
+        """This matrix, made by from_slices over ``den``, with ``res`` as its
+        residues when there are any and from_slices cancelled nothing, so
+        that they are the residues of its numerator."""
+        if res is not None and self.den == den:
+            res.flags.writeable = False
+            object.__setattr__(self, "_res", res)
+        return self
 
     def residues(self, sp: SplitPrimes) -> np.ndarray:
         """The residues ``(k, r, rows, cols)`` of the numerator at the r roots
@@ -626,18 +631,10 @@ class CycMatrix:
 
     # ---------- structural operations ----------
 
-    def _passing_residues(self, out: "CycMatrix", move) -> "CycMatrix":
-        """``out``, an image of this matrix with the same denominator, given
-        ``move`` of its residues, if any: a numerator that from_slices left
-        uncancelled is the image of this one, so its residues are theirs."""
-        if self._res is not None and out.den == self.den:
-            object.__setattr__(out, "_res", move(self._res))
-        return out
-
     def transpose(self) -> "CycMatrix":
         num = np.ascontiguousarray(self.num.transpose(0, 2, 1))
-        out = CycMatrix.from_slices(self.conductor, num, self.den)
-        return self._passing_residues(out, lambda res: res.swapaxes(2, 3))
+        res = None if self._res is None else self._res.swapaxes(2, 3)
+        return CycMatrix.from_slices(self.conductor, num, self.den)._keeping(res, self.den)
 
     def columns(self, idx: Sequence[int], signs=1) -> "CycMatrix":
         """The columns ``idx``, in that order, each times its sign in
@@ -655,10 +652,12 @@ class CycMatrix:
         n = self.conductor
         if math.gcd(j, n) != 1:
             raise ValueError(f"galois exponent {j} is not coprime to the conductor {n}")
-        out = self._substitute(n, j % n)
-        if self._res is None or self._res.shape[1] < len(self.num):
-            return out   # sigma_j moves root 0 to another root
-        return self._passing_residues(out, lambda res: res[:, _root_permutation(n, j % n)])
+        res = self._res
+        if res is not None and res.shape[1] == len(self.num):   # all roots: permute them
+            res = res[:, _root_permutation(n, j % n)]
+        else:   # sigma_j moves root 0 to another root
+            res = None
+        return self._substitute(n, j % n)._keeping(res, self.den)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and \
