@@ -9,9 +9,8 @@ from .datum import (DegeneracyError, ModularDatum, RawDatum, SlightlyDegenerateD
                     World, bar_involution, detect_symmetric_center, dims_of,
                     epsilon_action, reduce_slightly_degenerate)
 from .fusion import FusionTensor, quotient_constants
-from .checks import (VerificationReport, check_axioms, check_balancing,
-                     check_raw_unitarity, check_sl2_relations, check_twist_laws,
-                     check_vafa, gauss_sums)
+from .checks import (VerificationReport, check_axioms, check_balancing, check_gauss_product,
+                     check_raw_unitarity, check_sl2_relations, check_twist_laws, check_vafa)
 from .matrix import CycMatrix
 from .pipeline import emit_zmodular, verify_normalized, verify_raw
 from .verlinde import verlinde_fusion, verlinde_raw
@@ -26,8 +25,8 @@ __all__ = [
     "is_totally_positive", "sqrt_in_field",
     "dims_of", "detect_symmetric_center", "bar_involution", "epsilon_action",
     "reduce_slightly_degenerate", "quotient_constants",
-    "check_axioms", "check_balancing", "check_raw_unitarity", "check_sl2_relations",
-    "check_twist_laws", "check_vafa", "gauss_sums",
+    "check_axioms", "check_balancing", "check_gauss_product", "check_raw_unitarity",
+    "check_sl2_relations", "check_twist_laws", "check_vafa",
     "verlinde_fusion", "verlinde_raw",
     "verify_raw", "verify_normalized", "emit_zmodular",
     "kernel_backend",

@@ -1,9 +1,10 @@
 """Exact identity checks and the normalized-datum axiom suite.
 
-Every check returns a :class:`CheckResult` with an exact witness on failure
-(indices plus the offending values); nothing here rounds or approximates.
-Checks that need derived data (dimensions, bar involution, Gauss sums)
-operate on a :class:`~modkit.datum.World`.
+Every check function returns one :class:`CheckResult` or a list of them,
+each made by :func:`_run_check`, which times the work that decides it, with
+an exact witness on failure (indices plus the offending values); nothing
+here rounds or approximates.  Checks that need derived data (dimensions,
+bar involution, Gauss sums) operate on a :class:`~modkit.datum.World`.
 
 Square-root-free policy: unnormalized matrices are verified through squared
 identities (S S^dag = D*u' Id, (ST)^3 = tau^- S^2, anomaly^2 a root of
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -104,26 +105,25 @@ def _row_sum_check(lhs: CycMatrix, want: CycMatrix) -> tuple:
 # raw-world checks
 # ---------------------------------------------------------------------------
 
-def check_raw_unitarity(w: World, scale: CycNum) -> tuple[bool, Optional[dict]]:
-    """S * conj(S)^T == scale * Id, exactly."""
-    lhs = w.s @ w.s.conj_transpose()
-    rhs = CycMatrix.identity(w.size).scale(scale)
-    return (diff := _first_diff(lhs, rhs)) is None, diff
+def check_raw_unitarity(w: World) -> CheckResult:
+    """S * conj(S)^T == D Id exactly, D the world's (super)dimension."""
+    def unitary():
+        lhs = w.s @ w.s.conj_transpose()
+        rhs = CycMatrix.identity(w.size).scale(w.global_dim)
+        return (diff := _first_diff(lhs, rhs)) is None, "S conj(S)^T = D Id", diff
+
+    return _run_check("raw_unitarity", unitary)
 
 
-class GaussSums(NamedTuple):
-    tau_plus: CycNum
-    tau_minus: CycNum
-    product: CycNum
-    expected: CycNum
-    ok: bool
+def check_gauss_product(w: World) -> CheckResult:
+    """The product of the Gauss sums tau_plus tau_minus (twist-weighted sums
+    of squared norms) equals the world's (super)dimension D."""
+    def product():
+        p, d = w.tau_plus * w.tau_minus, w.global_dim
+        ok = p == d
+        return ok, f"tau+ tau- = {p}, D = {d}", None if ok else {"product": p, "expected": d}
 
-
-def gauss_sums(w: World) -> GaussSums:
-    """Twist-weighted sums of squared norms; product compared with the
-    world's (super)dimension."""
-    product = w.tau_plus * w.tau_minus
-    return GaussSums(w.tau_plus, w.tau_minus, product, w.global_dim, product == w.global_dim)
+    return _run_check("gauss_product", product)
 
 
 def check_twist_laws(w: World) -> list[CheckResult]:
@@ -166,7 +166,8 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
     S^2 = D u E with E a signed permutation matching bar; T = diag(theta^-1),
     so S T is S with its columns scaled by the row theta^-1."""
     def st_cubed():
-        lhs = (w.s * w.theta_inv).power(3)
+        st = w.s * w.theta_inv
+        lhs = st @ st @ st
         rhs = w.s_squared().scale(w.tau_minus)
         return (diff := _first_diff(lhs, rhs)) is None, "(S T)^3 = tau_minus * S^2", diff
 
@@ -176,13 +177,14 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
         return (diff := _first_diff(lhs, rhs)) is None, "S^4 = (D u)^2 Id", diff
 
     def st_inv_cubed():
-        lhs = (w.s * w.theta).power(3)
+        st_inv = w.s * w.theta
+        lhs = st_inv @ st_inv @ st_inv
         rhs = CycMatrix.identity(w.size).scale(w.tau_plus * w.global_dim
                                                * w.dim_unit_bar * w.dim_unit_bar)
         return (diff := _first_diff(lhs, rhs)) is None, "(S T^-1)^3 = tau_plus D u^2 Id", diff
 
     def squared_signed_perm():
-        sp = w.e_matrix().is_signed_permutation()
+        sp = w.e_signed_permutation
         if sp is None:
             return False, "S^2 / (D u) is not a signed permutation", {"matrix": "S^2/(D u)"}
         if sp.perm != w.bar:
@@ -313,7 +315,8 @@ def check_axioms(datum: ModularDatum) -> VerificationReport:
         (diff := _first_diff(s2 @ s2, CycMatrix.identity(n))) is None, "", diff))
 
     def st_cubed_scalar():
-        m = (s * t_row).power(3)
+        st = s * t_row
+        m = st @ st @ st
         lam = m.is_scalar_multiple_of_identity()
         if lam is None:
             wit = _first_diff(m, CycMatrix.identity(n).scale(m[0, 0]))

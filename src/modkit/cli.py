@@ -61,7 +61,7 @@ def cmd_verify(args) -> int:
     if isinstance(datum, ModularDatum):
         result = verify_normalized(datum)
     else:
-        result = verify_raw(datum, mode=args.mode)
+        result = verify_raw(datum)
 
     if args.emit_zmodular:
         _emit(result, args.emit_zmodular)
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the full verification pipeline on a datum file")
     v.add_argument("input")
-    v.add_argument("--mode", choices=("auto", "nondeg", "sldeg"), default="auto")
     v.add_argument("--emit-zmodular", metavar="PATH",
                    help="write the normalized datum (or a certificate) to PATH")
     v.add_argument("--out", metavar="PATH", help="write the report JSON to PATH")

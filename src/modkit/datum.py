@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cyclotomic import CycNum
-from .matrix import CycMatrix, max_abs, with_bound
+from .matrix import CycMatrix, SignedPermutation, max_abs, with_bound
 
 KIND_FULL = "raw-full"
 KIND_BOLD = "raw-bold"
@@ -405,6 +405,12 @@ class World:
             self._e = self.s_squared().scale(self.d_u_inv)
         return self._e
 
+    @cached_property
+    def e_signed_permutation(self) -> Optional[SignedPermutation]:
+        """:meth:`e_matrix` as a signed permutation, or None when it is not
+        one; decided once."""
+        return self.e_matrix().is_signed_permutation()
+
 
 # ---------------------------------------------------------------------------
 # reduction of a slightly degenerate full datum to its bold world
@@ -526,8 +532,7 @@ def reduce_slightly_degenerate(full: RawDatum,
     if w.global_dim + w.global_dim != dims_of(full).global_dim:
         raise DegeneracyError("representative squared norms do not sum to half the global dimension")
 
-    e = w.e_matrix()
-    sp = e.is_signed_permutation()
+    sp = w.e_signed_permutation
     if sp is None:
         raise DegeneracyError("S^2 is not sdim * dim_r(unit_bar) times a signed permutation")
     if sp.perm != w.bar:
@@ -542,5 +547,5 @@ def reduce_slightly_degenerate(full: RawDatum,
 
     return SlightlyDegenerateData(
         parent=full, epsilon=eps, eps_action=act, reps=tuple(reps_l), bold=bold, bar=w.bar,
-        unit_bar=w.unit_bar, e_matrix=e, e_signs=sp.signs, sdim=w.global_dim,
+        unit_bar=w.unit_bar, e_matrix=w.e_matrix(), e_signs=sp.signs, sdim=w.global_dim,
         dim_unit_bar=w.dim_unit_bar, bold_world=w)

@@ -141,40 +141,31 @@ def _is_prime(n: int) -> bool:
 def _root_of_order(n: int, p: int) -> int:
     """An element of exact order n modulo the prime p = 1 (mod n); p - 1 is
     never factored, only n."""
-    primes_of_n = [q for q in _K.divisors(n) if _is_prime(q)]
     for g in range(2, p):
         w = pow(g, (p - 1) // n, p)
-        if all(pow(w, n // q, p) != 1 for q in primes_of_n):
+        if all(pow(w, n // q, p) != 1 for q in _K.prime_divisors(n)):
             return w
     raise ValueError(f"{p} is not a prime = 1 (mod {n})")
-
-
-def _inverse_mod(m: np.ndarray, p: int) -> np.ndarray:
-    """The inverse of the invertible residue matrix ``m`` modulo the prime p,
-    by Gauss-Jordan elimination on whole rows."""
-    size = len(m)
-    aug = np.concatenate([m % p, np.eye(size, dtype=np.int64)], axis=1)
-    for col in range(size):
-        piv = col + int(np.flatnonzero(aug[col:, col])[0])
-        aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] * pow(int(aug[col, col]), -1, p) % p
-        factors = aug[:, col].copy()
-        factors[col] = 0
-        aug = (aug - np.outer(factors, aug[col])) % p
-    return aug[:, size:]
 
 
 def _split_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Modulo p = 1 (mod n), Phi_n has the phi distinct roots w^e, for w of
     order n and e the units mod n.  Row i of the evaluation matrix holds the
-    powers 0..phi-1 of the i-th root; the second matrix is its inverse."""
+    powers 0..phi-1 of the i-th root; the second matrix is its inverse, in
+    closed form: the polynomial with the value 1 at w^e and 0 at the other
+    n-th roots of unity is the inverse DFT sum_t n^-1 w^(-e t) x^t, and its
+    remainder modulo Phi_n, column e of the inverse, takes the same values
+    at the roots of Phi_n."""
     w = _root_of_order(n, p)
     powers = [1]
     for _ in range(n - 1):
         powers.append(powers[-1] * w % p)
-    units = [e for e in range(n) if math.gcd(e, n) == 1]
-    ev = np.array(powers, dtype=np.int64)[np.outer(units, range(len(units))) % n]
-    return ev, _inverse_mod(ev, p)
+    powers = np.array(powers, dtype=np.int64)
+    units = np.array([e for e in range(n) if math.gcd(e, n) == 1])
+    ev = powers[np.outer(units, np.arange(len(units))) % n]
+    back = powers[np.outer(np.arange(n), -units) % n] * pow(n, -1, p) % p
+    iv = _K.reduce(with_bound(back, n * p * _K.max_row(n)), n) % p
+    return ev, iv.astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -613,21 +604,6 @@ class CycMatrix:
         factors = int_array([den * d // v for v in norms]).reshape(norm.shape)
         out = with_bound(adj, max_abs(adj) * max_abs(factors)) * factors
         return CycMatrix.from_slices(self.conductor, out, d)
-
-    def power(self, e: int) -> "CycMatrix":
-        if self.rows != self.cols:
-            raise ShapeError("power of a non-square matrix")
-        if e < 0:
-            raise ValueError("negative matrix powers are not supported")
-        out = None
-        base = self
-        while e:
-            if e & 1:
-                out = base if out is None else out @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return CycMatrix.identity(self.rows) if out is None else out
 
     # ---------- structural operations ----------
 

@@ -1,5 +1,7 @@
-"""End-to-end verification: branch on the symmetric center, run the exact
-identity suite for the detected regime, classify the datum.
+"""End-to-end verification: read the regime off the datum's kind and
+symmetric center, run the exact identity suite for it, classify the datum.
+Every entry of a report, structural checks and stages included, is a timed
+check (:func:`modkit.checks._run_check`).
 
 Classification semantics: a nondegenerate datum whose checks pass and whose
 fusion coefficients are natural numbers is ``N-modular``; a slightly
@@ -16,9 +18,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import (FAIL, CheckResult, VerificationReport, check_axioms, check_balancing,
-                     check_raw_unitarity, check_sl2_relations, check_total_positivity,
-                     check_twist_laws, check_vafa, gauss_sums)
+from .checks import (VerificationReport, _run_check, check_axioms, check_balancing,
+                     check_gauss_product, check_raw_unitarity, check_sl2_relations,
+                     check_total_positivity, check_twist_laws, check_vafa)
 from .cyclotomic import CycNum, _canonical_root, root_of_unity_sqrt, sqrt_in_field
 from .datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, SlightlyDegenerateData,
                     World, ZeroGlobalDimensionError, detect_symmetric_center,
@@ -55,113 +57,123 @@ class PipelineResult:
         return 0 if self.passed else 1
 
 
-def verify_raw(raw: RawDatum, mode: str = "auto",
-               reps: Optional[Sequence[int]] = None,
+def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
                fusion_oracle: Optional[FusionTensor] = None) -> PipelineResult:
-    """Full verification of a raw datum.
+    """Full verification of a raw datum, in the regime read off its kind and
+    its symmetric center.
 
-    ``mode`` is ``auto`` (branch on the detected symmetric center), ``nondeg``
-    or ``sldeg`` (fail when the detection disagrees).  ``reps`` overrides the
-    canonical representative choice of the slightly degenerate reduction.
-    ``fusion_oracle`` is an independently computed fusion tensor on the full
-    labels; when present, the Verlinde output is compared against it (against
-    its sign (-1) quotient, in the slightly degenerate case).
+    ``reps`` overrides the canonical representative choice of the slightly
+    degenerate reduction.  ``fusion_oracle`` is an independently computed
+    fusion tensor on the full labels; when present, the Verlinde output is
+    compared against it (against its sign (-1) quotient, in the slightly
+    degenerate case).  Every entry of the report is one timed check
+    (:func:`_run_check`) whose ms covers the work that decides it: the check
+    that decides the regime builds the world of a bold datum (``duality``)
+    or of a trivial center (``symmetric_center``), and ``reduction`` that of
+    a slightly degenerate one.
     """
-    if mode not in ("auto", "nondeg", "sldeg"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rep = VerificationReport()
-
-    def structural(name, ok, detail="", witness=None):
-        rep.add(CheckResult(name, "pass" if ok else FAIL, detail, witness))
-        return ok
-
-    if not structural("s_raw_symmetric", raw.s_matrix.is_symmetric()):
-        return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
-    if not structural("dims_nonzero", all(raw.s_matrix.row(raw.unit))):
-        return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
-    if not structural("twists_nonzero", all(raw.twists)):
-        return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
-    supplied = raw.duality is not None
-    try:
-        raw = with_duality(raw)
-        structural("duality", True, "supplied" if supplied else "derived")
-    except DegeneracyError as exc:
-        center = () if supplied or raw.kind == KIND_BOLD else raw.characters.center
-        if raw.unit in center and len(center) > 2:   # repeated characters: the center decides
-            rep.skip("duality", "not derived: the symmetric center is degenerate")
-            structural("symmetric_center", False, _degenerate_detail(raw, center))
-            return PipelineResult(rep, DEGENERATE, BRANCH_DEGENERATE)
-        x = raw.characters.dual_mismatch
-        structural("duality", False, str(exc), None if x is None else
-                   {"at": x, "label": raw.labels[x]})
-        return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
-
-    stage = "bar_involution"   # the check a failure to build the world is reported as
-    branch = BRANCH_SLDEG
-    if raw.kind == KIND_BOLD:
-        if mode == "nondeg":
-            structural("mode", False, "bold input cannot be verified as nondegenerate")
-            return PipelineResult(rep, FAILED, branch)
-    else:
-        center = detect_symmetric_center(raw)
-        names = ", ".join(raw.labels[i] for i in center)
-        if raw.unit not in center:
-            structural("symmetric_center", False, "unit is not in the symmetric center")
+    rep, s, made = VerificationReport(), raw.s_matrix, {}
+    for name, holds in (("s_raw_symmetric", s.is_symmetric),
+                        ("dims_nonzero", lambda: all(s.row(raw.unit))),
+                        ("twists_nonzero", lambda: all(raw.twists))):
+        if not rep.run(name, lambda: (holds(), "", None)).ok:
             return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
+
+    def build() -> None:   # the world into made, or the DegeneracyError that stops it
+        try:
+            made["world"], made["sldeg"] = resolve_world(raw, reps)
+        except DegeneracyError as exc:
+            made["error"] = exc
+
+    def degenerate(center) -> tuple:
+        made["degenerate"] = True
+        names = ", ".join(raw.labels[i] for i in center)
+        return False, f"{len(center)} simples in the symmetric center ({names}): degenerate", None
+
+    supplied = raw.duality is not None
+
+    def duality():
+        nonlocal raw
+        try:
+            raw = with_duality(raw)
+        except DegeneracyError as exc:
+            center = () if supplied or raw.kind == KIND_BOLD else raw.characters.center
+            if raw.unit in center and len(center) > 2:   # repeated characters: the center decides
+                return degenerate(center)
+            x = raw.characters.dual_mismatch
+            return False, str(exc), None if x is None else {"at": x, "label": raw.labels[x]}
+        if raw.kind == KIND_BOLD:
+            build()
+        return True, "supplied" if supplied else "derived", None
+
+    checked = _run_check("duality", duality)
+    if "degenerate" in made:   # renamed, not rebuilt, so that its ms stays
+        rep.skip("duality", "not derived: the symmetric center is degenerate")
+        checked.name = "symmetric_center"
+    if not rep.add(checked).ok:
+        return PipelineResult(rep, DEGENERATE if "degenerate" in made else FAILED,
+                              BRANCH_DEGENERATE)
+    if raw.kind == KIND_BOLD:
+        return _verify_world(rep, made, BRANCH_SLDEG, fusion_oracle)
+
+    def symmetric_center():
+        center = made["center"] = detect_symmetric_center(raw)
+        if raw.unit not in center:
+            return False, "unit is not in the symmetric center", None
         if len(center) > 2:
-            structural("symmetric_center", False, _degenerate_detail(raw, center))
-            return PipelineResult(rep, DEGENERATE, BRANCH_DEGENERATE)
+            return degenerate(center)
         if len(center) == 1:
-            branch = BRANCH_NONDEG
-            structural("symmetric_center", True, "trivial center: nondegenerate")
-            if mode == "sldeg":
-                structural("mode", False, "requested sldeg but the center is trivial")
-                return PipelineResult(rep, FAILED, branch)
-        else:   # exactly two central simples: candidate slightly degenerate datum
-            stage = "reduction"
-            structural("symmetric_center", True,
-                       f"center {{{names}}}: slightly degenerate candidate")
-            if mode == "nondeg":
-                structural("mode", False, "requested nondeg but the center is not trivial")
-                return PipelineResult(rep, FAILED, branch)
-            eps = center[0] if center[1] == raw.unit else center[1]
-            dim_eps, t_eps = raw.dim_r(eps), raw.twists[eps]
-            one = CycNum.from_rational(1)
-            if not structural("epsilon_shape", dim_eps == -one and t_eps == one,
-                              f"dim(eps) = {dim_eps}, twist(eps) = {t_eps}"
-                              + ("; the dim +1 / twist -1 regime does not satisfy the S/T "
-                                 "relations" if dim_eps == one and t_eps == -one else "")):
-                return PipelineResult(rep, FAILED, branch)
-            try:
-                epsilon_action(raw)
-                structural("epsilon_row_negation", True)
-            except DegeneracyError as exc:
-                structural("epsilon_row_negation", False, str(exc))
-                return PipelineResult(rep, FAILED, branch)
-            # epsilon_action refuses an action with a fixed point
-            structural("epsilon_fixed_point_free", True)
+            build()
+            return True, "trivial center: nondegenerate", None
+        names = ", ".join(raw.labels[i] for i in center)
+        return True, f"center {{{names}}}: slightly degenerate candidate", None
 
-    try:
-        world, sldeg = resolve_world(raw, reps)
-    except DegeneracyError as exc:
-        if stage == "reduction":
-            rep.skip("rank_half", "not certified: the reduction failed")
-        if isinstance(exc, ZeroGlobalDimensionError):   # a check of its own
-            stage = "global_dimension_nonzero"
-        structural(stage, False, str(exc))
-        return PipelineResult(rep, FAILED, branch)
-    if sldeg is not None:
-        # rows pair under negation (rank <= n/2); S[reps,reps]^2 = D*u*E is invertible (>= n/2)
-        structural("rank_half", True, f"rank {len(sldeg.reps)} of size {raw.size}")
-        structural("reduction", True, f"representatives {[raw.labels[r] for r in sldeg.reps]}")
-    tensor = _world_suite(rep, world, sldeg, fusion_oracle)
-    cls = (N_MODULAR if branch == BRANCH_NONDEG else Z_MODULAR) if rep.passed else FAILED
-    return PipelineResult(rep, cls, branch, world=world, sldeg=sldeg, tensor=tensor)
+    if not rep.run("symmetric_center", symmetric_center).ok:
+        return PipelineResult(rep, DEGENERATE if "degenerate" in made else FAILED,
+                              BRANCH_DEGENERATE)
+    center = made["center"]
+    if len(center) == 1:
+        return _verify_world(rep, made, BRANCH_NONDEG, fusion_oracle)
+    eps = center[0] if center[1] == raw.unit else center[1]
 
+    def epsilon_shape():
+        dim_eps, t_eps, one = raw.dim_r(eps), raw.twists[eps], CycNum.from_rational(1)
+        return dim_eps == -one and t_eps == one, f"dim(eps) = {dim_eps}, twist(eps) = {t_eps}" \
+            + ("; the dim +1 / twist -1 regime does not satisfy the S/T relations"
+               if dim_eps == one and t_eps == -one else ""), None
 
-def _degenerate_detail(raw: RawDatum, center: Sequence[int]) -> str:
-    names = ", ".join(raw.labels[i] for i in center)
-    return f"{len(center)} simples in the symmetric center ({names}): degenerate"
+    def row_negation():
+        try:
+            epsilon_action(raw)
+        except DegeneracyError as exc:
+            return False, str(exc), None
+        return True, "", None
+
+    if not (rep.run("epsilon_shape", epsilon_shape).ok
+            and rep.run("epsilon_row_negation", row_negation).ok):
+        return PipelineResult(rep, FAILED, BRANCH_SLDEG)
+    # epsilon_action refuses an action with a fixed point
+    rep.run("epsilon_fixed_point_free", lambda: (True, "", None))
+
+    def reduction():
+        build()
+        if "error" in made:
+            return False, str(made["error"]), None
+        return True, f"representatives {[raw.labels[r] for r in made['sldeg'].reps]}", None
+
+    # decided by the reduction, rank_half comes before it: rows pair under
+    # negation (rank <= n/2); S[reps,reps]^2 = D*u*E is invertible (>= n/2)
+    reduced = _run_check("reduction", reduction)
+    if reduced.ok:
+        rep.run("rank_half", lambda: (True, f"rank {len(made['sldeg'].reps)} of size {raw.size}",
+                                      None))
+        rep.add(reduced)
+        return _verify_world(rep, made, BRANCH_SLDEG, fusion_oracle)
+    rep.skip("rank_half", "not certified: the reduction failed")
+    if isinstance(made["error"], ZeroGlobalDimensionError):   # a check of its own
+        reduced.name = "global_dimension_nonzero"
+    rep.add(reduced)
+    return PipelineResult(rep, FAILED, BRANCH_SLDEG)
 
 
 def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
@@ -181,57 +193,55 @@ def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
     return sldeg.world(), sldeg
 
 
-def _world_suite(rep: VerificationReport, world: World,
-                 sldeg: Optional[SlightlyDegenerateData],
-                 fusion_oracle: Optional[FusionTensor]) -> Optional[np.ndarray]:
-    rep.add(_raw_unitarity(world))
-    g = gauss_sums(world)
-    rep.add(CheckResult("gauss_product", "pass" if g.ok else FAIL,
-                        f"tau+ tau- = {g.product}, D = {g.expected}",
-                        None if g.ok else {"product": g.product, "expected": g.expected}))
-    for c in check_twist_laws(world):
+def _verify_world(rep: VerificationReport, made: dict, branch: str,
+                  fusion_oracle: Optional[FusionTensor]) -> PipelineResult:
+    """Run the world suite on the world ``made`` holds, or fail the stage
+    whose DegeneracyError it holds, and classify."""
+    exc = made.get("error")
+    if exc is not None:   # a zero D * dim_r(unit_bar) is a check of its own
+        stage = "global_dimension_nonzero" if isinstance(exc, ZeroGlobalDimensionError) \
+            else "bar_involution"
+        rep.run(stage, lambda: (False, str(exc), None))
+        return PipelineResult(rep, FAILED, branch)
+    world, sldeg = made["world"], made["sldeg"]
+    for c in [check_raw_unitarity(world), check_gauss_product(world)] + check_twist_laws(world) \
+            + check_sl2_relations(world) + check_vafa(world) + [check_total_positivity(world)]:
         rep.add(c)
-    for c in check_sl2_relations(world):
-        rep.add(c)
-    for c in check_vafa(world):
-        rep.add(c)
-    rep.add(check_total_positivity(world))
+    tensor = None
 
-    tensor, irep = verlinde_raw(world)
-    if not irep.integral:
-        x, y, z, v = irep.non_integral[0]
-        rep.add(CheckResult("verlinde_classification", FAIL, "non-integral coefficient",
-                            {"at": (x, y, z), "value": v}))
-        rep.skip("balancing", "no integral fusion tensor")
-        return None
-    if world.nondegenerate:
-        ok = irep.nonnegative
-        detail = "N-modular" if ok else \
-            f"negative coefficient {irep.first_negative} in a nondegenerate datum"
-        rep.add(CheckResult("verlinde_classification", "pass" if ok else FAIL, detail,
-                            None if ok else {"first_negative": irep.first_negative}))
-    else:
+    def classification():
+        nonlocal tensor
+        found, irep = verlinde_raw(world)
+        if not irep.integral:
+            x, y, z, v = irep.non_integral[0]
+            return False, "non-integral coefficient", {"at": (x, y, z), "value": v}
+        tensor = found
+        if world.nondegenerate:
+            ok = irep.nonnegative
+            return ok, "N-modular" if ok else f"negative coefficient {irep.first_negative} " \
+                "in a nondegenerate datum", None if ok else {"first_negative": irep.first_negative}
         detail = "Z-modular"
         if not irep.nonnegative:
-            detail += (f", {irep.negative_count} negative entries"
-                       f" (first {irep.first_negative})")
-        rep.add(CheckResult("verlinde_classification", "pass", detail))
-    rep.add(check_balancing(world, tensor))
+            detail += f", {irep.negative_count} negative entries (first {irep.first_negative})"
+        return True, detail, None
 
-    if fusion_oracle is not None:
-        if sldeg is not None:
-            want, _ = quotient_constants(fusion_oracle, sldeg.epsilon, -1, reps=sldeg.reps)
-        else:
-            want = fusion_oracle.table
-        same = want.shape == tensor.shape and bool(np.array_equal(want, tensor))
-        rep.add(CheckResult("oracle_equivalence", "pass" if same else FAIL,
-                            "Verlinde tensor vs independent fusion oracle"))
-    return tensor
+    rep.run("verlinde_classification", classification)
+    if tensor is None:
+        rep.skip("balancing", "no integral fusion tensor")
+    else:
+        rep.add(check_balancing(world, tensor))
+        if fusion_oracle is not None:
+            def oracle():
+                if sldeg is None:
+                    want = fusion_oracle.table
+                else:
+                    want, _ = quotient_constants(fusion_oracle, sldeg.epsilon, -1, reps=sldeg.reps)
+                same = want.shape == tensor.shape and bool(np.array_equal(want, tensor))
+                return same, "Verlinde tensor vs independent fusion oracle", None
 
-
-def _raw_unitarity(world: World) -> CheckResult:
-    ok, witness = check_raw_unitarity(world, world.global_dim)
-    return CheckResult("raw_unitarity", "pass" if ok else FAIL, "S conj(S)^T = D Id", witness)
+            rep.run("oracle_equivalence", oracle)
+    cls = (N_MODULAR if branch == BRANCH_NONDEG else Z_MODULAR) if rep.passed else FAILED
+    return PipelineResult(rep, cls, branch, world=world, sldeg=sldeg, tensor=tensor)
 
 
 def verify_normalized(datum: ModularDatum) -> PipelineResult:
@@ -281,7 +291,7 @@ def emit_zmodular(source: Union[SlightlyDegenerateData, World],
         if c is None:
             c, note = sqrt_in_field(scale), "normalizer from the square-root search"
     if c is None:
-        cert = VerificationReport([_raw_unitarity(world)] + check_sl2_relations(world))
+        cert = VerificationReport([check_raw_unitarity(world)] + check_sl2_relations(world))
         return EmitResult(None, None, cert,
                           note="no exact normalizer in conductor <= 4N; "
                                "identities verified up to scalar")

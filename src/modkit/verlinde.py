@@ -212,7 +212,7 @@ def raw_operands(world: World) -> tuple[CycMatrix, CycMatrix]:
     a[w, x] = s_w(x), the character table, and c[w, z] = sign(z) s_w(bar(z))
     dim_r(w)^2 / (D u) = sign(z) S[w, bar(z)] dim_r(w) / (D u).  The terms are
     those of the sum above, in operands that the Galois group permutes."""
-    sp = world.e_matrix().is_signed_permutation()
+    sp = world.e_signed_permutation
     signs = sp.signs if sp is not None and sp.perm == world.bar else 1
     signed = world.s.columns(world.bar, signs)
     c = signed * world.dim_r.transpose().scale(world.d_u_inv)

@@ -70,3 +70,12 @@ def galois_conjugate(raw: RawDatum, j: int) -> RawDatum:
     return RawDatum(raw.labels, raw.unit, raw.s_matrix.galois(j),
                     tuple(t.galois(j) for t in raw.twists), raw.kind, raw.duality,
                     raw.duality_signs)
+
+
+def zero_global_dimension() -> dict:
+    """A datum file whose dims are (1, i), so that the squared norms 1 and -1
+    sum to 0: every structural check passes, and no world can be normalized."""
+    one, i4 = {"conductor": 1, "coeffs": ["1"]}, {"conductor": 4, "coeffs": ["0", "1"]}
+    return {"labels": ["a", "b"], "unit": 0, "kind": "raw-full",
+            "S": {"rows": 2, "cols": 2, "entries": [[one, i4], [i4, one]]},
+            "twists": [one, i4], "duality": [0, 1]}

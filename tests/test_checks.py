@@ -4,9 +4,9 @@ import pytest
 
 import per_entry
 from conftest import relabel
-from modkit.checks import (AXIOM_CHECKS, check_axioms, check_balancing,
+from modkit.checks import (AXIOM_CHECKS, check_axioms, check_balancing, check_gauss_product,
                            check_raw_unitarity, check_sl2_relations, check_twist_laws,
-                           check_vafa, gauss_sums)
+                           check_vafa)
 from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
 from modkit.datum import ModularDatum, RawDatum, World, reduce_slightly_degenerate
 from modkit.matrix import CycMatrix
@@ -66,30 +66,33 @@ def test_axioms_on_naively_normalized_counterexample():
 
 def test_raw_unitarity_examples():
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    ok, _ = check_raw_unitarity(sld.world(), CycNum.from_rational(3))
-    assert ok
-    ok, _ = check_raw_unitarity(World(pointed_cyclic(5, 1, 1)),
-                                CycNum.from_rational(5))
-    assert ok
-    ident = RawDatum(("1",), 0, CycMatrix.identity(1), (one,), "raw-full", (0,))
-    ok, witness = check_raw_unitarity(World(ident), CycNum.from_rational(2))
-    assert not ok
-    assert witness["at"] == (0, 0)
+    assert check_raw_unitarity(sld.world()).status == "pass"
+    assert check_raw_unitarity(World(pointed_cyclic(5, 1, 1))).status == "pass"
+    # S = [[1, 1], [1, 2]]: S conj(S)^T = [[2, 3], [3, 5]], while D = 1 + 1 = 2
+    s = CycMatrix.from_rows([[1, 1], [1, 2]])
+    bad = World(RawDatum(("1", "a"), 0, s, (one, one), "raw-full", (0, 1)))
+    result = check_raw_unitarity(bad)
+    assert result.name == "raw_unitarity" and result.status == "fail"
+    assert result.witness["at"] == (0, 1)
 
 
 def test_gauss_sums_pointed():
-    g = gauss_sums(World(pointed_cyclic(3, 1, 1)))
-    assert g.tau_plus == 2 + zeta(3, 2)
-    assert g.tau_minus == 2 + zeta(3)
-    assert g.product == 3
-    assert g.expected == 3
-    assert g.ok
+    w = World(pointed_cyclic(3, 1, 1))
+    assert w.tau_plus == 2 + zeta(3, 2)
+    assert w.tau_minus == 2 + zeta(3)
+    g = check_gauss_product(w)
+    assert g.name == "gauss_product" and g.status == "pass" and g.witness is None
+    assert g.detail == "tau+ tau- = 3, D = 3"
 
 
 def test_gauss_supersums_taft():
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    g = gauss_sums(sld.world())
-    assert g.product == 3 and g.ok
+    g = check_gauss_product(sld.world())
+    assert g.status == "pass" and g.detail == "tau+ tau- = 3, D = 3"
+    # S = [[1, 1], [1, 2]] with trivial twists: tau+ = tau- = 2, but D = 2
+    s = CycMatrix.from_rows([[1, 1], [1, 2]])
+    g = check_gauss_product(World(RawDatum(("1", "a"), 0, s, (one, one), "raw-full", (0, 1))))
+    assert g.status == "fail" and g.witness == {"product": 4, "expected": 2}
 
 
 # ---------------------------------------------------------------------------

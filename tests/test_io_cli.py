@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import intervals
 import per_entry
-from conftest import galois_conjugate
+from conftest import galois_conjugate, zero_global_dimension
 from modkit import io
 from modkit.cli import main as cli_main
 from modkit.cyclotomic import CycNum, root_of_unity
@@ -426,11 +426,13 @@ def test_cli_verify_encodes_the_report_once(tmp_path, capsys, monkeypatch, out, 
 def test_cli_main_builds_its_parser_once_and_carries_nothing_over(tmp_path, capsys):
     from modkit.cli import build_parser
     datum, bold, rep = tmp_path / "t.json", tmp_path / "b.json", tmp_path / "rep.json"
+    q16 = tmp_path / "q16.json"
+    io.save_datum(sl2_q16_counterexample()[0], str(q16))   # fails at epsilon_shape
     assert build_parser() is build_parser()
     steps = [(["generate", "taft:d=3", str(datum)], 0),
              (["verify", str(datum), "--pretty"], 0),
              (["verify", str(datum)], 0),
-             (["verify", str(datum), "--out", str(rep), "--mode", "nondeg"], 1),
+             (["verify", str(q16), "--out", str(rep)], 1),
              (["verify", str(datum)], 0),
              (["fusion", "taft:d=3", "(2,0)", "(2,0)", "--compare"], 0),
              (["fusion", "taft:d=3", "(2,0)", "(2,0)"], 0),
@@ -649,8 +651,6 @@ def test_datum_types_reject_duplicate_labels():
 
 
 ZERO = {"conductor": 1, "coeffs": ["0"]}
-ONE = {"conductor": 1, "coeffs": ["1"]}
-I4 = {"conductor": 4, "coeffs": ["0", "1"]}
 
 
 def _zero_dimension():
@@ -666,15 +666,8 @@ def _zero_twist():
     return obj
 
 
-def _zero_global_dimension():
-    # dims (1, i), so the squared norms 1 and -1 sum to 0
-    return {"labels": ["a", "b"], "unit": 0, "kind": "raw-full",
-            "S": {"rows": 2, "cols": 2, "entries": [[ONE, I4], [I4, ONE]]},
-            "twists": [ONE, I4], "duality": [0, 1]}
-
-
 DEGENERATE = {"zero-dimension": _zero_dimension, "zero-twist": _zero_twist,
-              "zero-global-dimension": _zero_global_dimension}
+              "zero-global-dimension": zero_global_dimension}
 
 
 @pytest.mark.parametrize("verb", ["verify", "reduce", "fusion"])

@@ -275,26 +275,45 @@ def test_rational_scale_keeps_the_common_conductor():
         assert canonical(scaled.entries) == canonical((e * c).lift(n) for e in a.entries)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 76, 84])
-def test_split_tables_evaluate_at_the_roots_of_the_cyclotomic_polynomial(n):
-    sp = split_primes(n, 1 << 120)
+def assert_split_tables(n, sp):
+    """Row i of each evaluation matrix holds the powers of the i-th root of
+    Phi_n modulo its prime, w^(units[i]) for a w of exact order n, and the
+    interpolation matrix is its inverse."""
     phi = kernel.euler_phi(n)
     units = [e for e in range(n) if math.gcd(e, n) == 1]
-    assert sp.modulus == math.prod(sp.primes.tolist()) > 1 << 121
-    assert (np.diff(sp.primes) < 0).all()
-    poly = kernel.cyclotomic_int_coeffs(n)
+    poly = np.array(kernel.cyclotomic_int_coeffs(n))
     for p, ev, iv in zip(sp.primes.tolist(), sp.ev, sp.iv):
         assert p < PRIME_LIMIT and (p - 1) % n == 0 and sympy.isprime(p)
         assert ev.shape == iv.shape == (phi, phi)
+        assert ((0 <= iv) & (iv < p)).all()
         if phi > 1:
             w = int(ev[0, 1])   # units[0] = 1, so row 0 holds the powers of w
             assert pow(w, n, p) == 1
             assert all(pow(w, n // q, p) != 1 for q in sympy.primefactors(n))
-            assert ev.tolist() == [[pow(w, e * j, p) for j in range(phi)] for e in units]
-            for root in ev[:, 1].tolist():
-                assert sum(c * pow(root, i, p) for i, c in enumerate(poly)) % p == 0
-        ident = ev.astype(object) @ iv.astype(object) % p
-        assert (ident == np.eye(phi, dtype=np.int64)).all()
+            roots = ev[:, 1]
+            assert roots.tolist() == [pow(w, e, p) for e in units]
+            assert (ev[:, 0] == 1).all() and (ev[:, 1:] == ev[:, :-1] * roots[:, None] % p).all()
+            top = roots * ev[:, -1] % p   # root^phi
+            assert not ((ev @ (poly[:-1] % p) + top * (poly[-1] % p)) % p).any()
+        # entries below 2^21 and phi <= 2^11 terms: float64 sums them exactly
+        assert phi <= 1 << 11
+        ident = np.fmod(ev.astype(np.float64) @ iv.astype(np.float64), p)
+        assert (ident == np.eye(phi)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 76, 84])
+def test_split_tables_evaluate_at_the_roots_of_the_cyclotomic_polynomial(n):
+    sp = split_primes(n, 1 << 120)
+    assert sp.modulus == math.prod(sp.primes.tolist()) > 1 << 121
+    assert (np.diff(sp.primes) < 0).all()
+    assert_split_tables(n, sp)
+
+
+@pytest.mark.parametrize("n", [1155, 2003])
+def test_split_tables_at_large_conductors(n):
+    # phi = 480 and 2002, two primes each: a table built by O(phi) numpy
+    # row steps per prime, as elimination is, would take minutes here
+    assert_split_tables(n, matrix.leading_primes(n, 2))
 
 
 def test_running_out_of_split_primes_raises():

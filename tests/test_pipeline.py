@@ -3,11 +3,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from conftest import POINTED_GRID, galois_conjugate, relabel
+from conftest import POINTED_GRID, galois_conjugate, relabel, zero_global_dimension
+import modkit.checks as checks_mod
+import modkit.pipeline as pipeline_mod
+from modkit import io
 from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
 from modkit.datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, World,
                           reduce_slightly_degenerate)
@@ -19,17 +23,6 @@ from modkit.pipeline import (emit_zmodular, gauss_normalizer, resolve_world, ver
                              verify_raw)
 
 one = CycNum.from_rational(1)
-
-
-def test_mode_override_mismatches():
-    res = verify_raw(taft_double(3), mode="nondeg")
-    assert not res.passed
-    assert res.report["mode"].status == "fail"
-    res = verify_raw(pointed_cyclic(5, 1, 0), mode="sldeg")
-    assert not res.passed
-    assert res.report["mode"].status == "fail"
-    with pytest.raises(ValueError):
-        verify_raw(pointed_cyclic(5, 1, 0), mode="whatever")
 
 
 def test_structural_failure_short_circuits():
@@ -364,6 +357,99 @@ def test_verify_raw_inverts_d_u_once_per_world(monkeypatch, raw, reps):
     assert res.passed and worlds
     for w in worlds:
         assert sum(x == w.d_u for x in inverted) == 1
+
+
+def _run_check_cases():
+    return {"taft3-oracle": (taft_double(3), dict(reps=taft_J_indices(3),
+                                                  fusion_oracle=taft_fusion_tensor(3))),
+            "pointed5,1,0": (pointed_cyclic(5, 1, 0), {}),
+            "q16-full": (sl2_q16_counterexample()[0], {}),
+            "taft3-bad-reps": (taft_double(3), dict(reps=[0, 1, 99])),
+            "zero-global-dimension": (io.datum_from_json(zero_global_dimension()), {}),
+            "q16-bold": (sl2_q16_counterexample()[1], {}),
+            "pointed9,3,0-derived": (without_duality(pointed_cyclic(9, 3, 0)), {})}
+
+
+RUN_CHECK_OUTCOMES = {"taft3-oracle": ("Z-modular", [], []),
+                      "pointed5,1,0": ("N-modular", [], []),
+                      "q16-full": ("fail", ["epsilon_shape"], []),
+                      "taft3-bad-reps": ("fail", ["reduction"], ["rank_half"]),
+                      "zero-global-dimension": ("fail", ["global_dimension_nonzero"], []),
+                      "q16-bold": ("fail", ["gauss_product", "twist_tau_plus_rows",
+                                            "twist_tau_minus_rows", "sl2_st_cubed",
+                                            "sl2_st_inv_cubed", "vafa_anomaly", "balancing"], []),
+                      "pointed9,3,0-derived": ("degenerate", ["symmetric_center"], ["duality"])}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CHECK_OUTCOMES))
+def test_every_report_entry_is_one_timed_check(monkeypatch, case):
+    # each entry that is not skipped is the result of one _run_check call,
+    # and no call is left out of the report
+    made = []
+    run_check = checks_mod._run_check
+
+    def recording(name, fn):
+        made.append(run_check(name, fn))
+        return made[-1]
+
+    monkeypatch.setattr(checks_mod, "_run_check", recording)
+    monkeypatch.setattr(pipeline_mod, "_run_check", recording)
+    raw, kwargs = _run_check_cases()[case]
+    res = verify_raw(raw, **kwargs)
+    entries = [c for c in res.report.checks if c.status != "skipped"]
+    cls, failed, skipped = RUN_CHECK_OUTCOMES[case]
+    assert res.classification == cls
+    assert [c.name for c in res.report.failures()] == failed
+    assert [c.name for c in res.report.checks if c.status == "skipped"] == skipped
+    assert len(made) == len(entries) and {id(c) for c in made} == {id(c) for c in entries}
+    assert all(c.ms > 0 for c in entries)
+
+
+@pytest.mark.parametrize("target,entry,case", [
+    ("with_duality", "duality", "taft3-oracle"),
+    ("detect_symmetric_center", "symmetric_center", "taft3-oracle"),
+    ("epsilon_action", "epsilon_row_negation", "taft3-oracle"),
+    ("resolve_world", "reduction", "taft3-oracle"),
+    ("resolve_world", "symmetric_center", "pointed5,1,0"),
+    ("verlinde_raw", "verlinde_classification", "taft3-oracle"),
+    ("quotient_constants", "oracle_equivalence", "taft3-oracle"),
+    ("resolve_world", "symmetric_center", "zero-global-dimension"),
+    ("resolve_world", "duality", "q16-bold"),
+    ("with_duality", "symmetric_center", "pointed9,3,0-derived"),
+])
+def test_an_entry_is_timed_with_the_work_that_decides_it(monkeypatch, target, entry, case):
+    # the check that decides the regime builds the world of a trivial center
+    # or a bold datum, and a world that cannot be built fails a check of its
+    # own after it; a degenerate center decides when no duality can be derived
+    work = getattr(pipeline_mod, target)
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, target, slow)
+    raw, kwargs = _run_check_cases()[case]
+    assert verify_raw(raw, **kwargs).report[entry].ms >= 50
+
+
+@pytest.mark.parametrize("raw,emit", [(taft_double(5), True), (pointed_cyclic(9, 2, 1), False)],
+                         ids=["taft5", "pointed9,2,1"])
+def test_s_squared_is_certified_a_signed_permutation_once_per_world(monkeypatch, raw, emit):
+    # the reduction, sl2_s_squared_signed_perm and the Verlinde operands all
+    # read one decision of the World
+    calls = []
+    is_signed_permutation = CycMatrix.is_signed_permutation
+
+    def counting(self):
+        calls.append(None)
+        return is_signed_permutation(self)
+
+    monkeypatch.setattr(CycMatrix, "is_signed_permutation", counting)
+    res = verify_raw(raw)
+    assert res.passed and res.report["sl2_s_squared_signed_perm"].status == "pass"
+    if emit:
+        assert emit_zmodular(res.sldeg).datum is not None
+    assert len(calls) == 1
 
 
 def without_duality(raw):
