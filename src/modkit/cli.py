@@ -209,10 +209,10 @@ def cmd_reduce(args) -> int:
     except DegeneracyError as exc:
         print(f"reduction failed: {exc}", file=sys.stderr)
         return 1
-    io.save_datum(sldeg.bold, args.out)
-    reps = ", ".join(sldeg.bold.labels)
-    print(f"fermion {datum.labels[sldeg.epsilon]}; representatives [{reps}]; "
-          f"sdim {sldeg.sdim}; unit_bar {sldeg.bold.labels[sldeg.unit_bar]} -> {args.out}")
+    world = sldeg.world
+    io.save_datum(world.raw, args.out)
+    print(f"fermion {datum.labels[sldeg.epsilon]}; representatives [{', '.join(world.labels)}]; "
+          f"sdim {world.global_dim}; unit_bar {world.labels[world.unit_bar]} -> {args.out}")
     return 0
 
 
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OverflowError as exc:   # too few split primes for an exact product
+    except (OverflowError, OSError) as exc:   # too few split primes; an unwritable output
         return _fail_usage(str(exc))
 
 

@@ -422,18 +422,7 @@ class SlightlyDegenerateData:
     epsilon: int                       # full-label index of the fermion
     eps_action: tuple[int, ...]        # X -> eps (x) X on full labels
     reps: tuple[int, ...]              # chosen representatives, in bold order
-    bold: RawDatum                     # kind raw-bold, duality/signs on reps
-    bar: tuple[int, ...]               # involution on bold indices
-    unit_bar: int                      # bold index
-    e_matrix: CycMatrix
-    e_signs: tuple[int, ...]
-    sdim: CycNum
-    dim_unit_bar: CycNum
-    bold_world: World = field(repr=False, compare=False)
-
-    def world(self) -> World:
-        """The bold world the reduction verified (built once)."""
-        return self.bold_world
+    world: World = field(repr=False, compare=False)   # the bold world the reduction verified
 
     def signed_reps(self) -> tuple[tuple[int, int], ...]:
         """For each full label X, the bold index i of its orbit and the sign
@@ -545,7 +534,5 @@ def reduce_slightly_degenerate(full: RawDatum,
             raise DegeneracyError(
                 f"sign of S^2 at {full.labels[x]} is {sp.signs[i]}, expected {expected}")
 
-    return SlightlyDegenerateData(
-        parent=full, epsilon=eps, eps_action=act, reps=tuple(reps_l), bold=bold, bar=w.bar,
-        unit_bar=w.unit_bar, e_matrix=w.e_matrix(), e_signs=sp.signs, sdim=w.global_dim,
-        dim_unit_bar=w.dim_unit_bar, bold_world=w)
+    return SlightlyDegenerateData(parent=full, epsilon=eps, eps_action=act, reps=tuple(reps_l),
+                                  world=w)

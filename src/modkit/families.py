@@ -42,7 +42,6 @@ class FamilyInstance:
     raw: RawDatum
     oracle: Optional[Callable[[], FusionTensor]] = field(default=None, repr=False, compare=False)
     reps: Optional[tuple[int, ...]] = None      # representative indices for the reduction
-    normalizer: Optional[CycNum] = None          # exact c with c^2 = D * dim_r(unit_bar)
 
     @cached_property
     def fusion_oracle(self) -> Optional[FusionTensor]:
@@ -326,7 +325,6 @@ def from_spec(spec: str) -> FamilyInstance:
             raw=taft_double(d),
             oracle=lambda: taft_fusion_tensor(d),
             reps=taft_J_indices(d),
-            normalizer=taft_normalizer(d),
         )
     if name == "pointed":
         n = intarg("n")

@@ -62,21 +62,19 @@ def tensor_duality(table: np.ndarray, unit: int) -> Optional[tuple[int, ...]]:
     representative lies in the other orbit, so the entry is allowed to be
     +-1; plain fusion tensors have +1 throughout.
     """
-    n = table.shape[0]
-    out = []
-    for i in range(n):
-        hits = [j for j in range(n) if table[i, j, unit]]
-        if len(hits) != 1 or abs(table[i, hits[0], unit]) != 1:
-            return None
-        out.append(hits[0])
-    if sorted(out) != list(range(n)):
+    col = table[:, :, unit]
+    out = np.argmax(col != 0, axis=1)
+    first = col[np.arange(len(col)), out]
+    if (np.count_nonzero(col, axis=1) != 1).any() or (abs(first) != 1).any():
         return None
-    return tuple(out)
+    out = tuple(out.tolist())
+    return out if len(set(out)) == len(out) else None
 
 
-def quotient_constants(fusion: FusionTensor, eps: int, sign: int,
+def quotient_constants(fusion: FusionTensor, eps: int,
                        reps: Optional[Sequence[int]] = None) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Structure constants N_{X,Y}^Z + sign * N_{X,Y}^{eps (x) Z} on representatives.
+    """Structure constants N_{X,Y}^Z - N_{X,Y}^{eps (x) Z} on representatives:
+    the fusion ring of the quotient by sVect^-, where eps has dimension -1.
 
     ``eps`` must be an invertible label whose tensoring permutes the labels
     without fixed points; ``reps`` picks one label per orbit (defaults to the
@@ -84,22 +82,18 @@ def quotient_constants(fusion: FusionTensor, eps: int, sign: int,
     the unit).  Returns the quotient tensor together with the representative
     index list it is indexed by.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     act = epsilon_action_from_fusion(fusion, eps)
     reps = orbit_reps(act, fusion.unit, reps)
     t = fusion.table
-    out = t[np.ix_(reps, reps, reps)] + sign * t[np.ix_(reps, reps, [act[z] for z in reps])]
+    out = t[np.ix_(reps, reps, reps)] - t[np.ix_(reps, reps, [act[z] for z in reps])]
     return out, tuple(reps)
 
 
 def epsilon_action_from_fusion(fusion: FusionTensor, eps: int) -> tuple[int, ...]:
-    """The label permutation X -> eps (x) X, read off the fusion tensor."""
-    n = len(fusion.labels)
-    act = []
-    for x in range(n):
-        hits = [z for z in range(n) if fusion.table[eps, x, z]]
-        if len(hits) != 1 or fusion.table[eps, x, hits[0]] != 1:
-            raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
-        act.append(hits[0])
-    return tuple(act)
+    """The label permutation X -> eps (x) X, read off the fusion tensor: row
+    X of N_{eps,X} must hold a single 1."""
+    row = fusion.table[eps]
+    act = np.argmax(row != 0, axis=1)
+    if (np.count_nonzero(row, axis=1) != 1).any() or (row[np.arange(len(row)), act] != 1).any():
+        raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
+    return tuple(act.tolist())

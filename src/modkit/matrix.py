@@ -112,30 +112,12 @@ _TERMS = 1 << 11        # and a sum of 2^11 such products stays below 2^53
 # float64 holds every integer below 2^53 exactly, so a residue product summed
 # in float64 is exact in any order of summation
 assert PRIME_LIMIT ** 2 * _TERMS <= 1 << 53
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2..17, which decides every n < 341,550,071,728,321."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for base in _MR_BASES:
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division up to sqrt(n): at most 1,447 divisions for a candidate
+    below PRIME_LIMIT."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def _root_of_order(n: int, p: int) -> int:
@@ -149,13 +131,13 @@ def _root_of_order(n: int, p: int) -> int:
 
 
 def _split_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Modulo p = 1 (mod n), Phi_n has the phi distinct roots w^e, for w of
-    order n and e the units mod n.  Row i of the evaluation matrix holds the
-    powers 0..phi-1 of the i-th root; the second matrix is its inverse, in
-    closed form: the polynomial with the value 1 at w^e and 0 at the other
-    n-th roots of unity is the inverse DFT sum_t n^-1 w^(-e t) x^t, and its
-    remainder modulo Phi_n, column e of the inverse, takes the same values
-    at the roots of Phi_n."""
+    """Modulo p = 1 (mod n), Phi_n has the phi distinct roots r = w^e, for w
+    of order n and e the units mod n.  Row i of the evaluation matrix holds
+    the powers 0..phi-1 of the i-th root; column i of the second matrix, its
+    inverse, is the Lagrange polynomial Phi_n(x) / ((x - r) Phi_n'(r)) of that
+    root.  The quotients q = Phi_n(x) / (x - r) come from phi - 1 steps of
+    synthetic division, over all roots at once, and Phi_n'(r) = q(r); every
+    value stays below p^2."""
     w = _root_of_order(n, p)
     powers = [1]
     for _ in range(n - 1):
@@ -163,9 +145,12 @@ def _split_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     powers = np.array(powers, dtype=np.int64)
     units = np.array([e for e in range(n) if math.gcd(e, n) == 1])
     ev = powers[np.outer(units, np.arange(len(units))) % n]
-    back = powers[np.outer(np.arange(n), -units) % n] * pow(n, -1, p) % p
-    iv = _K.reduce(with_bound(back, n * p * _K.max_row(n)), n) % p
-    return ev, iv.astype(np.int64)
+    roots, coeffs = powers[units], [c % p for c in _K.cyclotomic_int_coeffs(n)]
+    q = np.ones_like(ev)   # q[j, i]: the coefficient of x^j in Phi_n(x) / (x - roots[i])
+    for j in range(len(units) - 1, 0, -1):
+        q[j - 1] = (coeffs[j] + roots * q[j]) % p
+    slopes = (ev * q.T).sum(axis=1) % p   # Phi_n'(roots[i]) = q_i(roots[i])
+    return ev, q * np.array([pow(int(d), -1, p) for d in slopes]) % p
 
 
 @lru_cache(maxsize=None)
@@ -224,16 +209,13 @@ def split_primes(n: int, bound: int) -> SplitPrimes:
     """The fewest split primes of conductor n whose product exceeds 2 * bound,
     so that every integer of magnitude at most ``bound`` is read back exactly
     from its residues; OverflowError when n has too few below PRIME_LIMIT."""
-    count, k, modulus = 1, 0, 1
+    k, modulus = 0, 1
     while k == 0 or modulus <= 2 * bound:
-        primes = _split_stack(n, count)[0]
-        if k == count:
-            count *= 2
-        elif k == len(primes):   # n has no more: leading_primes raises
+        primes = _split_stack(n, 1 << k.bit_length())[0]
+        if k == len(primes):   # n has no more: leading_primes raises
             return leading_primes(n, k + 1)
-        else:
-            modulus *= int(primes[k])
-            k += 1
+        modulus *= int(primes[k])
+        k += 1
     return leading_primes(n, k)
 
 

@@ -33,17 +33,11 @@ Z_MODULAR = "Z-modular"
 DEGENERATE = "degenerate"
 FAILED = "fail"
 
-BRANCH_NONDEG = "nondegenerate"
-BRANCH_SLDEG = "slightly_degenerate"
-BRANCH_DEGENERATE = "degenerate"
-BRANCH_NORMALIZED = "normalized"
-
 
 @dataclass
 class PipelineResult:
     report: VerificationReport
     classification: str
-    branch: str
     world: Optional[World] = None
     sldeg: Optional[SlightlyDegenerateData] = None
     tensor: Optional[np.ndarray] = None   # structure constants on the world's labels
@@ -65,7 +59,7 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
     ``reps`` overrides the canonical representative choice of the slightly
     degenerate reduction.  ``fusion_oracle`` is an independently computed
     fusion tensor on the full labels; when present, the Verlinde output is
-    compared against it (against its sign (-1) quotient, in the slightly
+    compared against it (against its sVect^- quotient, in the slightly
     degenerate case).  Every entry of the report is one timed check
     (:func:`_run_check`) whose ms covers the work that decides it: the check
     that decides the regime builds the world of a bold datum (``duality``)
@@ -77,7 +71,7 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
                         ("dims_nonzero", lambda: all(s.row(raw.unit))),
                         ("twists_nonzero", lambda: all(raw.twists))):
         if not rep.run(name, lambda: (holds(), "", None)).ok:
-            return PipelineResult(rep, FAILED, BRANCH_DEGENERATE)
+            return PipelineResult(rep, FAILED)
 
     def build() -> None:   # the world into made, or the DegeneracyError that stops it
         try:
@@ -111,10 +105,9 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
         rep.skip("duality", "not derived: the symmetric center is degenerate")
         checked.name = "symmetric_center"
     if not rep.add(checked).ok:
-        return PipelineResult(rep, DEGENERATE if "degenerate" in made else FAILED,
-                              BRANCH_DEGENERATE)
+        return PipelineResult(rep, DEGENERATE if "degenerate" in made else FAILED)
     if raw.kind == KIND_BOLD:
-        return _verify_world(rep, made, BRANCH_SLDEG, fusion_oracle)
+        return _verify_world(rep, made, fusion_oracle)
 
     def symmetric_center():
         center = made["center"] = detect_symmetric_center(raw)
@@ -129,11 +122,10 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
         return True, f"center {{{names}}}: slightly degenerate candidate", None
 
     if not rep.run("symmetric_center", symmetric_center).ok:
-        return PipelineResult(rep, DEGENERATE if "degenerate" in made else FAILED,
-                              BRANCH_DEGENERATE)
+        return PipelineResult(rep, DEGENERATE if "degenerate" in made else FAILED)
     center = made["center"]
     if len(center) == 1:
-        return _verify_world(rep, made, BRANCH_NONDEG, fusion_oracle)
+        return _verify_world(rep, made, fusion_oracle)
     eps = center[0] if center[1] == raw.unit else center[1]
 
     def epsilon_shape():
@@ -151,7 +143,7 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
 
     if not (rep.run("epsilon_shape", epsilon_shape).ok
             and rep.run("epsilon_row_negation", row_negation).ok):
-        return PipelineResult(rep, FAILED, BRANCH_SLDEG)
+        return PipelineResult(rep, FAILED)
     # epsilon_action refuses an action with a fixed point
     rep.run("epsilon_fixed_point_free", lambda: (True, "", None))
 
@@ -168,12 +160,12 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
         rep.run("rank_half", lambda: (True, f"rank {len(made['sldeg'].reps)} of size {raw.size}",
                                       None))
         rep.add(reduced)
-        return _verify_world(rep, made, BRANCH_SLDEG, fusion_oracle)
+        return _verify_world(rep, made, fusion_oracle)
     rep.skip("rank_half", "not certified: the reduction failed")
     if isinstance(made["error"], ZeroGlobalDimensionError):   # a check of its own
         reduced.name = "global_dimension_nonzero"
     rep.add(reduced)
-    return PipelineResult(rep, FAILED, BRANCH_SLDEG)
+    return PipelineResult(rep, FAILED)
 
 
 def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
@@ -190,10 +182,10 @@ def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
     if raw.kind == KIND_BOLD or len(raw.characters.center) == 1:
         return World(raw), None
     sldeg = reduce_slightly_degenerate(raw, reps=reps)
-    return sldeg.world(), sldeg
+    return sldeg.world, sldeg
 
 
-def _verify_world(rep: VerificationReport, made: dict, branch: str,
+def _verify_world(rep: VerificationReport, made: dict,
                   fusion_oracle: Optional[FusionTensor]) -> PipelineResult:
     """Run the world suite on the world ``made`` holds, or fail the stage
     whose DegeneracyError it holds, and classify."""
@@ -202,7 +194,7 @@ def _verify_world(rep: VerificationReport, made: dict, branch: str,
         stage = "global_dimension_nonzero" if isinstance(exc, ZeroGlobalDimensionError) \
             else "bar_involution"
         rep.run(stage, lambda: (False, str(exc), None))
-        return PipelineResult(rep, FAILED, branch)
+        return PipelineResult(rep, FAILED)
     world, sldeg = made["world"], made["sldeg"]
     for c in [check_raw_unitarity(world), check_gauss_product(world)] + check_twist_laws(world) \
             + check_sl2_relations(world) + check_vafa(world) + [check_total_positivity(world)]:
@@ -235,13 +227,13 @@ def _verify_world(rep: VerificationReport, made: dict, branch: str,
                 if sldeg is None:
                     want = fusion_oracle.table
                 else:
-                    want, _ = quotient_constants(fusion_oracle, sldeg.epsilon, -1, reps=sldeg.reps)
+                    want, _ = quotient_constants(fusion_oracle, sldeg.epsilon, reps=sldeg.reps)
                 same = want.shape == tensor.shape and bool(np.array_equal(want, tensor))
                 return same, "Verlinde tensor vs independent fusion oracle", None
 
             rep.run("oracle_equivalence", oracle)
-    cls = (N_MODULAR if branch == BRANCH_NONDEG else Z_MODULAR) if rep.passed else FAILED
-    return PipelineResult(rep, cls, branch, world=world, sldeg=sldeg, tensor=tensor)
+    cls = (N_MODULAR if world.nondegenerate else Z_MODULAR) if rep.passed else FAILED
+    return PipelineResult(rep, cls, world=world, sldeg=sldeg, tensor=tensor)
 
 
 def verify_normalized(datum: ModularDatum) -> PipelineResult:
@@ -251,7 +243,7 @@ def verify_normalized(datum: ModularDatum) -> PipelineResult:
     if rep.passed:
         detail = rep["verlinde_integrality"].detail
         cls = N_MODULAR if "N-modular" in detail else Z_MODULAR
-    return PipelineResult(rep, cls, BRANCH_NORMALIZED)
+    return PipelineResult(rep, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +258,22 @@ class EmitResult:
     note: str = ""
 
 
-def emit_zmodular(source: Union[SlightlyDegenerateData, World],
-                  normalizer: Optional[CycNum] = None) -> EmitResult:
+def emit_zmodular(source: Union[SlightlyDegenerateData, World]) -> EmitResult:
     """Normalized datum (S/c, diag(theta)) with c^2 = D * dim_r(unit_bar).
 
     The datum's T is the vector of twists itself, the inverse of the
     categorical T-matrix; with that convention (S T)^3 lands on a scalar
-    matrix.  When no ``normalizer`` is supplied, c is read off the Gauss sum
-    (:func:`gauss_normalizer`); when that route does not apply, an exact
-    square root of D * dim_r(unit_bar) is searched.  Both routes give the
-    same c.  If no root exists in a cyclotomic field of conductor up to 4N,
-    the identities are re-verified in square-root-free form instead and
-    returned as a certificate marked 'verified up to scalar'.  ``note`` says
-    which route gave c.
+    matrix.  c is read off the Gauss sum (:func:`gauss_normalizer`); when
+    that route does not apply, an exact square root of D * dim_r(unit_bar) is
+    searched.  Both routes give the same c.  If no root exists in a
+    cyclotomic field of conductor up to 4N, the identities are re-verified in
+    square-root-free form instead and returned as a certificate marked
+    'verified up to scalar'.  ``note`` says which route gave c.
     """
-    world = source.world() if isinstance(source, SlightlyDegenerateData) else source
-    scale = world.d_u
-    if normalizer is not None:
-        if normalizer * normalizer != scale:
-            raise ValueError("normalizer^2 does not equal D * dim_r(unit_bar)")
-        c, note = normalizer, ""
-    else:
-        c, note = gauss_normalizer(world), "normalizer from the Gauss sum"
-        if c is None:
-            c, note = sqrt_in_field(scale), "normalizer from the square-root search"
+    world = source.world if isinstance(source, SlightlyDegenerateData) else source
+    c, note = gauss_normalizer(world), "normalizer from the Gauss sum"
+    if c is None:
+        c, note = sqrt_in_field(world.d_u), "normalizer from the square-root search"
     if c is None:
         cert = VerificationReport([check_raw_unitarity(world)] + check_sl2_relations(world))
         return EmitResult(None, None, cert,

@@ -49,7 +49,6 @@ class IntegralityReport:
     integral: bool = True
     nonnegative: bool = True
     duality_ok: bool = True
-    entries: int = 0
     negative_count: int = 0
     first_negative: Optional[tuple[int, int, int, int]] = None
     non_integral: list = field(default_factory=list)  # up to 5 witnesses (x, y, z, value)
@@ -160,7 +159,7 @@ def _structure_constants(a: CycMatrix, c: CycMatrix) -> tuple[Optional[np.ndarra
     n = math.lcm(a.conductor, c.conductor)
     a, c = a.lift(n), c.lift(n)
     den = a.den * a.den * c.den
-    rep = IntegralityReport(entries=k * k * k)
+    rep = IntegralityReport()
     # a pair product grows by at most G, and its product with c by k G more
     g = slice_growth(n)
     bound = max_abs(a.num) ** 2 * max_abs(c.num) * k * g * g

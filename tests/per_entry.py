@@ -1,8 +1,10 @@
 """Per-entry reference versions of the maps :mod:`modkit.datum` reads off a
 datum's character table, the rows of a world (dimensions, Gauss sums, twist
 laws), the lift and Galois action on a matrix, the exact rank of a matrix,
-the JSON objects of a datum file, and the descent of a value to a smaller
-conductor by linear algebra over Q.
+the JSON objects of a datum file, the descent of a value to a smaller
+conductor by linear algebra over Q, the split-prime tables as a reduced
+inverse DFT, and the duality and fermion action read off a fusion tensor
+one entry at a time.
 
 Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
 matches rows or columns as tuples of entries, keyed by their coordinates (the
@@ -11,12 +13,16 @@ the table existed.  They raise the same errors in the same order, so a
 test can compare whole outcomes, messages included.
 """
 
+import math
 from fractions import Fraction
 
-from modkit._kernel import euler_phi
+import numpy as np
+
+from modkit._kernel import euler_phi, max_row, reduce
 from modkit.cyclotomic import CycNum, root_of_unity
 from modkit.datum import KIND_BOLD, DegeneracyError, ModularDatum
 from modkit.io import KIND_NORMALIZED, _ratio_text
+from modkit.matrix import _root_of_order, with_bound
 
 
 def key(line):
@@ -273,3 +279,48 @@ def twist_laws(raw):
         "twist_tau_minus_rows": [y for y in labels
                                  if row_sum(minus, y) != tb * t[y] * dim_r[y] * tau_minus],
     }
+
+
+def split_tables(n, p):
+    """The evaluation matrix of the roots w^e of Phi_n modulo p (e the units
+    mod n) and its inverse.  The polynomial with the value 1 at w^e and 0 at
+    the other n-th roots of unity is the inverse DFT sum_t n^-1 w^(-e t) x^t;
+    its remainder modulo Phi_n, column e of the inverse, takes the same values
+    at the roots of Phi_n."""
+    w = _root_of_order(n, p)
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * w % p)
+    powers = np.array(powers, dtype=np.int64)
+    units = np.array([e for e in range(n) if math.gcd(e, n) == 1])
+    ev = powers[np.outer(units, np.arange(len(units))) % n]
+    back = powers[np.outer(np.arange(n), -units) % n] * pow(n, -1, p) % p
+    iv = reduce(with_bound(back, n * p * max_row(n)), n) % p
+    return ev, iv.astype(np.int64)
+
+
+def tensor_duality(table, unit):
+    """The duality read off N_{i,j}^unit one row at a time: one entry +-1 per
+    row, forming a permutation; None otherwise."""
+    n = table.shape[0]
+    out = []
+    for i in range(n):
+        hits = [j for j in range(n) if table[i, j, unit]]
+        if len(hits) != 1 or abs(table[i, hits[0], unit]) != 1:
+            return None
+        out.append(hits[0])
+    if sorted(out) != list(range(n)):
+        return None
+    return tuple(out)
+
+
+def epsilon_action_from_fusion(fusion, eps):
+    """X -> eps (x) X read off N_{eps,X} one row at a time: a single 1 per row."""
+    n = len(fusion.labels)
+    act = []
+    for x in range(n):
+        hits = [z for z in range(n) if fusion.table[eps, x, z]]
+        if len(hits) != 1 or fusion.table[eps, x, hits[0]] != 1:
+            raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
+        act.append(hits[0])
+    return tuple(act)

@@ -48,7 +48,7 @@ def test_criterion_2_oracle_equivalence(taft_verified):
         k = d * (d - 1) // 2
         assert res.tensor.shape == (k, k, k)
         oracle = taft_fusion_tensor(d)
-        want, _ = quotient_constants(oracle, sldeg.epsilon, -1, reps=sldeg.reps)
+        want, _ = quotient_constants(oracle, sldeg.epsilon, reps=sldeg.reps)
         assert np.array_equal(res.tensor, want), f"oracle mismatch at d={d}"
         assert res.report["oracle_equivalence"].status == "pass"
     ok(2, "signed Verlinde equals the fusion-rule quotient for d=2..8, all entries")
@@ -57,7 +57,8 @@ def test_criterion_2_oracle_equivalence(taft_verified):
 def test_criterion_3_closed_form_normalized_matrix():
     for d in TAFT_RANGE:
         sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-        em = emit_zmodular(sld, normalizer=taft_normalizer(d))
+        em = emit_zmodular(sld)
+        assert em.normalizer == taft_normalizer(d)
         assert em.datum is not None
         assert em.datum.s_matrix == taft_normalized_S(d), f"closed form mismatch at d={d}"
         assert check_axioms(em.datum).passed, f"axioms fail on the emitted datum at d={d}"
@@ -141,8 +142,8 @@ def test_criterion_8_absolute_value_property():
         # hypothesis: no product lands on both a label and its fermion twin
         assert np.all(t * t[:, :, act] == 0), f"vanishing-product hypothesis fails at d={d}"
         reps = taft_J_indices(d)
-        q_minus, _ = quotient_constants(oracle, eps, -1, reps=reps)
-        q_plus, _ = quotient_constants(oracle, eps, +1, reps=reps)
+        q_minus, _ = quotient_constants(oracle, eps, reps=reps)
+        q_plus = t[np.ix_(reps, reps, reps)] + t[np.ix_(reps, reps, [act[z] for z in reps])]
         assert np.array_equal(np.abs(q_minus), q_plus), f"|sign -1| != sign +1 at d={d}"
     ok(8, "N * N^(eps shift) = 0 and |sign-1 constants| = sign+1 constants for d=3,4,5")
 

@@ -66,7 +66,7 @@ def test_axioms_on_naively_normalized_counterexample():
 
 def test_raw_unitarity_examples():
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    assert check_raw_unitarity(sld.world()).status == "pass"
+    assert check_raw_unitarity(sld.world).status == "pass"
     assert check_raw_unitarity(World(pointed_cyclic(5, 1, 1))).status == "pass"
     # S = [[1, 1], [1, 2]]: S conj(S)^T = [[2, 3], [3, 5]], while D = 1 + 1 = 2
     s = CycMatrix.from_rows([[1, 1], [1, 2]])
@@ -87,7 +87,7 @@ def test_gauss_sums_pointed():
 
 def test_gauss_supersums_taft():
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    g = check_gauss_product(sld.world())
+    g = check_gauss_product(sld.world)
     assert g.status == "pass" and g.detail == "tau+ tau- = 3, D = 3"
     # S = [[1, 1], [1, 2]] with trivial twists: tau+ = tau- = 2, but D = 2
     s = CycMatrix.from_rows([[1, 1], [1, 2]])
@@ -105,7 +105,7 @@ def checks_by_name(checks):
 
 def test_twist_laws_taft_and_pointed():
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    by = checks_by_name(check_twist_laws(sld.world()))
+    by = checks_by_name(check_twist_laws(sld.world))
     assert all(c.status == "pass" for c in by.values())
     assert "twist(unit_bar) = 1" in by["twist_unit_bar"].detail
     by = checks_by_name(check_twist_laws(World(pointed_cyclic(3, 1, 1))))
@@ -129,7 +129,7 @@ def law_witnesses(raw):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3)).bold,
+    lambda: reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3)).world.raw,
     lambda: pointed_cyclic(5, 1, 0)], ids=["taft3", "pointed5,1,0"])
 def test_twist_law_witnesses_are_the_first_failing_labels(make):
     # one twist times a root of unity, at each label in turn: each law's
@@ -156,7 +156,7 @@ def test_sl2_relations_pass_for_families():
         assert all(c.status == "pass" for c in check_sl2_relations(w))
     for d in (2, 3, 4, 5):
         sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-        assert all(c.status == "pass" for c in check_sl2_relations(sld.world()))
+        assert all(c.status == "pass" for c in check_sl2_relations(sld.world))
 
 
 def test_sl2_relations_fail_for_counterexample_with_witness():
@@ -171,7 +171,7 @@ def test_vafa_examples():
     w = World(pointed_cyclic(5, 1, 1))
     assert all(c.status == "pass" for c in check_vafa(w))
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    assert all(c.status == "pass" for c in check_vafa(sld.world()))
+    assert all(c.status == "pass" for c in check_vafa(sld.world))
 
 
 def test_vafa_rejects_non_root_twist():

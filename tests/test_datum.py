@@ -71,8 +71,8 @@ def test_dims_taft_fermion_is_minus_one():
 def test_taft_sdim_simplifies():
     assert taft_sdim(3) == 3
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    assert sld.sdim == 3
-    assert sld.sdim == taft_sdim(3)
+    assert sld.world.global_dim == 3
+    assert sld.world.global_dim == taft_sdim(3)
 
 
 def test_dims_require_duality():
@@ -141,7 +141,7 @@ def test_derive_duality_matches_family_data():
 
 def test_derive_duality_on_bold_with_orbit_signs():
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    bold = sld.bold
+    bold = sld.world.raw
     stripped = type(bold)(bold.labels, bold.unit, bold.s_matrix, bold.twists, bold.kind)
     duality, signs = derive_duality(stripped)
     assert duality == bold.duality
@@ -183,8 +183,8 @@ def test_bar_spherical_pointed_equals_duality():
 def test_bar_taft_bold_unit_bar():
     for d in (3, 4):
         sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-        assert sld.bold.labels[sld.unit_bar] == str(TaftLabel(d - 1, 0))
-        assert sld.dim_unit_bar == -zeta(d)
+        assert sld.world.raw.labels[sld.world.unit_bar] == str(TaftLabel(d - 1, 0))
+        assert sld.world.dim_unit_bar == -zeta(d)
 
 
 def test_bar_collision_aborts():
@@ -200,15 +200,15 @@ def test_bar_collision_aborts():
 def test_reduce_taft_with_closed_form_reps():
     d = 3
     sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-    assert [str(x) for x in taft_J(d)] == list(sld.bold.labels)
+    assert [str(x) for x in taft_J(d)] == list(sld.world.raw.labels)
     assert sld.parent.labels[sld.epsilon] == "(2,1)"
-    assert sld.e_matrix.is_signed_permutation() is not None
-    assert sld.bar == bar_involution(sld.bold)[0]
+    assert sld.world.e_matrix().is_signed_permutation() is not None
+    assert sld.world.bar == bar_involution(sld.world.raw)[0]
 
 
 def test_reduce_canonical_reps_contain_unit():
     sld = reduce_slightly_degenerate(taft_double(4))
-    assert sld.reps[sld.bold.unit] == sld.parent.unit
+    assert sld.reps[sld.world.raw.unit] == sld.parent.unit
     assert len(sld.reps) == 6
     assert sld.parent.labels[sld.epsilon] == "(3,1)"
 
@@ -298,7 +298,7 @@ def test_maps_read_off_the_table_equal_the_per_entry_reference(make):
     if raw.kind == "raw-full" and len(detect_symmetric_center(raw)) == 2 \
             and isinstance(outcome(epsilon_action, raw), tuple):
         sld = reduce_slightly_degenerate(raw)
-        unit_bar = sld.reps[sld.unit_bar]
+        unit_bar = sld.reps[sld.world.unit_bar]
     elif isinstance(bar, tuple):
         unit_bar = bar[1]
     else:
@@ -346,7 +346,7 @@ def moved_signs(signs, perm):
 
 
 @pytest.mark.parametrize("make", [lambda: taft_double(4), lambda: pointed_cyclic(7, 1, 1),
-                                  lambda: reduce_slightly_degenerate(taft_double(4)).bold],
+                                  lambda: reduce_slightly_degenerate(taft_double(4)).world.raw],
                          ids=["taft4", "pointed7", "taft4-bold"])
 def test_relabelling_moves_every_map_of_the_table(make):
     raw = make()
@@ -360,7 +360,7 @@ def test_relabelling_moves_every_map_of_the_table(make):
     if raw.kind == "raw-full" and len(detect_symmetric_center(raw)) == 2:
         assert epsilon_action(other) == moved(epsilon_action(raw), perm)
         g = reduce_slightly_degenerate(raw)
-        g = g.reps[g.unit_bar]
+        g = g.reps[g.world.unit_bar]
         assert tensor_by_invertible(other, perm[g]) == \
             moved(tensor_by_invertible(raw, g), perm)
     else:

@@ -220,7 +220,6 @@ def test_counterexample_full_matrix_shape():
 def test_from_spec_roundtrips():
     inst = from_spec("taft:d=5")
     assert inst.raw.size == 20
-    assert inst.normalizer is not None
     inst = from_spec("pointed:n=7,a=1,k0=2")
     assert inst.raw.size == 7
     inst = from_spec("counterexample:sl2q16")

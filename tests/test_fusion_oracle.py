@@ -3,10 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import per_entry
 from modkit.families import (TaftLabel, pointed_fusion_tensor, taft_epsilon_action,
-                             taft_fusion, taft_fusion_tensor, taft_J, taft_labels)
+                             taft_fusion, taft_fusion_tensor, taft_J, taft_J_indices, taft_labels)
 from modkit.datum import orbit_reps
-from modkit.fusion import epsilon_action_from_fusion, quotient_constants
+from modkit.fusion import (FusionTensor, epsilon_action_from_fusion, quotient_constants,
+                           tensor_duality)
 
 
 def test_taft_fusion_base_cases():
@@ -81,7 +83,7 @@ def test_quotient_unit_row_is_delta():
         labs = taft_labels(d)
         eps = labs.index(TaftLabel(d - 1, 1))
         reps = [labs.index(x) for x in taft_J(d)]
-        q, rep_out = quotient_constants(t, eps, -1, reps=reps)
+        q, rep_out = quotient_constants(t, eps, reps=reps)
         assert rep_out == tuple(reps)
         k = len(reps)
         u = reps.index(t.unit)
@@ -94,7 +96,7 @@ def test_quotient_sign_minus_has_negative_entry_for_d3():
     labs = taft_labels(d)
     eps = labs.index(TaftLabel(d - 1, 1))
     reps = [labs.index(x) for x in taft_J(d)]
-    q, _ = quotient_constants(t, eps, -1, reps=reps)
+    q, _ = quotient_constants(t, eps, reps=reps)
     i11 = reps.index(labs.index(TaftLabel(1, 1)))
     i20 = reps.index(labs.index(TaftLabel(2, 0)))
     assert q[i11, i11, i20] == -1
@@ -111,6 +113,62 @@ def test_quotient_reps_validation():
     labs = taft_labels(3)
     eps = labs.index(TaftLabel(2, 1))
     with pytest.raises(ValueError):
-        quotient_constants(t, eps, -1, reps=[0, 1])   # wrong size, missing orbits
-    with pytest.raises(ValueError):
-        quotient_constants(t, eps, 2)                  # bad sign
+        quotient_constants(t, eps, reps=[0, 1])   # wrong size, missing orbits
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def fixture_tensors():
+    """The family tensors, signed quotient tensors, and one as Python integers."""
+    out = [taft_fusion_tensor(d) for d in (2, 3, 4, 5)] + [pointed_fusion_tensor(n) for n in (3, 9)]
+    for d in (3, 5):
+        t = taft_fusion_tensor(d)
+        eps = t.labels.index(str(TaftLabel(d - 1, 1)))
+        q, reps = quotient_constants(t, eps, reps=taft_J_indices(d))
+        u = reps.index(t.unit)
+        out.append(FusionTensor(tuple(t.labels[r] for r in reps), q, u,
+                                per_entry.tensor_duality(q, u)))
+    t = out[2]
+    return out + [FusionTensor(t.labels, t.table.astype(object), t.unit, t.duality)]
+
+
+def perturbed(table, want, other):
+    """Copies of ``table`` whose nonzero entry at ``want`` gets a second
+    nonzero beside it at ``other``, is negated, is doubled, or moves to ``other``."""
+    out = []
+    for changes in ({other: 1}, {want: -table[want]}, {want: 2 * table[want]},
+                    {want: 0, other: table[want]}):
+        t = table.copy()
+        for at, v in changes.items():
+            t[at] = v
+        out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("fusion", fixture_tensors(),
+                         ids=lambda t: f"{len(t.labels)}-{t.table.dtype}")
+def test_duality_and_fermion_action_equal_the_per_entry_reading(fusion):
+    table, unit, n = fusion.table, fusion.unit, len(fusion.labels)
+    for x in range(n):
+        assert tensor_duality(table, x) == per_entry.tensor_duality(table, x)
+        assert outcome(epsilon_action_from_fusion, fusion, x) == \
+            outcome(per_entry.epsilon_action_from_fusion, fusion, x)
+    dual = per_entry.tensor_duality(table, unit)
+    # the last invertible label: the unit only when no other is
+    eps = max(x for x in range(n)
+              if isinstance(outcome(per_entry.epsilon_action_from_fusion, fusion, x), tuple))
+    act = per_entry.epsilon_action_from_fusion(fusion, eps)
+    for i in range(n):
+        j = (i + 1) % n
+        for t in perturbed(table, (i, dual[i], unit), (i, dual[j], unit)):
+            assert tensor_duality(t, unit) == per_entry.tensor_duality(t, unit)
+        for t in perturbed(table, (eps, i, act[i]), (eps, i, act[j])):
+            bent = FusionTensor(fusion.labels, t, unit, fusion.duality)
+            assert outcome(epsilon_action_from_fusion, bent, eps) == \
+                outcome(per_entry.epsilon_action_from_fusion, bent, eps)

@@ -71,7 +71,8 @@ def test_raw_datum_roundtrip(tmp_path):
 
 def test_normalized_datum_roundtrip(tmp_path):
     sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    em = emit_zmodular(sld, normalizer=taft_normalizer(3))
+    em = emit_zmodular(sld)
+    assert em.normalizer == taft_normalizer(3)
     path = tmp_path / "n.json"
     io.save_datum(em.datum, str(path))
     back = io.load_datum(str(path))
@@ -144,7 +145,7 @@ def test_every_fixture_world_round_trips(taft_verified, pointed_verified, tmp_pa
     for k, (raw, res) in enumerate(cases):
         data = [raw, emit_zmodular(res.sldeg if res.sldeg is not None else res.world).datum]
         if res.sldeg is not None:
-            data.append(res.sldeg.bold)
+            data.append(res.sldeg.world.raw)
         for m, datum in enumerate(data):
             path = tmp_path / f"{k}-{m}.json"
             _round_trip(datum, path)
@@ -243,7 +244,7 @@ def test_save_datum_does_not_use_the_pure_python_encoder(tmp_path, monkeypatch):
     with pytest.raises(AssertionError):
         json.dumps([1], indent=1)
     res = verify_raw(taft_double(3))
-    for datum in (taft_double(3), res.sldeg.bold, emit_zmodular(res.sldeg).datum):
+    for datum in (taft_double(3), res.sldeg.world.raw, emit_zmodular(res.sldeg).datum):
         io.save_datum(datum, str(tmp_path / "d.json"))
 
 
@@ -608,7 +609,7 @@ def test_bold_datum_with_bad_duality_signs_exits_2(tmp_path, capsys, signs):
     """``duality_signs`` of the wrong length, with a value other than +-1, or
     without a ``duality``, on the 3-label Taft d=3 bold datum."""
     obj = io.datum_to_json(
-        reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3)).bold)
+        reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3)).world.raw)
     assert len(obj["labels"]) == 3 and "duality_signs" in obj
     if signs == "no duality":
         del obj["duality"]
@@ -692,6 +693,21 @@ def test_cli_fails_degenerate_datum_without_traceback(tmp_path, capsys, which, v
             assert failed == [("global_dimension_nonzero", "D * dim_r(unit_bar) = 0")]
     else:
         assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["generate", "taft:d=3", "{out}"],
+                                  ["verify", "{t3}", "--out", "{out}"],
+                                  ["verify", "{t3}", "--emit-zmodular", "{out}"],
+                                  ["reduce", "{t3}", "{out}"]],
+                         ids=["generate", "verify-out", "verify-emit", "reduce"])
+def test_cli_exits_2_with_one_error_line_when_the_output_cannot_be_written(tmp_path, capsys,
+                                                                            argv):
+    t3 = tmp_path / "t3.json"
+    io.save_datum(taft_double(3), str(t3))
+    out = tmp_path / "missing" / "x.json"   # its directory does not exist
+    assert run_cli([a.format(t3=t3, out=out) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 @pytest.mark.parametrize("verb", ["verify", "reduce", "fusion"])

@@ -311,9 +311,42 @@ def test_split_tables_evaluate_at_the_roots_of_the_cyclotomic_polynomial(n):
 
 @pytest.mark.parametrize("n", [1155, 2003])
 def test_split_tables_at_large_conductors(n):
-    # phi = 480 and 2002, two primes each: a table built by O(phi) numpy
-    # row steps per prime, as elimination is, would take minutes here
+    # phi = 480 and 2002, two primes each: a table built by O(phi) steps that
+    # each update a whole phi x phi matrix, as elimination does, would take
+    # minutes here
     assert_split_tables(n, matrix.leading_primes(n, 2))
+
+
+@pytest.mark.parametrize("ns", [range(1, 200), [1155], [2003]], ids=["n<200", "1155", "2003"])
+def test_split_tables_equal_the_reduced_inverse_dft(ns):
+    for n in ns:
+        sp = matrix.leading_primes(n, 2)
+        for p, ev, iv in zip(sp.primes.tolist(), sp.ev, sp.iv):
+            want_ev, want_iv = per_entry.split_tables(n, p)
+            assert np.array_equal(ev, want_ev) and np.array_equal(iv, want_iv), (n, p)
+            assert iv.dtype == np.int64
+
+
+def test_prime_test_agrees_with_a_sieve():
+    sieve = np.ones(PRIME_LIMIT, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(PRIME_LIMIT) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    for n in list(range(10 ** 4)) + list(range(PRIME_LIMIT - 10 ** 4, PRIME_LIMIT)):
+        assert matrix._is_prime(n) == sieve[n], n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 12, 76, 420, 1155])
+def test_split_primes_are_the_fewest_leading_primes_past_twice_the_bound(n):
+    step = n if n % 2 == 0 else 2 * n
+    leading = (p for p in range(1 + (PRIME_LIMIT - 2) // step * step, 2, -step)
+               if sympy.isprime(p))
+    primes = [next(leading)]
+    for bound in (0, 1, 1 << 62, 1 << 120):
+        while math.prod(primes) <= 2 * bound:
+            primes.append(next(leading))
+        assert split_primes(n, bound).primes.tolist() == primes, (n, bound)
 
 
 def test_running_out_of_split_primes_raises():
@@ -439,7 +472,6 @@ def test_structure_constants_match_the_entrywise_triple_sum(n):
         c = CycMatrix(k, k, [entry(pc, dc) for _ in range(k * k)])
         tensor, rep = _structure_constants(a, c)
         ref_tensor, witnesses, negatives, first = ref_structure_constants(a, c)
-        assert rep.entries == k ** 3
         assert rep.integral == (ref_tensor is not None)
         assert (tensor is None) == (ref_tensor is None)
         if tensor is not None:
@@ -453,7 +485,7 @@ def test_structure_constants_match_the_entrywise_triple_sum(n):
 def test_verlinde_tensor_is_galois_invariant(family):
     if family.startswith("taft"):
         raw = taft_double(5)
-        world_of = lambda r: reduce_slightly_degenerate(r, reps=taft_J_indices(5)).world()  # noqa: E731
+        world_of = lambda r: reduce_slightly_degenerate(r, reps=taft_J_indices(5)).world  # noqa: E731
     else:
         raw = pointed_cyclic(7, 1, 0)
         world_of = World

@@ -232,8 +232,9 @@ def test_entrywise_inverse_equals_the_per_entry_reference(make):
 
 def test_entrywise_inverse_on_the_normalized_taft_datum():
     _, sldeg = resolve_world(taft_double(9), taft_J_indices(9))
-    datum = emit_zmodular(sldeg, normalizer=taft_normalizer(9)).datum
-    assert_inverts(unit_row(datum.s_matrix, datum.unit))
+    em = emit_zmodular(sldeg)
+    assert em.normalizer == taft_normalizer(9)
+    assert_inverts(unit_row(em.datum.s_matrix, em.datum.unit))
 
 
 def test_entrywise_inverse_of_a_column_and_past_int64():

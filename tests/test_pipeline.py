@@ -36,18 +36,13 @@ def test_structural_failure_short_circuits():
 def test_verify_normalized_classifications():
     d = 3
     sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-    em = emit_zmodular(sld, normalizer=taft_normalizer(d))
+    em = emit_zmodular(sld)
+    assert em.normalizer == taft_normalizer(d)
     res = verify_normalized(em.datum)
     assert res.passed and res.classification == "Z-modular"
     trivial = ModularDatum(("1",), 0, CycMatrix.identity(1), (one,))
     res = verify_normalized(trivial)
     assert res.passed and res.classification == "N-modular"
-
-
-def test_emit_rejects_wrong_normalizer():
-    sld = reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))
-    with pytest.raises(ValueError):
-        emit_zmodular(sld, normalizer=CycNum.from_rational(7))
 
 
 def test_emit_certificate_when_no_normalizer_exists():
@@ -71,7 +66,7 @@ def test_emit_on_counterexample_produces_failing_datum():
 
 def test_bold_input_with_mode_auto_runs_sldeg_suite():
     sld = reduce_slightly_degenerate(taft_double(4), reps=taft_J_indices(4))
-    res = verify_raw(sld.bold)
+    res = verify_raw(sld.world.raw)
     assert res.passed and res.classification == "Z-modular"
     assert "rank_half" not in res.report   # full-matrix checks are not run on bold input
 
@@ -200,7 +195,7 @@ def test_out_of_range_reps_are_rejected(bad):
     assert res.report["rank_half"].status == "skipped"
     oracle = taft_fusion_tensor(3)
     with pytest.raises(DegeneracyError):
-        quotient_constants(oracle, oracle.labels.index("(2,1)"), -1, reps=reps)
+        quotient_constants(oracle, oracle.labels.index("(2,1)"), reps=reps)
 
 
 @pytest.mark.parametrize("raw, reps", [(pointed_cyclic(7, 1, 1), None),
@@ -240,14 +235,14 @@ def test_gauss_normalizer_is_the_searched_root_on_taft(d):
     # both choices for the orbit of unit_bar: (d-1, 0) keeps the normalizer at
     # conductor d, its partner moves it to 4d for odd d (2d for d = 6)
     sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-    assert_routes_agree(sld.world())
-    if sld.unit_bar == sld.bold.unit:
+    assert_routes_agree(sld.world)
+    if sld.world.unit_bar == sld.world.raw.unit:
         return   # d = 2: unit_bar is the unit
     reps = list(sld.reps)
-    reps[sld.unit_bar] = sld.eps_action[reps[sld.unit_bar]]
+    reps[sld.world.unit_bar] = sld.eps_action[reps[sld.world.unit_bar]]
     partner = reduce_slightly_degenerate(taft_double(d), reps=reps)
-    assert partner.dim_unit_bar == -sld.dim_unit_bar
-    assert_routes_agree(partner.world())
+    assert partner.world.dim_unit_bar == -sld.world.dim_unit_bar
+    assert_routes_agree(partner.world)
 
 
 @pytest.mark.parametrize("raw", [galois_conjugate(taft_double(5), j) for j in (2, 3, 4)]
@@ -273,7 +268,7 @@ def test_emit_takes_the_gauss_route_and_keeps_the_search_as_fallback(monkeypatch
         return search(x, retry)
 
     monkeypatch.setattr(cyclotomic, "_sqrt_at_conductor", counting_search)
-    for world in (reduce_slightly_degenerate(taft_double(5), reps=taft_J_indices(5)).world(),
+    for world in (reduce_slightly_degenerate(taft_double(5), reps=taft_J_indices(5)).world,
                   World(pointed_cyclic(9, 2, 1))):
         em = emit_zmodular(world)
         assert em.datum is not None and em.note == "normalizer from the Gauss sum"

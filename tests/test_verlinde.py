@@ -65,7 +65,7 @@ def test_pointed_raw_route_gives_group_law():
 def test_signed_verlinde_taft3_example():
     d = 3
     sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-    tensor, rep = verlinde_raw(sld.world())
+    tensor, rep = verlinde_raw(sld.world)
     assert rep.integral
     J = taft_J(d)
     i20 = J.index(TaftLabel(2, 0))
@@ -77,24 +77,24 @@ def test_signed_verlinde_taft3_example():
 def test_signed_verlinde_equals_quotient_constants():
     for d in (2, 3, 4, 5):
         sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-        tensor, rep = verlinde_raw(sld.world())
+        tensor, rep = verlinde_raw(sld.world)
         assert rep.integral
         oracle = taft_fusion_tensor(d)
-        want, _ = quotient_constants(oracle, sld.epsilon, -1, reps=sld.reps)
+        want, _ = quotient_constants(oracle, sld.epsilon, reps=sld.reps)
         assert np.array_equal(tensor, want)
 
 
 def test_taft5_has_negative_entries():
     sld = reduce_slightly_degenerate(taft_double(5), reps=taft_J_indices(5))
-    tensor, rep = verlinde_raw(sld.world())
+    tensor, rep = verlinde_raw(sld.world)
     assert rep.integral and not rep.nonnegative
     assert tensor.min() < 0
 
 
 def test_unit_rows_are_delta():
     sld = reduce_slightly_degenerate(taft_double(4), reps=taft_J_indices(4))
-    tensor, _ = verlinde_raw(sld.world())
-    u = sld.bold.unit
+    tensor, _ = verlinde_raw(sld.world)
+    u = sld.world.raw.unit
     assert np.array_equal(tensor[u], np.eye(len(sld.reps), dtype=np.int64))
 
 
@@ -114,7 +114,8 @@ def test_fusion_tensor_invariants_on_verlinde_outputs():
     # normalized-route outputs satisfy the fusion-ring axioms exhaustively
     for d in (2, 3, 4, 5):
         sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
-        em = emit_zmodular(sld, normalizer=taft_normalizer(d))
+        em = emit_zmodular(sld)
+        assert em.normalizer == taft_normalizer(d)
         tensor, rep = verlinde_fusion(em.datum)
         assert rep.integral
         # associativity and unit law hold even with signed entries
@@ -146,8 +147,8 @@ def test_object_tensors_pass_balancing_quotient_and_duality():
     wide_oracle = FusionTensor(oracle.labels, oracle.table.astype(object), oracle.unit,
                                oracle.duality)
     eps = oracle.labels.index("(2,1)")
-    want, reps = quotient_constants(oracle, eps, -1, reps=taft_J_indices(d))
-    got, reps_wide = quotient_constants(wide_oracle, eps, -1, reps=taft_J_indices(d))
+    want, reps = quotient_constants(oracle, eps, reps=taft_J_indices(d))
+    got, reps_wide = quotient_constants(wide_oracle, eps, reps=taft_J_indices(d))
     assert reps == reps_wide and got.dtype == object and np.array_equal(got, want)
     res = verify_raw(taft_double(d), reps=taft_J_indices(d), fusion_oracle=wide_oracle)
     assert res.report["oracle_equivalence"].status == "pass"
@@ -191,8 +192,9 @@ def test_one_root_route_runs_on_every_valid_fixture(operands):
     # the pipeline reaches it too, on both routes
     world, sldeg = resolve_world(taft_double(5), taft_J_indices(5))
     assert verlinde_raw(world)[1].route == ROUTE_ONE_ROOT
-    datum = emit_zmodular(sldeg, normalizer=taft_normalizer(5)).datum
-    assert verlinde_fusion(datum)[1].route == ROUTE_ONE_ROOT
+    em = emit_zmodular(sldeg)
+    assert em.normalizer == taft_normalizer(5)
+    assert verlinde_fusion(em.datum)[1].route == ROUTE_ONE_ROOT
 
 
 def test_both_routes_agree_on_every_fixture(operands, monkeypatch):
