@@ -57,6 +57,9 @@ def cmd_verify(args) -> int:
         datum = io.load_datum(args.input)
     except (OSError, io.FormatError) as exc:
         return _fail_usage(f"cannot read datum: {exc}")
+    for path in (args.emit_zmodular, args.out):
+        if path:
+            _check_writable(path)
 
     if isinstance(datum, ModularDatum):
         result = verify_normalized(datum)
@@ -77,6 +80,19 @@ def cmd_verify(args) -> int:
     if not args.pretty:
         print(f"classification: {result.classification}", file=sys.stderr)
     return result.exit_code
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, before any work is
+    done.  The file a write would reach (through any symlink) is opened for
+    appending, which leaves its bytes as they are, and removed again when
+    this call created it."""
+    target = os.path.realpath(path)
+    existed = os.path.exists(target)
+    with open(target, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(target)
 
 
 def _emit(result: PipelineResult, path: str) -> None:

@@ -433,55 +433,162 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _sqrt_at_conductor(x: CycNum, retry: bool = True) -> Optional[CycNum]:
-    import sympy
+_SPREAD = (1 << 61) - 1
 
-    n = x.conductor
-    one = CycNum.from_rational(1, n)
-    # norm-style polynomial prod_j (t^2 - sigma_j(x)); its coefficients are rational
-    poly: list[CycNum] = [one]
-    for j in range(1, n + 1):
-        if math.gcd(j, n) != 1:
+
+def _ring_mul(a: list[int], b: list[int], n: int, mod: Optional[int] = None) -> list[int]:
+    """a * b modulo Phi_n, with the coordinates taken modulo ``mod`` when it
+    is given."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+    out = _K.reduce(conv, n)
+    return out if mod is None else [v % mod for v in out]
+
+
+def _ring_pow(a: list[int], e: int, n: int, p: int) -> list[int]:
+    out = [1] + [0] * (len(a) - 1)
+    for bit in bin(e)[2:]:
+        out = _ring_mul(out, out, n, p)
+        if bit == "1":
+            out = _ring_mul(out, a, n, p)
+    return out
+
+
+def _elements(phi: int, p: int) -> Iterator[list[int]]:
+    """Every element of F_p[x] / Phi_n, phi = deg Phi_n, in one fixed order:
+    k M mod p^phi for k = 0, 1, 2, ..., written in base p, lowest digit
+    first.  M = 2^61 - 1 is prime, so this is a bijection of [0, p^phi), and
+    its elements have dense digits from the start."""
+    k = 0
+    while True:
+        v = k * _SPREAD % p ** phi
+        yield [v // p ** i % p for i in range(phi)]
+        k += 1
+
+
+def _carmichael(n: int) -> int:
+    """The exponent of the unit group (Z/n)^x."""
+    lam = 1
+    for p in _K.prime_divisors(n):
+        k = 1
+        while n % p ** (k + 1) == 0:
+            k += 1
+        lam = math.lcm(lam, p ** (k - 1) * (p - 1) // (2 if p == 2 and k >= 3 else 1))
+    return lam
+
+
+def _full_order_primes(n: int, lam: int) -> Iterator[int]:
+    """The odd primes p, not dividing n, of multiplicative order lam modulo
+    n, in increasing order."""
+    p = 1
+    while True:
+        p += 2
+        if n % p == 0 or _K.prime_divisors(p) != (p,):
             continue
-        c = x.galois(j)
-        nxt = [CycNum.from_rational(0, n) for _ in range(len(poly) + 2)]
-        for i, p in enumerate(poly):
-            nxt[i + 2] = nxt[i + 2] + p
-            nxt[i] = nxt[i] - p * c
-        poly = nxt
-    try:
-        rat_coeffs = [c.as_rational() for c in poly]
-    except ValueError:
-        return None
-    den = math.lcm(*(c.denominator for c in rat_coeffs))
-    ints = [int(c * den) for c in rat_coeffs]
-    t = sympy.Symbol("t")
-    _, factors = sympy.Poly(list(reversed(ints)), t).factor_list()
-    for g, _mult in sorted(factors, key=lambda fm: fm[0].degree()):
-        gc = [Fraction(int(v)) for v in reversed(g.all_coeffs())]
-        a = CycNum.from_rational(0, n)
-        b = CycNum.from_rational(0, n)
-        xpow = one
-        for i in range(0, len(gc), 2):
-            if gc[i]:
-                a = a + xpow * gc[i]
-            if i + 1 < len(gc) and gc[i + 1]:
-                b = b + xpow * gc[i + 1]
-            xpow = xpow * x
-        if not b.is_zero():
-            y = -(a / b)
-            if y * y == x:
-                return y
-    if retry:
-        # split the conjugate-root degeneracy by a unit multiplier
-        for w in (one + root_of_unity(n), one + root_of_unity(n) + root_of_unity(n, 2)):
-            if w.is_zero():
-                continue
-            y2 = _sqrt_at_conductor(x * w * w, retry=False)
-            if y2 is not None:
-                y = y2 / w
-                if y * y == x:
-                    return y
+        order, v = 1, p % n
+        while v != 1 % n:
+            order, v = order + 1, v * p % n
+        if order == lam:
+            yield p
+
+
+def _cipolla(u: list[int], n: int, p: int, q: int) -> list[int]:
+    """A square root of u in R = F_p[x] / Phi_n, a product of fields F_q in
+    each of which u is a nonzero square.  For d = b^2 - u a non-square in
+    every field, (b + w)^((q + 1) / 2) in R[w] / (w^2 - d) lies in R and
+    squares to (b + w)^(q + 1) = b^2 - d = u (Cipolla's algorithm, run in
+    every field at once)."""
+    one = [1] + [0] * (len(u) - 1)
+    for b in _elements(len(u), p):
+        d = [(s - t) % p for s, t in zip(_ring_mul(b, b, n, p), u)]
+        if _ring_pow(d, (q - 1) // 2, n, p) == [p - 1] + one[1:]:
+            break
+
+    def mul(x, y):   # (r + s w)(t + v w) = r t + s v d + (r v + s t) w
+        (r, s), (t, v) = x, y
+        rt, sv, rv, st = (_ring_mul(f, g, n, p) for f, g in ((r, t), (s, v), (r, v), (s, t)))
+        return ([(f + g) % p for f, g in zip(rt, _ring_mul(sv, d, n, p))],
+                [(f + g) % p for f, g in zip(rv, st)])
+
+    out = (one, [0] * len(u))
+    for bit in bin((q + 1) // 2)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, (b, one))
+    return out[0]
+
+
+def _sign_patterns(n: int, p: int, q: int, g: int) -> list[list[int]]:
+    """One of each pair +-s of the 2^g units s of R = F_p[x] / Phi_n, a
+    product of g fields F_q, that are +-1 in every field.  They are the
+    Euler symbols a^((q - 1) / 2) of the units a, taken in the order of
+    :func:`_elements` until they generate all 2^(g - 1) classes."""
+    one = [1] + [0] * (_K.euler_phi(n) - 1)
+    signs = [one]
+    for a in _elements(len(one), p):
+        if len(signs) == 1 << (g - 1):
+            return signs
+        s = _ring_pow(a, (q - 1) // 2, n, p)
+        if _ring_mul(s, s, n, p) == one and s not in signs and [-v % p for v in s] not in signs:
+            signs += [_ring_mul(s, t, n, p) for t in signs]
+
+
+def _newton_root(a: list[int], z: list[int], n: int, p: int, bound: int) -> list[int]:
+    """The y = A z, lifted symmetrically modulo p^k > 2 bound, of the inverse
+    square root z of A modulo p, after the steps z <- z + z (1 - A z^2) / 2
+    that each double the power of p to which A z^2 = 1 holds."""
+    mod = p
+    while mod <= 2 * bound:
+        mod *= mod
+        e = _ring_mul(a, _ring_mul(z, z, n, mod), n, mod)
+        e[0] -= 1
+        half = (mod + 1) // 2
+        z = [(v - half * t) % mod for v, t in zip(z, _ring_mul(z, e, n, mod))]
+    return [v - mod if 2 * v > mod else v for v in _ring_mul(a, z, n, mod)]
+
+
+def _sqrt_at_conductor(x: CycNum) -> Optional[CycNum]:
+    """A root y of x in Q(zeta_n), n = x.conductor, with y*y == x exactly, or
+    None when Q(zeta_n) holds none.  The sign of y is not chosen.
+
+    A = den^2 x = den * num is integral, and so is each root y of it: y lies
+    in Z[zeta_n].  Every embedding of y has magnitude at most sqrt(L1(A)),
+    so y = sum_(j < n) a_j zeta^j with a_j = Tr(y zeta^-j) / n of magnitude
+    at most phi sqrt(L1(A)) / n.  Each coordinate of y sums n of them, each
+    times a coordinate of zeta^j mod Phi_n, so it is at most B = phi
+    ceil(sqrt(L1(A))) max_row(n).
+
+    Modulo an odd prime p of order lam = lambda(n) modulo n, Phi_n splits
+    into g = phi / lam factors of degree lam, so R = F_p[x] / Phi_n is a
+    product of g fields F_q, q = p^lam.  The smallest such p at which A is a
+    unit is taken.  If A^((q - 1) / 2) is not 1 in R, A is a non-square in
+    one field, and so in Q(zeta_n): None.  Otherwise every root of A reduces
+    to s r for a root r of A in R and one of the 2^g sign patterns s, and
+    its Newton lift from the inverse root is unique, as p is odd.  So the
+    answer is exact: y is accepted only when y * y == A, and when no pattern
+    up to the global sign gives a root, none exists.
+    """
+    if x.is_zero():
+        return x
+    n, a = x.conductor, [v * x.den for v in x.num]
+    one = [1] + [0] * (len(a) - 1)
+    lam = _carmichael(n)
+    for p in _full_order_primes(n, lam):
+        q = p ** lam
+        euler = _ring_pow(a, (q - 1) // 2, n, p)
+        if euler == one:
+            break
+        if _ring_mul(euler, euler, n, p) == one:
+            return None   # A is a non-square modulo one factor of Phi_n
+    bound = len(a) * (math.isqrt(sum(map(abs, a)) - 1) + 1) * _K.max_row(n)
+    z = _cipolla(_ring_pow(a, q - 2, n, p), n, p, q)   # a root of 1 / A in R
+    for s in _sign_patterns(n, p, q, len(a) // lam):
+        y = _newton_root(a, _ring_mul(z, s, n, p), n, p, bound)
+        if _ring_mul(y, y, n) == a:
+            return CycNum._make(n, *_K.normalize(y, x.den))
     return None
 
 
@@ -492,9 +599,11 @@ def _canonical_root(c: CycNum, n: int) -> Optional[CycNum]:
     A rational c gives |c|.  Otherwise the rule takes the sign that makes the
     first nonzero odd e_i of the conjugates positive; when -c is a conjugate
     of c it decides on c*w instead, for w = 1 + zeta_m, then 1 + zeta_m +
-    zeta_m^2, and then it tries the next conductor.  The rule reproduces the
-    square-root search of :func:`sqrt_in_field`.  Returns None when c is not
-    written at a conductor dividing 4n or the rule decides nowhere.
+    zeta_m^2, and then it tries the next conductor.  The rule picks the root
+    that a factor search over Q gives (the tests keep that search as a
+    reference), and :func:`sqrt_in_field` applies it to the root it finds.
+    Returns None when c is not written at a conductor dividing 4n or the
+    rule decides nowhere.
     """
     if c.is_rational():
         return CycNum.from_rational(abs(c.as_rational()))
@@ -521,9 +630,10 @@ def sqrt_in_field(x: CycNum) -> Optional[CycNum]:
     """An exact y with y*y == x, searched in Q(zeta_n) up to Q(zeta_4n).
 
     Conductor 4n covers the square root of every root of unity of Q(zeta_n).
-    Returns None when no such element exists there.  A root is verified by
-    squaring, and its sign and conductor are those :func:`_canonical_root`
-    fixes.
+    Each conductor m is decided exactly by the p-adic search of
+    :func:`_sqrt_at_conductor`, so None means that no such element exists
+    there.  A root is verified by squaring, and its sign and conductor are
+    those :func:`_canonical_root` fixes.
     """
     if x.is_zero():
         return x
@@ -535,6 +645,6 @@ def sqrt_in_field(x: CycNum) -> Optional[CycNum]:
     for m in dict.fromkeys((n, 2 * n, 4 * n)):
         y = _sqrt_at_conductor(x.lift(m))
         if y is not None:
-            # a root the search finds is one on which the rule decides
+            # the rule picks one of +-y, whichever sign the search gave
             return _canonical_root(y, n)
     return None

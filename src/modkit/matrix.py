@@ -220,10 +220,11 @@ def split_primes(n: int, bound: int) -> SplitPrimes:
 
 
 def residue_matmul(x: np.ndarray, y: np.ndarray, sp: SplitPrimes) -> np.ndarray:
-    """``x @ y`` modulo the prime of the leading index, for int64 residues
-    below PRIME_LIMIT.  The contraction runs as one float64 matmul per block
-    of at most _TERMS products: every partial sum is an integer below 2^53,
-    so each block is exact whatever order BLAS sums it in, and is reduced in
+    """``x @ y`` modulo the prime of the leading index, for int64 values of
+    magnitude below PRIME_LIMIT (residues, or signed in ``y``).  The
+    contraction runs as one float64 matmul per block of at most _TERMS
+    products: every partial sum is an integer of magnitude below 2^53, so
+    each block is exact whatever order BLAS sums it in, and is reduced in
     int64."""
     xf, yf = x.astype(np.float64), y.astype(np.float64)
     out = sp.mod(np.matmul(xf[..., :_TERMS], yf[..., :_TERMS, :]).astype(np.int64))
@@ -236,9 +237,16 @@ def residue_matmul(x: np.ndarray, y: np.ndarray, sp: SplitPrimes) -> np.ndarray:
 def evaluate(a: np.ndarray, sp: SplitPrimes) -> np.ndarray:
     """Residues ``(k, r) + a.shape[1:]`` of the slices ``a`` (int64 or
     object) at the r roots of Phi_n that ``sp.ev`` holds (all phi of them,
-    or the first row alone), modulo each of the k primes."""
-    flat = sp.mod(a.reshape(1, a.shape[0], -1 if a.size else 0))
-    vals = residue_matmul(sp.ev, flat.astype(np.int64, copy=False), sp)
+    or the first row alone), modulo each of the k primes.
+
+    int64 slices of magnitude below PRIME_LIMIT enter the product as they
+    are, signed, without a reduction per prime: each product with a table
+    entry is still below 2^42 in magnitude, so every float64 partial sum of
+    :func:`residue_matmul` stays below 2^53, and it reduces its output."""
+    flat = a.reshape(1, a.shape[0], -1 if a.size else 0)
+    if a.dtype != np.int64 or (a.size and not -PRIME_LIMIT < a.min() <= a.max() < PRIME_LIMIT):
+        flat = sp.mod(flat).astype(np.int64, copy=False)
+    vals = residue_matmul(sp.ev, flat, sp)
     return vals.reshape(sp.ev.shape[:2] + a.shape[1:])
 
 

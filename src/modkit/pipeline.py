@@ -264,9 +264,10 @@ def emit_zmodular(source: Union[SlightlyDegenerateData, World]) -> EmitResult:
     The datum's T is the vector of twists itself, the inverse of the
     categorical T-matrix; with that convention (S T)^3 lands on a scalar
     matrix.  c is read off the Gauss sum (:func:`gauss_normalizer`); when
-    that route does not apply, an exact square root of D * dim_r(unit_bar) is
-    searched.  Both routes give the same c.  If no root exists in a
-    cyclotomic field of conductor up to 4N, the identities are re-verified in
+    that route does not apply, :func:`sqrt_in_field` finds the square root of
+    D * dim_r(unit_bar) by an exact p-adic search in integers.  Both routes
+    give the same c.  If no root exists in a cyclotomic field of conductor up
+    to 4N (the search proves it), the identities are re-verified in
     square-root-free form instead and returned as a certificate marked
     'verified up to scalar'.  ``note`` says which route gave c.
     """

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intervals
+import modkit.cyclotomic as cyclotomic
 from modkit.cyclotomic import (CycNum, _canonical_root, _sqrt_at_conductor, is_root_of_unity,
                                is_totally_positive, root_of_unity, root_of_unity_sqrt,
                                sqrt_in_field, zeta)
 from modkit.families import pointed_cyclic, sl2_q16_counterexample, taft_double
 from modkit.pipeline import resolve_world
 from conftest import POINTED_GRID
+from sqrt_reference import factor_root, searched_root
 
 one = CycNum.from_rational(1)
 
@@ -346,16 +348,6 @@ def same_element(a, b):
     return (a.conductor, a.num, a.den) == (b.conductor, b.num, b.den)
 
 
-def searched_root(x):
-    """The search's own root of x, before the sign rule picks between +-y."""
-    n = x.conductor
-    for m in dict.fromkeys((n, 2 * n, 4 * n)):
-        y = _sqrt_at_conductor(x.lift(m))
-        if y is not None:
-            return y
-    return None
-
-
 def shaped(n):
     """A value at conductor n, and for half the draws one whose negative is a
     conjugate (c - conj(c), or +-q zeta^k), where the rule falls back on w."""
@@ -381,6 +373,91 @@ def test_canonical_root_ignores_the_sign(n, data):
     r = _canonical_root(c, n)
     assert r is not None and same_element(r, _canonical_root(-c, n))
     assert r * r == c * c
+
+
+# the p-adic search against the factor search of tests/sqrt_reference.py
+
+def square_shaped(n):
+    """c^2, c^2 (1 + zeta) or c itself, for a value c at conductor n."""
+    return st.tuples(cyc_values(n), st.integers(0, 2)).map(
+        lambda t: (t[0] * t[0], t[0] * t[0] * (one + zeta(n)), t[0])[t[1]])
+
+
+def assert_same_root(x, y):
+    """y is the factor search's root of x up to sign, or both are None."""
+    ref = factor_root(x)
+    assert (y is None) == (ref is None), (x, y, ref)
+    if y is not None:
+        assert y * y == x and (y == ref or y == -ref)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 8, 12, 16, 24])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_search_agrees_with_the_factor_search(n, data):
+    x = data.draw(square_shaped(n))
+    if not x.is_zero():
+        assert_same_root(x, _sqrt_at_conductor(x))
+
+
+Q16 = zeta(16) + zeta(16, 3) - zeta(16, 5) - zeta(16, 7)
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_search_finds_the_q16_normalizer(m):
+    x = (Q16 * Q16).lift(m)
+    assert_same_root(x, _sqrt_at_conductor(x))
+    assert sqrt_in_field(x) == Q16   # the sign rule's choice, at conductor m
+
+
+@pytest.mark.parametrize("n", [4, 9, 12])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_sqrt_in_field_keeps_the_factor_search_root(n, data):
+    """The whole route, conductor and sign rule included, returns what it
+    returned with the factor search."""
+    x = data.draw(square_shaped(n))
+    if x.is_zero():
+        return
+    ref = searched_root(x)
+    want = None if ref is None else _canonical_root(ref, n)
+    got = sqrt_in_field(x)
+    assert (got is None) == (want is None) and (got is None or same_element(got, want))
+
+
+def counted_lifts(monkeypatch):
+    calls = []
+    lift = cyclotomic._newton_root
+
+    def counting(*args):
+        calls.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(cyclotomic, "_newton_root", counting)
+    return calls
+
+
+def at_conductor(v):
+    return f"{v}@{v.conductor}" if isinstance(v, CycNum) else str(v)
+
+
+@pytest.mark.parametrize("x", [rat(2), rat(-1), one + zeta(16), zeta(12) * (one + zeta(12))],
+                         ids=at_conductor)
+def test_search_refuses_a_non_residue_without_lifting(monkeypatch, x):
+    calls = counted_lifts(monkeypatch)
+    assert _sqrt_at_conductor(x) is None and factor_root(x) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("x,patterns", [(rat(7), 1), (rat(3).lift(3), 1), (rat(3).lift(8), 2),
+                                        (rat(5).lift(16), 2), (rat(-7).lift(24), 8)],
+                         ids=at_conductor)
+def test_search_refuses_a_square_mod_p_after_every_sign_pattern(monkeypatch, x, patterns):
+    # Q(zeta_n) holds no root, yet A is a square modulo p: each of the
+    # 2^(g - 1) patterns is lifted past 2B and fails the exact check
+    calls = counted_lifts(monkeypatch)
+    assert _sqrt_at_conductor(x) is None and factor_root(x) is None
+    assert len(calls) == patterns
 
 
 def test_canonical_root_takes_the_smallest_conductor():

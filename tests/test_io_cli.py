@@ -369,20 +369,27 @@ def test_cli_emit_zmodular(tmp_path, capsys):
 
 
 def test_cli_emit_does_not_import_sympy(tmp_path):
-    # sympy backs only the square-root search, which Taft data never reach;
-    # importing it costs about a second and tens of megabytes
+    # sympy backs only the tests' reference square root; importing it costs a
+    # third of a second and about 30 MB.  Taft data take the Gauss route, and
+    # the q16 bold datum, which fails vafa_anomaly, the exact search
     import modkit
-    src = tmp_path / "taft5.json"
-    io.save_datum(taft_double(5), str(src))
+    taft, q16 = tmp_path / "taft5.json", tmp_path / "q16bold.json"
+    io.save_datum(taft_double(5), str(taft))
+    io.save_datum(sl2_q16_counterexample()[1], str(q16))
     code = ("import sys\n"
             "from modkit.cli import main\n"
-            f"rc = main(['verify', {str(src)!r}, '--emit-zmodular', {str(tmp_path / 'z.json')!r},"
+            f"rc = main(['verify', {str(taft)!r}, '--emit-zmodular', {str(tmp_path / 'z.json')!r},"
             f" '--out', {str(tmp_path / 'r.json')!r}])\n"
             "assert rc == 0, rc\n"
-            "assert 'sympy' not in sys.modules\n")
+            f"rc = main(['verify', {str(q16)!r}, '--emit-zmodular', {str(tmp_path / 'q.json')!r},"
+            f" '--out', {str(tmp_path / 'qr.json')!r}])\n"
+            "assert rc == 1, rc\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'sympy']\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(modkit.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert "normalizer z16 + z16^3 - z16^5 - z16^7; normalizer from the square-root search" \
+        in proc.stderr
 
 
 def test_cli_report_roundtrip(tmp_path, capsys):
@@ -708,6 +715,36 @@ def test_cli_exits_2_with_one_error_line_when_the_output_cannot_be_written(tmp_p
     assert run_cli([a.format(t3=t3, out=out) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--emit-zmodular"])
+def test_cli_verify_refuses_an_unwritable_output_before_verifying(tmp_path, capsys, monkeypatch,
+                                                                  flag):
+    import modkit.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "verify_raw", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "verify_normalized", lambda *a, **k: calls.append(a))
+    t3 = tmp_path / "t3.json"
+    io.save_datum(taft_double(3), str(t3))
+    assert run_cli(["verify", str(t3), flag, str(tmp_path / "missing" / "x.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and calls == []
+    assert run_cli(["verify", str(t3), flag, str(tmp_path)]) == 2   # a directory
+    assert calls == []
+
+
+def test_cli_verify_leaves_no_file_when_nothing_is_emitted(tmp_path, capsys):
+    # the q16 full datum fails before a world is built, so nothing is emitted
+    q16 = tmp_path / "q16.json"
+    io.save_datum(sl2_q16_counterexample()[0], str(q16))
+    fresh, kept, link = tmp_path / "fresh.json", tmp_path / "kept.json", tmp_path / "link.json"
+    kept.write_text("older bytes\n")
+    link.symlink_to(tmp_path / "target.json")   # dangling: a write would create its target
+    for path in (fresh, kept, link):
+        assert run_cli(["verify", str(q16), "--emit-zmodular", str(path)]) == 1
+        assert "emit: no world to normalize" in capsys.readouterr().err
+    assert not fresh.exists() and kept.read_text() == "older bytes\n"
+    assert link.is_symlink() and not (tmp_path / "target.json").exists()
 
 
 @pytest.mark.parametrize("verb", ["verify", "reduce", "fusion"])

@@ -391,6 +391,26 @@ def test_products_agree_with_warm_and_cold_residues(make):
     assert warm_t is None or np.array_equal(warm_t, cold_t)
 
 
+@pytest.mark.parametrize("n", [3, 16, 84, 2003])
+def test_small_int64_slices_evaluate_unreduced_as_the_reduced_route_does(n):
+    """Signed int64 slices below PRIME_LIMIT skip the reduction per prime;
+    their residues equal those of the same integers as Python ints, which
+    are reduced first, at every root and at the first root alone."""
+    lim = matrix.PRIME_LIMIT
+    rng = np.random.default_rng(n)
+    phi = euler_phi(n)
+    sp = matrix.split_primes(n, 1 << 40)
+    for a in (rng.integers(-lim + 1, lim, size=(phi, 3, 2)),
+              np.full((phi, 2), lim - 1), np.full((phi, 2), -lim + 1),
+              np.where(rng.random((phi, 4)) < 0.5, lim - 1, -lim + 1),
+              np.full((phi, 1), lim), np.full((phi, 1), -lim)):   # the last two are reduced
+        for at in (sp, sp._replace(ev=sp.ev[:, :1])):
+            want = matrix.evaluate(a.astype(object), at)
+            got = matrix.evaluate(a.astype(np.int64), at)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert ((0 <= got) & (got < at.primes.reshape(-1, 1, *[1] * (a.ndim - 1)))).all()
+
+
 def test_each_matrix_is_evaluated_once(monkeypatch):
     s = cold(taft_double(5).s_matrix)
     want = [cold(s) @ cold(s), cold(s) * cold(s), cold(s.conj_transpose()) @ cold(s)]

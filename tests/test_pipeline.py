@@ -263,9 +263,9 @@ def test_emit_takes_the_gauss_route_and_keeps_the_search_as_fallback(monkeypatch
     calls = []
     search = cyclotomic._sqrt_at_conductor
 
-    def counting_search(x, retry=True):
+    def counting_search(x):
         calls.append(x.conductor)
-        return search(x, retry)
+        return search(x)
 
     monkeypatch.setattr(cyclotomic, "_sqrt_at_conductor", counting_search)
     for world in (reduce_slightly_degenerate(taft_double(5), reps=taft_J_indices(5)).world,
