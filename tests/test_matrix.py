@@ -395,7 +395,8 @@ def test_products_agree_with_warm_and_cold_residues(make):
 def test_small_int64_slices_evaluate_unreduced_as_the_reduced_route_does(n):
     """Signed int64 slices below PRIME_LIMIT skip the reduction per prime;
     their residues equal those of the same integers as Python ints, which
-    are reduced first, at every root and at the first root alone."""
+    are reduced first, at every root and at the first root alone.  Larger
+    int64 slices are still reduced: unreduced, float64 would round them."""
     lim = matrix.PRIME_LIMIT
     rng = np.random.default_rng(n)
     phi = euler_phi(n)
@@ -403,7 +404,8 @@ def test_small_int64_slices_evaluate_unreduced_as_the_reduced_route_does(n):
     for a in (rng.integers(-lim + 1, lim, size=(phi, 3, 2)),
               np.full((phi, 2), lim - 1), np.full((phi, 2), -lim + 1),
               np.where(rng.random((phi, 4)) < 0.5, lim - 1, -lim + 1),
-              np.full((phi, 1), lim), np.full((phi, 1), -lim)):   # the last two are reduced
+              np.full((phi, 1), lim), np.full((phi, 1), -lim),    # these three are reduced
+              rng.integers(-(1 << 62), 1 << 62, size=(phi, 2))):
         for at in (sp, sp._replace(ev=sp.ev[:, :1])):
             want = matrix.evaluate(a.astype(object), at)
             got = matrix.evaluate(a.astype(np.int64), at)
