@@ -3,8 +3,8 @@ modular data: unitary symmetric S-matrices with twists whose Verlinde
 coefficients land in N (nondegenerate inputs) or in Z (slightly degenerate
 inputs, through the fermion-orbit quotient)."""
 
-from .cyclotomic import (CycNum, conj, galois_apply, inv, is_root_of_unity,
-                         is_totally_positive, root_of_unity, sqrt_in_field, zeta)
+from .cyclotomic import (CycNum, is_root_of_unity, is_totally_positive, root_of_unity,
+                         sqrt_in_field, zeta)
 from .datum import (DegeneracyError, ModularDatum, RawDatum, SlightlyDegenerateData,
                     World, bar_involution, detect_symmetric_center, dims_of,
                     epsilon_action, reduce_slightly_degenerate)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CycNum", "CycMatrix", "RawDatum", "ModularDatum", "SlightlyDegenerateData",
     "World", "FusionTensor", "VerificationReport", "DegeneracyError",
-    "root_of_unity", "zeta", "conj", "inv", "galois_apply", "is_root_of_unity",
+    "root_of_unity", "zeta", "is_root_of_unity",
     "is_totally_positive", "sqrt_in_field",
     "dims_of", "detect_symmetric_center", "bar_involution", "epsilon_action",
     "reduce_slightly_degenerate", "quotient_constants",

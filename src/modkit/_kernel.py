@@ -25,7 +25,7 @@ coordinates:
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator
 
 import numpy as np
@@ -49,6 +49,16 @@ def prime_divisors(n: int) -> tuple[int, ...]:
                 n //= p
         p += 1
     return tuple(out + [n] if n > 1 else out)
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def has_order(x: int, k: int, m: int) -> bool:
+    """Whether x has multiplicative order exactly k modulo m."""
+    one = 1 % m
+    return pow(x, k, m) == one and all(pow(x, k // q, m) != one for q in prime_divisors(k))
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cyclotomic import CycNum, is_root_of_unity, is_totally_positive
-from .datum import ModularDatum, World
+from .datum import DegeneracyError, ModularDatum, World
 from .matrix import CycMatrix, max_abs, with_bound
 from .verlinde import verlinde_fusion
 
@@ -46,9 +46,14 @@ class CheckResult:
 
 
 def _run_check(name: str, fn: Callable[[], tuple]) -> CheckResult:
-    """Time ``fn``, which returns (ok, detail, witness), as the check ``name``."""
+    """Time ``fn``, which returns (ok, detail, witness), as the check ``name``.
+    A DegeneracyError that ``fn`` raises fails the check with the error's
+    message and witness, as the entry the error names if it names one."""
     t0 = time.perf_counter()
-    ok, detail, witness = fn()
+    try:
+        ok, detail, witness = fn()
+    except DegeneracyError as exc:
+        ok, detail, witness, name = False, str(exc), exc.witness, exc.check or name
     ms = (time.perf_counter() - t0) * 1000.0
     return CheckResult(name, PASS if ok else FAIL, detail, witness, ms)
 

@@ -306,18 +306,6 @@ def root_of_unity(n: int, k: int = 1) -> CycNum:
 zeta = root_of_unity
 
 
-def inv(a: CycNum) -> CycNum:
-    return a.inv()
-
-
-def conj(a: CycNum) -> CycNum:
-    return a.conj()
-
-
-def galois_apply(a: CycNum, j: int) -> CycNum:
-    return a.galois(j)
-
-
 def is_root_of_unity(a: CycNum) -> Optional[RootOfUnityWitness]:
     """Witness (order, exponent, sign) when a == sign * zeta**exponent.
 
@@ -486,12 +474,7 @@ def _full_order_primes(n: int, lam: int) -> Iterator[int]:
     p = 1
     while True:
         p += 2
-        if n % p == 0 or _K.prime_divisors(p) != (p,):
-            continue
-        order, v = 1, p % n
-        while v != 1 % n:
-            order, v = order + 1, v * p % n
-        if order == lam:
+        if n % p and _K.is_prime(p) and _K.has_order(p, lam, n):
             yield p
 
 

@@ -36,11 +36,27 @@ KIND_BOLD = "raw-bold"
 
 
 class DegeneracyError(ValueError):
-    """The input does not have the structure the operation requires."""
+    """The input does not have the structure the operation requires.  Its
+    ``witness`` locates the failure when one label does; ``check`` names the
+    report entry it fails when that is not the stage that raised it."""
+
+    check: Optional[str] = None
+
+    def __init__(self, message: str, witness: Optional[dict] = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class ZeroGlobalDimensionError(DegeneracyError):
     """D * dim_r(unit_bar) = 0: the datum cannot be normalized."""
+
+    check = "global_dimension_nonzero"
+
+
+class DegenerateCenterError(DegeneracyError):
+    """More than two simples in the symmetric center: the datum is degenerate."""
+
+    check = "symmetric_center"
 
 
 def _check_labels(labels: Sequence[str]) -> None:
@@ -279,17 +295,24 @@ def derive_duality(raw: RawDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def with_duality(raw: RawDatum) -> RawDatum:
     """The same datum with duality data present (derived when missing).  The
     result shares the character table of ``raw``.  A supplied duality must
-    not contradict the one the characters define."""
+    not contradict the one the characters define.  When none can be derived
+    for a full datum, a degenerate symmetric center decides: its repeated
+    characters are what stop the derivation."""
     if raw.duality is not None:
         x = raw.characters.dual_mismatch
         if x is not None:
-            raise DegeneracyError(f"the supplied duality does not conjugate the "
-                                  f"character of {raw.labels[x]}")
+            raise DegeneracyError(f"the supplied duality does not conjugate the character of "
+                                  f"{raw.labels[x]}", {"at": x, "label": raw.labels[x]})
         if raw.duality_signs is not None or raw.kind == KIND_FULL:
             return raw
         duality, signs = raw.duality, (1,) * raw.size
     else:
-        duality, signs = derive_duality(raw)
+        try:
+            duality, signs = derive_duality(raw)
+        except DegeneracyError:
+            if raw.kind == KIND_FULL and raw.unit in raw.characters.center:
+                require_center(raw)
+            raise
     out = RawDatum(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind, duality, signs)
     object.__setattr__(out, "characters", raw.characters)
     return out
@@ -300,7 +323,9 @@ def epsilon_action(raw: RawDatum) -> tuple[int, ...]:
 
     The fermion is central with dim(eps) = -1, so its tensoring action negates
     S-rows; the map is recovered from exact row negation (which also forces
-    dim_r(eps (x) X) = -dim_r(X), reading the unit column).  Computed once per
+    dim_r(eps (x) X) = -dim_r(X), reading the unit column).  The S-row of
+    such an eps is the negated unit row, so an involution takes the unit to
+    eps: eps (x) unit = eps needs no check of its own.  Computed once per
     datum, on its character table.
     """
     return raw.characters.eps_action
@@ -442,66 +467,72 @@ def orbit_reps(act: Sequence[int], unit: int,
     """
     n = len(act)
     if reps is None:
-        out, seen = [], set()
-        for i in range(n):
-            if i not in seen:
-                out.append(i)
-                seen.add(i)
-                seen.add(act[i])
+        out = [i for i in range(n) if i < act[i]]
         if unit not in out:
             out[out.index(act[unit])] = unit
         return out
     out = list(reps)
     if any(not 0 <= r < n for r in out):
         raise DegeneracyError(f"reps must be label indices in 0..{n - 1}")
-    seen = set()
-    for r in out:
-        seen.add(r)
-        seen.add(act[r])
+    seen = set(out) | {act[r] for r in out}
     if unit not in out or 2 * len(out) != n or len(seen) != n:
         raise DegeneracyError("reps must contain the unit and pick one label per orbit")
     return out
+
+
+def require_center(raw: RawDatum) -> tuple[int, ...]:
+    """The symmetric center, which must hold the unit and at most one more
+    simple; more than two simples raise :class:`DegenerateCenterError`."""
+    center = detect_symmetric_center(raw)
+    if raw.unit not in center:
+        raise DegeneracyError("unit is not in the symmetric center")
+    if len(center) > 2:
+        names = ", ".join(raw.labels[i] for i in center)
+        raise DegenerateCenterError(
+            f"{len(center)} simples in the symmetric center ({names}): degenerate")
+    return center
+
+
+def require_fermion(raw: RawDatum, center: Sequence[int]) -> int:
+    """eps, the simple of a two-simple center besides the unit, which must
+    have dim(eps) = -1 and twist(eps) = 1."""
+    eps = center[0] if center[1] == raw.unit else center[1]
+    dim_eps, t_eps, one = raw.dim_r(eps), raw.twists[eps], CycNum.from_rational(1)
+    if dim_eps != -one or t_eps != one:
+        raise DegeneracyError(
+            f"dim(eps) = {dim_eps}, twist(eps) = {t_eps}"
+            + ("; the dim +1 / twist -1 regime does not satisfy the S/T relations"
+               if dim_eps == one and t_eps == -one else ""))
+    return eps
 
 
 def reduce_slightly_degenerate(full: RawDatum,
                                reps: Optional[Sequence[int]] = None) -> SlightlyDegenerateData:
     """Restrict a slightly degenerate full datum to representatives.
 
-    Checks the hypotheses exactly: symmetric center {unit, eps} with
-    dim(eps) = -1 and twist(eps) = 1, fixed-point-free tensoring action.  The
-    representative set defaults to the first label of each orbit (unit forced
-    in); pass ``reps`` to override.  The square of the bold matrix is
-    verified to be sdim * dim_r(unit_bar) times a signed permutation whose
-    permutation part is the bar involution and whose signs track which duals
-    leave the representative set.
+    Each hypothesis is decided by the function that decides it in
+    :func:`modkit.pipeline.verify_raw`, with its wording: the duality, the
+    center {unit, eps}, dim(eps) = -1 and twist(eps) = 1, the fermion action,
+    then :func:`reduce_to_reps`.
     """
     if full.kind != KIND_FULL:
         raise DegeneracyError("reduction starts from a full datum")
     full = with_duality(full)
-    table = full.characters
-    center = table.center
+    center = require_center(full)
     if len(center) == 1:
         raise DegeneracyError("symmetric center is trivial: the datum is nondegenerate")
-    if len(center) != 2:
-        names = ", ".join(full.labels[i] for i in center)
-        raise DegeneracyError(f"symmetric center has {len(center)} labels ({names}): degenerate")
-    if full.unit not in center:
-        raise DegeneracyError("the unit is not in the symmetric center: malformed input")
-    eps = center[0] if center[1] == full.unit else center[1]
-    dim_eps = full.dim_r(eps)
-    one = CycNum.from_rational(1)
-    if dim_eps == one and full.twists[eps] == -one:
-        raise DegeneracyError(
-            "central invertible with dim +1 and twist -1: this regime does not "
-            "yield the S/T relations (see the q16 counterexample); refusing to reduce")
-    if dim_eps != -one:
-        raise DegeneracyError(f"dim(eps) = {dim_eps}, expected -1")
-    if full.twists[eps] != one:
-        raise DegeneracyError(f"twist(eps) = {full.twists[eps]}, expected 1")
-    act = table.eps_action
-    if act[full.unit] != eps:
-        raise DegeneracyError("row negation of the unit does not land on eps")
+    eps = require_fermion(full, center)
+    return reduce_to_reps(full, eps, epsilon_action(full), reps)
 
+
+def reduce_to_reps(full: RawDatum, eps: int, act: Sequence[int],
+                   reps: Optional[Sequence[int]] = None) -> SlightlyDegenerateData:
+    """The reduction of a full datum, with its duality, whose fermion eps acts
+    by ``act``.  The representatives default to the first label of each orbit
+    (unit forced in); pass ``reps`` to override.  The square of the bold
+    matrix is verified to be sdim * dim_r(unit_bar) times a signed permutation
+    whose permutation part is the bar involution and whose signs track which
+    duals leave the representative set."""
     reps_l = orbit_reps(act, full.unit, reps)
     pos = {r: i for i, r in enumerate(reps_l)}
     s = full.s_matrix

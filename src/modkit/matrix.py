@@ -53,10 +53,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._kernel import INT64_LIMIT
 from .cyclotomic import CycNum
 from .kernel import impl as _K
-
-INT64_LIMIT = 1 << 63   # int64 holds every v with |v| < 2^63
 
 
 class ShapeError(ValueError):
@@ -114,18 +113,12 @@ _TERMS = 1 << 11        # and a sum of 2^11 such products stays below 2^53
 assert PRIME_LIMIT ** 2 * _TERMS <= 1 << 53
 
 
-def _is_prime(n: int) -> bool:
-    """Trial division up to sqrt(n): at most 1,447 divisions for a candidate
-    below PRIME_LIMIT."""
-    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-
 def _root_of_order(n: int, p: int) -> int:
     """An element of exact order n modulo the prime p = 1 (mod n); p - 1 is
     never factored, only n."""
     for g in range(2, p):
         w = pow(g, (p - 1) // n, p)
-        if all(pow(w, n // q, p) != 1 for q in _K.prime_divisors(n)):
+        if _K.has_order(w, n, p):
             return w
     raise ValueError(f"{p} is not a prime = 1 (mod {n})")
 
@@ -169,7 +162,7 @@ def _split_stack(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     step = n if n % 2 == 0 else 2 * n   # the odd p = 1 (mod n) are the p = 1 (mod step)
     cand = found[-1] - step if found else 1 + (PRIME_LIMIT - 2) // step * step
     while len(found) < count and cand >= 3:
-        if _is_prime(cand):
+        if _K.is_prime(cand):
             ev, iv = _split_tables(n, cand)
             found.append(cand)
             evs.append(ev[None])

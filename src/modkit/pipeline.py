@@ -14,7 +14,7 @@ fails its checks is ``fail``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .checks import (VerificationReport, _run_check, check_axioms, check_balanci
                      check_gauss_product, check_raw_unitarity, check_sl2_relations,
                      check_total_positivity, check_twist_laws, check_vafa)
 from .cyclotomic import CycNum, _canonical_root, root_of_unity_sqrt, sqrt_in_field
-from .datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, SlightlyDegenerateData,
-                    World, ZeroGlobalDimensionError, detect_symmetric_center,
-                    epsilon_action, reduce_slightly_degenerate, with_duality)
+from .datum import (KIND_BOLD, DegeneracyError, DegenerateCenterError, ModularDatum,
+                    RawDatum, SlightlyDegenerateData, World, epsilon_action, reduce_to_reps,
+                    require_center, require_fermion, with_duality)
 from .fusion import FusionTensor, quotient_constants
 from .verlinde import verlinde_raw
 
@@ -61,141 +61,118 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
     fusion tensor on the full labels; when present, the Verlinde output is
     compared against it (against its sVect^- quotient, in the slightly
     degenerate case).  Every entry of the report is one timed check
-    (:func:`_run_check`) whose ms covers the work that decides it: the check
-    that decides the regime builds the world of a bold datum (``duality``)
-    or of a trivial center (``symmetric_center``), and ``reduction`` that of
-    a slightly degenerate one.
+    (:func:`_run_check`) whose ms covers the work that decides it.
     """
-    rep, s, made = VerificationReport(), raw.s_matrix, {}
+    rep, s = VerificationReport(), raw.s_matrix
     for name, holds in (("s_raw_symmetric", s.is_symmetric),
                         ("dims_nonzero", lambda: all(s.row(raw.unit))),
                         ("twists_nonzero", lambda: all(raw.twists))):
         if not rep.run(name, lambda: (holds(), "", None)).ok:
             return PipelineResult(rep, FAILED)
-
-    def build() -> None:   # the world into made, or the DegeneracyError that stops it
-        try:
-            made["world"], made["sldeg"] = resolve_world(raw, reps)
-        except DegeneracyError as exc:
-            made["error"] = exc
-
-    def degenerate(center) -> tuple:
-        made["degenerate"] = True
-        names = ", ".join(raw.labels[i] for i in center)
-        return False, f"{len(center)} simples in the symmetric center ({names}): degenerate", None
-
-    supplied = raw.duality is not None
-
-    def duality():
-        nonlocal raw
-        try:
-            raw = with_duality(raw)
-        except DegeneracyError as exc:
-            center = () if supplied or raw.kind == KIND_BOLD else raw.characters.center
-            if raw.unit in center and len(center) > 2:   # repeated characters: the center decides
-                return degenerate(center)
-            x = raw.characters.dual_mismatch
-            return False, str(exc), None if x is None else {"at": x, "label": raw.labels[x]}
-        if raw.kind == KIND_BOLD:
-            build()
-        return True, "supplied" if supplied else "derived", None
-
-    checked = _run_check("duality", duality)
-    if "degenerate" in made:   # renamed, not rebuilt, so that its ms stays
-        rep.skip("duality", "not derived: the symmetric center is degenerate")
-        checked.name = "symmetric_center"
-    if not rep.add(checked).ok:
-        return PipelineResult(rep, DEGENERATE if "degenerate" in made else FAILED)
-    if raw.kind == KIND_BOLD:
-        return _verify_world(rep, made, fusion_oracle)
-
-    def symmetric_center():
-        center = made["center"] = detect_symmetric_center(raw)
-        if raw.unit not in center:
-            return False, "unit is not in the symmetric center", None
-        if len(center) > 2:
-            return degenerate(center)
-        if len(center) == 1:
-            build()
-            return True, "trivial center: nondegenerate", None
-        names = ", ".join(raw.labels[i] for i in center)
-        return True, f"center {{{names}}}: slightly degenerate candidate", None
-
-    if not rep.run("symmetric_center", symmetric_center).ok:
-        return PipelineResult(rep, DEGENERATE if "degenerate" in made else FAILED)
-    center = made["center"]
-    if len(center) == 1:
-        return _verify_world(rep, made, fusion_oracle)
-    eps = center[0] if center[1] == raw.unit else center[1]
-
-    def epsilon_shape():
-        dim_eps, t_eps, one = raw.dim_r(eps), raw.twists[eps], CycNum.from_rational(1)
-        return dim_eps == -one and t_eps == one, f"dim(eps) = {dim_eps}, twist(eps) = {t_eps}" \
-            + ("; the dim +1 / twist -1 regime does not satisfy the S/T relations"
-               if dim_eps == one and t_eps == -one else ""), None
-
-    def row_negation():
-        try:
-            epsilon_action(raw)
-        except DegeneracyError as exc:
-            return False, str(exc), None
-        return True, "", None
-
-    if not (rep.run("epsilon_shape", epsilon_shape).ok
-            and rep.run("epsilon_row_negation", row_negation).ok):
-        return PipelineResult(rep, FAILED)
-    # epsilon_action refuses an action with a fixed point
-    rep.run("epsilon_fixed_point_free", lambda: (True, "", None))
-
-    def reduction():
-        build()
-        if "error" in made:
-            return False, str(made["error"]), None
-        return True, f"representatives {[raw.labels[r] for r in made['sldeg'].reps]}", None
-
-    # decided by the reduction, rank_half comes before it: rows pair under
-    # negation (rank <= n/2); S[reps,reps]^2 = D*u*E is invertible (>= n/2)
-    reduced = _run_check("reduction", reduction)
-    if reduced.ok:
-        rep.run("rank_half", lambda: (True, f"rank {len(made['sldeg'].reps)} of size {raw.size}",
-                                      None))
-        rep.add(reduced)
-        return _verify_world(rep, made, fusion_oracle)
-    rep.skip("rank_half", "not certified: the reduction failed")
-    if isinstance(made["error"], ZeroGlobalDimensionError):   # a check of its own
-        reduced.name = "global_dimension_nonzero"
-    rep.add(reduced)
-    return PipelineResult(rep, FAILED)
+    try:
+        world, sldeg = _structure(rep, raw, reps)
+    except DegeneracyError as exc:
+        return PipelineResult(rep, DEGENERATE if isinstance(exc, DegenerateCenterError) else FAILED)
+    return _verify_world(rep, world, sldeg, fusion_oracle)
 
 
 def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
                   ) -> tuple[World, Optional[SlightlyDegenerateData]]:
-    """The world a raw datum is verified in, with the reduction behind it.
+    """The world a raw datum is verified in, with the reduction behind it:
+    the structural stages of :func:`verify_raw` without their report.  Raises
+    the :class:`DegeneracyError` of the first stage that fails."""
+    return _structure(VerificationReport(), raw, reps)
 
-    Bold input gives the bold world, a trivial symmetric center the
-    nondegenerate world; any other full datum is reduced to its fermion-orbit
-    representatives (``reps``, or the canonical choice), which checks that it
-    is slightly degenerate.  Raises :class:`DegeneracyError` when no world can
-    be built.  The center comes from the datum's character table, computed once.
-    """
-    raw = with_duality(raw)
-    if raw.kind == KIND_BOLD or len(raw.characters.center) == 1:
-        return World(raw), None
-    sldeg = reduce_slightly_degenerate(raw, reps=reps)
+
+def _structure(rep: VerificationReport, raw: RawDatum, reps: Optional[Sequence[int]]
+               ) -> tuple[World, Optional[SlightlyDegenerateData]]:
+    """The structural stages in report order, each deciding one hypothesis
+    by its function in :mod:`modkit.datum`; a failing stage raises its error.
+    The stage that decides the regime builds the world: ``duality`` that of a
+    bold datum, ``symmetric_center`` that of a trivial center (a world that
+    cannot be built fails a check of its own after them), ``reduction`` that
+    of a slightly degenerate one."""
+
+    def duality():
+        detail, dual = "supplied" if raw.duality is not None else "derived", with_duality(raw)
+        return detail, (dual, _built(dual) if dual.kind == KIND_BOLD else None)
+
+    def symmetric_center():
+        center = require_center(raw)
+        if len(center) == 1:
+            return "trivial center: nondegenerate", (center, _built(raw))
+        names = ", ".join(raw.labels[i] for i in center)
+        return f"center {{{names}}}: slightly degenerate candidate", (center, None)
+
+    def reduction():
+        sldeg = reduce_to_reps(raw, eps, act, reps)
+        return f"representatives {[raw.labels[r] for r in sldeg.reps]}", sldeg
+
+    raw, world = _stage(rep, "duality", duality,
+                        ("duality", "", "not derived: the symmetric center is degenerate"))
+    if world is None:
+        center, world = _stage(rep, "symmetric_center", symmetric_center)
+    if isinstance(world, DegeneracyError):
+        _stage(rep, "bar_involution", lambda: _raise(world))
+    if world is not None:
+        return world, None
+    eps = _stage(rep, "epsilon_shape",
+                 lambda: ("dim(eps) = -1, twist(eps) = 1", require_fermion(raw, center)))
+    act = _stage(rep, "epsilon_row_negation", lambda: ("", epsilon_action(raw)))
+    _stage(rep, "epsilon_fixed_point_free", lambda: ("", None))   # decided by the row negation
+    # rank <= n/2 as rows pair under negation, >= n/2 as S[reps, reps]^2 = D u E is invertible
+    n = raw.size
+    sldeg = _stage(rep, "reduction", reduction,
+                   ("rank_half", f"rank {n // 2} of size {n}", "not certified: the reduction failed"))
     return sldeg.world, sldeg
 
 
-def _verify_world(rep: VerificationReport, made: dict,
+def _stage(rep: VerificationReport, name: str, decide: Callable[[], tuple],
+           ahead: Optional[tuple[str, str, str]] = None):
+    """Run ``decide()``, which returns (detail, value), as the timed check
+    ``name`` and return the value; a DegeneracyError it raises fails the
+    check (:func:`_run_check`) and is raised again.  ``ahead`` = (entry,
+    detail, reason) is an entry the check decides, listed before it: a pass,
+    or skipped when the check fails, unless the check is reported as it."""
+    got = []
+
+    def check():
+        try:
+            detail, value = decide()
+        except DegeneracyError as exc:
+            got.append(exc)
+            raise
+        got.append(value)
+        return True, detail, None
+
+    checked = _run_check(name, check)
+    if ahead is not None and ahead[0] != checked.name:
+        if checked.ok:
+            rep.run(ahead[0], lambda: (True, ahead[1], None))
+        else:
+            rep.skip(ahead[0], ahead[2])
+    rep.add(checked)
+    if not checked.ok:
+        raise got[0]
+    return got[0]
+
+
+def _built(raw: RawDatum):
+    """The world of ``raw``, or the DegeneracyError that stops it."""
+    try:
+        return World(raw)
+    except DegeneracyError as exc:
+        return exc
+
+
+def _raise(exc: Exception):
+    raise exc
+
+
+def _verify_world(rep: VerificationReport, world: World,
+                  sldeg: Optional[SlightlyDegenerateData],
                   fusion_oracle: Optional[FusionTensor]) -> PipelineResult:
-    """Run the world suite on the world ``made`` holds, or fail the stage
-    whose DegeneracyError it holds, and classify."""
-    exc = made.get("error")
-    if exc is not None:   # a zero D * dim_r(unit_bar) is a check of its own
-        stage = "global_dimension_nonzero" if isinstance(exc, ZeroGlobalDimensionError) \
-            else "bar_involution"
-        rep.run(stage, lambda: (False, str(exc), None))
-        return PipelineResult(rep, FAILED)
-    world, sldeg = made["world"], made["sldeg"]
+    """Run the world suite on ``world`` and classify."""
     for c in [check_raw_unitarity(world), check_gauss_product(world)] + check_twist_laws(world) \
             + check_sl2_relations(world) + check_vafa(world) + [check_total_positivity(world)]:
         rep.add(c)

@@ -65,14 +65,10 @@ def galois_generators(n: int) -> tuple[int, ...]:
     """Few units e of Z/n that generate (Z/n)^x (none when n <= 2): each is
     a unit of the largest multiplicative order outside the subgroup the ones
     before it generate, so a cyclic group gets one generator."""
-    phi = _K.euler_phi(n)
+    divisors = _K.divisors(_K.euler_phi(n))
 
     def order(e: int) -> int:
-        o = phi
-        for q in _K.prime_divisors(phi):
-            while o % q == 0 and pow(e, o // q, n) == 1:
-                o //= q
-        return o
+        return next(d for d in divisors if _K.has_order(e, d, n))
 
     group, gens = {1 % n}, []
     for e in sorted((e for e in range(2, n) if math.gcd(e, n) == 1), key=lambda e: (-order(e), e)):

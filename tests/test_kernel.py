@@ -334,7 +334,7 @@ def test_prime_test_agrees_with_a_sieve():
         if sieve[q]:
             sieve[q * q::q] = False
     for n in list(range(10 ** 4)) + list(range(PRIME_LIMIT - 10 ** 4, PRIME_LIMIT)):
-        assert matrix._is_prime(n) == sieve[n], n
+        assert kernel.is_prime(n) == sieve[n], n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 12, 76, 420, 1155])
@@ -519,3 +519,20 @@ def test_cyclotomic_polynomial_coefficients():
     assert kernel.cyclotomic_int_coeffs(12) == (1, 0, -1, 0, 1)
     assert kernel.euler_phi(12) == 4
     assert kernel.euler_phi(1) == 1
+
+
+def test_exact_order_and_primality_agree_with_brute_force():
+    # for every modulus m <= 300: x has order exactly k modulo m for one k
+    # among the divisors of phi(m) when x is a unit, and for none otherwise
+    for m in range(1, 301):
+        orders = kernel.divisors(kernel.euler_phi(m))
+        for x in range(m):
+            order, v = None, x % m
+            for k in range(1, m + 1):
+                if v == 1 % m:
+                    order = k
+                    break
+                v = v * x % m
+            assert [k for k in orders if kernel.has_order(x, k, m)] == \
+                ([] if order is None else [order]), (x, m)
+        assert kernel.is_prime(m) == (m > 1 and all(m % q for q in range(2, m))), m

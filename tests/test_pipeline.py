@@ -1,3 +1,4 @@
+import collections
 import glob
 import os
 import random
@@ -402,14 +403,14 @@ def test_every_report_entry_is_one_timed_check(monkeypatch, case):
 
 @pytest.mark.parametrize("target,entry,case", [
     ("with_duality", "duality", "taft3-oracle"),
-    ("detect_symmetric_center", "symmetric_center", "taft3-oracle"),
+    ("require_center", "symmetric_center", "taft3-oracle"),
     ("epsilon_action", "epsilon_row_negation", "taft3-oracle"),
-    ("resolve_world", "reduction", "taft3-oracle"),
-    ("resolve_world", "symmetric_center", "pointed5,1,0"),
+    ("reduce_to_reps", "reduction", "taft3-oracle"),
+    ("World", "symmetric_center", "pointed5,1,0"),
     ("verlinde_raw", "verlinde_classification", "taft3-oracle"),
     ("quotient_constants", "oracle_equivalence", "taft3-oracle"),
-    ("resolve_world", "symmetric_center", "zero-global-dimension"),
-    ("resolve_world", "duality", "q16-bold"),
+    ("World", "symmetric_center", "zero-global-dimension"),
+    ("World", "duality", "q16-bold"),
     ("with_duality", "symmetric_center", "pointed9,3,0-derived"),
 ])
 def test_an_entry_is_timed_with_the_work_that_decides_it(monkeypatch, target, entry, case):
@@ -482,3 +483,70 @@ def test_dropping_the_duality_keeps_the_classification_and_the_later_checks(raw)
     strip = [(c.name, c.status, c.detail) for c in given.report.checks if c.name != "duality"]
     assert strip == [(c.name, c.status, c.detail) for c in dropped.report.checks
                      if c.name != "duality"]
+
+
+# the stages whose hypotheses reduce_slightly_degenerate decides too
+STRUCTURAL = ("duality", "symmetric_center", "epsilon_shape", "epsilon_row_negation",
+              "reduction", "global_dimension_nonzero")
+
+
+def perturbed(raw):
+    """Copies of ``raw`` with one twist times zeta_4, -1 or zeta_5, or one
+    entry of S (with its mirror entry) times -1, zeta_3 or 2."""
+    n, entries = raw.size, raw.s_matrix.entries
+    for x in range(n):
+        for f in (zeta(4), -one, zeta(5)):
+            twists = list(raw.twists)
+            twists[x] = twists[x] * f
+            yield RawDatum(raw.labels, raw.unit, raw.s_matrix, tuple(twists), raw.kind,
+                           raw.duality, raw.duality_signs)
+    for i in range(n):
+        for j in range(i, n):
+            for f in (-one, zeta(3), one + one):
+                s = list(entries)
+                s[i * n + j] = s[i * n + j] * f
+                s[j * n + i] = s[i * n + j]
+                yield RawDatum(raw.labels, raw.unit, CycMatrix(n, n, s), raw.twists, raw.kind,
+                               raw.duality, raw.duality_signs)
+
+
+RELATIONAL_DATA = ([(f"taft{d}", lambda d=d: taft_double(d)) for d in (3, 4)]
+                   + [("pointed{},{},{}".format(*p), lambda p=p: pointed_cyclic(*p))
+                      for p in POINTED_GRID + [(9, 3, 0)]]
+                   + [("q16-full", lambda: sl2_q16_counterexample()[0]),
+                      ("q16-bold", lambda: sl2_q16_counterexample()[1]),
+                      ("zero-global-dimension",
+                       lambda: io.datum_from_json(zero_global_dimension()))])
+
+
+def test_the_reduction_and_verify_raw_decide_each_hypothesis_alike():
+    # a structural stage that fails is the reduction's refusal, word for word,
+    # and a reduction that passes is the one the reduction makes
+    seen = collections.Counter()
+    for name, make in RELATIONAL_DATA:
+        raw = make()
+        for datum in [raw, without_duality(raw), *perturbed(raw)]:
+            res = verify_raw(datum)
+            if [c.status for c in res.report.checks[:3]] != ["pass"] * 3:
+                continue
+            try:
+                got = reduce_slightly_degenerate(datum)
+            except DegeneracyError as exc:
+                got = str(exc)
+            failures = res.report.failures()
+            center = res.report["symmetric_center"] if "symmetric_center" in res.report else None
+            if datum.kind == KIND_BOLD:
+                assert got == "reduction starts from a full datum", name
+            elif center is not None and center.detail == "trivial center: nondegenerate":
+                assert isinstance(got, str) and "nondegenerate" in got, name
+            elif "reduction" in res.report and res.report["reduction"].ok:
+                assert not isinstance(got, str), (name, got)
+                assert got.reps == res.sldeg.reps and got.world.raw == res.sldeg.world.raw, name
+                seen["reduced"] += 1
+            else:
+                assert failures and failures[0].name in STRUCTURAL, (name, failures)
+                assert got == failures[0].detail, name
+                seen[failures[0].name] += 1
+    # each stage before the reduction refuses some datum, and some reduce
+    assert set(seen) >= {"duality", "symmetric_center", "epsilon_shape", "epsilon_row_negation",
+                         "reduced"}, seen
