@@ -302,9 +302,10 @@ def check_axioms(datum: ModularDatum) -> VerificationReport:
     t_col = CycMatrix(n, 1, datum.t_diag)
 
     def unit_row():
-        zeros = np.flatnonzero(~s.num[:, datum.unit, :].any(axis=0))   # builds no entry
-        if zeros.size:
-            return False, "", {"at": int(zeros[0]), "label": datum.labels[zeros[0]]}
+        nonzero = s.nonzero_in_row(datum.unit)
+        if not nonzero.all():
+            at = int(nonzero.argmin())
+            return False, "", {"at": at, "label": datum.labels[at]}
         return True, "", None
 
     unit_ok = rep.run("unit_row_nonzero", unit_row).ok

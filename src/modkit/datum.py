@@ -103,7 +103,7 @@ class RawDatum:
         return len(self.labels)
 
     def dim_r(self, i: int) -> CycNum:
-        return self.s_matrix.row(self.unit)[i]   # builds one row of S, not all of it
+        return self.s_matrix[self.unit, i]
 
     @cached_property
     def characters(self) -> "CharacterTable":
@@ -184,7 +184,7 @@ class CharacterTable:
         self.duality, self.duality_signs = raw.duality, raw.duality_signs
         s = self.s
         dims = s.num[:, raw.unit, :, None]
-        self.has_dim = dims.any(axis=(0, 2))
+        self.has_dim = s.nonzero_in_row(raw.unit)
         # a label of dimension zero keeps its S-row: its entry is replaced by 1
         col = with_bound(dims, max(max_abs(dims), s.den)).copy()
         col[0, ~self.has_dim] = s.den
@@ -193,7 +193,7 @@ class CharacterTable:
     def chars(self) -> CycMatrix:
         """The character matrix, once every label is known to have a character."""
         if not self.has_dim.all():
-            raise DegeneracyError(f"dim_r({self.labels[int(np.argmin(self.has_dim))]}) = 0")
+            raise DegeneracyError(f"dim_r({self.labels[self.has_dim.argmin()]}) = 0")
         return self.matrix
 
     @cached_property
@@ -391,9 +391,9 @@ class World:
         self.duality = raw.duality
         self.dim_r, self.dim_l, self.sqnorm, self.global_dim = dims_of(raw)
         self.theta = CycMatrix(1, raw.size, raw.twists)
-        zero = np.flatnonzero(~self.theta.num.any(axis=(0, 1)))
-        if zero.size:
-            raise DegeneracyError(f"twist({raw.labels[zero[0]]}) = 0")
+        nonzero = self.theta.nonzero_in_row(0)
+        if not nonzero.all():
+            raise DegeneracyError(f"twist({raw.labels[nonzero.argmin()]}) = 0")
         self.bar, self.unit_bar = bar_involution(raw)
         self.dim_unit_bar = self.dim_r[0, self.unit_bar]
         self.d_u = self.global_dim * self.dim_unit_bar

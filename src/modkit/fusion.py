@@ -22,38 +22,6 @@ class FusionTensor:
         if self.table.shape != (n, n, n):
             raise ValueError(f"tensor shape {self.table.shape} does not match {n} labels")
 
-    # ---------- invariants ----------
-
-    def unit_law_holds(self) -> bool:
-        n = len(self.labels)
-        eye = np.eye(n, dtype=self.table.dtype)
-        return bool(np.array_equal(self.table[self.unit], eye)
-                    and np.array_equal(self.table[:, self.unit, :], eye))
-
-    def duality_law_holds(self) -> bool:
-        n = len(self.labels)
-        want = np.zeros((n, n), dtype=self.table.dtype)
-        for i, d in enumerate(self.duality):
-            want[i, d] = 1
-        return bool(np.array_equal(self.table[:, :, self.unit], want))
-
-    def is_associative(self) -> bool:
-        # sum_m N_{ij}^m N_{mk}^l == sum_m N_{jk}^m N_{im}^l for all i,j,k,l
-        t = self.table
-        lhs = np.einsum("ijm,mkl->ijkl", t, t)
-        rhs = np.einsum("jkm,iml->ijkl", t, t)
-        return bool(np.array_equal(lhs, rhs))
-
-    def validate(self) -> list[str]:
-        problems = []
-        if not self.unit_law_holds():
-            problems.append("unit law fails")
-        if not self.duality_law_holds():
-            problems.append("duality law fails")
-        if not self.is_associative():
-            problems.append("associativity fails")
-        return problems
-
 
 def tensor_duality(table: np.ndarray, unit: int) -> Optional[tuple[int, ...]]:
     """Read the duality involution off N_{i,j}^unit; None when it is not one.

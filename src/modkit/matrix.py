@@ -24,13 +24,11 @@ nothing is rounded or compared with a tolerance.  ``object`` inputs are
 reduced to int64 residues first; past that, Python integers appear only in
 the CRT combine, once the product of the primes passes 2^62.
 
-A matrix keeps the residues of its numerator at the most primes and roots
+A matrix evaluates its own numerator once, at the most primes and roots
 asked of it: every split prime set of a conductor is a leading set of one
 list, so a product needing fewer primes reads a slice, and the one-root
-Verlinde route reads the first root.  A product starts with the residues it
-was computed from, and Galois conjugates and transposes pass the residues
-on, permuted along the roots or with their trailing axes swapped; a lift
-changes the primes, so it starts with none.
+Verlinde route reads the first root.  Every other matrix, products, Galois
+conjugates and transposes included, starts with no residues.
 
 The entrywise inverse runs on the same residues: the product of an entry's
 residues at the other phi(N) - 1 roots is the residue there of the product
@@ -274,26 +272,23 @@ def crt(coeffs: np.ndarray, sp: SplitPrimes, bound: int) -> np.ndarray:
     return with_bound(x, bound)
 
 
-def slice_matmul(a: "CycMatrix", b: "CycMatrix") -> tuple[np.ndarray, np.ndarray]:
+def slice_matmul(a: "CycMatrix", b: "CycMatrix") -> np.ndarray:
     """Slices ``(phi, r, c)`` of the product of the numerators of ``a``
-    ``r x m`` and ``b`` ``m x c``, both at one conductor, from their kept
-    residues, and the residues of the product (:meth:`CycMatrix.residues`)."""
+    ``r x m`` and ``b`` ``m x c``, both at one conductor, from their
+    residues (:meth:`CycMatrix.residues`)."""
     n = a.conductor
     bound = max_abs(a.num) * max_abs(b.num) * a.cols * slice_growth(n)
     sp = split_primes(n, bound)
-    vals = residue_matmul(a.residues(sp), b.residues(sp), sp)
-    return interpolate(vals, sp, bound), vals
+    return interpolate(residue_matmul(a.residues(sp), b.residues(sp), sp), sp, bound)
 
 
-def slice_mul(a: "CycMatrix", b: "CycMatrix") -> tuple[np.ndarray, np.ndarray]:
+def slice_mul(a: "CycMatrix", b: "CycMatrix") -> np.ndarray:
     """Slices of the entrywise product of the numerators of ``a`` and ``b``,
-    both at one conductor, whose shapes broadcast against each other, and
-    the residues of the product."""
+    both at one conductor, whose shapes broadcast against each other."""
     n = a.conductor
     bound = max_abs(a.num) * max_abs(b.num) * slice_growth(n)
     sp = split_primes(n, bound)
-    vals = sp.mod(a.residues(sp) * b.residues(sp))
-    return interpolate(vals, sp, bound), vals
+    return interpolate(sp.mod(a.residues(sp) * b.residues(sp)), sp, bound)
 
 
 def slice_inv(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,16 +319,6 @@ def slice_inv(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return adj, crt(sp.mod(before[:, 0, -1] * vals[:, -1]), sp, norm_bound)
 
 
-@lru_cache(maxsize=None)
-def _root_permutation(n: int, e: int) -> np.ndarray:
-    """The roots axis of :func:`evaluate` holds the roots w^u, u the units
-    mod n in increasing order; at w^u the image of x under sigma_e:
-    zeta -> zeta^e has the value of x at w^(u e), at this position."""
-    units = [u for u in range(n) if math.gcd(u, n) == 1]
-    at = {u: i for i, u in enumerate(units)}
-    return np.array([at[u * e % n] for u in units])
-
-
 def root_slices(n: int, exps) -> np.ndarray:
     """Slices ``(phi(n),) + exps.shape`` of the matrix with entries zeta_n^exps,
     for any integer array of exponents: the indicator of each exponent
@@ -348,7 +333,7 @@ def root_slices(n: int, exps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class CycMatrix:
-    __slots__ = ("rows", "cols", "conductor", "num", "den", "_entries", "_res")
+    __slots__ = ("rows", "cols", "conductor", "num", "den", "_res")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         entries = [e if isinstance(e, CycNum) else CycNum.from_rational(Fraction(e))
@@ -361,17 +346,15 @@ class CycMatrix:
         phi = _K.euler_phi(n)
         flat = int_array([[v * (den // e.den) for v in e.num] for e in entries])
         num = flat.reshape(rows * cols, phi).T.reshape(phi, rows, cols)
-        self._set(n, np.ascontiguousarray(num), den, entries)
+        self._set(n, np.ascontiguousarray(num), den)
 
-    def _set(self, n: int, num: np.ndarray, den: int, entries) -> None:
+    def _set(self, n: int, num: np.ndarray, den: int) -> None:
         num.flags.writeable = False
         object.__setattr__(self, "rows", num.shape[1])
         object.__setattr__(self, "cols", num.shape[2])
         object.__setattr__(self, "conductor", n)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_res", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycMatrix is immutable")
@@ -388,7 +371,7 @@ class CycMatrix:
         if num.dtype == object and max_abs(num) < INT64_LIMIT:
             num = num.astype(np.int64)
         self = cls.__new__(cls)
-        self._set(conductor, num, den, None)
+        self._set(conductor, num, den)
         return self
 
     @classmethod
@@ -414,10 +397,7 @@ class CycMatrix:
     @property
     def entries(self) -> tuple[CycNum, ...]:
         """The entries in row-major order, each in canonical form."""
-        if self._entries is None:
-            flat = self.num.reshape(self.num.shape[0], self.rows * self.cols).T
-            object.__setattr__(self, "_entries", self._entries_of(flat))
-        return self._entries
+        return self._entries_of(self.num.reshape(self.num.shape[0], self.rows * self.cols).T)
 
     def _entries_of(self, flat: np.ndarray) -> tuple[CycNum, ...]:
         """The entries whose coordinates are the rows of ``flat`` ``(count, phi)``."""
@@ -431,20 +411,19 @@ class CycMatrix:
         return tuple(CycNum._make(n, tuple(v), d) for v, d in pairs)
 
     def __getitem__(self, ij: tuple[int, int]) -> CycNum:
-        """Entry (i, j); until every entry is built, only this one is."""
         i, j = ij
-        if self._entries is None:
-            return self._entries_of(self.num[:, i, j][None])[0]
-        return self._entries[i * self.cols + j]
+        return self._entries_of(self.num[:, i, j][None])[0]
 
     def row(self, i: int) -> tuple[CycNum, ...]:
-        """Row i; until every entry is built, only this row's are."""
-        if self._entries is None:
-            return self._entries_of(self.num[:, i, :].T)
-        return self._entries[i * self.cols:(i + 1) * self.cols]
+        return self._entries_of(self.num[:, i, :].T)
 
     def col(self, j: int) -> tuple[CycNum, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self._entries_of(self.num[:, :, j].T)
+
+    def nonzero_in_row(self, i: int) -> np.ndarray:
+        """Which entries of row i are nonzero, read off the slices (a bool
+        array); builds no entry."""
+        return self.num[:, i, :].any(axis=0)
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
@@ -513,21 +492,9 @@ class CycMatrix:
 
     def _combine(self, other: "CycMatrix", slice_op) -> "CycMatrix":
         """``slice_op`` (:func:`slice_mul` or :func:`slice_matmul`) on the two
-        matrices at the common conductor, over the product of denominators.
-        The product keeps the residues it was computed from, unless
-        from_slices cancelled a common factor out of them."""
+        matrices at the common conductor, over the product of denominators."""
         a, b, n = self._common(other)
-        num, vals = slice_op(a, b)
-        return CycMatrix.from_slices(n, num, a.den * b.den)._keeping(vals, a.den * b.den)
-
-    def _keeping(self, res: Optional[np.ndarray], den: int) -> "CycMatrix":
-        """This matrix, made by from_slices over ``den``, with ``res`` as its
-        residues when there are any and from_slices cancelled nothing, so
-        that they are the residues of its numerator."""
-        if res is not None and self.den == den:
-            res.flags.writeable = False
-            object.__setattr__(self, "_res", res)
-        return self
+        return CycMatrix.from_slices(n, slice_op(a, b), a.den * b.den)
 
     def residues(self, sp: SplitPrimes) -> np.ndarray:
         """The residues ``(k, r, rows, cols)`` of the numerator at the r roots
@@ -536,7 +503,7 @@ class CycMatrix:
         asked of it; every smaller set of primes leads it, and one root is
         the first, so the rest are slices of them."""
         k, r = sp.ev.shape[:2]
-        res = self._res
+        res = getattr(self, "_res", None)   # the slot is unset until the first call
         if res is None or len(res) < k or res.shape[1] < r:
             more, roots = (k, r) if res is None else (max(k, len(res)), max(r, res.shape[1]))
             full = leading_primes(self.conductor, more)
@@ -592,8 +559,7 @@ class CycMatrix:
 
     def transpose(self) -> "CycMatrix":
         num = np.ascontiguousarray(self.num.transpose(0, 2, 1))
-        res = None if self._res is None else self._res.swapaxes(2, 3)
-        return CycMatrix.from_slices(self.conductor, num, self.den)._keeping(res, self.den)
+        return CycMatrix.from_slices(self.conductor, num, self.den)
 
     def columns(self, idx: Sequence[int], signs=1) -> "CycMatrix":
         """The columns ``idx``, in that order, each times its sign in
@@ -611,12 +577,7 @@ class CycMatrix:
         n = self.conductor
         if math.gcd(j, n) != 1:
             raise ValueError(f"galois exponent {j} is not coprime to the conductor {n}")
-        res = self._res
-        if res is not None and res.shape[1] == len(self.num):   # all roots: permute them
-            res = res[:, _root_permutation(n, j % n)]
-        else:   # sigma_j moves root 0 to another root
-            res = None
-        return self._substitute(n, j % n)._keeping(res, self.den)
+        return self._substitute(n, j % n)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and \

@@ -65,7 +65,7 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
     """
     rep, s = VerificationReport(), raw.s_matrix
     for name, holds in (("s_raw_symmetric", s.is_symmetric),
-                        ("dims_nonzero", lambda: all(s.row(raw.unit))),
+                        ("dims_nonzero", lambda: s.nonzero_in_row(raw.unit).all()),
                         ("twists_nonzero", lambda: all(raw.twists))):
         if not rep.run(name, lambda: (holds(), "", None)).ok:
             return PipelineResult(rep, FAILED)

@@ -219,11 +219,10 @@ def fusion_operands(datum: ModularDatum) -> tuple[CycMatrix, CycMatrix]:
     datum.  The summation index is the column index l: a[l, x] = S[x, l] and
     c[l, z] = conj(S[z, l]) / S[unit, l]."""
     s = datum.s_matrix
-    unit_row = s.num[:, datum.unit, :]
-    zero = np.flatnonzero(~unit_row.any(axis=0))
-    if zero.size:
-        raise ZeroDivisionError(f"unit row vanishes at {datum.labels[zero[0]]}")
-    dims = CycMatrix.from_slices(s.conductor, unit_row[:, :, None], s.den)
+    nonzero = s.nonzero_in_row(datum.unit)
+    if not nonzero.all():
+        raise ZeroDivisionError(f"unit row vanishes at {datum.labels[nonzero.argmin()]}")
+    dims = CycMatrix.from_slices(s.conductor, s.num[:, datum.unit, :, None], s.den)
     c = s.conj_transpose() * dims.inverse()
     return s.transpose(), c
 

@@ -4,7 +4,8 @@ laws), the lift and Galois action on a matrix, the exact rank of a matrix,
 the JSON objects of a datum file, the descent of a value to a smaller
 conductor by linear algebra over Q, the split-prime tables as a reduced
 inverse DFT, and the duality and fermion action read off a fusion tensor
-one entry at a time.
+one entry at a time.  It also holds the fusion-ring laws (unit, duality,
+associativity) a tensor is tested against.
 
 Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
 matches rows or columns as tuples of entries, keyed by their coordinates (the
@@ -324,3 +325,38 @@ def epsilon_action_from_fusion(fusion, eps):
             raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
         act.append(hits[0])
     return tuple(act)
+
+
+def unit_law_holds(fusion):
+    n = len(fusion.labels)
+    eye = np.eye(n, dtype=fusion.table.dtype)
+    return bool(np.array_equal(fusion.table[fusion.unit], eye)
+                and np.array_equal(fusion.table[:, fusion.unit, :], eye))
+
+
+def duality_law_holds(fusion):
+    n = len(fusion.labels)
+    want = np.zeros((n, n), dtype=fusion.table.dtype)
+    for i, d in enumerate(fusion.duality):
+        want[i, d] = 1
+    return bool(np.array_equal(fusion.table[:, :, fusion.unit], want))
+
+
+def is_associative(fusion):
+    # sum_m N_{ij}^m N_{mk}^l == sum_m N_{jk}^m N_{im}^l for all i,j,k,l
+    t = fusion.table
+    lhs = np.einsum("ijm,mkl->ijkl", t, t)
+    rhs = np.einsum("jkm,iml->ijkl", t, t)
+    return bool(np.array_equal(lhs, rhs))
+
+
+def fusion_law_failures(fusion):
+    """The fusion-ring laws a tensor breaks, by name; empty when it is one."""
+    problems = []
+    if not unit_law_holds(fusion):
+        problems.append("unit law fails")
+    if not duality_law_holds(fusion):
+        problems.append("duality law fails")
+    if not is_associative(fusion):
+        problems.append("associativity fails")
+    return problems

@@ -181,7 +181,12 @@ def test_load_datum_builds_no_scalar_per_matrix_entry(tmp_path, monkeypatch):
 
 PHI = {1: 1, 3: 2, 4: 2, 5: 4, 8: 4, 9: 6, 12: 4}
 BIG = 1 << 70   # past int64: the matrix is held in an object array
-LABELS = st.text(alphabet=st.sampled_from('ab"\\/ \n\té€😀\x00'), max_size=4)
+# number-like strings of up to 38 characters: long digit runs, fractions,
+# decimals and e/E exponents, with _ anywhere a digit may stand
+NUMBER_TEXT = st.from_regex(r"[-+]?[0-9_]{1,20}([./][0-9_]{1,8})?([eE][-+]?[0-9_]{1,6})?",
+                            fullmatch=True)
+LABELS = st.text(alphabet=st.sampled_from('ab"\\/ \n\té€😀\x00_eE0123456789'),
+                 max_size=40) | NUMBER_TEXT
 
 
 @st.composite
@@ -878,7 +883,7 @@ def _parent(obj, path):
 
 
 WRONG_TYPES = st.one_of(
-    st.text(alphabet="0123456789-+/.e x", max_size=4),
+    st.text(alphabet="0123456789-+/._eE x", max_size=40) | NUMBER_TEXT,
     st.floats(allow_nan=True, allow_infinity=True),
     st.booleans(),
     st.dictionaries(st.sampled_from(["conductor", "coeffs", "rows"]),
@@ -931,8 +936,9 @@ def test_fuzzed_taft_datum_ends_with_a_verdict_or_one_error_line(data, tmp_path_
     exits with 0, 1 or 2 and never with a traceback; exit 2 comes with one
     ``error:`` line.
 
-    Strings are at most four characters long: the long decimal exponents a
-    string can carry are tested apart, among the hostile files above."""
+    Strings run to 40 characters, number-like ones included (long digit
+    runs, fractions, e/E exponents, underscores); exponents past Python's
+    limit on int digits are tested apart, among the hostile files above."""
     obj = io.datum_to_json(taft_double(3))
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(obj, data)

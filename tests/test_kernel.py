@@ -379,7 +379,7 @@ def test_products_at_the_one_and_two_prime_limits_are_exact():
             assert len(split_primes(1, v).primes) == primes
             for sign in (1, -1):
                 a = CycMatrix.from_slices(1, np.array([[[v]]]), 1)
-                out, _ = slice_matmul(a, CycMatrix.from_slices(1, np.array([[[sign]]]), 1))
+                out = slice_matmul(a, CycMatrix.from_slices(1, np.array([[[sign]]]), 1))
                 assert out.dtype == np.int64 and out.tolist() == [[[sign * v]]]
 
 

@@ -60,8 +60,9 @@ def row_test_slices():
 @pytest.mark.parametrize("case", range(3))
 def test_row_builds_only_its_own_entries(case, monkeypatch):
     num, den = row_test_slices()[case]
-    full = CycMatrix.from_slices(12, num, den)
-    assert (full.num.dtype == object) == (case == 1) and (full.den >= 2 ** 63) == (case == 2)
+    m = CycMatrix.from_slices(12, num, den)
+    assert (m.num.dtype == object) == (case == 1) and (m.den >= 2 ** 63) == (case == 2)
+    want = m.entries
     made = []
     make = CycNum._make
 
@@ -69,17 +70,24 @@ def test_row_builds_only_its_own_entries(case, monkeypatch):
         made.append(coords)
         return make(n, coords, d)
 
-    for i in range(full.rows):
-        m = CycMatrix.from_slices(12, num, den)
+    def canon(entries):
+        return [(e.conductor, e.num, e.den) for e in entries]
+
+    def built(read):
+        """What ``read()`` returns, and how many entries it built."""
         monkeypatch.setattr(CycNum, "_make", staticmethod(counting))
-        got = m.row(i)
+        got = read()
         monkeypatch.setattr(CycNum, "_make", staticmethod(make))
-        assert len(made) == m.cols and m._entries is None
+        count = len(made)
         made.clear()
-        want = full.entries[i * full.cols:(i + 1) * full.cols]
-        assert [(e.conductor, e.num, e.den) for e in got] == \
-            [(e.conductor, e.num, e.den) for e in want]
-    assert full.row(1) == full.entries[full.cols:2 * full.cols]
+        return canon(got), count
+
+    for i in range(m.rows):
+        assert built(lambda: m.row(i)) == (canon(want[i * m.cols:(i + 1) * m.cols]), m.cols)
+    for j in range(m.cols):
+        assert built(lambda: m.col(j)) == (canon(want[j::m.cols]), m.rows)
+        assert built(lambda: [m[1, j]]) == (canon([want[m.cols + j]]), 1)
+    assert built(lambda: m.entries) == (canon(want), m.rows * m.cols)
 
 
 def test_matmul_associativity_randomized():
@@ -334,37 +342,37 @@ def units(n):
     return [e for e in range(1, max(n, 2)) if math.gcd(e, n) == 1]
 
 
-@pytest.mark.parametrize("make", [m for _, m in CACHE_DATA], ids=[i for i, _ in CACHE_DATA])
-def test_passed_residues_equal_a_fresh_evaluation(make):
-    raw = make()
-    k = raw.size
-    n = raw.s_matrix.conductor
-    sp = matrix.split_primes(n, 1 << 100)
-    one_root = sp._replace(ev=sp.ev[:, :1])
-    # S, and S without its first column and the rest reversed: not symmetric
+def cache_inputs(raw):
+    """S and S without its first column and the rest reversed (not
+    symmetric); for each, its transpose and adjoint, its Galois images,
+    their transposes and products of them."""
+    k, n = raw.size, raw.s_matrix.conductor
+    out = []
     for s in (cold(raw.s_matrix), raw.s_matrix.columns(range(k - 1, 0, -1))):
-        s.residues(sp)
+        row = CycMatrix.from_slices(n, s.num[:, :1, :], s.den)
+        out += [s, s.transpose(), s.conj_transpose()]
         for e in units(n):
             g = s.galois(e)
-            row = CycMatrix.from_slices(n, s.num[:, :1, :], s.den)
-            for product in (g @ s.transpose(), g * s, g * row):
-                # kept from the product, at its own primes
-                res = product._res
-                assert res is not None and res.shape[1] == len(product.num)
-                assert np.array_equal(res, matrix.evaluate(
-                    product.num, matrix.leading_primes(n, len(res))))
-            for image in (g, g.transpose(), s.conj_transpose(), s.transpose()):
-                assert image._res is not None   # passed on, not evaluated
-                for at in (sp, one_root):
-                    assert np.array_equal(image.residues(at), matrix.evaluate(image.num, at))
-    s = cold(raw.s_matrix)
-    # residues at one root move to another root under sigma_e: none pass
-    s1 = cold(raw.s_matrix)
-    s1.residues(one_root)
-    for e in units(n):
-        image = s1.galois(e)
-        assert image._res is None
-        assert np.array_equal(image.residues(sp), matrix.evaluate(image.num, sp))
+            out += [g, g.transpose(), g @ s.transpose(), g * s, g * row]
+    return out
+
+
+@pytest.mark.parametrize("make", [m for _, m in CACHE_DATA], ids=[i for i, _ in CACHE_DATA])
+def test_cached_residues_equal_a_fresh_evaluation(make):
+    raw = make()
+    n = raw.s_matrix.conductor
+    many = matrix.split_primes(n, 1 << 300)
+    root = matrix.leading_primes(n, 1)
+    root = root._replace(ev=root.ev[:, :1])
+    some = matrix.split_primes(n, 1 << 100)
+    asks = (matrix.leading_primes(n, 1), some, some._replace(ev=some.ev[:, :1]), root)
+    assert 1 < len(some.primes) < len(many.primes)
+    for warm in ((many, root), (root, many)):
+        for m in cache_inputs(raw):
+            for sp in warm:
+                m.residues(sp)
+            for sp in asks:
+                assert np.array_equal(m.residues(sp), matrix.evaluate(m.num, sp))
 
 
 @pytest.mark.parametrize("make", [m for _, m in CACHE_DATA], ids=[i for i, _ in CACHE_DATA])
@@ -424,18 +432,7 @@ def test_each_matrix_is_evaluated_once(monkeypatch):
         return evaluate(a, sp)
 
     monkeypatch.setattr(matrix, "evaluate", counting)
-    # the entrywise product needs no more primes than the first, and the
-    # adjoint's residues are S's moved
+    # the entrywise product needs no more primes than the first; the adjoint
+    # is a matrix of its own, evaluated once
     assert [s @ s, s * s, s.conj_transpose() @ s] == want
-    assert calls == [s.num.shape]
-
-
-@pytest.mark.parametrize("n", [1, 5, 12])
-def test_a_product_that_cancels_keeps_no_residues(n):
-    # (x / 2) times 2 x has numerator 2 x^2 over 2: from_slices cancels the 2
-    x = CycMatrix(1, 2, [zeta(n), CycNum.from_rational(3, n)])
-    for product in (x.scale(Fraction(1, 2)) * x.scale(2),
-                    x.scale(Fraction(1, 2)) @ x.transpose().scale(2)):
-        assert product.den == 1 and product._res is None
-        sp = matrix.split_primes(product.conductor, 1 << 40)
-        assert np.array_equal(product.residues(sp), matrix.evaluate(product.num, sp))
+    assert calls == [s.num.shape, s.num.shape]

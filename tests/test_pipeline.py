@@ -304,11 +304,30 @@ def test_verification_imports_no_mpmath():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_raw_reads_rows_of_s_without_building_its_entries():
-    # dims_nonzero, dim_r and dims_of read the unit row only
-    for raw in (taft_double(5), pointed_cyclic(7, 2, 1)):
+def test_verify_raw_reads_rows_of_s_without_building_its_entries(monkeypatch):
+    # dims_nonzero and dims_of read the unit row on the slices; only dim(eps),
+    # of a slightly degenerate datum, is an entry of S built as a CycNum
+    building, made = [], []
+    make, entries_of = CycNum._make, CycMatrix._entries_of
+
+    def building_entries(self, flat):
+        building.append(self)
+        try:
+            return entries_of(self, flat)
+        finally:
+            building.pop()
+
+    def counting(n, coords, d):
+        if building and building[-1] is raw.s_matrix:
+            made.append(coords)
+        return make(n, coords, d)
+
+    monkeypatch.setattr(CycMatrix, "_entries_of", building_entries)
+    monkeypatch.setattr(CycNum, "_make", staticmethod(counting))
+    for raw, count in ((taft_double(5), 1), (pointed_cyclic(7, 2, 1), 0)):
+        made.clear()
         assert verify_raw(raw).passed
-        assert raw.s_matrix._entries is None
+        assert len(made) == count
 
 
 def test_verify_raw_multiplies_few_scalars(monkeypatch):
