@@ -72,17 +72,6 @@ class CycNum:
         num[0] = q.numerator
         return cls._make(conductor, *_K.normalize(num, q.denominator))
 
-    @classmethod
-    def from_coeffs(cls, conductor: int, coeffs) -> "CycNum":
-        _check_conductor(conductor)
-        phi = _K.euler_phi(conductor)
-        fracs = [Fraction(c) for c in coeffs]
-        if len(fracs) != phi:
-            raise ValueError(f"need phi({conductor}) = {phi} coordinates, got {len(fracs)}")
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        num = [int(f * den) for f in fracs]
-        return cls._make(conductor, *_K.normalize(num, den))
-
     # ---------- basic queries ----------
 
     @property
@@ -102,9 +91,6 @@ class CycNum:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.num[0], self.den)
-
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.den == 1
 
     # ---------- conductor handling ----------
 

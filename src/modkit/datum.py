@@ -10,8 +10,9 @@ Each datum has one :class:`CharacterTable`, built on first use.  The center
 (rows equal to the unit row of S), the duality (conjugated columns, which a
 supplied duality must not contradict), the bar involution (a signed column
 permutation), tensoring by an invertible (rows scaled by a column) and the
-fermion action (negated rows of S) are read off it by matching whole rows or
-columns of integer slices.
+fermion action (negated rows of S) are read off it by
+:func:`modkit.matrix.match_lines`, which matches whole rows or columns of
+integer slices and takes the first of two equal lines.
 
 ``kind`` distinguishes a full matrix (every simple is a row) from a bold one
 (rows indexed by representatives of the fermion orbits only).  For a bold
@@ -29,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cyclotomic import CycNum
-from .matrix import CycMatrix, SignedPermutation, max_abs, with_bound
+from .matrix import CycMatrix, SignedPermutation, match_lines, max_abs, with_bound
 
 KIND_FULL = "raw-full"
 KIND_BOLD = "raw-bold"
@@ -158,16 +159,6 @@ def dims_of(raw: RawDatum) -> Dims:
     return Dims(dim_r, dim_l, sqnorm, sqnorm.total())
 
 
-def _keys(a: np.ndarray) -> list:
-    """One key per row of the slices ``a`` ``(phi, rows, cols)``: two rows of
-    arrays of one dtype have equal keys exactly when their slices are equal.
-    Pass ``a.transpose(0, 2, 1)`` to key the columns."""
-    lines = np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)
-    if lines.dtype == object:
-        return [tuple(line) for line in lines.tolist()]
-    return [line.tobytes() for line in lines]
-
-
 class CharacterTable:
     """The characters of one datum, with its symmetric center and fermion
     action, each computed once.
@@ -205,12 +196,18 @@ class CharacterTable:
         want = np.where(self.has_dim[:, None], s[:, self.unit:self.unit + 1, :], 0)
         return tuple(np.flatnonzero((c == want).all(axis=(0, 2))).tolist())
 
-    def conjugates(self) -> tuple[np.ndarray, np.ndarray]:
+    def conjugates(self) -> tuple[np.ndarray, np.ndarray, list]:
         """The columns of the character matrix and of its conjugate, over one
-        denominator, as slices ``(phi, cols, rows)``."""
+        denominator, as slices ``(phi, cols, rows)``, and for each conjugated
+        column the first column equal to it, then on a bold datum the first
+        negated one, as ``(label, sign)``; None when there is neither."""
         c = self.chars()
         cols, conj, _, _ = c._aligned(c.conj())
-        return cols.transpose(0, 2, 1), conj.transpose(0, 2, 1)
+        cols, conj = cols.transpose(0, 2, 1), conj.transpose(0, 2, 1)
+        k = len(self.labels)
+        src = np.concatenate([cols, -cols], axis=1) if self.kind == KIND_BOLD else cols
+        found = [None if y is None else (y % k, 1 - 2 * (y // k)) for y in match_lines(src, conj)]
+        return cols, conj, found
 
     @cached_property
     def dual_mismatch(self) -> Optional[int]:
@@ -222,19 +219,18 @@ class CharacterTable:
         conjugate matches no column has no dual in S to compare with."""
         if self.duality is None:
             return None
-        cols, conj = self.conjugates()
+        cols, conj, found = self.conjugates()
         signs = np.array(self.duality_signs or (1,) * len(self.labels))
         bad = (conj != cols[:, list(self.duality)] * signs[:, None]).any(axis=(0, 2))
-        known = set(_keys(cols)) | (set(_keys(-cols)) if self.kind == KIND_BOLD else set())
-        conj_keys = _keys(conj)
-        return next((int(x) for x in np.flatnonzero(bad) if conj_keys[x] in known), None)
+        return next((int(x) for x in np.flatnonzero(bad) if found[x] is not None), None)
 
     @cached_property
     def eps_action(self) -> tuple[int, ...]:
         """X -> eps (x) X: the label whose S-row is the negated S-row of X."""
-        rows = {key: x for x, key in enumerate(_keys(self.s.num))}
-        act = _match(rows, _keys(-self.s.num),
-                     lambda x: f"no label with the negated S-row of {self.labels[x]}")
+        act = tuple(match_lines(self.s.num, -self.s.num))
+        if None in act:
+            raise DegeneracyError(
+                f"no label with the negated S-row of {self.labels[act.index(None)]}")
         _involution(act, "row negation does not define an involution")
         fixed = [x for x in range(len(act)) if act[x] == x]
         if fixed:
@@ -242,24 +238,12 @@ class CharacterTable:
         return act
 
 
-def _unique_keys(raw: RawDatum, keys: list) -> dict:
-    """Key -> label; two labels with one key have identical characters."""
-    out = {}
-    for x, key in enumerate(keys):
-        if key in out:
+def _distinct(raw: RawDatum, lines: np.ndarray) -> None:
+    """Refuse two equal lines of slices: their labels have identical characters."""
+    for x, y in enumerate(match_lines(lines, lines)):
+        if y != x:
             raise DegeneracyError(
-                f"labels {raw.labels[out[key]]} and {raw.labels[x]} have identical characters")
-        out[key] = x
-    return out
-
-
-def _match(index: dict, keys: list, missing) -> tuple:
-    """``index[key]`` for each key; the first key x not in ``index`` raises
-    the message ``missing(x)``."""
-    for x, key in enumerate(keys):
-        if key not in index:
-            raise DegeneracyError(missing(x))
-    return tuple(index[key] for key in keys)
+                f"labels {raw.labels[y]} and {raw.labels[x]} have identical characters")
 
 
 def _involution(f: Sequence[int], message: str) -> None:
@@ -281,12 +265,10 @@ def derive_duality(raw: RawDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
     as an overall factor dim(eps) = -1 on the column.  Returns (duality,
     signs); signs are all +1 on a full datum.
     """
-    cols, conj = raw.characters.conjugates()
-    index = {key: (y, 1) for key, y in _unique_keys(raw, _keys(cols)).items()}
-    if raw.kind == KIND_BOLD:   # a column times dim(eps) = -1, matched after every column
-        for y, key in enumerate(_keys(-cols)):
-            index.setdefault(key, (y, -1))
-    found = _match(index, _keys(conj), lambda x: f"no dual found for label {raw.labels[x]}")
+    cols, _, found = raw.characters.conjugates()
+    _distinct(raw, cols)
+    if None in found:
+        raise DegeneracyError(f"no dual found for label {raw.labels[found.index(None)]}")
     duality = tuple(y for y, _ in found)
     _involution(duality, "derived duality is not an involution")
     return duality, tuple(sign for _, sign in found)
@@ -341,10 +323,11 @@ def bar_involution(raw: RawDatum) -> tuple[tuple[int, ...], int]:
     """
     raw = with_duality(raw)
     c = raw.characters.chars()
-    rows = _unique_keys(raw, _keys(c.num))
+    _distinct(raw, c.num)
     signs = np.array(raw.duality_signs or (1,) * raw.size)
-    bar = _match(rows, _keys(c.num[:, :, list(raw.duality)] * signs),
-                 lambda x: f"no bar partner for label {raw.labels[x]}")
+    bar = tuple(match_lines(c.num, c.num[:, :, list(raw.duality)] * signs))
+    if None in bar:
+        raise DegeneracyError(f"no bar partner for label {raw.labels[bar.index(None)]}")
     _involution(bar, "bar is not an involution")
     return bar, bar[raw.unit]
 
@@ -358,9 +341,11 @@ def tensor_by_invertible(raw: RawDatum, g: int) -> tuple[int, ...]:
     """
     c = raw.characters.chars()
     cols, prod, _, _ = c._aligned(c * c.columns([g]))
-    index = {key: x for x, key in enumerate(_keys(cols.transpose(0, 2, 1)))}
-    return _match(index, _keys(prod.transpose(0, 2, 1)),
-                  lambda x: f"{raw.labels[x]} (x) {raw.labels[g]} does not match any label")
+    act = tuple(match_lines(cols.transpose(0, 2, 1), prod.transpose(0, 2, 1)))
+    if None in act:
+        x = act.index(None)
+        raise DegeneracyError(f"{raw.labels[x]} (x) {raw.labels[g]} does not match any label")
+    return act
 
 
 # ---------------------------------------------------------------------------

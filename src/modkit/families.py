@@ -290,21 +290,22 @@ def sl2_q16_counterexample() -> tuple[RawDatum, RawDatum]:
 
 def from_spec(spec: str) -> FamilyInstance:
     """Parse a family spec string: ``taft:d=5``, ``pointed:n=7,a=1,k0=2``,
-    ``counterexample:sl2q16`` (or ``counterexample:sl2q16,part=full``)."""
+    ``counterexample:sl2q16`` (or ``counterexample:sl2q16,part=full``).  A key
+    or flag the family does not take is refused."""
     name, _, body = spec.partition(":")
     name = name.strip().lower()
     args: dict[str, str] = {}
-    flags: list[str] = []
-    if body:
-        for tok in body.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if "=" in tok:
-                k, _, v = tok.partition("=")
-                args[k.strip()] = v.strip()
-            else:
-                flags.append(tok)
+    given: list[str] = []   # the keys (as "key=") and flags, in spec order
+    for tok in filter(None, (t.strip() for t in body.split(","))):
+        k, eq, v = tok.partition("=")
+        given.append(k.strip() + eq)
+        if eq:
+            args[k.strip()] = v.strip()
+
+    def takes(*known: str) -> None:
+        bad = next((t for t in given if t not in known), None)
+        if bad is not None:
+            raise FamilySpecError(f"family {name!r} does not take {bad!r}")
 
     def intarg(key: str, default: Optional[int] = None) -> int:
         if key not in args:
@@ -317,6 +318,7 @@ def from_spec(spec: str) -> FamilyInstance:
             raise FamilySpecError(f"{key}={args[key]!r} is not an integer") from exc
 
     if name == "taft":
+        takes("d=")
         d = intarg("d")
         if d < 2:
             raise FamilySpecError(f"taft needs d >= 2, got {d}")
@@ -327,6 +329,7 @@ def from_spec(spec: str) -> FamilyInstance:
             reps=taft_J_indices(d),
         )
     if name == "pointed":
+        takes("n=", "a=", "k0=")
         n = intarg("n")
         a = intarg("a", 1)
         k0 = intarg("k0", 0)
@@ -336,8 +339,9 @@ def from_spec(spec: str) -> FamilyInstance:
             oracle=lambda: pointed_fusion_tensor(n),
         )
     if name == "counterexample":
-        if flags != ["sl2q16"] and "sl2q16" not in flags:
+        if "sl2q16" not in given:
             raise FamilySpecError("the only counterexample is counterexample:sl2q16")
+        takes("sl2q16", "part=")
         full, bold = sl2_q16_counterexample()
         part = args.get("part", "bold")
         if part not in ("bold", "full"):

@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .datum import orbit_reps
+from .matrix import signed_permutation
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,8 @@ def tensor_duality(table: np.ndarray, unit: int) -> Optional[tuple[int, ...]]:
     representative lies in the other orbit, so the entry is allowed to be
     +-1; plain fusion tensors have +1 throughout.
     """
-    col = table[:, :, unit]
-    out = np.argmax(col != 0, axis=1)
-    first = col[np.arange(len(col)), out]
-    if (np.count_nonzero(col, axis=1) != 1).any() or (abs(first) != 1).any():
-        return None
-    out = tuple(out.tolist())
-    return out if len(set(out)) == len(out) else None
+    sp = signed_permutation(table[:, :, unit])
+    return None if sp is None else sp.perm
 
 
 def quotient_constants(fusion: FusionTensor, eps: int,
@@ -44,13 +40,15 @@ def quotient_constants(fusion: FusionTensor, eps: int,
     """Structure constants N_{X,Y}^Z - N_{X,Y}^{eps (x) Z} on representatives:
     the fusion ring of the quotient by sVect^-, where eps has dimension -1.
 
-    ``eps`` must be an invertible label whose tensoring permutes the labels
-    without fixed points; ``reps`` picks one label per orbit (defaults to the
-    first of each orbit in label order, with the unit's orbit represented by
-    the unit).  Returns the quotient tensor together with the representative
-    index list it is indexed by.
+    ``eps`` must be an invertible label whose tensoring is an involution of
+    the labels without fixed points, else ValueError; ``reps`` picks one label
+    per orbit (defaults to the first of each orbit in label order, with the
+    unit's orbit represented by the unit).  Returns the quotient tensor
+    together with the representative index list it is indexed by.
     """
     act = epsilon_action_from_fusion(fusion, eps)
+    if any(act[x] == x or act[act[x]] != x for x in range(len(act))):
+        raise ValueError(f"tensoring by {fusion.labels[eps]} is not a fixed-point-free involution")
     reps = orbit_reps(act, fusion.unit, reps)
     t = fusion.table
     out = t[np.ix_(reps, reps, reps)] - t[np.ix_(reps, reps, [act[z] for z in reps])]
@@ -58,10 +56,9 @@ def quotient_constants(fusion: FusionTensor, eps: int,
 
 
 def epsilon_action_from_fusion(fusion: FusionTensor, eps: int) -> tuple[int, ...]:
-    """The label permutation X -> eps (x) X, read off the fusion tensor: row
-    X of N_{eps,X} must hold a single 1."""
-    row = fusion.table[eps]
-    act = np.argmax(row != 0, axis=1)
-    if (np.count_nonzero(row, axis=1) != 1).any() or (row[np.arange(len(row)), act] != 1).any():
+    """The label permutation X -> eps (x) X, read off the fusion tensor:
+    N_{eps,X} must hold a single 1 in each row and in each column."""
+    sp = signed_permutation(fusion.table[eps])
+    if sp is None or -1 in sp.signs:
         raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
-    return tuple(act.tolist())
+    return sp.perm

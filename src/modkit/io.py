@@ -195,10 +195,6 @@ def cyc_to_json(x: CycNum) -> dict:
     return json.loads(_cyc_text(x, 0))
 
 
-def cyc_from_json(obj: dict) -> CycNum:
-    return _cyc(obj, _Ratios())
-
-
 def _cyc(obj: dict, ratios: _Ratios) -> CycNum:
     try:
         n, coeffs = _scalar(obj, ratios)
@@ -212,10 +208,6 @@ def _cyc(obj: dict, ratios: _Ratios) -> CycNum:
 
 def matrix_to_json(m: CycMatrix) -> dict:
     return json.loads(_matrix_text(m, 0))
-
-
-def matrix_from_json(obj: dict) -> CycMatrix:
-    return _matrix(obj, _Ratios())
 
 
 def _matrix(obj: dict, ratios: _Ratios) -> CycMatrix:

@@ -91,6 +91,35 @@ def int_array(values) -> np.ndarray:
     return a.astype(object) if a.size and a.min() == -INT64_LIMIT else a
 
 
+def match_lines(src: np.ndarray, dst: np.ndarray) -> list[Optional[int]]:
+    """For each line ``dst[:, i]`` of integer slices ``(phi, lines, width)``,
+    the first j with ``src[:, j]`` equal to it, or None; pass
+    ``a.transpose(0, 2, 1)`` to match columns.  Both sides are keyed in the
+    smallest integer type that holds every value of either (Python integers
+    past int64), whatever their dtypes, so equal values get equal keys."""
+    bound = max(max_abs(src), max_abs(dst))
+    dtype = np.min_scalar_type(-bound - 1) if bound < INT64_LIMIT else object
+
+    def keys(a: np.ndarray) -> list:
+        lines = np.ascontiguousarray(a.transpose(1, 0, 2), dtype).reshape(a.shape[1], -1)
+        return list(map(tuple, lines.tolist())) if dtype == object else [v.tobytes() for v in lines]
+
+    first = {key: j for j, key in reversed(list(enumerate(keys(src))))}
+    return [first.get(key) for key in keys(dst)]
+
+
+def signed_permutation(m: np.ndarray) -> Optional[SignedPermutation]:
+    """The permutation and signs of the square integer matrix ``m`` when each
+    row and each column holds one nonzero entry, 1 or -1; else None."""
+    nonzero = m != 0
+    if m.shape[0] != m.shape[1] or (nonzero.sum(axis=1) != 1).any() or \
+            (nonzero.sum(axis=0) != 1).any():
+        return None
+    perm = nonzero.argmax(axis=1)
+    signs = tuple(m[np.arange(len(m)), perm].tolist())
+    return SignedPermutation(tuple(perm.tolist()), signs) if set(signs) <= {1, -1} else None
+
+
 def slice_growth(n: int) -> int:
     """How far one slice product at conductor n can grow a coefficient: each
     product coefficient sums at most phi terms before the reduction modulo
@@ -596,15 +625,8 @@ class CycMatrix:
         return self[0, 0]
 
     def is_signed_permutation(self) -> Optional[SignedPermutation]:
-        """Witness when every row and column has a single nonzero entry, +-1."""
-        if self.rows != self.cols:
+        """Witness when every row and column has a single nonzero entry, +-1
+        (the slices are in lowest terms, so such a matrix has den 1)."""
+        if self.den != 1 or self.num[1:].any():
             return None
-        nonzero = (self.num != 0).any(axis=0)
-        if (nonzero.sum(axis=1) != 1).any() or (nonzero.sum(axis=0) != 1).any():
-            return None
-        perm = nonzero.argmax(axis=1)
-        hits = self.num[:, np.arange(self.rows), perm]
-        if hits[1:].any() or any(abs(v) != self.den for v in hits[0].tolist()):
-            return None
-        signs = tuple(1 if v > 0 else -1 for v in hits[0].tolist())
-        return SignedPermutation(tuple(perm.tolist()), signs)
+        return signed_permutation(self.num[0])

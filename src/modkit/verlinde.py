@@ -16,8 +16,9 @@ of a fusion ring (Coste & Gannon, Phys. Lett. B 323 (1994) 316): when each
 sigma_e, e a generator of (Z/n)^x, maps the rows of ``a`` to rows of ``a`` up
 to sign and the rows of ``c`` to the rows of ``c`` by one permutation, every N
 is fixed by the Galois group, so rational, and its value at one root of Phi_n
-per prime gives it.  The check is exact equality of integer slices; when it
-fails, the sum is evaluated at all phi(n) roots and interpolated.
+per prime gives it.  The check matches rows of integer slices exactly, with
+:func:`modkit.matrix.match_lines`; when it fails, or two rows are equal, the
+sum is evaluated at all phi(n) roots and interpolated.
 
 Integrality (and signs) of the output is a classification outcome, reported,
 never an exception.
@@ -26,7 +27,6 @@ never an exception.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -37,8 +37,8 @@ from .cyclotomic import CycNum
 from .datum import ModularDatum, World
 from .fusion import FusionTensor, tensor_duality
 from .kernel import impl as _K
-from .matrix import (CycMatrix, crt, interpolate, max_abs, residue_matmul, slice_growth,
-                     split_primes, with_bound)
+from .matrix import (CycMatrix, crt, interpolate, match_lines, max_abs, residue_matmul,
+                     slice_growth, split_primes, with_bound)
 
 ROUTE_ONE_ROOT = "one root"    # the operands passed the Galois check
 ROUTE_ALL_ROOTS = "all roots"  # every root of Phi_n, then interpolation
@@ -83,49 +83,26 @@ def galois_generators(n: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _row_keys(a: np.ndarray, c: np.ndarray, dtype) -> list:
-    """One key per row w of the slices ``a`` and ``c`` ``(phi, rows, cols)``,
-    whose values ``dtype`` holds: row w of ``a`` up to sign (made positive at
-    its first nonzero value), then row w of ``c``.  Two rows have equal keys
-    exactly when their ``a`` rows agree up to sign and their ``c`` rows agree."""
-    lines_a, lines_c = (np.ascontiguousarray(x.transpose(1, 0, 2), dtype=dtype)
-                        .reshape(x.shape[1], -1) for x in (a, c))
-    first = lines_a[np.arange(len(lines_a)), (lines_a != 0).argmax(axis=1)]
-    lines = np.concatenate([np.where((first < 0)[:, None], -lines_a, lines_a), lines_c], axis=1)
-    if dtype == object:
-        return [tuple(line) for line in lines.tolist()]
-    return [line.tobytes() for line in lines]
-
-
 def galois_permutations(a: CycMatrix, c: CycMatrix,
                         exponents) -> Optional[list[tuple[int, ...]]]:
     """For each exponent e, a permutation pi_e of the rows with
     sigma_e(a[w]) = +-a[pi_e(w)] and sigma_e(c[w]) = c[pi_e(w)] for every row
     w, where sigma_e: zeta -> zeta^e; None as soon as one e has none.  Rows
-    are matched by their integer slices, so the test is exact.  They are
-    keyed once, in the smallest integer type that holds every value (Python
-    integers past int64), whatever the dtype of the slices: an image that
-    moves the rows up to sign has the same largest magnitudes, so its keys
-    take the same type."""
-    bounds = (max_abs(a.num), max_abs(c.num))
-    dtype = np.min_scalar_type(-max(bounds) - 1)
-    index = defaultdict(list)
-    for w, key in enumerate(_row_keys(a.num, c.num, dtype)):
-        index[key].append(w)
+    are matched by their integer slices (:func:`modkit.matrix.match_lines`)
+    against the rows of ``a`` beside ``c``, then of ``-a`` beside ``c``, so
+    the test is exact; operands with two equal rows get None."""
+    n, k = math.lcm(a.conductor, c.conductor), a.rows
+    a, c = a.lift(n), c.lift(n)
+    rows = np.concatenate([np.concatenate([x, c.num], axis=2) for x in (a.num, -a.num)], axis=1)
     perms = []
     for e in exponents:
         ga, gc = a.galois(e), c.galois(e)
-        if (ga.den, gc.den) != (a.den, c.den) or (max_abs(ga.num), max_abs(gc.num)) != bounds:
+        if (ga.den, gc.den) != (a.den, c.den):
             return None
-        taken: dict = defaultdict(int)   # equal keys are interchangeable rows, taken in order
-        perm = []
-        for key in _row_keys(ga.num, gc.num, dtype):
-            rows = index.get(key, ())
-            if taken[key] == len(rows):
-                return None
-            perm.append(rows[taken[key]])
-            taken[key] += 1
-        perms.append(tuple(perm))
+        found = match_lines(rows, np.concatenate([ga.num, gc.num], axis=2))
+        if None in found or len({w % k for w in found}) < k:
+            return None
+        perms.append(tuple(w % k for w in found))
     return perms
 
 

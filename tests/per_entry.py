@@ -3,7 +3,8 @@ datum's character table, the rows of a world (dimensions, Gauss sums, twist
 laws), the lift and Galois action on a matrix, the exact rank of a matrix,
 the JSON objects of a datum file, the descent of a value to a smaller
 conductor by linear algebra over Q, the split-prime tables as a reduced
-inverse DFT, and the duality and fermion action read off a fusion tensor
+inverse DFT, the matching of lines of slices and the reading of a signed
+permutation, and the duality and fermion action read off a fusion tensor
 one entry at a time.  It also holds the fusion-ring laws (unit, duality,
 associativity) a tensor is tested against.
 
@@ -22,8 +23,26 @@ import numpy as np
 from modkit._kernel import euler_phi, max_row, reduce
 from modkit.cyclotomic import CycNum, root_of_unity
 from modkit.datum import KIND_BOLD, DegeneracyError, ModularDatum
-from modkit.io import KIND_NORMALIZED, _ratio_text
+from modkit.io import KIND_NORMALIZED, _cyc, _matrix, _Ratios, _ratio_text
 from modkit.matrix import _root_of_order, with_bound
+
+
+def from_coeffs(n, coeffs):
+    """The element sum_k coeffs[k] zeta_n^k of Q(zeta_n), from its rational
+    coordinates in the power basis."""
+    fracs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return CycNum(n, tuple(int(f * den) for f in fracs), den)
+
+
+def cyc_from_json(obj):
+    """The scalar of one JSON scalar object, read as a datum file reads it."""
+    return _cyc(obj, _Ratios())
+
+
+def matrix_from_json(obj):
+    """The matrix of one JSON matrix object, read as a datum file reads it."""
+    return _matrix(obj, _Ratios())
 
 
 def key(line):
@@ -167,7 +186,7 @@ def project(y, m):
     # the columns are linearly independent, so row c holds x_c
     if any(aug[r][-1] for r in range(phi_m, rows)):
         return None
-    cand = CycNum.from_coeffs(m, [aug[c][-1] for c in range(phi_m)])
+    cand = from_coeffs(m, [aug[c][-1] for c in range(phi_m)])
     return cand if cand.lift(n) == y else None
 
 
@@ -300,6 +319,29 @@ def split_tables(n, p):
     return ev, iv.astype(np.int64)
 
 
+def match_lines(src, dst):
+    """For each line i of ``dst``, the first line j of ``src`` whose values,
+    read one Python integer at a time, equal those of line i; None when none
+    does."""
+    lines = [src[:, j].ravel().tolist() for j in range(src.shape[1])]
+    return [next((j for j, line in enumerate(lines) if line == dst[:, i].ravel().tolist()), None)
+            for i in range(dst.shape[1])]
+
+
+def signed_permutation(m):
+    """(perm, signs) read off the square matrix ``m`` one row at a time: a
+    single nonzero entry per row, 1 or -1, in columns that form a
+    permutation; None otherwise."""
+    n = len(m)
+    hits = [[j for j in range(n) if m[i, j] != 0] for i in range(n)]
+    if any(len(h) != 1 or m[i, h[0]] not in (1, -1) for i, h in enumerate(hits)):
+        return None
+    perm = tuple(h[0] for h in hits)
+    if sorted(perm) != list(range(n)):
+        return None
+    return perm, tuple(int(m[i, perm[i]]) for i in range(n))
+
+
 def tensor_duality(table, unit):
     """The duality read off N_{i,j}^unit one row at a time: one entry +-1 per
     row, forming a permutation; None otherwise."""
@@ -316,7 +358,8 @@ def tensor_duality(table, unit):
 
 
 def epsilon_action_from_fusion(fusion, eps):
-    """X -> eps (x) X read off N_{eps,X} one row at a time: a single 1 per row."""
+    """X -> eps (x) X read off N_{eps,X} one row at a time: a single 1 per
+    row, and the rows' labels form a permutation."""
     n = len(fusion.labels)
     act = []
     for x in range(n):
@@ -324,6 +367,8 @@ def epsilon_action_from_fusion(fusion, eps):
         if len(hits) != 1 or fusion.table[eps, x, hits[0]] != 1:
             raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
         act.append(hits[0])
+    if sorted(act) != list(range(n)):
+        raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
     return tuple(act)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import per_entry
 from modkit._kernel import euler_phi
 from modkit.cyclotomic import CycNum, is_root_of_unity, zeta
 from modkit.datum import reduce_slightly_degenerate
@@ -180,8 +181,8 @@ def test_criterion_10_cyclotomic_property_suite():
     cases = 0
 
     def rand_cyc(n, span=5):
-        return CycNum.from_coeffs(n, [Fraction(rng.randint(-span, span), rng.randint(1, 4))
-                                      for _ in range(euler_phi(n))])
+        return per_entry.from_coeffs(n, [Fraction(rng.randint(-span, span), rng.randint(1, 4))
+                                         for _ in range(euler_phi(n))])
 
     for _ in range(1300):
         n = rng.choice(conductors)

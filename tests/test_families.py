@@ -230,7 +230,9 @@ def test_from_spec_roundtrips():
 
 def test_from_spec_errors():
     for bad in ("taft:d=0", "taft:d=x", "taft", "pointed:n=4", "nope:1",
-                "counterexample:other", "counterexample:sl2q16,part=weird"):
+                "counterexample:other", "counterexample:sl2q16,part=weird",
+                "pointed:n=7,a=1,k=2", "taft:d=3,x=1", "taft:d=3,oops",
+                "counterexample:sl2q16,foo"):
         with pytest.raises(FamilySpecError):
             from_spec(bad)
 

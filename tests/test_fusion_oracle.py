@@ -116,6 +116,19 @@ def test_quotient_reps_validation():
         quotient_constants(t, eps, reps=[0, 1])   # wrong size, missing orbits
 
 
+def test_quotient_needs_a_fixed_point_free_involution():
+    # on Z/4, tensoring by 1 has order 4 and by the unit fixes every label;
+    # only 2 is an involution without fixed points
+    t = pointed_fusion_tensor(4)
+    for eps in (1, 0):
+        with pytest.raises(ValueError, match=f"tensoring by {t.labels[eps]} is not"):
+            quotient_constants(t, eps)
+    q, reps = quotient_constants(t, 2)
+    assert reps == (0, 1) and q.shape == (2, 2, 2)
+    # d1 (x) d1 = d2 = eps (x) d0, so it counts -1 on the quotient
+    assert q.tolist() == [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]
+
+
 def outcome(fn, *args):
     """The value of ``fn(*args)``, or the message of the ValueError it raises."""
     try:

@@ -43,16 +43,16 @@ def test_cyc_roundtrip_bit_exact():
     rng = random.Random(0)
     for n in (1, 3, 8, 12, 16):
         for _ in range(20):
-            x = CycNum.from_coeffs(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                                       for _ in range(euler_phi(n))])
-            back = io.cyc_from_json(json.loads(json.dumps(io.cyc_to_json(x))))
+            x = per_entry.from_coeffs(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                          for _ in range(euler_phi(n))])
+            back = per_entry.cyc_from_json(json.loads(json.dumps(io.cyc_to_json(x))))
             assert back.conductor == x.conductor
             assert back.num == x.num and back.den == x.den
 
 
 def test_matrix_roundtrip():
     m = taft_double(3).s_matrix
-    back = io.matrix_from_json(json.loads(json.dumps(io.matrix_to_json(m))))
+    back = per_entry.matrix_from_json(json.loads(json.dumps(io.matrix_to_json(m))))
     assert back == m
     assert back.entries == m.entries
 
@@ -83,7 +83,7 @@ def test_normalized_datum_roundtrip(tmp_path):
 
 def test_format_errors():
     with pytest.raises(io.FormatError):
-        io.cyc_from_json({"coeffs": ["1"]})
+        per_entry.cyc_from_json({"coeffs": ["1"]})
     with pytest.raises(io.FormatError):
         io.datum_from_json({"labels": ["a"], "unit": 0, "kind": "weird",
                             "S": io.matrix_to_json(CycMatrix.identity(1))})
@@ -96,7 +96,7 @@ def test_format_errors():
 def _entrywise(obj):
     """The reference reader: one CycNum per entry, from Fraction(c)."""
     return CycMatrix(obj["rows"], obj["cols"],
-                     [CycNum.from_coeffs(e["conductor"], [Fraction(c) for c in e["coeffs"]])
+                     [per_entry.from_coeffs(e["conductor"], [Fraction(c) for c in e["coeffs"]])
                       for row in obj["entries"] for e in row])
 
 
@@ -109,18 +109,18 @@ def test_non_canonical_coefficients_read_as_fractions(text):
     obj = {"rows": 2, "cols": 2,
            "entries": [[_scalar(3, text, "1"), _scalar(3, "0", text)],
                        [_scalar(3, "-1/3", text), _scalar(3, text, text)]]}
-    got = io.matrix_from_json(obj)
+    got = per_entry.matrix_from_json(obj)
     want = _entrywise(obj)
     assert got == want and got.entries == want.entries
-    assert io.cyc_from_json(obj["entries"][1][0]) == want[1, 0]
+    assert per_entry.cyc_from_json(obj["entries"][1][0]) == want[1, 0]
 
 
 def test_mixed_conductor_matrix_reads_as_its_scalars():
     entries = [[_scalar(1, "2"), _scalar(3, "1/2", "-1")],
                [_scalar(4, "0", "3/4"), _scalar(12, "1", "0", "-1", "1/5")]]
     obj = {"rows": 2, "cols": 2, "entries": entries}
-    got = io.matrix_from_json(obj)
-    want = CycMatrix(2, 2, [io.cyc_from_json(e) for row in entries for e in row])
+    got = per_entry.matrix_from_json(obj)
+    want = CycMatrix(2, 2, [per_entry.cyc_from_json(e) for row in entries for e in row])
     assert got.conductor == 12
     assert got == want
     assert [(e.num, e.den) for e in got.entries] == [(e.num, e.den) for e in want.entries]
@@ -157,18 +157,13 @@ def test_load_datum_builds_no_scalar_per_matrix_entry(tmp_path, monkeypatch):
     raw = taft_double(5)
     io.save_datum(raw, str(path))
     calls = []
-    real_init, real_from_coeffs = CycNum.__init__, CycNum.from_coeffs.__func__
+    real_init = CycNum.__init__
 
     def init(self, *args, **kwargs):
         calls.append("init")
         real_init(self, *args, **kwargs)
 
-    def from_coeffs(cls, *args):
-        calls.append("from_coeffs")
-        return real_from_coeffs(cls, *args)
-
     monkeypatch.setattr(CycNum, "__init__", init)
-    monkeypatch.setattr(CycNum, "from_coeffs", classmethod(from_coeffs))
     back = io.load_datum(str(path))
     monkeypatch.undo()
     assert len(calls) <= len(raw.twists) < raw.size ** 2
@@ -279,7 +274,7 @@ def test_a_boolean_is_not_an_integer_anywhere_in_a_matrix(where):
     else:
         entry["coeffs"][0] = True
     with pytest.raises(io.FormatError, match="bool|True"):
-        io.matrix_from_json(obj)
+        per_entry.matrix_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +296,14 @@ def test_cli_generate_verify_taft(tmp_path, capsys):
 def test_cli_generate_bad_spec_exits_2(tmp_path):
     assert run_cli(["generate", "taft:d=0", str(tmp_path / "x.json")]) == 2
     assert run_cli(["generate", "what:ever", str(tmp_path / "x.json")]) == 2
+
+
+def test_cli_generate_refuses_an_unknown_spec_key(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run_cli(["generate", "pointed:n=7,a=1,k=2", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "'k='" in err
+    assert not out.exists()
 
 
 def test_cli_unknown_flag_exits_2(tmp_path):
@@ -642,13 +645,13 @@ def test_a_conductor_is_refused_unfactored_only_when_phi_exceeds_the_count():
 
 @pytest.mark.parametrize("c", ["1e2", "1e4300", "-3.5E-2", " 1_0e0_2 "])
 def test_exponent_up_to_the_int_digit_limit_reads_as_fraction(c):
-    assert io.cyc_from_json({"conductor": 1, "coeffs": [c]}) == Fraction(c)
+    assert per_entry.cyc_from_json({"conductor": 1, "coeffs": [c]}) == Fraction(c)
 
 
 @pytest.mark.parametrize("conductor", [0, -3])
 def test_scalar_constructors_reject_conductor_below_one(conductor):
     with pytest.raises(ValueError):
-        CycNum.from_coeffs(conductor, [1])
+        CycNum(conductor, (1,), 1)
     with pytest.raises(ValueError):
         CycNum.from_rational(1, conductor)
 

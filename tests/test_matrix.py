@@ -24,8 +24,8 @@ def rand_matrix(rng, rows, cols, n):
     from modkit._kernel import euler_phi
     phi = euler_phi(n)
     return CycMatrix(rows, cols, [
-        CycNum.from_coeffs(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                               for _ in range(phi)])
+        per_entry.from_coeffs(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                  for _ in range(phi)])
         for _ in range(rows * cols)])
 
 
@@ -159,6 +159,78 @@ def test_signed_permutation_witnesses():
     assert sp.perm == (1, 0) and sp.signs == (-1, 1)
     assert CycMatrix.from_rows([[1, 1], [0, 1]]).is_signed_permutation() is None
     assert CycMatrix.from_rows([[2, 0], [0, 1]]).is_signed_permutation() is None
+
+
+def random_lines(rng, dtype, big):
+    """Slices ``(phi, lines, width)`` for ``src`` and ``dst`` drawn from one
+    pool of lines, so that most lines of ``dst`` have a match and ``src``
+    repeats some; values reach past 2^63 when ``big``."""
+    phi, width = rng.randint(1, 4), rng.randint(1, 3)
+    top = 2 ** 70 if big else 3
+    pool = [[[rng.randint(-top, top) for _ in range(width)] for _ in range(phi)]
+            for _ in range(rng.randint(1, 5))]
+    src = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+    dst = [rng.choice(pool) if rng.random() < 0.8 else
+           [[rng.randint(-top, top) for _ in range(width)] for _ in range(phi)]
+           for _ in range(rng.randint(1, 6))]
+    return (np.array(lines, dtype=dtype).transpose(1, 0, 2) for lines in (src, dst))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_match_lines_equals_the_per_entry_reference(seed):
+    # both int64; both object past 2^63; each side int64 against the same
+    # values as Python integers on the other; and one side with an extra line
+    # wider than every value of the other side (2^10, 2^40, 2^70), which must
+    # not change how the shared lines are keyed
+    rng = random.Random(seed)
+    src, dst = random_lines(rng, np.int64, False)
+    big_src, big_dst = random_lines(rng, object, True)
+    cases = [(src, dst), (big_src, big_dst), (src, dst.astype(object)),
+             (src.astype(object), dst), (src, src.astype(object))]
+    for wide in (2 ** 10, 2 ** 40, 2 ** 70):
+        extra = np.full((src.shape[0], 1, src.shape[2]), wide, dtype=object)
+        wider = np.concatenate([src, extra], axis=1)
+        wider = wider if wide > 2 ** 62 else wider.astype(np.int64)
+        cases += [(wider, dst), (dst, wider)]
+    for a, b in cases:
+        assert matrix.match_lines(a, b) == per_entry.match_lines(a, b)
+    assert matrix.match_lines(src, src.astype(object)) == per_entry.match_lines(src, src)
+    assert all(j is not None for j in matrix.match_lines(src, src.astype(object)))
+
+
+def signed_permutation_cases(rng, n, dtype):
+    """A random signed permutation matrix of size n, and copies with one
+    entry set to 0 or 2 (2^70 for object), or moved into an occupied column."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    m = np.zeros((n, n), dtype=dtype)
+    for i, j in enumerate(perm):
+        m[i, j] = rng.choice((1, -1))
+    out = [m]
+    i = rng.randrange(n)
+    for v in (0, 2 if dtype == np.int64 else 2 ** 70):
+        bent = m.copy()
+        bent[i, perm[i]] = v
+        out.append(bent)
+    if n > 1:
+        moved = m.copy()
+        moved[i, perm[i]], moved[i, perm[(i + 1) % n]] = 0, m[i, perm[i]]
+        out.append(moved)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_signed_permutation_equals_the_per_entry_reading(dtype):
+    rng = random.Random(11)
+    for n in (1, 2, 3, 5, 8) * 4:
+        for m in signed_permutation_cases(rng, n, dtype):
+            want = per_entry.signed_permutation(m)
+            assert matrix.signed_permutation(m) == want
+            if dtype == np.int64:
+                # 2m / 2 is m in lowest terms; m / 2 has entries +-1/2
+                assert CycMatrix.from_slices(1, 2 * m[None], 2).is_signed_permutation() == want
+                if want is not None:
+                    assert CycMatrix.from_slices(1, m[None], 2).is_signed_permutation() is None
 
 
 def test_signed_permutation_implies_unitary():
