@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum, is_root_of_unity, is_totally_positive
+from .cyclotomic import is_root_of_unity, is_totally_positive
 from .datum import DegeneracyError, ModularDatum, World
 from .matrix import CycMatrix, max_abs, with_bound
 from .verlinde import verlinde_fusion
@@ -89,21 +89,31 @@ class VerificationReport:
         return [c for c in self.checks if c.status == FAIL]
 
 
-def _first_diff(a: CycMatrix, b: CycMatrix) -> Optional[dict]:
-    at = a.first_difference(b)
+def _compare(lhs: CycMatrix, rhs: CycMatrix, detail: str = "",
+             labels: Optional[Sequence[str]] = None) -> tuple:
+    """(ok, detail, witness) for the identity ``lhs == rhs``, decided by one
+    :meth:`~CycMatrix.first_difference`, whose first differing entry in
+    row-major order is the witness: ``{"at": (i, j), "lhs", "rhs"}`` for
+    matrices, ``{"at": y, "lhs", "rhs"}`` for two 1 x k rows (``labels=()``)
+    and ``{"at": y, "label"}`` for a row of values of the labels ``labels``."""
+    at = lhs.first_difference(rhs)
     if at is None:
-        return None
-    i, j = at
-    return {"at": (i, j), "lhs": a[i, j], "rhs": b[i, j]}
+        return True, detail, None
+    if labels:
+        return False, detail, {"at": at[1], "label": labels[at[1]]}
+    return False, detail, {"at": at if labels is None else at[1],
+                           "lhs": lhs[at], "rhs": rhs[at]}
 
 
-def _row_sum_check(lhs: CycMatrix, want: CycMatrix) -> tuple:
-    """Compare the 1 x k rows ``lhs`` and ``want``; the witness names the column."""
-    at = lhs.first_difference(want)
-    if at is None:
+def _nonzero(flags: Sequence[bool], labels: Sequence[str]) -> tuple:
+    """(ok, "", witness) for one flag per label that says its value is
+    nonzero (e.g. :meth:`~CycMatrix.nonzero_in_row`); the witness is the first
+    label whose value is zero."""
+    flags = np.asarray(flags, dtype=bool)
+    if flags.all():
         return True, "", None
-    y = at[1]
-    return False, "", {"at": y, "lhs": lhs[0, y], "rhs": want[0, y]}
+    at = int(flags.argmin())
+    return False, "", {"at": at, "label": labels[at]}
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +122,9 @@ def _row_sum_check(lhs: CycMatrix, want: CycMatrix) -> tuple:
 
 def check_raw_unitarity(w: World) -> CheckResult:
     """S * conj(S)^T == D Id exactly, D the world's (super)dimension."""
-    def unitary():
-        lhs = w.s @ w.s.conj_transpose()
-        rhs = CycMatrix.identity(w.size).scale(w.global_dim)
-        return (diff := _first_diff(lhs, rhs)) is None, "S conj(S)^T = D Id", diff
-
-    return _run_check("raw_unitarity", unitary)
+    return _run_check("raw_unitarity", lambda: _compare(
+        w.s @ w.s.conj_transpose(), CycMatrix.identity(w.size, w.global_dim),
+        "S conj(S)^T = D Id"))
 
 
 def check_gauss_product(w: World) -> CheckResult:
@@ -136,28 +143,22 @@ def check_twist_laws(w: World) -> list[CheckResult]:
     which they differ."""
     tb = w.twists[w.unit_bar]
 
-    def label_check(lhs: CycMatrix, rhs: CycMatrix) -> tuple:
-        at = lhs.first_difference(rhs)
-        if at is None:
-            return True, "", None
-        return False, "", {"at": at[1], "label": w.labels[at[1]]}
-
     def dual_dim():
-        return label_check(w.theta.columns(w.duality) * w.dim_r, w.theta * w.dim_l)
+        return _compare(w.theta.columns(w.duality) * w.dim_r, w.theta * w.dim_l, labels=w.labels)
 
     def bar_law():
-        return label_check(w.theta.columns(w.bar), w.theta.scale(tb))
+        return _compare(w.theta.columns(w.bar), w.theta.scale(tb), labels=w.labels)
 
     def unit_bar_law():
         return tb == 1, f"twist(unit_bar) = {tb}", None if tb == 1 else {"value": tb}
 
     def tau_plus_rows():
-        return _row_sum_check((w.theta * w.dim_l) @ w.s,
-                              (w.theta_inv * w.dim_r).scale(w.tau_plus))
+        return _compare((w.theta * w.dim_l) @ w.s, (w.theta_inv * w.dim_r).scale(w.tau_plus),
+                        labels=())
 
     def tau_minus_rows():
-        return _row_sum_check((w.theta_inv * w.dim_r) @ w.s,
-                              (w.theta * w.dim_r).scale(tb * w.tau_minus))
+        return _compare((w.theta_inv * w.dim_r) @ w.s,
+                        (w.theta * w.dim_r).scale(tb * w.tau_minus), labels=())
 
     return [_run_check("twist_dual_dim", dual_dim),
             _run_check("twist_bar", bar_law),
@@ -172,21 +173,18 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
     so S T is S with its columns scaled by the row theta^-1."""
     def st_cubed():
         st = w.s * w.theta_inv
-        lhs = st @ st @ st
-        rhs = w.s_squared().scale(w.tau_minus)
-        return (diff := _first_diff(lhs, rhs)) is None, "(S T)^3 = tau_minus * S^2", diff
+        return _compare(st @ st @ st, w.s_squared().scale(w.tau_minus),
+                        "(S T)^3 = tau_minus * S^2")
 
     def s_fourth():
-        lhs = w.s_squared() @ w.s_squared()
-        rhs = CycMatrix.identity(w.size).scale(w.d_u * w.d_u)
-        return (diff := _first_diff(lhs, rhs)) is None, "S^4 = (D u)^2 Id", diff
+        return _compare(w.s_squared() @ w.s_squared(), CycMatrix.identity(w.size, w.d_u * w.d_u),
+                        "S^4 = (D u)^2 Id")
 
     def st_inv_cubed():
         st_inv = w.s * w.theta
-        lhs = st_inv @ st_inv @ st_inv
-        rhs = CycMatrix.identity(w.size).scale(w.tau_plus * w.global_dim
-                                               * w.dim_unit_bar * w.dim_unit_bar)
-        return (diff := _first_diff(lhs, rhs)) is None, "(S T^-1)^3 = tau_plus D u^2 Id", diff
+        scalar = w.tau_plus * w.global_dim * w.dim_unit_bar * w.dim_unit_bar
+        return _compare(st_inv @ st_inv @ st_inv, CycMatrix.identity(w.size, scalar),
+                        "(S T^-1)^3 = tau_plus D u^2 Id")
 
     def squared_signed_perm():
         sp = w.e_signed_permutation
@@ -238,19 +236,7 @@ def check_balancing(w: World, tensor: np.ndarray) -> CheckResult:
         bound = max_abs(tensor) * max_abs(wv.num) * w.size
         rhs_num = np.tensordot(with_bound(wv.num[:, 0, :], bound), with_bound(tensor, bound),
                                axes=([1], [2]))
-        at = lhs.first_difference(CycMatrix.from_slices(wv.conductor, rhs_num, wv.den))
-        if at is None:
-            return True, "", None
-        # the witness is recomputed term by term, so that its conductors are
-        # those of the identity as stated
-        x, y = at
-        rhs = CycNum.from_rational(0)
-        for z in range(w.size):
-            m = int(tensor[x, y, z])
-            if m:
-                rhs = rhs + m * (w.dim_r[0, z] * w.twists[z])
-        return False, "", {"at": (x, y), "lhs": w.twists[x] * w.twists[y] * w.s[x, y],
-                           "rhs": rhs}
+        return _compare(lhs, CycMatrix.from_slices(wv.conductor, rhs_num, wv.den))
 
     return _run_check("balancing", balance)
 
@@ -301,38 +287,22 @@ def check_axioms(datum: ModularDatum) -> VerificationReport:
     t_row = CycMatrix(1, n, datum.t_diag)   # T = diag(t_diag) acts by scaling
     t_col = CycMatrix(n, 1, datum.t_diag)
 
-    def unit_row():
-        nonzero = s.nonzero_in_row(datum.unit)
-        if not nonzero.all():
-            at = int(nonzero.argmin())
-            return False, "", {"at": at, "label": datum.labels[at]}
-        return True, "", None
-
-    unit_ok = rep.run("unit_row_nonzero", unit_row).ok
-
-    rep.run("s_symmetric", lambda: (
-        (diff := _first_diff(s, s.transpose())) is None, "", diff))
-
-    rep.run("s_unitary", lambda: (
-        (diff := _first_diff(s @ s.conj_transpose(), CycMatrix.identity(n))) is None, "", diff))
-
+    unit_ok = rep.run("unit_row_nonzero",
+                      lambda: _nonzero(s.nonzero_in_row(datum.unit), datum.labels)).ok
+    rep.run("s_symmetric", lambda: _compare(s, s.transpose()))
+    rep.run("s_unitary", lambda: _compare(s @ s.conj_transpose(), CycMatrix.identity(n)))
     s2 = s @ s
-    rep.run("s_fourth_identity", lambda: (
-        (diff := _first_diff(s2 @ s2, CycMatrix.identity(n))) is None, "", diff))
+    rep.run("s_fourth_identity", lambda: _compare(s2 @ s2, CycMatrix.identity(n)))
 
     def st_cubed_scalar():
         st = s * t_row
         m = st @ st @ st
-        lam = m.is_scalar_multiple_of_identity()
-        if lam is None:
-            wit = _first_diff(m, CycMatrix.identity(n).scale(m[0, 0]))
-            return False, "(ST)^3 is not a scalar matrix", wit
-        return True, f"lambda = {lam}", None
+        lam = m[0, 0]
+        ok, _, witness = _compare(m, CycMatrix.identity(n, lam))
+        return ok, f"lambda = {lam}" if ok else "(ST)^3 is not a scalar matrix", witness
 
     rep.run("st_cubed_scalar", st_cubed_scalar)
-
-    rep.run("s_squared_t_commute", lambda: (
-        (diff := _first_diff(s2 * t_row, t_col * s2)) is None, "", diff))
+    rep.run("s_squared_t_commute", lambda: _compare(s2 * t_row, t_col * s2))
 
     if not unit_ok:
         rep.skip("verlinde_integrality", "unit row has zeros")
@@ -341,15 +311,11 @@ def check_axioms(datum: ModularDatum) -> VerificationReport:
     def verlinde():
         tensor, irep = verlinde_fusion(datum)
         if not irep.integral:
-            x, y, z, v = irep.non_integral[0]
-            return False, "non-integral coefficient", {"at": (x, y, z), "value": v}
+            return False, "non-integral coefficient", irep.non_integral_witness()
         if not irep.duality_ok:
             return False, "coefficients do not define a duality involution", None
         cls = "N-modular" if irep.nonnegative else "Z-modular"
-        extra = ""
-        if not irep.nonnegative:
-            extra = f", {irep.negative_count} negative entries (first {irep.first_negative})"
-        return True, f"class {cls}{extra}", None
+        return True, f"class {cls}{irep.negative_suffix()}", None
 
     rep.run("verlinde_integrality", verlinde)
     return rep

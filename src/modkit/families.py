@@ -291,7 +291,7 @@ def sl2_q16_counterexample() -> tuple[RawDatum, RawDatum]:
 def from_spec(spec: str) -> FamilyInstance:
     """Parse a family spec string: ``taft:d=5``, ``pointed:n=7,a=1,k0=2``,
     ``counterexample:sl2q16`` (or ``counterexample:sl2q16,part=full``).  A key
-    or flag the family does not take is refused."""
+    or flag the family does not take, or one given twice, is refused."""
     name, _, body = spec.partition(":")
     name = name.strip().lower()
     args: dict[str, str] = {}
@@ -306,6 +306,9 @@ def from_spec(spec: str) -> FamilyInstance:
         bad = next((t for t in given if t not in known), None)
         if bad is not None:
             raise FamilySpecError(f"family {name!r} does not take {bad!r}")
+        twice = next((t for i, t in enumerate(given) if t in given[:i]), None)
+        if twice is not None:
+            raise FamilySpecError(f"family {name!r} takes {twice!r} once")
 
     def intarg(key: str, default: Optional[int] = None) -> int:
         if key not in args:

@@ -414,8 +414,12 @@ class CycMatrix:
         return cls(len(rows), ncols, [e for r in rows for e in r])
 
     @classmethod
-    def identity(cls, n: int) -> "CycMatrix":
-        return cls.from_slices(1, np.eye(n, dtype=np.int64)[None], 1)
+    def identity(cls, n: int, c=1) -> "CycMatrix":
+        """c Id, written down from the slices of c (a CycNum or a rational):
+        the coordinate k of c on the diagonal of slice k, with no product."""
+        c = c if isinstance(c, CycNum) else CycNum.from_rational(Fraction(c))
+        eye = np.eye(n, dtype=np.int64)
+        return cls.from_slices(c.conductor, int_array(c.num)[:, None, None] * eye, c.den)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "CycMatrix":
@@ -607,22 +611,6 @@ class CycMatrix:
         if math.gcd(j, n) != 1:
             raise ValueError(f"galois exponent {j} is not coprime to the conductor {n}")
         return self._substitute(n, j % n)
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and \
-            bool(np.array_equal(self.num, self.num.transpose(0, 2, 1)))
-
-    def is_scalar_multiple_of_identity(self) -> Optional[CycNum]:
-        """The scalar c when self == c * Id, else None."""
-        if self.rows != self.cols:
-            return None
-        idx = np.arange(self.rows)
-        diag = self.num[:, idx, idx]
-        off = self.num.copy()
-        off[:, idx, idx] = 0
-        if off.any() or (diag != diag[:, :1]).any():
-            return None
-        return self[0, 0]
 
     def is_signed_permutation(self) -> Optional[SignedPermutation]:
         """Witness when every row and column has a single nonzero entry, +-1

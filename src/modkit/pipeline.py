@@ -18,9 +18,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import (VerificationReport, _run_check, check_axioms, check_balancing,
-                     check_gauss_product, check_raw_unitarity, check_sl2_relations,
-                     check_total_positivity, check_twist_laws, check_vafa)
+from .checks import (VerificationReport, _compare, _nonzero, _run_check, check_axioms,
+                     check_balancing, check_gauss_product, check_raw_unitarity,
+                     check_sl2_relations, check_total_positivity, check_twist_laws, check_vafa)
 from .cyclotomic import CycNum, _canonical_root, root_of_unity_sqrt, sqrt_in_field
 from .datum import (KIND_BOLD, DegeneracyError, DegenerateCenterError, ModularDatum,
                     RawDatum, SlightlyDegenerateData, World, epsilon_action, reduce_to_reps,
@@ -64,10 +64,11 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
     (:func:`_run_check`) whose ms covers the work that decides it.
     """
     rep, s = VerificationReport(), raw.s_matrix
-    for name, holds in (("s_raw_symmetric", s.is_symmetric),
-                        ("dims_nonzero", lambda: s.nonzero_in_row(raw.unit).all()),
-                        ("twists_nonzero", lambda: all(raw.twists))):
-        if not rep.run(name, lambda: (holds(), "", None)).ok:
+    basic = (("s_raw_symmetric", lambda: _compare(s, s.transpose())),
+             ("dims_nonzero", lambda: _nonzero(s.nonzero_in_row(raw.unit), raw.labels)),
+             ("twists_nonzero", lambda: _nonzero(list(map(bool, raw.twists)), raw.labels)))
+    for name, decide in basic:
+        if not rep.run(name, decide).ok:
             return PipelineResult(rep, FAILED)
     try:
         world, sldeg = _structure(rep, raw, reps)
@@ -182,17 +183,13 @@ def _verify_world(rep: VerificationReport, world: World,
         nonlocal tensor
         found, irep = verlinde_raw(world)
         if not irep.integral:
-            x, y, z, v = irep.non_integral[0]
-            return False, "non-integral coefficient", {"at": (x, y, z), "value": v}
+            return False, "non-integral coefficient", irep.non_integral_witness()
         tensor = found
         if world.nondegenerate:
             ok = irep.nonnegative
             return ok, "N-modular" if ok else f"negative coefficient {irep.first_negative} " \
                 "in a nondegenerate datum", None if ok else {"first_negative": irep.first_negative}
-        detail = "Z-modular"
-        if not irep.nonnegative:
-            detail += f", {irep.negative_count} negative entries (first {irep.first_negative})"
-        return True, detail, None
+        return True, "Z-modular" + irep.negative_suffix(), None
 
     rep.run("verlinde_classification", classification)
     if tensor is None:

@@ -54,6 +54,18 @@ class IntegralityReport:
     non_integral: list = field(default_factory=list)  # up to 5 witnesses (x, y, z, value)
     route: str = ROUTE_ALL_ROOTS   # how the triple sum was evaluated; not part of any report
 
+    def non_integral_witness(self) -> dict:
+        """The witness of a non-integral tensor: its first such coefficient."""
+        x, y, z, v = self.non_integral[0]
+        return {"at": (x, y, z), "value": v}
+
+    def negative_suffix(self) -> str:
+        """The detail's tail ", N negative entries (first ...)", empty when
+        no coefficient is negative."""
+        if self.nonnegative:
+            return ""
+        return f", {self.negative_count} negative entries (first {self.first_negative})"
+
 
 # rows of pairwise products handled at once: each transient residue stack
 # (primes x phi slices of rows x k int64 values) stays near this size

@@ -1,12 +1,13 @@
 """Per-entry reference versions of the maps :mod:`modkit.datum` reads off a
 datum's character table, the rows of a world (dimensions, Gauss sums, twist
 laws), the lift and Galois action on a matrix, the exact rank of a matrix,
-the JSON objects of a datum file, the descent of a value to a smaller
-conductor by linear algebra over Q, the split-prime tables as a reduced
-inverse DFT, the matching of lines of slices and the reading of a signed
-permutation, and the duality and fermion action read off a fusion tensor
-one entry at a time.  It also holds the fusion-ring laws (unit, duality,
-associativity) a tensor is tested against.
+the two sides of each identity the check suites compare, the JSON objects
+of a datum file, the descent of a value to a smaller conductor by linear
+algebra over Q, the split-prime tables as a reduced inverse DFT, the
+matching of lines of slices and the reading of a signed permutation, and
+the duality and fermion action read off a fusion tensor one entry at a
+time.  It also holds the fusion-ring laws (unit, duality, associativity) a
+tensor is tested against.
 
 Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
 matches rows or columns as tuples of entries, keyed by their coordinates (the
@@ -299,6 +300,105 @@ def twist_laws(raw):
         "twist_tau_minus_rows": [y for y in labels
                                  if row_sum(minus, y) != tb * t[y] * dim_r[y] * tau_minus],
     }
+
+
+def rows(m):
+    """The entries of a matrix as a list of rows of scalars."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def matmul(a, b):
+    """The product of two lists of rows of scalars, one scalar at a time."""
+    zero = CycNum.from_rational(0)
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def scalar_identity(n, c):
+    """c Id as a list of rows of scalars."""
+    zero = CycNum.from_rational(0)
+    return [[c if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def first_difference(lhs, rhs):
+    """The first (i, j), in row-major order, at which two lists of rows of
+    scalars differ, compared one scalar at a time; None when none does."""
+    return next(((i, j) for i, (a, b) in enumerate(zip(lhs, rhs))
+                 for j, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def world_sides(raw, tensor=None):
+    """The two sides of each matrix and row identity of the world suite on a
+    datum whose duality is present, as lists of rows of scalars, one scalar
+    at a time: raw_unitarity, sl2_st_cubed, sl2_s_fourth, sl2_st_inv_cubed,
+    twist_tau_plus_rows, twist_tau_minus_rows and, given the structure
+    constants ``tensor``, balancing."""
+    n, s = raw.size, rows(raw.s_matrix)
+    labels = range(n)
+    dim_r, dim_l, _, d = dims(raw)
+    t = raw.twists
+    t_inv = inverses(t)
+    tau_plus, tau_minus = gauss(raw)
+    unit_bar = bar(raw)[1]
+    u, tb = dim_r[unit_bar], t[unit_bar]
+    s2 = matmul(s, s)
+
+    def cube(m):
+        return matmul(matmul(m, m), m)
+
+    sides = {
+        "raw_unitarity": (matmul(s, [[e.conj() for e in col] for col in zip(*s)]),
+                          scalar_identity(n, d)),
+        "sl2_st_cubed": (cube([[s[x][y] * t_inv[y] for y in labels] for x in labels]),
+                         [[tau_minus * e for e in row] for row in s2]),
+        "sl2_s_fourth": (matmul(s2, s2), scalar_identity(n, d * u * d * u)),
+        "sl2_st_inv_cubed": (cube([[s[x][y] * t[y] for y in labels] for x in labels]),
+                             scalar_identity(n, tau_plus * d * u * u)),
+        "twist_tau_plus_rows": (matmul([[t[x] * dim_l[x] for x in labels]], s),
+                                [[t_inv[y] * dim_r[y] * tau_plus for y in labels]]),
+        "twist_tau_minus_rows": (matmul([[t_inv[x] * dim_r[x] for x in labels]], s),
+                                 [[tb * t[y] * dim_r[y] * tau_minus for y in labels]]),
+    }
+    if tensor is not None:
+        zero = CycNum.from_rational(0)
+        sides["balancing"] = (
+            [[t[x] * t[y] * s[x][y] for y in labels] for x in labels],
+            [[sum((int(tensor[x, y, z]) * (dim_r[z] * t[z]) for z in labels if tensor[x, y, z]),
+                  zero) for y in labels] for x in labels])
+    return sides
+
+
+def axiom_sides(datum):
+    """The two sides of each matrix identity of the axiom suite, as lists of
+    rows of scalars, one scalar at a time: s_symmetric, s_unitary,
+    s_fourth_identity, st_cubed_scalar ((S T)^3 against its first entry
+    times Id) and s_squared_t_commute."""
+    n, s, t = datum.size, rows(datum.s_matrix), datum.t_diag
+    labels = range(n)
+    s2 = matmul(s, s)
+    st = [[s[x][y] * t[y] for y in labels] for x in labels]
+    st3 = matmul(matmul(st, st), st)
+    one = CycNum.from_rational(1)
+    return {
+        "s_symmetric": (s, [list(col) for col in zip(*s)]),
+        "s_unitary": (matmul(s, [[e.conj() for e in col] for col in zip(*s)]),
+                      scalar_identity(n, one)),
+        "s_fourth_identity": (matmul(s2, s2), scalar_identity(n, one)),
+        "st_cubed_scalar": (st3, scalar_identity(n, st3[0][0])),
+        "s_squared_t_commute": ([[s2[x][y] * t[y] for y in labels] for x in labels],
+                                [[t[x] * s2[x][y] for y in labels] for x in labels]),
+    }
+
+
+def basic_failures(raw):
+    """For each of the checks s_raw_symmetric, dims_nonzero and
+    twists_nonzero, where it fails, in row-major resp. label order: the
+    (i, j) with S[i, j] != S[j, i], the labels x with S[unit, x] = 0 and the
+    labels with twist 0."""
+    s, labels = raw.s_matrix, range(raw.size)
+    return {"s_raw_symmetric": [(i, j) for i in labels for j in labels if s[i, j] != s[j, i]],
+            "dims_nonzero": [x for x in labels if s[raw.unit, x].is_zero()],
+            "twists_nonzero": [x for x in labels if raw.twists[x].is_zero()]}
 
 
 def split_tables(n, p):

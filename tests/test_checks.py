@@ -8,10 +8,12 @@ from modkit.checks import (AXIOM_CHECKS, check_axioms, check_balancing, check_ga
                            check_raw_unitarity, check_sl2_relations, check_twist_laws,
                            check_vafa)
 from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
-from modkit.datum import ModularDatum, RawDatum, World, reduce_slightly_degenerate
+from modkit.datum import (DegeneracyError, ModularDatum, RawDatum, World,
+                          reduce_slightly_degenerate)
 from modkit.matrix import CycMatrix
-from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
-                             taft_J_indices)
+from modkit.families import (pointed_cyclic, pointed_fusion_tensor, sl2_q16_counterexample,
+                             taft_double, taft_J_indices)
+from modkit.pipeline import emit_zmodular, verify_raw
 
 one = CycNum.from_rational(1)
 
@@ -185,17 +187,172 @@ def test_vafa_rejects_non_root_twist():
 
 
 def test_balancing_with_oracle_tensor():
-    from modkit.families import pointed_fusion_tensor
     w = World(pointed_cyclic(3, 1, 1))
     res = check_balancing(w, pointed_fusion_tensor(3).table)
     assert res.status == "pass"
 
 
 def test_balancing_detects_wrong_tensor():
-    from modkit.families import pointed_fusion_tensor
-    w = World(pointed_cyclic(3, 1, 1))
+    # a wrong tensor, and the bold q16 datum with its own: the witness holds
+    # the values of the per-entry recomputation at the first failing pair
     t = pointed_fusion_tensor(3).table.copy()
     t[1, 1, 0], t[1, 1, 2] = 1, 0
-    res = check_balancing(w, t)
-    assert res.status == "fail"
-    assert res.witness is not None
+    for raw, tensor in ((pointed_cyclic(3, 1, 1), t), q16_bold_world()):
+        res = check_balancing(World(raw), tensor)
+        assert res.status == "fail"
+        assert res.witness == per_entry_witness("balancing", per_entry.world_sides(raw, tensor))
+        assert res.witness["lhs"] != res.witness["rhs"]
+
+
+# ---------------------------------------------------------------------------
+# identity witnesses: the first difference of the two sides, per entry
+# ---------------------------------------------------------------------------
+
+ROW_FORM = ("twist_tau_plus_rows", "twist_tau_minus_rows")
+LABEL_FORM = ("twist_dual_dim", "twist_bar")
+
+
+def per_entry_witness(name, sides):
+    """The witness of the identity ``name`` read off its two sides compared
+    one scalar at a time: the first differing entry, None when they agree."""
+    lhs, rhs = sides[name]
+    at = per_entry.first_difference(lhs, rhs)
+    if at is None:
+        return None
+    i, j = at
+    return {"at": j if name in ROW_FORM else at, "lhs": lhs[i][j], "rhs": rhs[i][j]}
+
+
+def plus_at(m, pairs, delta):
+    """``m`` with ``delta`` added at each (i, j) of ``pairs``."""
+    n = m.rows
+    return m + CycMatrix(n, n, [delta if (x, y) in pairs else 0
+                                for x in range(n) for y in range(n)])
+
+
+def with_s_pair(raw, i, j, delta):
+    """``raw`` with ``delta`` added to S[i, j] and S[j, i]."""
+    return RawDatum(raw.labels, raw.unit, plus_at(raw.s_matrix, {(i, j), (j, i)}, delta),
+                    raw.twists, raw.kind, raw.duality, raw.duality_signs)
+
+
+def taft3_world():
+    res = verify_raw(taft_double(3), reps=taft_J_indices(3))
+    return res.world.raw, res.tensor
+
+
+def q16_bold_world():
+    _, bold = sl2_q16_counterexample()
+    return bold, verify_raw(bold).tensor
+
+
+TWIST_MOVED = {"sl2_st_cubed", "sl2_st_inv_cubed", "balancing"} | set(ROW_FORM)
+
+
+@pytest.mark.parametrize("make, fail", [
+    (lambda: (pointed_cyclic(5, 1, 0), pointed_fusion_tensor(5).table),
+     TWIST_MOVED | {"raw_unitarity", "sl2_s_fourth"}),
+    (taft3_world, TWIST_MOVED), (q16_bold_world, TWIST_MOVED)],
+    ids=["pointed5,1,0", "taft3", "q16-bold"])
+def test_world_identity_witnesses_are_the_per_entry_first_differences(make, fail):
+    # one twist moved, or one symmetric pair of S entries off the unit row
+    # (on taft3 no such move keeps a bar involution, so no world is built):
+    # the witness of every matrix, row and labelled-row identity is its first
+    # difference read one scalar at a time
+    raw, tensor = make()
+    n = raw.size
+    moved = [with_twist(raw, x, zeta(4)) for x in range(n)]
+    moved += [with_s_pair(raw, i, j, CycNum.from_rational(1))
+              for i in range(n) for j in range(i, n) if raw.unit not in (i, j)]
+    failed = set()
+    for m in moved:
+        try:
+            w = World(m)
+        except DegeneracyError:
+            continue
+        got = {c.name: c for c in [check_raw_unitarity(w), check_balancing(w, tensor)]
+               + check_twist_laws(w) + check_sl2_relations(w)}
+        sides = per_entry.world_sides(m, tensor)
+        for name in sides:
+            want = per_entry_witness(name, sides)
+            assert got[name].witness == want, name
+            assert got[name].ok == (want is None), name
+        for name, labels in per_entry.twist_laws(m).items():
+            if name in LABEL_FORM:
+                assert got[name].witness == (
+                    {"at": labels[0], "label": m.labels[labels[0]]} if labels else None)
+        failed.update(name for name, c in got.items() if not c.ok)
+    assert failed >= fail
+
+
+@pytest.mark.parametrize("make", [
+    lambda: verify_raw(pointed_cyclic(5, 1, 0)).world,
+    lambda: reduce_slightly_degenerate(taft_double(3), reps=taft_J_indices(3))],
+    ids=["pointed5,1,0", "taft3"])
+def test_axiom_witnesses_are_the_per_entry_first_differences(make):
+    # one S entry (not its mirror) or one T entry moved in an emitted datum
+    datum = emit_zmodular(make()).datum
+    n, one = datum.size, CycNum.from_rational(1)
+    moved = [ModularDatum(datum.labels, datum.unit, plus_at(datum.s_matrix, {(i, j)}, one),
+                          datum.t_diag) for i in range(n) for j in range(n) if i != datum.unit]
+    for x in range(n):
+        t = list(datum.t_diag)
+        t[x] = t[x] * zeta(4)
+        moved.append(ModularDatum(datum.labels, datum.unit, datum.s_matrix, tuple(t)))
+    failed = set()
+    for m in moved:
+        rep = check_axioms(m)
+        sides = per_entry.axiom_sides(m)
+        for name in sides:
+            want = per_entry_witness(name, sides)
+            assert rep[name].witness == want, name
+            assert rep[name].ok == (want is None), name
+        failed.update(c.name for c in rep.failures())
+    assert failed >= set(per_entry.axiom_sides(datum))
+
+
+# ---------------------------------------------------------------------------
+# the three basic checks of verify_raw
+# ---------------------------------------------------------------------------
+
+def basic_variants(raw):
+    """Copies of ``raw`` that fail exactly one basic check, each at two
+    places: S asymmetric at two entries, two dims zero, two twists zero."""
+    u, one = raw.unit, CycNum.from_rational(1)
+    twists = list(raw.twists)
+    twists[1] = twists[3] = CycNum.from_rational(0)
+    dims = raw.s_matrix
+    for x in (2, 4):
+        dims = plus_at(dims, {(u, x), (x, u)}, -raw.s_matrix[u, x])
+    return {"s_raw_symmetric": RawDatum(raw.labels, u, plus_at(raw.s_matrix, {(1, 3), (4, 2)}, one),
+                                        raw.twists, raw.kind, raw.duality),
+            "dims_nonzero": RawDatum(raw.labels, u, dims, raw.twists, raw.kind, raw.duality),
+            "twists_nonzero": RawDatum(raw.labels, u, raw.s_matrix, tuple(twists), raw.kind,
+                                       raw.duality)}
+
+
+def basic_witness(raw, name):
+    res = verify_raw(raw)
+    assert res.classification == "fail" and res.report.checks[-1].name == name
+    return res.report[name].witness
+
+
+def test_basic_check_witnesses_are_the_first_failing_entries():
+    # each witness is the first failure the per-entry reference finds, and a
+    # relabelling moves it to the first failing entry in the new order
+    raw = pointed_cyclic(5, 1, 0)
+    perm = [3, 0, 4, 1, 2]
+    for name, bad in basic_variants(raw).items():
+        fails = per_entry.basic_failures(bad)[name]
+        assert len(fails) >= 2 and all(not v for k, v in per_entry.basic_failures(bad).items()
+                                       if k != name)
+        moved = relabel(bad, perm)
+        if name == "s_raw_symmetric":
+            (i, j), s = fails[0], bad.s_matrix
+            assert basic_witness(bad, name) == {"at": (i, j), "lhs": s[i, j], "rhs": s[j, i]}
+            assert basic_witness(moved, name)["at"] == min((perm[i], perm[j]) for i, j in fails)
+        else:
+            x = fails[0]
+            assert basic_witness(bad, name) == {"at": x, "label": bad.labels[x]}
+            y = min(perm[x] for x in fails)
+            assert basic_witness(moved, name) == {"at": y, "label": moved.labels[y]}

@@ -306,6 +306,14 @@ def test_cli_generate_refuses_an_unknown_spec_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_generate_refuses_a_repeated_spec_key(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run_cli(["generate", "taft:d=3,d=5", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "'d='" in err
+    assert not out.exists()
+
+
 def test_cli_unknown_flag_exits_2(tmp_path):
     assert run_cli(["verify", "nope.json", "--frobnicate"]) == 2
 

@@ -260,10 +260,20 @@ def test_taft_bold_square_is_scaled_signed_permutation():
 
 
 def test_scalar_multiple_of_identity():
-    m = CycMatrix.identity(3).scale(zeta(5))
-    assert m.is_scalar_multiple_of_identity() == zeta(5)
-    assert CycMatrix.from_rows([[1, 1], [0, 1]]).is_scalar_multiple_of_identity() is None
-    assert CycMatrix.zeros(2, 2).is_scalar_multiple_of_identity() == 0
+    # c Id written down from the slices of c is the identity scaled by c, to
+    # the conductor, denominator and dtype, and has c on each diagonal entry:
+    # a rational written at conductor 4, an irrational, coefficients past
+    # int64, zero and a plain rational
+    for c in (per_entry.from_coeffs(4, [Fraction(3, 2), 0]),
+              per_entry.from_coeffs(5, [0, 1, Fraction(-3, 7), 0]),
+              per_entry.from_coeffs(3, [2 ** 70 + 1, Fraction(-(2 ** 64), 5)]),
+              0, Fraction(-5, 3)):
+        for n in (1, 2, 5):
+            got, want = CycMatrix.identity(n, c), CycMatrix.identity(n).scale(c)
+            assert (got.conductor, got.den, got.num.dtype) == \
+                (want.conductor, want.den, want.num.dtype)
+            assert np.array_equal(got.num, want.num)
+            assert got.entries == tuple(c if i == j else 0 for i in range(n) for j in range(n))
 
 
 def test_galois_entrywise():
