@@ -21,8 +21,8 @@ from .checks import FAIL, PASS, SKIPPED
 from .datum import (KIND_FULL, DegeneracyError, ModularDatum, RawDatum,
                     reduce_slightly_degenerate)
 from .families import FamilySpecError, FamilyInstance, from_spec
-from .pipeline import (PipelineResult, emit_zmodular, resolve_world, verify_normalized,
-                       verify_raw)
+from .pipeline import (PipelineResult, emit_zmodular, oracle_tensor, resolve_world,
+                       verify_normalized, verify_raw)
 from .verlinde import verlinde_raw
 
 USAGE_ERROR = 2
@@ -140,70 +140,55 @@ def _format_multiset(pairs: list[tuple[str, int]]) -> str:
     return "{" + ", ".join(terms) + "}"
 
 
+def _terms(labels, row, sign: int = 1) -> list[tuple[str, int]]:
+    return [(labels[k], sign * int(m)) for k, m in enumerate(row) if m]
+
+
 def cmd_fusion(args) -> int:
+    """x (x) y by the family's fusion oracle, or without one or with
+    ``--compare`` by the S-matrix route in the datum's world; ``--compare``
+    then compares it with :func:`oracle_tensor`, as ``oracle_equivalence`` does."""
     try:
         inst, raw = _load_source(args.source)
     except (FamilySpecError, OSError, io.FormatError) as exc:
         return _fail_usage(str(exc))
     labels = list(raw.labels)
     try:
-        x = labels.index(args.x.strip())
-        y = labels.index(args.y.strip())
+        x, y = labels.index(args.x.strip()), labels.index(args.y.strip())
     except ValueError:
         bad = args.x if args.x.strip() not in labels else args.y
         return _fail_usage(f"unknown label {bad!r} (labels: {', '.join(labels)})")
-
-    oracle = args.oracle
-    has_family = inst is not None and inst.oracle is not None
-    if oracle == "family" and not has_family:
+    oracle = inst.fusion_oracle if inst is not None else None
+    if oracle is None and args.compare:
         return _fail_usage("no independent fusion oracle for this source")
-    if oracle == "auto":
-        oracle = "family" if has_family and not args.compare else "verlinde"
-
-    outputs = {}
-    if args.compare or oracle == "family":
-        if not has_family:
-            return _fail_usage("no independent fusion oracle for this source")
-        row = inst.fusion_oracle.table[x, y]
-        outputs["family"] = [(labels[k], int(m)) for k, m in enumerate(row) if m]
-    if args.compare or oracle == "verlinde":
-        try:
-            world, sldeg = resolve_world(raw, inst.reps if inst is not None else None)
-            tensor, _ = verlinde_raw(world)
-            if tensor is None:
-                raise DegeneracyError("the S-matrix route gives non-integral coefficients")
-        except DegeneracyError as exc:
-            print(f"verlinde route failed: {exc}", file=sys.stderr)
-            return 1
-        tlabels = world.labels
-        # full label -> (index in the world's labels, sign)
-        mapping = sldeg.signed_reps() if sldeg is not None else [(i, 1) for i in range(raw.size)]
-        xi, sx = mapping[x]
-        yi, sy = mapping[y]
-        sign = sx * sy
-        row = tensor[xi, yi]
-        outputs["verlinde"] = [(tlabels[k], sign * int(m)) for k, m in enumerate(row) if m]
-
-    if not args.compare:
-        route = "family" if oracle == "family" else "verlinde"
-        print(_format_multiset(outputs[route]))
+    if oracle is not None and not args.compare:
+        print(_format_multiset(_terms(labels, oracle.table[x, y])))
         return 0
-
-    # compare in the world the verlinde route lives in: push the family
-    # decomposition through the same quotient when orbits were folded
-    folded: dict[int, int] = {}
-    for k, m in enumerate(inst.fusion_oracle.table[x, y]):
-        if m:
-            ki, sk = mapping[k]
-            folded[ki] = folded.get(ki, 0) + sk * int(m)
-    family_side = sorted((tlabels[k], m) for k, m in folded.items() if m)
-    verlinde_side = sorted(outputs["verlinde"])
-    family_str = _format_multiset(family_side)
-    raw_str = _format_multiset(sorted(outputs["family"]))
-    tag = "family:  " if raw_str == family_str else "family (folded through the quotient):"
-    print(tag, family_str)
-    print("verlinde:", _format_multiset(verlinde_side))
-    if family_side != verlinde_side:
+    try:
+        world, sldeg = resolve_world(raw, inst.reps if inst is not None else None)
+        tensor, _ = verlinde_raw(world)
+        if tensor is None:
+            raise DegeneracyError("the S-matrix route gives non-integral coefficients")
+    except DegeneracyError as exc:
+        print(f"verlinde route failed: {exc}", file=sys.stderr)
+        return 1
+    signed = sldeg.signed_reps() if sldeg is not None else [(i, 1) for i in range(raw.size)]
+    (xi, sx), (yi, sy) = signed[x], signed[y]
+    verlinde = _terms(world.labels, tensor[xi, yi], sx * sy)
+    if not args.compare:
+        print(_format_multiset(verlinde))
+        return 0
+    try:
+        family = sorted(_terms(world.labels, oracle_tensor(oracle, sldeg)[xi, yi], sx * sy))
+    except DegeneracyError as exc:
+        print(f"fusion oracle failed: {exc}", file=sys.stderr)
+        return 1
+    folded = family != sorted(_terms(labels, oracle.table[x, y]))
+    print("family (folded through the quotient):" if folded else "family:  ",
+          _format_multiset(family))
+    verlinde.sort()
+    print("verlinde:", _format_multiset(verlinde))
+    if family != verlinde:
         print("MISMATCH between the fusion oracle and the S-matrix route", file=sys.stderr)
         return 1
     return 0
@@ -289,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("source", help="family spec or datum file")
     f.add_argument("x")
     f.add_argument("y")
-    f.add_argument("--oracle", choices=("auto", "family", "verlinde"), default="auto")
     f.add_argument("--compare", action="store_true",
                    help="run both routes and fail on mismatch")
     f.set_defaults(fn=cmd_fusion)

@@ -60,7 +60,16 @@ class DegenerateCenterError(DegeneracyError):
     check = "symmetric_center"
 
 
-def _check_labels(labels: Sequence[str]) -> None:
+def _check_shape(labels: Sequence[str], unit: int, s_matrix: CycMatrix, vector: Sequence,
+                 what: str) -> None:
+    """Refuse an S-matrix, ``what`` vector or unit unfit for the labels, or a repeated label."""
+    n = len(labels)
+    if s_matrix.rows != n or s_matrix.cols != n:
+        raise ValueError("S-matrix shape does not match the label count")
+    if len(vector) != n:
+        raise ValueError(f"{what} length does not match the label count")
+    if not 0 <= unit < n:
+        raise ValueError("unit index out of range")
     seen = set()
     for label in labels:
         if label in seen:
@@ -79,13 +88,8 @@ class RawDatum:
     duality_signs: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
+        _check_shape(self.labels, self.unit, self.s_matrix, self.twists, "twist vector")
         n = len(self.labels)
-        if self.s_matrix.rows != n or self.s_matrix.cols != n:
-            raise ValueError("S-matrix shape does not match the label count")
-        if len(self.twists) != n:
-            raise ValueError("twist vector length does not match the label count")
-        if not 0 <= self.unit < n:
-            raise ValueError("unit index out of range")
         if self.kind not in (KIND_FULL, KIND_BOLD):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.duality is not None and sorted(self.duality) != list(range(n)):
@@ -97,7 +101,6 @@ class RawDatum:
                 raise ValueError("duality_signs length does not match the label count")
             if any(v not in (1, -1) for v in self.duality_signs):
                 raise ValueError("duality_signs entries must be 1 or -1")
-        _check_labels(self.labels)
 
     @property
     def size(self) -> int:
@@ -122,14 +125,7 @@ class ModularDatum:
     t_diag: tuple[CycNum, ...]
 
     def __post_init__(self):
-        n = len(self.labels)
-        if self.s_matrix.rows != n or self.s_matrix.cols != n:
-            raise ValueError("S-matrix shape does not match the label count")
-        if len(self.t_diag) != n:
-            raise ValueError("T diagonal length does not match the label count")
-        if not 0 <= self.unit < n:
-            raise ValueError("unit index out of range")
-        _check_labels(self.labels)
+        _check_shape(self.labels, self.unit, self.s_matrix, self.t_diag, "T diagonal")
 
     @property
     def size(self) -> int:
@@ -435,11 +431,16 @@ class SlightlyDegenerateData:
     world: World = field(repr=False, compare=False)   # the bold world the reduction verified
 
     def signed_reps(self) -> tuple[tuple[int, int], ...]:
-        """For each full label X, the bold index i of its orbit and the sign
-        s with X = reps[i] (s = 1) or X = eps (x) reps[i] (s = -1)."""
-        pos = {r: i for i, r in enumerate(self.reps)}
-        return tuple((pos[x], 1) if x in pos else (pos[self.eps_action[x]], -1)
-                     for x in range(self.parent.size))
+        """Each full label's bold index and sign (:func:`signed_positions`)."""
+        return signed_positions(self.eps_action, self.reps)
+
+
+def signed_positions(act: Sequence[int], reps: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """For each label X, the index i of its orbit in ``reps`` and the sign s
+    with X = reps[i] (s = 1) or X = eps (x) reps[i] (s = -1), where ``act``
+    is X -> eps (x) X."""
+    pos = {r: i for i, r in enumerate(reps)}
+    return tuple((pos[x], 1) if x in pos else (pos[act[x]], -1) for x in range(len(act)))
 
 
 def orbit_reps(act: Sequence[int], unit: int,
@@ -519,19 +520,19 @@ def reduce_to_reps(full: RawDatum, eps: int, act: Sequence[int],
     whose permutation part is the bar involution and whose signs track which
     duals leave the representative set."""
     reps_l = orbit_reps(act, full.unit, reps)
-    pos = {r: i for i, r in enumerate(reps_l)}
+    signed = signed_positions(act, reps_l)
     s = full.s_matrix
     bold_s = CycMatrix.from_slices(s.conductor, s.num[:, reps_l][:, :, reps_l], s.den)
     # a dual outside the representatives is eps (x) a representative: sign -1
-    duals = [full.duality[x] for x in reps_l]
+    duals = [signed[full.duality[x]] for x in reps_l]
     bold = RawDatum(
         labels=tuple(full.labels[r] for r in reps_l),
-        unit=pos[full.unit],
+        unit=signed[full.unit][0],
         s_matrix=bold_s,
         twists=tuple(full.twists[r] for r in reps_l),
         kind=KIND_BOLD,
-        duality=tuple(pos[d] if d in pos else pos[act[d]] for d in duals),
-        duality_signs=tuple(1 if d in pos else -1 for d in duals),
+        duality=tuple(i for i, _ in duals),
+        duality_signs=tuple(sign for _, sign in duals),
     )
     w = World(bold)
     if w.global_dim + w.global_dim != dims_of(full).global_dim:
@@ -545,7 +546,7 @@ def reduce_to_reps(full: RawDatum, eps: int, act: Sequence[int],
     # signs must record which duals leave the representative set, via 1bar
     t_unit_bar = tensor_by_invertible(full, reps_l[w.unit_bar])
     for i, x in enumerate(reps_l):
-        expected = 1 if t_unit_bar[full.duality[x]] in pos else -1
+        expected = signed[t_unit_bar[full.duality[x]]][1]
         if sp.signs[i] != expected:
             raise DegeneracyError(
                 f"sign of S^2 at {full.labels[x]} is {sp.signs[i]}, expected {expected}")

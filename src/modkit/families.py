@@ -323,8 +323,6 @@ def from_spec(spec: str) -> FamilyInstance:
     if name == "taft":
         takes("d=")
         d = intarg("d")
-        if d < 2:
-            raise FamilySpecError(f"taft needs d >= 2, got {d}")
         return FamilyInstance(
             name=f"taft:d={d}",
             raw=taft_double(d),

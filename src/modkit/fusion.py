@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .datum import orbit_reps
+from .datum import DegeneracyError, orbit_reps
 from .matrix import signed_permutation
 
 
@@ -41,14 +41,15 @@ def quotient_constants(fusion: FusionTensor, eps: int,
     the fusion ring of the quotient by sVect^-, where eps has dimension -1.
 
     ``eps`` must be an invertible label whose tensoring is an involution of
-    the labels without fixed points, else ValueError; ``reps`` picks one label
-    per orbit (defaults to the first of each orbit in label order, with the
-    unit's orbit represented by the unit).  Returns the quotient tensor
+    the labels without fixed points, else DegeneracyError; ``reps`` picks one
+    label per orbit (defaults to the first of each orbit in label order, with
+    the unit's orbit represented by the unit).  Returns the quotient tensor
     together with the representative index list it is indexed by.
     """
     act = epsilon_action_from_fusion(fusion, eps)
     if any(act[x] == x or act[act[x]] != x for x in range(len(act))):
-        raise ValueError(f"tensoring by {fusion.labels[eps]} is not a fixed-point-free involution")
+        raise DegeneracyError(
+            f"tensoring by {fusion.labels[eps]} is not a fixed-point-free involution")
     reps = orbit_reps(act, fusion.unit, reps)
     t = fusion.table
     out = t[np.ix_(reps, reps, reps)] - t[np.ix_(reps, reps, [act[z] for z in reps])]
@@ -60,5 +61,5 @@ def epsilon_action_from_fusion(fusion: FusionTensor, eps: int) -> tuple[int, ...
     N_{eps,X} must hold a single 1 in each row and in each column."""
     sp = signed_permutation(fusion.table[eps])
     if sp is None or -1 in sp.signs:
-        raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
+        raise DegeneracyError(f"label {fusion.labels[eps]} does not tensor invertibly")
     return sp.perm

@@ -59,8 +59,8 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
     ``reps`` overrides the canonical representative choice of the slightly
     degenerate reduction.  ``fusion_oracle`` is an independently computed
     fusion tensor on the full labels; when present, the Verlinde output is
-    compared against it (against its sVect^- quotient, in the slightly
-    degenerate case).  Every entry of the report is one timed check
+    compared against :func:`oracle_tensor` (its sVect^- quotient, in the
+    slightly degenerate case).  Every entry of the report is one timed check
     (:func:`_run_check`) whose ms covers the work that decides it.
     """
     rep, s = VerificationReport(), raw.s_matrix
@@ -198,16 +198,22 @@ def _verify_world(rep: VerificationReport, world: World,
         rep.add(check_balancing(world, tensor))
         if fusion_oracle is not None:
             def oracle():
-                if sldeg is None:
-                    want = fusion_oracle.table
-                else:
-                    want, _ = quotient_constants(fusion_oracle, sldeg.epsilon, reps=sldeg.reps)
+                want = oracle_tensor(fusion_oracle, sldeg)
                 same = want.shape == tensor.shape and bool(np.array_equal(want, tensor))
                 return same, "Verlinde tensor vs independent fusion oracle", None
 
             rep.run("oracle_equivalence", oracle)
     cls = (N_MODULAR if world.nondegenerate else Z_MODULAR) if rep.passed else FAILED
     return PipelineResult(rep, cls, world=world, sldeg=sldeg, tensor=tensor)
+
+
+def oracle_tensor(fusion: FusionTensor, sldeg: Optional[SlightlyDegenerateData]) -> np.ndarray:
+    """The oracle read on the labels of the world the datum is verified in: its
+    table, or its quotient by sVect^- on the representatives of ``sldeg``
+    (:func:`quotient_constants`, which raises DegeneracyError on a bad oracle)."""
+    if sldeg is None:
+        return fusion.table
+    return quotient_constants(fusion, sldeg.epsilon, reps=sldeg.reps)[0]
 
 
 def verify_normalized(datum: ModularDatum) -> PipelineResult:

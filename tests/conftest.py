@@ -1,12 +1,14 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from modkit.datum import RawDatum
 from modkit.families import (FamilyInstance, from_spec, pointed_cyclic,
                              pointed_fusion_tensor, taft_double, taft_fusion_tensor,
                              taft_J_indices)
+from modkit.fusion import FusionTensor
 from modkit.matrix import CycMatrix
 from modkit.pipeline import PipelineResult, verify_raw
 
@@ -79,3 +81,19 @@ def zero_global_dimension() -> dict:
     return {"labels": ["a", "b"], "unit": 0, "kind": "raw-full",
             "S": {"rows": 2, "cols": 2, "entries": [[one, i4], [i4, one]]},
             "twists": [one, i4], "duality": [0, 1]}
+
+
+def bad_taft3_oracles():
+    """Taft d = 3 oracles, with the message each fails with, whose eps row
+    does not give the quotient: all zero, and a permutation that fixes the
+    unit and eps."""
+    good = taft_fusion_tensor(3)
+    eps, x = good.labels.index("(2,1)"), good.labels.index("(1,0)")
+    fixed = good.table.copy()
+    for z in (x, int(good.table[eps, x].argmax())):
+        fixed[eps, z] = 0
+        fixed[eps, z, z] = 1
+    return {which: (FusionTensor(good.labels, table, good.unit, good.duality), message)
+            for which, table, message in (
+                ("zero", np.zeros_like(good.table), "label (2,1) does not tensor invertibly"),
+                ("fixed-point", fixed, "tensoring by (2,1) is not a fixed-point-free involution"))}

@@ -6,8 +6,9 @@ of a datum file, the descent of a value to a smaller conductor by linear
 algebra over Q, the split-prime tables as a reduced inverse DFT, the
 matching of lines of slices and the reading of a signed permutation, and
 the duality and fermion action read off a fusion tensor one entry at a
-time.  It also holds the fusion-ring laws (unit, duality, associativity) a
-tensor is tested against.
+time, and the fold of a fusion row through the quotient by sVect^-.  It
+also holds the fusion-ring laws (unit, duality, associativity) a tensor is
+tested against.
 
 Each builds the characters ``S[X, Y] / dim_r(X)`` one ``CycNum`` at a time and
 matches rows or columns as tuples of entries, keyed by their coordinates (the
@@ -470,6 +471,18 @@ def epsilon_action_from_fusion(fusion, eps):
     if sorted(act) != list(range(n)):
         raise ValueError(f"label {fusion.labels[eps]} does not tensor invertibly")
     return tuple(act)
+
+
+def fold(row, signed):
+    """A row N_{X,Y}^- of a fusion tensor on the full labels pushed through the
+    quotient by sVect^-, one label at a time: the coefficient of each label Z,
+    times its sign, added at the index of its orbit.  ``signed`` gives each
+    label's (index, sign), as :meth:`SlightlyDegenerateData.signed_reps` does."""
+    out = [0] * (len(signed) // 2)
+    for z, m in enumerate(row):
+        i, sign = signed[z]
+        out[i] += sign * int(m)
+    return out
 
 
 def unit_law_holds(fusion):

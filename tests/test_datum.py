@@ -2,13 +2,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import per_entry
 from conftest import POINTED_GRID, galois_conjugate, relabel
 from modkit.cyclotomic import CycNum, zeta
-from modkit.datum import (DegeneracyError, RawDatum, bar_involution, derive_duality,
+from modkit.datum import (KIND_BOLD, DegeneracyError, RawDatum, bar_involution, derive_duality,
                           detect_symmetric_center, dims_of, epsilon_action,
-                          reduce_slightly_degenerate, tensor_by_invertible, with_duality)
+                          reduce_slightly_degenerate, signed_positions, tensor_by_invertible,
+                          with_duality)
 from modkit.families import (TaftLabel, pointed_cyclic, sl2_q16_counterexample,
                              taft_double, taft_epsilon_action, taft_J, taft_J_indices,
                              taft_label_index, taft_labels, taft_sdim)
@@ -398,3 +401,43 @@ def test_maps_on_slices_past_int64():
     assert derive_duality(big) == derive_duality(raw)
     ub = taft_idx(3, 2, 0)
     assert tensor_by_invertible(with_duality(big), ub) == tensor_by_invertible(raw, ub)
+
+
+# ---------------------------------------------------------------------------
+# signed positions of the full labels among the representatives
+# ---------------------------------------------------------------------------
+
+TAFT = {d: taft_double(d) for d in range(2, 10)}
+
+
+def check_signed_positions(raw, reps=None):
+    """signed_positions read one label at a time, and on the duals of the
+    representatives: the bold duality and signs the reduction writes, which
+    are those the characters of the bold S define."""
+    sldeg = reduce_slightly_degenerate(raw, reps)
+    act, reps, bold = sldeg.eps_action, sldeg.reps, sldeg.world.raw
+    signed = signed_positions(act, reps)
+    assert sldeg.signed_reps() == signed
+    for x, (i, sign) in enumerate(signed):
+        assert (reps[i] if sign == 1 else act[reps[i]]) == x
+        assert x in reps if sign == 1 else act[x] in reps
+    assert [signed[raw.duality[r]] for r in reps] == list(zip(bold.duality, bold.duality_signs))
+    no_duality = RawDatum(bold.labels, bold.unit, bold.s_matrix, bold.twists, KIND_BOLD)
+    assert derive_duality(no_duality) == (bold.duality, bold.duality_signs)
+
+
+@pytest.mark.parametrize("d", sorted(TAFT))
+def test_signed_positions_give_the_bold_duality_on_default_reps(d):
+    check_signed_positions(TAFT[d])
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from(sorted(TAFT)), data=st.data())
+def test_signed_positions_give_the_bold_duality_on_drawn_reps(d, data):
+    raw = TAFT[d]
+    act = epsilon_action(raw)
+    orbits = [x for x in range(raw.size) if x < act[x]]
+    flips = data.draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+    reps = [raw.unit if raw.unit in (x, act[x]) else act[x] if flip else x
+            for x, flip in zip(orbits, flips)]
+    check_signed_positions(raw, data.draw(st.permutations(reps)))

@@ -248,7 +248,6 @@ def test_family_oracle_is_built_on_first_read_only(monkeypatch, tmp_path):
     inst = from_spec("taft:d=5")
     assert calls == []
     assert cli.main(["generate", "taft:d=5", str(tmp_path / "t5.json")]) == 0
-    assert cli.main(["fusion", "taft:d=4", "(2,1)", "(3,2)", "--oracle", "verlinde"]) == 0
     assert calls == []
     first = inst.fusion_oracle
     assert calls == [5] and inst.fusion_oracle is first

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import per_entry
-from modkit.families import (TaftLabel, pointed_fusion_tensor, taft_epsilon_action,
+from modkit.families import (TaftLabel, pointed_fusion_tensor, taft_double, taft_epsilon_action,
                              taft_fusion, taft_fusion_tensor, taft_J, taft_J_indices, taft_labels)
 from modkit.datum import orbit_reps
 from modkit.fusion import (FusionTensor, epsilon_action_from_fusion, quotient_constants,
                            tensor_duality)
+from modkit.pipeline import oracle_tensor, resolve_world
 
 
 def test_taft_fusion_base_cases():
@@ -185,3 +186,21 @@ def test_duality_and_fermion_action_equal_the_per_entry_reading(fusion):
             bent = FusionTensor(fusion.labels, t, unit, fusion.duality)
             assert outcome(epsilon_action_from_fusion, bent, eps) == \
                 outcome(per_entry.epsilon_action_from_fusion, bent, eps)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_the_oracle_on_the_world_is_the_fold_of_each_row(d):
+    # fusion --compare reads sign(x) sign(y) oracle_tensor[xi, yi]; folding the
+    # oracle's full row of x (x) y through the quotient gives the same entries
+    raw, oracle = taft_double(d), taft_fusion_tensor(d)
+    _, sldeg = resolve_world(raw, taft_J_indices(d))
+    want, signed = oracle_tensor(oracle, sldeg), sldeg.signed_reps()
+    for x, (xi, sx) in enumerate(signed):
+        for y, (yi, sy) in enumerate(signed):
+            assert (sx * sy * want[xi, yi]).tolist() == \
+                per_entry.fold(oracle.table[x, y], signed), (x, y)
+
+
+def test_the_oracle_of_a_nondegenerate_world_is_its_table():
+    oracle = pointed_fusion_tensor(5)
+    assert oracle_tensor(oracle, None) is oracle.table

@@ -15,16 +15,16 @@ from hypothesis import strategies as st
 
 import intervals
 import per_entry
-from conftest import galois_conjugate, zero_global_dimension
+from conftest import bad_taft3_oracles, galois_conjugate, zero_global_dimension
 from modkit import io
-from modkit.cli import main as cli_main
+from modkit.cli import _format_multiset, main as cli_main
 from modkit.cyclotomic import CycNum, root_of_unity
 from modkit.datum import (KIND_FULL, DegeneracyError, ModularDatum, RawDatum,
                           reduce_slightly_degenerate)
 from modkit._kernel import euler_phi
 from modkit.matrix import CycMatrix, int_array
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
-                             taft_J_indices, taft_normalizer)
+                             taft_fusion_tensor, taft_J_indices, taft_normalizer)
 from modkit.pipeline import emit_zmodular, resolve_world, verify_raw
 
 
@@ -559,6 +559,42 @@ def test_cli_verify_degenerate_pointed(tmp_path, capsys):
     assert by["classification"]["detail"] == "degenerate"
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_cli_fusion_on_a_datum_file_is_the_folded_oracle_row(tmp_path, capsys, d):
+    # a datum file has no oracle, so fusion takes the S-matrix route on the
+    # default representatives: sign(x) sign(y) times the Verlinde row, which
+    # is the oracle's full row folded through the quotient
+    raw, oracle = taft_double(d), taft_fusion_tensor(d)
+    path = tmp_path / "t.json"
+    io.save_datum(raw, str(path))
+    world, sldeg = resolve_world(raw)
+    signed = sldeg.signed_reps()
+    for x, xl in enumerate(raw.labels):
+        for y, yl in enumerate(raw.labels):
+            row = per_entry.fold(oracle.table[x, y], signed)
+            want = [(world.labels[k], m) for k, m in enumerate(row) if m]
+            assert run_cli(["fusion", str(path), xl, yl]) == 0
+            assert capsys.readouterr().out == _format_multiset(want) + "\n", (xl, yl)
+
+
+@pytest.mark.parametrize("which", ["zero", "fixed-point"])
+def test_cli_fusion_compare_fails_a_bad_oracle_in_one_line(monkeypatch, capsys, which):
+    import modkit.families as families
+
+    bad, message = bad_taft3_oracles()[which]
+    monkeypatch.setattr(families, "taft_fusion_tensor", lambda d: bad)
+    assert run_cli(["fusion", "taft:d=3", "(2,1)", "(1,1)", "--compare"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"fusion oracle failed: {message}"]
+
+
+@pytest.mark.parametrize("route", ["auto", "family", "verlinde"])
+def test_cli_fusion_has_no_oracle_option(capsys, route):
+    assert run_cli(["fusion", "taft:d=3", "(2,0)", "(2,0)", "--oracle", route]) == 2
+    assert "--oracle" in capsys.readouterr().err
+
+
 def test_cli_fusion_compare_builds_the_verlinde_tensor_once(monkeypatch, capsys):
     import modkit.cli as cli
     calls = []
@@ -702,8 +738,7 @@ def test_cli_fails_degenerate_datum_without_traceback(tmp_path, capsys, which, v
     path.write_text(json.dumps(obj))
     argv = {"verify": ["verify", str(path)],
             "reduce": ["reduce", str(path), str(tmp_path / "out.json")],
-            "fusion": ["fusion", str(path), obj["labels"][0], obj["labels"][-1],
-                       "--oracle", "verlinde"]}[verb]
+            "fusion": ["fusion", str(path), obj["labels"][0], obj["labels"][-1]]}[verb]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     if verb == "verify":
@@ -778,7 +813,7 @@ def test_cli_ends_with_one_error_line_when_split_primes_run_out(tmp_path, capsys
     monkeypatch.setattr(verlinde, "split_primes", exhausted)
     argv = {"verify": ["verify", str(path)],
             "reduce": ["reduce", str(path), str(tmp_path / "out.json")],
-            "fusion": ["fusion", str(path), "(1,0)", "(2,0)", "--oracle", "verlinde"]}[verb]
+            "fusion": ["fusion", str(path), "(1,0)", "(2,0)"]}[verb]
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,6 +2,7 @@ import collections
 import glob
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import POINTED_GRID, galois_conjugate, relabel, zero_global_dimension
+from conftest import (POINTED_GRID, bad_taft3_oracles, galois_conjugate, relabel,
+                      zero_global_dimension)
 import modkit.checks as checks_mod
 import modkit.pipeline as pipeline_mod
 from modkit import io
@@ -20,8 +22,8 @@ from modkit.fusion import quotient_constants
 from modkit.matrix import CycMatrix
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_fusion_tensor, taft_J_indices, taft_normalizer)
-from modkit.pipeline import (emit_zmodular, gauss_normalizer, resolve_world, verify_normalized,
-                             verify_raw)
+from modkit.pipeline import (emit_zmodular, gauss_normalizer, oracle_tensor, resolve_world,
+                             verify_normalized, verify_raw)
 
 one = CycNum.from_rational(1)
 
@@ -184,6 +186,17 @@ def test_slightly_degenerate_verify_builds_one_table_center_and_eps_action(monke
     assert counts == want
     assert emit_zmodular(res.sldeg).datum is not None
     assert counts == want
+
+
+@pytest.mark.parametrize("which", ["zero", "fixed-point"])
+def test_a_bad_oracle_fails_oracle_equivalence(which):
+    bad, message = bad_taft3_oracles()[which]
+    res = verify_raw(taft_double(3), reps=taft_J_indices(3), fusion_oracle=bad)
+    assert [(c.name, c.detail) for c in res.report.failures()] == \
+        [("oracle_equivalence", message)]
+    assert res.classification == "fail"
+    with pytest.raises(DegeneracyError, match=re.escape(message)):
+        oracle_tensor(bad, res.sldeg)
 
 
 @pytest.mark.parametrize("bad", [-3, 99])
