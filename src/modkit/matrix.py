@@ -24,11 +24,11 @@ nothing is rounded or compared with a tolerance.  ``object`` inputs are
 reduced to int64 residues first; past that, Python integers appear only in
 the CRT combine, once the product of the primes passes 2^62.
 
-A matrix evaluates its own numerator once, at the most primes and roots
-asked of it: every split prime set of a conductor is a leading set of one
-list, so a product needing fewer primes reads a slice, and the one-root
-Verlinde route reads the first root.  Every other matrix, products, Galois
-conjugates and transposes included, starts with no residues.
+Every split prime set of a conductor leads its one stack of primes and
+tables, which are built only for primes a product uses.  A matrix keeps its
+own residues at the last set it was evaluated at, and reads any set with no
+more primes and roots (the one-root Verlinde route reads the first root) as
+a slice; products, Galois conjugates and transposes start with none.
 
 The entrywise inverse runs on the same residues: the product of an entry's
 residues at the other phi(N) - 1 roots is the residue there of the product
@@ -138,6 +138,7 @@ _TERMS = 1 << 11        # and a sum of 2^11 such products stays below 2^53
 # float64 holds every integer below 2^53 exactly, so a residue product summed
 # in float64 is exact in any order of summation
 assert PRIME_LIMIT ** 2 * _TERMS <= 1 << 53
+TABLE_BYTES = 1 << 30   # the most the split tables of one conductor may take
 
 
 def _root_of_order(n: int, p: int) -> int:
@@ -174,31 +175,12 @@ def _split_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _split_stack(n: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``count`` largest primes p = 1 (mod n) below PRIME_LIMIT (fewer
-    when there are no more), with their evaluation and interpolation matrices
-    stacked.  ``count`` is a power of two; each stack extends the one of half
-    its size."""
-    if count > 1:
-        primes, ev, iv = _split_stack(n, count // 2)
-        found = primes.tolist()
-    else:
-        phi = _K.euler_phi(n)
-        found, ev, iv = [], np.zeros((0, phi, phi), np.int64), np.zeros((0, phi, phi), np.int64)
-    evs, ivs = [ev], [iv]
-    step = n if n % 2 == 0 else 2 * n   # the odd p = 1 (mod n) are the p = 1 (mod step)
-    cand = found[-1] - step if found else 1 + (PRIME_LIMIT - 2) // step * step
-    while len(found) < count and cand >= 3:
-        if _K.is_prime(cand):
-            ev, iv = _split_tables(n, cand)
-            found.append(cand)
-            evs.append(ev[None])
-            ivs.append(iv[None])
-        cand -= step
-    out = (np.array(found, dtype=np.int64), np.concatenate(evs), np.concatenate(ivs))
-    for a in out:
-        a.flags.writeable = False
-    return out
+def _split_stack(n: int) -> list[np.ndarray]:
+    """``[primes, ev, iv]``: the split primes of conductor n whose tables are
+    built so far, largest first, with their evaluation and interpolation
+    matrices stacked.  Only :func:`split_primes` reads and extends it."""
+    phi = _K.euler_phi(n)
+    return [np.zeros(0, np.int64), *np.zeros((2, 0, phi, phi), np.int64)]
 
 
 class SplitPrimes(NamedTuple):
@@ -214,29 +196,44 @@ class SplitPrimes(NamedTuple):
         return x % self.primes.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
-def leading_primes(n: int, k: int) -> SplitPrimes:
-    """The k largest split primes of conductor n; every :func:`split_primes`
-    of n is such a leading set, so residues at k primes serve any fewer."""
-    primes, ev, iv = _split_stack(n, 1 << (k - 1).bit_length())
-    if len(primes) < k:
-        raise OverflowError(f"conductor {n} has only {len(primes)} split primes below "
-                            f"2^{PRIME_LIMIT.bit_length() - 1}; their product cannot hold "
-                            f"this exact product")
-    return SplitPrimes(primes[:k], ev[:k], iv[:k], math.prod(primes[:k].tolist()))
-
-
 def split_primes(n: int, bound: int) -> SplitPrimes:
     """The fewest split primes of conductor n whose product exceeds 2 * bound,
     so that every integer of magnitude at most ``bound`` is read back exactly
-    from its residues; OverflowError when n has too few below PRIME_LIMIT."""
+    from its residues: the largest primes p = 1 (mod n) below PRIME_LIMIT, a
+    leading set of the one stack of n.  The primes are counted first; tables
+    are built only for those the stack lacks, and none when n has too few
+    primes or their tables would pass TABLE_BYTES (OverflowError)."""
+    stack = _split_stack(n)
+    primes = stack[0].tolist()
+    step = n if n % 2 == 0 else 2 * n   # the odd p = 1 (mod n) are the p = 1 (mod step)
+    cand = primes[-1] - step if primes else 1 + (PRIME_LIMIT - 2) // step * step
     k, modulus = 0, 1
     while k == 0 or modulus <= 2 * bound:
-        primes = _split_stack(n, 1 << k.bit_length())[0]
-        if k == len(primes):   # n has no more: leading_primes raises
-            return leading_primes(n, k + 1)
-        modulus *= int(primes[k])
+        while k == len(primes) and cand >= 3:
+            if _K.is_prime(cand):
+                primes.append(cand)
+            cand -= step
+        if k == len(primes):
+            raise OverflowError(f"conductor {n} has only {k} split primes below "
+                                f"2^{PRIME_LIMIT.bit_length() - 1}; their product cannot hold "
+                                f"this exact product")
+        modulus *= primes[k]
         k += 1
-    return leading_primes(n, k)
+    built, phi = len(stack[0]), stack[1].shape[1]
+    if k > built:
+        size = 16 * phi * phi * k   # ev and iv, int64 each
+        if size > TABLE_BYTES:
+            raise OverflowError(f"conductor {n} needs {k} split primes, whose tables would take "
+                                f"{size:,} bytes, past the budget of {TABLE_BYTES:,} bytes")
+        tables = np.empty((2, k, phi, phi), np.int64)   # ev, then iv
+        tables[0, :built], tables[1, :built] = stack[1:]
+        for t in range(built, k):
+            tables[:, t] = _split_tables(n, primes[t])
+        stack[:] = [np.array(primes[:k], dtype=np.int64), *tables]
+        for a in stack:
+            a.flags.writeable = False
+    primes, ev, iv = stack
+    return SplitPrimes(primes[:k], ev[:k], iv[:k], modulus)
 
 
 def residue_matmul(x: np.ndarray, y: np.ndarray, sp: SplitPrimes) -> np.ndarray:
@@ -532,15 +529,14 @@ class CycMatrix:
     def residues(self, sp: SplitPrimes) -> np.ndarray:
         """The residues ``(k, r, rows, cols)`` of the numerator at the r roots
         and k primes of ``sp`` (:func:`evaluate`), a split prime set of the
-        conductor.  The matrix keeps the residues at the most primes and roots
-        asked of it; every smaller set of primes leads it, and one root is
-        the first, so the rest are slices of them."""
+        conductor.  The matrix keeps the residues of the last set it had to
+        evaluate at; every split prime set of a conductor leads its one stack,
+        and one root is the first, so a set with no more primes and roots than
+        that is read as a slice of them."""
         k, r = sp.ev.shape[:2]
         res = getattr(self, "_res", None)   # the slot is unset until the first call
         if res is None or len(res) < k or res.shape[1] < r:
-            more, roots = (k, r) if res is None else (max(k, len(res)), max(r, res.shape[1]))
-            full = leading_primes(self.conductor, more)
-            res = evaluate(self.num, full._replace(ev=full.ev[:, :roots]))
+            res = evaluate(self.num, sp)
             res.flags.writeable = False
             object.__setattr__(self, "_res", res)
         return res[:k, :r]

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from modkit import io
 from modkit.datum import RawDatum
 from modkit.families import (FamilyInstance, from_spec, pointed_cyclic,
                              pointed_fusion_tensor, taft_double, taft_fusion_tensor,
@@ -81,6 +82,15 @@ def zero_global_dimension() -> dict:
     return {"labels": ["a", "b"], "unit": 0, "kind": "raw-full",
             "S": {"rows": 2, "cols": 2, "entries": [[one, i4], [i4, one]]},
             "twists": [one, i4], "duality": [0, 1]}
+
+
+def taft3_at_conductor(p: int) -> dict:
+    """Taft d = 3 as a datum file with S[0,0] = 1 written at the prime
+    conductor p, so that its products run at conductor 3p: a few kB of
+    JSON (3,910 bytes at p = 401) asking for many large split tables."""
+    obj = io.datum_to_json(taft_double(3))
+    obj["S"]["entries"][0][0] = {"conductor": p, "coeffs": ["1"] + ["0"] * (p - 2)}
+    return obj
 
 
 def bad_taft3_oracles():

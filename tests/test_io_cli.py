@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import intervals
 import per_entry
-from conftest import bad_taft3_oracles, galois_conjugate, zero_global_dimension
+from conftest import (bad_taft3_oracles, galois_conjugate, taft3_at_conductor,
+                      zero_global_dimension)
 from modkit import io
 from modkit.cli import _format_multiset, main as cli_main
 from modkit.cyclotomic import CycNum, root_of_unity
@@ -808,17 +809,39 @@ def test_cli_ends_with_one_error_line_when_split_primes_run_out(tmp_path, capsys
                             f"their product cannot hold this exact product")
 
     path = tmp_path / "t.json"
-    io.save_datum(taft_double(3), str(path))
-    monkeypatch.setattr(matrix, "split_primes", exhausted)
-    monkeypatch.setattr(verlinde, "split_primes", exhausted)
     argv = {"verify": ["verify", str(path)],
             "reduce": ["reduce", str(path), str(tmp_path / "out.json")],
             "fusion": ["fusion", str(path), "(1,0)", "(2,0)"]}[verb]
-    assert run_cli(argv) == 2
+    io.save_datum(taft_double(3), str(path))
+    with monkeypatch.context() as mp:
+        mp.setattr(matrix, "split_primes", exhausted)
+        mp.setattr(verlinde, "split_primes", exhausted)
+        outcomes = [(run_cli(argv), capsys.readouterr(), 3, 0)]
+    # a 6,951-byte file at conductor 3027, which has only 67 split primes
+    # below 2^21: they are counted, and no table is built
+    path.write_text(json.dumps(taft3_at_conductor(1009)))
+    outcomes.append((run_cli(argv), capsys.readouterr(), 3027, 67))
+    for code, captured, n, count in outcomes:
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [f"error: conductor {n} has only {count} split "
+                                             f"primes below 2^21; their product cannot hold "
+                                             f"this exact product"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("p, n, count, size", [(601, 1803, 59, "1,359,360,000"),
+                                              (701, 2103, 70, "2,195,200,000")],
+                         ids=["p601", "p701"])
+def test_cli_refuses_split_tables_past_the_budget_in_one_line(tmp_path, capsys, p, n, count,
+                                                              size):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(taft3_at_conductor(p)))
+    assert run_cli(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: conductor 3 has only 0 split primes below 2^21; "
-                                         "their product cannot hold this exact product"]
+    assert captured.err.splitlines() == [f"error: conductor {n} needs {count} split primes, "
+                                         f"whose tables would take {size} bytes, past the "
+                                         f"budget of 1,073,741,824 bytes"]
 
 
 def swapped_duality(raw, i, j):

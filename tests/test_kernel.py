@@ -3,6 +3,7 @@ of lifts and Galois conjugates, the slice path of :class:`CycMatrix` against
 an entry-by-entry :class:`CycNum` reference, the split-prime tables and CRT
 limits of the product kernel, and Galois invariance of the Verlinde tensor."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -314,13 +315,16 @@ def test_split_tables_at_large_conductors(n):
     # phi = 480 and 2002, two primes each: a table built by O(phi) steps that
     # each update a whole phi x phi matrix, as elimination does, would take
     # minutes here
-    assert_split_tables(n, matrix.leading_primes(n, 2))
+    sp = split_primes(n, 1 << 21)   # p1 < 2^22 < p1 p2: two primes
+    assert len(sp.primes) == 2
+    assert_split_tables(n, sp)
 
 
 @pytest.mark.parametrize("ns", [range(1, 200), [1155], [2003]], ids=["n<200", "1155", "2003"])
 def test_split_tables_equal_the_reduced_inverse_dft(ns):
     for n in ns:
-        sp = matrix.leading_primes(n, 2)
+        sp = split_primes(n, 1 << 21)
+        assert len(sp.primes) == 2
         for p, ev, iv in zip(sp.primes.tolist(), sp.ev, sp.iv):
             want_ev, want_iv = per_entry.split_tables(n, p)
             assert np.array_equal(ev, want_ev) and np.array_equal(iv, want_iv), (n, p)
@@ -356,8 +360,8 @@ def test_running_out_of_split_primes_raises():
 
 
 def test_every_split_prime_is_used_before_running_out(monkeypatch):
-    # below 2^8 the primes p = 1 (mod 12) are these eleven, so the stack of
-    # sixteen comes back short
+    # below 2^8 the primes p = 1 (mod 12) are these eleven, so a twelfth is
+    # never found
     primes = [241, 229, 193, 181, 157, 109, 97, 73, 61, 37, 13]
     monkeypatch.setattr(matrix, "PRIME_LIMIT", 1 << 8)
     matrix._split_stack.cache_clear()
@@ -369,6 +373,64 @@ def test_every_split_prime_is_used_before_running_out(monkeypatch):
             split_primes(12, math.prod(primes) // 2 + 1)
     finally:
         matrix._split_stack.cache_clear()
+
+
+def leading_split_primes(n, count):
+    """The ``count`` largest primes p = 1 (mod n) below PRIME_LIMIT, by sympy."""
+    step = n if n % 2 == 0 else 2 * n
+    cands = range(1 + (matrix.PRIME_LIMIT - 2) // step * step, 2, -step)
+    return list(itertools.islice(filter(sympy.isprime, cands), count))
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The prime of each :func:`matrix._split_tables` call, in order, on a
+    cache of split stacks that starts and ends empty."""
+    built, tables = [], matrix._split_tables
+    monkeypatch.setattr(matrix, "_split_tables", lambda n, p: built.append(p) or tables(n, p))
+    matrix._split_stack.cache_clear()
+    yield built
+    matrix._split_stack.cache_clear()
+
+
+def bound_for(primes):
+    """The largest bound that the product of ``primes`` reads back."""
+    return (math.prod(primes) - 1) // 2
+
+
+def test_split_tables_are_built_once_for_each_prime_a_product_uses(built_tables):
+    # bounds that need 5, then 3, then 6 primes build 5 tables, then none,
+    # then the sixth; the primes are counted before any is built
+    primes = leading_split_primes(12, 6)
+    for k, new in ((5, 5), (3, 0), (6, 1)):
+        before = len(built_tables)
+        assert split_primes(12, bound_for(primes[:k])).primes.tolist() == primes[:k]
+        assert len(built_tables) - before == new
+    assert built_tables == primes
+
+
+def test_no_table_is_built_when_the_split_primes_run_out(built_tables, monkeypatch):
+    # below 2^8 conductor 12 has eleven split primes, 241 the largest
+    monkeypatch.setattr(matrix, "PRIME_LIMIT", 1 << 8)
+    with pytest.raises(OverflowError, match=r"only 11 split primes below 2\^8"):
+        split_primes(12, 1 << 80)
+    assert built_tables == [] and len(matrix._split_stack(12)[0]) == 0
+    assert split_primes(12, 0).primes.tolist() == built_tables == [241]
+
+
+def test_the_table_budget_refuses_before_building(built_tables, monkeypatch):
+    # at conductor 12 (phi = 4) the two int64 tables of a prime take 256 bytes
+    monkeypatch.setattr(matrix, "TABLE_BYTES", 3 * 256)
+    primes = leading_split_primes(12, 4)
+    refusal = "conductor 12 needs 4 split primes, whose tables would take 1,024 bytes, " \
+              "past the budget of 768 bytes"
+    with pytest.raises(OverflowError, match=refusal):
+        split_primes(12, bound_for(primes))
+    assert built_tables == []
+    assert split_primes(12, bound_for(primes[:3])).primes.tolist() == built_tables == primes[:3]
+    with pytest.raises(OverflowError, match=refusal):
+        split_primes(12, bound_for(primes))
+    assert built_tables == primes[:3]
 
 
 def test_products_at_the_one_and_two_prime_limits_are_exact():

@@ -444,17 +444,27 @@ def test_cached_residues_equal_a_fresh_evaluation(make):
     raw = make()
     n = raw.s_matrix.conductor
     many = matrix.split_primes(n, 1 << 300)
-    root = matrix.leading_primes(n, 1)
-    root = root._replace(ev=root.ev[:, :1])
+    one = matrix.split_primes(n, 0)   # one prime
+    root = one._replace(ev=one.ev[:, :1])
     some = matrix.split_primes(n, 1 << 100)
-    asks = (matrix.leading_primes(n, 1), some, some._replace(ev=some.ev[:, :1]), root)
-    assert 1 < len(some.primes) < len(many.primes)
+    asks = (one, some, some._replace(ev=some.ev[:, :1]), root)
+    assert len(one.primes) == 1 < len(some.primes) < len(many.primes)
     for warm in ((many, root), (root, many)):
         for m in cache_inputs(raw):
             for sp in warm:
                 m.residues(sp)
             for sp in asks:
                 assert np.array_equal(m.residues(sp), matrix.evaluate(m.num, sp))
+
+
+def test_residues_kept_at_one_root_are_evaluated_again_at_every_root():
+    # the one-root Verlinde route keeps many primes at one root; a later
+    # product at fewer primes and every root cannot read them
+    s = cold(taft_double(5).s_matrix)
+    many = matrix.split_primes(s.conductor, 1 << 300)
+    some = matrix.split_primes(s.conductor, 1 << 100)
+    s.residues(many._replace(ev=many.ev[:, :1]))
+    assert np.array_equal(s.residues(some), matrix.evaluate(s.num, some))
 
 
 @pytest.mark.parametrize("make", [m for _, m in CACHE_DATA], ids=[i for i, _ in CACHE_DATA])
