@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -255,15 +255,31 @@ def add(num_a, den_a: int, num_b, den_b: int):
     return normalize([x * fa + y * fb for x, y in zip(num_a, num_b)], den_a * fa)
 
 
-def mul(num_a, den_a: int, num_b, den_b: int, n: int):
-    phi = len(num_a)
-    conv = [0] * (2 * phi - 1)
-    terms_b = [(j, bj) for j, bj in enumerate(num_b) if bj]
-    for i, ai in enumerate(num_a):
+def ring_mul(a, b, n: int, mod: Optional[int] = None) -> list[int]:
+    """a * b modulo Phi_n, a and b coordinate lists: their convolution, zero
+    terms skipped, then :func:`reduce`; taken modulo ``mod`` when given."""
+    conv = [0] * (len(a) + len(b) - 1)
+    terms_b = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
         if ai:
             for j, bj in terms_b:
                 conv[i + j] += ai * bj
-    return normalize(reduce(conv, n), den_a * den_b)
+    out = reduce(conv, n)
+    return out if mod is None else [v % mod for v in out]
+
+
+def ring_pow(a, e: int, n: int, mod: Optional[int] = None) -> list[int]:
+    """a^e modulo Phi_n (e >= 0) by square and multiply; modulo ``mod`` when given."""
+    out = [1] + [0] * (len(a) - 1)
+    for bit in bin(e)[2:]:
+        out = ring_mul(out, out, n, mod)
+        if bit == "1":
+            out = ring_mul(out, a, n, mod)
+    return out
+
+
+def mul(num_a, den_a: int, num_b, den_b: int, n: int):
+    return normalize(ring_mul(num_a, num_b, n), den_a * den_b)
 
 
 def scale(num, den: int, p: int, q: int):

@@ -173,11 +173,11 @@ def check_sl2_relations(w: World) -> list[CheckResult]:
     so S T is S with its columns scaled by the row theta^-1."""
     def st_cubed():
         st = w.s * w.theta_inv
-        return _compare(st @ st @ st, w.s_squared().scale(w.tau_minus),
+        return _compare(st @ st @ st, w.s_squared.scale(w.tau_minus),
                         "(S T)^3 = tau_minus * S^2")
 
     def s_fourth():
-        return _compare(w.s_squared() @ w.s_squared(), CycMatrix.identity(w.size, w.d_u * w.d_u),
+        return _compare(w.s_squared @ w.s_squared, CycMatrix.identity(w.size, w.d_u * w.d_u),
                         "S^4 = (D u)^2 Id")
 
     def st_inv_cubed():
@@ -213,7 +213,7 @@ def check_vafa(w: World) -> list[CheckResult]:
         return True, "", None
 
     def anomaly_ru():
-        xi_sq = w.anomaly_squared()
+        xi_sq = w.anomaly_squared
         wit = is_root_of_unity(xi_sq)
         if wit is None:
             return False, "", {"anomaly_squared": xi_sq}

@@ -150,6 +150,7 @@ def cmd_fusion(args) -> int:
     then compares it with :func:`oracle_tensor`, as ``oracle_equivalence`` does."""
     try:
         inst, raw = _load_source(args.source)
+        oracle = inst.fusion_oracle if inst is not None else None
     except (FamilySpecError, OSError, io.FormatError) as exc:
         return _fail_usage(str(exc))
     labels = list(raw.labels)
@@ -158,7 +159,6 @@ def cmd_fusion(args) -> int:
     except ValueError:
         bad = args.x if args.x.strip() not in labels else args.y
         return _fail_usage(f"unknown label {bad!r} (labels: {', '.join(labels)})")
-    oracle = inst.fusion_oracle if inst is not None else None
     if oracle is None and args.compare:
         return _fail_usage("no independent fusion oracle for this source")
     if oracle is not None and not args.compare:

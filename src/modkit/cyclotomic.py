@@ -206,17 +206,10 @@ class CycNum:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        base = self
         if e < 0:
-            base = self.inv()
-            e = -e
-        out = CycNum.from_rational(1, base.conductor)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+            return self.inv() ** -e
+        n = self.conductor
+        return CycNum._make(n, *_K.normalize(_K.ring_pow(self.num, e, n), self.den ** e))
 
     # ---------- Galois action ----------
 
@@ -410,27 +403,6 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
 _SPREAD = (1 << 61) - 1
 
 
-def _ring_mul(a: list[int], b: list[int], n: int, mod: Optional[int] = None) -> list[int]:
-    """a * b modulo Phi_n, with the coordinates taken modulo ``mod`` when it
-    is given."""
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] += ai * bj
-    out = _K.reduce(conv, n)
-    return out if mod is None else [v % mod for v in out]
-
-
-def _ring_pow(a: list[int], e: int, n: int, p: int) -> list[int]:
-    out = [1] + [0] * (len(a) - 1)
-    for bit in bin(e)[2:]:
-        out = _ring_mul(out, out, n, p)
-        if bit == "1":
-            out = _ring_mul(out, a, n, p)
-    return out
-
-
 def _elements(phi: int, p: int) -> Iterator[list[int]]:
     """Every element of F_p[x] / Phi_n, phi = deg Phi_n, in one fixed order:
     k M mod p^phi for k = 0, 1, 2, ..., written in base p, lowest digit
@@ -472,14 +444,14 @@ def _cipolla(u: list[int], n: int, p: int, q: int) -> list[int]:
     every field at once)."""
     one = [1] + [0] * (len(u) - 1)
     for b in _elements(len(u), p):
-        d = [(s - t) % p for s, t in zip(_ring_mul(b, b, n, p), u)]
-        if _ring_pow(d, (q - 1) // 2, n, p) == [p - 1] + one[1:]:
+        d = [(s - t) % p for s, t in zip(_K.ring_mul(b, b, n, p), u)]
+        if _K.ring_pow(d, (q - 1) // 2, n, p) == [p - 1] + one[1:]:
             break
 
     def mul(x, y):   # (r + s w)(t + v w) = r t + s v d + (r v + s t) w
         (r, s), (t, v) = x, y
-        rt, sv, rv, st = (_ring_mul(f, g, n, p) for f, g in ((r, t), (s, v), (r, v), (s, t)))
-        return ([(f + g) % p for f, g in zip(rt, _ring_mul(sv, d, n, p))],
+        rt, sv, rv, st = (_K.ring_mul(f, g, n, p) for f, g in ((r, t), (s, v), (r, v), (s, t)))
+        return ([(f + g) % p for f, g in zip(rt, _K.ring_mul(sv, d, n, p))],
                 [(f + g) % p for f, g in zip(rv, st)])
 
     out = (one, [0] * len(u))
@@ -500,9 +472,9 @@ def _sign_patterns(n: int, p: int, q: int, g: int) -> list[list[int]]:
     for a in _elements(len(one), p):
         if len(signs) == 1 << (g - 1):
             return signs
-        s = _ring_pow(a, (q - 1) // 2, n, p)
-        if _ring_mul(s, s, n, p) == one and s not in signs and [-v % p for v in s] not in signs:
-            signs += [_ring_mul(s, t, n, p) for t in signs]
+        s = _K.ring_pow(a, (q - 1) // 2, n, p)
+        if _K.ring_mul(s, s, n, p) == one and s not in signs and [-v % p for v in s] not in signs:
+            signs += [_K.ring_mul(s, t, n, p) for t in signs]
 
 
 def _newton_root(a: list[int], z: list[int], n: int, p: int, bound: int) -> list[int]:
@@ -512,11 +484,11 @@ def _newton_root(a: list[int], z: list[int], n: int, p: int, bound: int) -> list
     mod = p
     while mod <= 2 * bound:
         mod *= mod
-        e = _ring_mul(a, _ring_mul(z, z, n, mod), n, mod)
+        e = _K.ring_mul(a, _K.ring_mul(z, z, n, mod), n, mod)
         e[0] -= 1
         half = (mod + 1) // 2
-        z = [(v - half * t) % mod for v, t in zip(z, _ring_mul(z, e, n, mod))]
-    return [v - mod if 2 * v > mod else v for v in _ring_mul(a, z, n, mod)]
+        z = [(v - half * t) % mod for v, t in zip(z, _K.ring_mul(z, e, n, mod))]
+    return [v - mod if 2 * v > mod else v for v in _K.ring_mul(a, z, n, mod)]
 
 
 def _sqrt_at_conductor(x: CycNum) -> Optional[CycNum]:
@@ -547,16 +519,16 @@ def _sqrt_at_conductor(x: CycNum) -> Optional[CycNum]:
     lam = _carmichael(n)
     for p in _full_order_primes(n, lam):
         q = p ** lam
-        euler = _ring_pow(a, (q - 1) // 2, n, p)
+        euler = _K.ring_pow(a, (q - 1) // 2, n, p)
         if euler == one:
             break
-        if _ring_mul(euler, euler, n, p) == one:
+        if _K.ring_mul(euler, euler, n, p) == one:
             return None   # A is a non-square modulo one factor of Phi_n
     bound = len(a) * (math.isqrt(sum(map(abs, a)) - 1) + 1) * _K.max_row(n)
-    z = _cipolla(_ring_pow(a, q - 2, n, p), n, p, q)   # a root of 1 / A in R
+    z = _cipolla(_K.ring_pow(a, q - 2, n, p), n, p, q)   # a root of 1 / A in R
     for s in _sign_patterns(n, p, q, len(a) // lam):
-        y = _newton_root(a, _ring_mul(z, s, n, p), n, p, bound)
-        if _ring_mul(y, y, n) == a:
+        y = _newton_root(a, _K.ring_mul(z, s, n, p), n, p, bound)
+        if _K.ring_mul(y, y, n) == a:
             return CycNum._make(n, *_K.normalize(y, x.den))
     return None
 

@@ -30,7 +30,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cyclotomic import CycNum
-from .matrix import CycMatrix, SignedPermutation, match_lines, max_abs, with_bound
+from .matrix import (CycMatrix, SignedPermutation, match_lines, max_abs, signed_permutation,
+                     with_bound)
 
 KIND_FULL = "raw-full"
 KIND_BOLD = "raw-bold"
@@ -380,42 +381,36 @@ class World:
         self.d_u = self.global_dim * self.dim_unit_bar
         if self.d_u.is_zero():
             raise ZeroGlobalDimensionError("D * dim_r(unit_bar) = 0")
-        self.d_u_inv = self.d_u.inv()   # scales S^2 to E, and the Verlinde sum
+        self.d_u_inv = self.d_u.inv()   # scales the Verlinde sum
         self.theta_inv = self.theta.inverse()
         self.tau_plus = (self.sqnorm * self.theta).total()
         self.tau_minus = (self.sqnorm * self.theta_inv).total()
-        self._s2 = None
-        self._e = None
-        self._xi_sq = None
 
+    @cached_property
     def s_squared(self) -> CycMatrix:
-        """S^2, computed once."""
-        if self._s2 is None:
-            self._s2 = self.s @ self.s
-        return self._s2
+        """S^2."""
+        return self.s @ self.s
 
+    @cached_property
     def anomaly_squared(self) -> CycNum:
         """xi^2 = tau_plus^2 u / D, or tau_plus^2 u^2 / D off the nondegenerate
-        regime (u = dim_r(unit_bar)), computed once."""
-        if self._xi_sq is None:
-            u = self.dim_unit_bar
-            xi_sq = self.tau_plus * self.tau_plus * u
-            if not self.nondegenerate:
-                xi_sq = xi_sq * u
-            self._xi_sq = xi_sq / self.global_dim
-        return self._xi_sq
-
-    def e_matrix(self) -> CycMatrix:
-        """S^2 / (D * dim_r(unit_bar)); a signed permutation on valid input."""
-        if self._e is None:
-            self._e = self.s_squared().scale(self.d_u_inv)
-        return self._e
+        regime (u = dim_r(unit_bar))."""
+        u = self.dim_unit_bar
+        xi_sq = self.tau_plus * self.tau_plus * u
+        if not self.nondegenerate:
+            xi_sq = xi_sq * u
+        return xi_sq / self.global_dim
 
     @cached_property
     def e_signed_permutation(self) -> Optional[SignedPermutation]:
-        """:meth:`e_matrix` as a signed permutation, or None when it is not
-        one; decided once."""
-        return self.e_matrix().is_signed_permutation()
+        """E = S^2 / (D u) as a signed permutation, or None when it is not
+        one, decided once and read off S^2 itself: over one denominator with
+        D u, each entry of S^2 must be D u, -D u or 0."""
+        s2, d_u, _, _ = self.s_squared._aligned(CycMatrix.identity(1, self.d_u))
+        plus, minus = (s2 == d_u).all(axis=0), (s2 == -d_u).all(axis=0)
+        if (s2.any(axis=0) & ~plus & ~minus).any():
+            return None
+        return signed_permutation(plus.astype(np.int64) - minus)
 
 
 # ---------------------------------------------------------------------------

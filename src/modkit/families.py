@@ -19,6 +19,7 @@ Three sources of data:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -26,6 +27,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import matrix
 from .cyclotomic import CycNum, root_of_unity
 from .datum import KIND_BOLD, KIND_FULL, RawDatum
 from .fusion import FusionTensor
@@ -34,6 +36,16 @@ from .matrix import CycMatrix, root_slices
 
 class FamilySpecError(ValueError):
     """A family spec string could not be parsed or has invalid parameters."""
+
+
+def _within_budget(what: str, shape: tuple[int, ...]) -> None:
+    """Refuse ``what`` before it is built when its largest array, int64 of
+    ``shape``, would pass ``matrix.TABLE_BYTES``: the (conductor, k, k) root
+    slices of a datum's S-matrix, or the (k, k, k) tensor of an oracle."""
+    size = 8 * math.prod(shape)
+    if size > matrix.TABLE_BYTES:
+        raise FamilySpecError(f"{what} needs an int64 array of shape {shape}, {size:,} bytes, "
+                              f"past the budget of {matrix.TABLE_BYTES:,} bytes")
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,7 @@ def pointed_cyclic(n: int, a: int = 1, k0: int = 0) -> RawDatum:
     xi^k zeta^(k^2), dim_r(delta_k) = xi^k, duality k -> -k."""
     if n < 3 or n % 2 == 0:
         raise FamilySpecError(f"the pointed family needs an odd n >= 3, got {n}")
+    _within_budget(f"pointed:n={n}", (n, n, n))
     twists = tuple(root_of_unity(n, a * (k0 * k + k * k)) for k in range(n))
     k, l = np.ogrid[:n, :n]
     s = CycMatrix.from_slices(n, root_slices(n, a * (k0 * (k + l) + 2 * k * l)), 1)
@@ -74,10 +87,10 @@ def pointed_cyclic(n: int, a: int = 1, k0: int = 0) -> RawDatum:
 
 def pointed_fusion_tensor(n: int) -> FusionTensor:
     """The group law of Z/nZ as a fusion tensor."""
+    _within_budget(f"the fusion oracle of pointed:n={n}", (n, n, n))
     t = np.zeros((n, n, n), dtype=np.int64)
-    for k in range(n):
-        for l in range(n):
-            t[k, l, (k + l) % n] = 1
+    k, l = np.ogrid[:n, :n]
+    t[k, l, (k + l) % n] = 1
     return FusionTensor(tuple(f"d{k}" for k in range(n)), t, 0,
                         tuple((-k) % n for k in range(n)))
 
@@ -143,6 +156,7 @@ def taft_double(d: int) -> RawDatum:
     """
     if d < 2:
         raise FamilySpecError(f"the Taft family needs d >= 2, got {d}")
+    _within_budget(f"taft:d={d}", (d, d * (d - 1), d * (d - 1)))
     z = root_of_unity(d)
     pref = z / (CycNum.from_rational(1) - z)
     labels = taft_labels(d)
@@ -197,13 +211,19 @@ def taft_fusion(d: int, x: TaftLabel, y: TaftLabel) -> Counter:
 
 
 def taft_fusion_tensor(d: int) -> FusionTensor:
+    """:func:`taft_fusion` on every pair: M_{l,p} (x) M_{l',p'} = M_{l,0} (x)
+    M_{l',p+p'}, so ``rows[l, l', q]`` is the row of each pair with p + p' = q."""
     labels = taft_labels(d)
     n = len(labels)
-    t = np.zeros((n, n, n), dtype=np.int64)
-    for i, x in enumerate(labels):
-        for j, y in enumerate(labels):
-            for lab, m in taft_fusion(d, x, y).items():
-                t[i, j, taft_label_index(d, lab)] = m
+    _within_budget(f"the fusion oracle of taft:d={d}", (n, n, n))
+    rows = np.zeros((d, d, d, n), dtype=np.int64)
+    for l in range(1, d):
+        for lp in range(1, d):
+            for q in range(d):
+                for lab, m in _mul_l0(d, l, lp, q):
+                    rows[l, lp, q, taft_label_index(d, TaftLabel(*lab))] = m
+    l, p = np.array(labels).T
+    t = rows[l[:, None], l, (p[:, None] + p) % d]
     duality = tuple(taft_label_index(d, taft_dual(d, x)) for x in labels)
     return FusionTensor(tuple(str(x) for x in labels), t, 0, duality)
 

@@ -178,17 +178,18 @@ def _split_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 def _split_stack(n: int) -> list[np.ndarray]:
     """``[primes, ev, iv]``: the split primes of conductor n whose tables are
     built so far, largest first, with their evaluation and interpolation
-    matrices stacked.  Only :func:`split_primes` reads and extends it."""
+    matrices stacked in float64, exact for their values below 2^21.  Only
+    :func:`split_primes` reads and extends it."""
     phi = _K.euler_phi(n)
-    return [np.zeros(0, np.int64), *np.zeros((2, 0, phi, phi), np.int64)]
+    return [np.zeros(0, np.int64), *np.zeros((2, 0, phi, phi), np.float64)]
 
 
 class SplitPrimes(NamedTuple):
     """Primes p = 1 (mod n) below PRIME_LIMIT, and for each the evaluation of
     the power basis at the phi roots of Phi_n modulo p, and its inverse."""
     primes: np.ndarray   # (k,) int64
-    ev: np.ndarray       # (k, r, phi): ev[t, i, j] = (i-th root mod primes[t]) ** j
-    iv: np.ndarray       # (k, phi, phi): the inverse of ev[t] (all phi roots) modulo primes[t]
+    ev: np.ndarray       # (k, r, phi) float64: ev[t, i, j] = (i-th root mod primes[t]) ** j
+    iv: np.ndarray       # (k, phi, phi) float64: ev[t] (all phi roots) inverted mod primes[t]
     modulus: int         # the product of the primes
 
     def mod(self, x: np.ndarray) -> np.ndarray:
@@ -221,11 +222,11 @@ def split_primes(n: int, bound: int) -> SplitPrimes:
         k += 1
     built, phi = len(stack[0]), stack[1].shape[1]
     if k > built:
-        size = 16 * phi * phi * k   # ev and iv, int64 each
+        size = 16 * phi * phi * k   # ev and iv, float64 each
         if size > TABLE_BYTES:
             raise OverflowError(f"conductor {n} needs {k} split primes, whose tables would take "
                                 f"{size:,} bytes, past the budget of {TABLE_BYTES:,} bytes")
-        tables = np.empty((2, k, phi, phi), np.int64)   # ev, then iv
+        tables = np.empty((2, k, phi, phi), np.float64)   # ev, then iv
         tables[0, :built], tables[1, :built] = stack[1:]
         for t in range(built, k):
             tables[:, t] = _split_tables(n, primes[t])
@@ -237,13 +238,13 @@ def split_primes(n: int, bound: int) -> SplitPrimes:
 
 
 def residue_matmul(x: np.ndarray, y: np.ndarray, sp: SplitPrimes) -> np.ndarray:
-    """``x @ y`` modulo the prime of the leading index, for int64 values of
-    magnitude below PRIME_LIMIT (residues, or signed in ``y``).  The
-    contraction runs as one float64 matmul per block of at most _TERMS
-    products: every partial sum is an integer of magnitude below 2^53, so
-    each block is exact whatever order BLAS sums it in, and is reduced in
-    int64."""
-    xf, yf = x.astype(np.float64), y.astype(np.float64)
+    """``x @ y`` modulo the prime of the leading index, for integers (int64,
+    or float64 like the split tables) of magnitude below PRIME_LIMIT
+    (residues, or signed in ``y``).  The contraction runs as one float64
+    matmul per block of at most _TERMS products: every partial sum is an
+    integer of magnitude below 2^53, so each block is exact whatever order
+    BLAS sums it in, and is reduced in int64."""
+    xf, yf = x.astype(np.float64, copy=False), y.astype(np.float64, copy=False)
     out = sp.mod(np.matmul(xf[..., :_TERMS], yf[..., :_TERMS, :]).astype(np.int64))
     for s in range(_TERMS, x.shape[-1], _TERMS):
         block = np.matmul(xf[..., s:s + _TERMS], yf[..., s:s + _TERMS, :]).astype(np.int64)
@@ -607,10 +608,3 @@ class CycMatrix:
         if math.gcd(j, n) != 1:
             raise ValueError(f"galois exponent {j} is not coprime to the conductor {n}")
         return self._substitute(n, j % n)
-
-    def is_signed_permutation(self) -> Optional[SignedPermutation]:
-        """Witness when every row and column has a single nonzero entry, +-1
-        (the slices are in lowest terms, so such a matrix has den 1)."""
-        if self.den != 1 or self.num[1:].any():
-            return None
-        return signed_permutation(self.num[0])

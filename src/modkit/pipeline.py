@@ -268,7 +268,7 @@ def emit_zmodular(source: Union[SlightlyDegenerateData, World]) -> EmitResult:
 def gauss_normalizer(world: World) -> Optional[CycNum]:
     """c with c^2 = D u (u = dim_r(unit_bar)), written down from the Gauss sum.
 
-    On a valid datum xi^2 = :meth:`World.anomaly_squared` is a root of unity
+    On a valid datum xi^2 = :attr:`World.anomaly_squared` is a root of unity
     (the check ``vafa_anomaly``; Bakalov & Kirillov, Lectures on Tensor
     Categories and Modular Functors, 3.1: p_+ p_- = D and p_+ / sqrt(D) is a
     root of unity), so xi is explicit.  Then c = tau_plus u / xi, times
@@ -277,7 +277,7 @@ def gauss_normalizer(world: World) -> Optional[CycNum]:
     None when xi^2 or u is not a root of unity.
     """
     scale = world.d_u
-    xi = root_of_unity_sqrt(world.anomaly_squared())
+    xi = root_of_unity_sqrt(world.anomaly_squared)
     if xi is None:
         return None
     c = world.tau_plus * world.dim_unit_bar * xi.conj()   # 1/xi = conj(xi)

@@ -1,5 +1,8 @@
 import math
 import random
+from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,8 @@ from hypothesis import strategies as st
 import per_entry
 from conftest import POINTED_GRID, galois_conjugate, relabel
 from modkit.cyclotomic import CycNum, zeta
-from modkit.datum import (KIND_BOLD, DegeneracyError, RawDatum, bar_involution, derive_duality,
-                          detect_symmetric_center, dims_of, epsilon_action,
+from modkit.datum import (KIND_BOLD, DegeneracyError, RawDatum, World, bar_involution,
+                          derive_duality, detect_symmetric_center, dims_of, epsilon_action,
                           reduce_slightly_degenerate, signed_positions, tensor_by_invertible,
                           with_duality)
 from modkit.families import (TaftLabel, pointed_cyclic, sl2_q16_counterexample,
@@ -205,8 +208,76 @@ def test_reduce_taft_with_closed_form_reps():
     sld = reduce_slightly_degenerate(taft_double(d), reps=taft_J_indices(d))
     assert [str(x) for x in taft_J(d)] == list(sld.world.raw.labels)
     assert sld.parent.labels[sld.epsilon] == "(2,1)"
-    assert sld.world.e_matrix().is_signed_permutation() is not None
+    assert sld.world.e_signed_permutation is not None
     assert sld.world.bar == bar_involution(sld.world.raw)[0]
+
+
+def per_entry_e(s2, d_u):
+    """E = S^2 / (D u) read one quotient at a time, as
+    :func:`per_entry.signed_permutation` reads it: a quotient 0, 1 or -1
+    stays, any other value becomes 2."""
+    k = s2.rows
+    e = np.full((k, k), 2, dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            q = s2[i, j] / d_u
+            e[i, j] = next((v for v in (0, 1, -1) if q == v), 2)
+    return per_entry.signed_permutation(e)
+
+
+def test_e_is_the_per_entry_reading_on_every_fixture_world(taft_verified, pointed_verified):
+    worlds = [t.result.world for t in taft_verified.values()]
+    worlds += [r.world for r in pointed_verified.values()]
+    worlds.append(World(sl2_q16_counterexample()[1]))
+    signs = set()
+    for w in worlds:
+        want = per_entry_e(w.s_squared, w.d_u)
+        assert w.e_signed_permutation == want, w.labels
+        signs.update(want[1])
+    assert signs == {1, -1}
+
+
+def crafted_s_squared(w):
+    """S^2 of the world ``w`` with one defect each, and with none but written
+    otherwise: ``(name, s2, d_u, is_signed_permutation)``."""
+    s2, d_u, k, n = w.s_squared, w.d_u, w.size, w.s_squared.conductor
+    j = w.e_signed_permutation.perm[0]   # the nonzero entry of row 0
+    z = next(c for c in range(k) if c != j)   # a zero entry of row 0
+    entries = [list(s2.row(i)) for i in range(k)]
+
+    def changed(*edits):
+        rows = [list(r) for r in entries]
+        for i, c, v in edits:
+            rows[i][c] = v
+        return CycMatrix.from_rows(rows)
+
+    zero = CycNum.from_rational(0)
+    return [
+        ("twice", changed((0, z, d_u + d_u)), d_u, False),
+        ("one coordinate", changed((0, j, entries[0][j] + zeta(n))), d_u, False),
+        ("moved", changed((0, j, zero), (0, z, entries[0][j])), d_u, False),
+        ("zero row", changed(*((0, c, zero) for c in range(k))), d_u, False),
+        ("negated row", changed(*((0, c, -entries[0][c]) for c in range(k))), d_u, True),
+        ("lifted", s2.lift(3 * n), d_u, True),
+        ("lifted D u", s2, d_u.lift(5 * d_u.conductor), True),
+        ("denominator", s2.scale(Fraction(1, 6)), d_u / 6, True),
+    ]
+
+
+@pytest.mark.parametrize("make", [lambda: reduce_slightly_degenerate(taft_double(4)).world,
+                                  lambda: World(pointed_cyclic(7, 2, 1))],
+                         ids=["taft4", "pointed7,2,1"])
+def test_e_is_the_per_entry_reading_on_crafted_squares(make):
+    # s_squared is a cached_property: setting it in the instance dict is what
+    # the World reads
+    base = make()
+    for name, s2, d_u, valid in crafted_s_squared(base):
+        w = World(base.raw)
+        w.__dict__["s_squared"] = s2
+        w.d_u = d_u
+        want = per_entry_e(s2, d_u)
+        assert (want is not None) == valid, name
+        assert w.e_signed_permutation == want, name
 
 
 def test_reduce_canonical_reps_contain_unit():

@@ -238,6 +238,31 @@ def test_from_spec_errors():
             from_spec(bad)
 
 
+@pytest.mark.parametrize("d", range(2, 8))
+def test_taft_oracle_tensor_is_taft_fusion_on_every_pair(d):
+    from modkit.families import taft_fusion, taft_fusion_tensor
+
+    labels = taft_labels(d)
+    table = taft_fusion_tensor(d).table
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
+            want = np.zeros(len(labels), dtype=np.int64)
+            for lab, m in taft_fusion(d, x, y).items():
+                want[taft_label_index(d, lab)] = m
+            assert np.array_equal(table[i, j], want), (x, y)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_pointed_oracle_tensor_is_the_group_law(n):
+    from modkit.families import pointed_fusion_tensor
+
+    want = np.zeros((n, n, n), dtype=np.int64)
+    for k in range(n):
+        for l in range(n):
+            want[k, l, (k + l) % n] = 1
+    assert np.array_equal(pointed_fusion_tensor(n).table, want)
+
+
 def test_family_oracle_is_built_on_first_read_only(monkeypatch, tmp_path):
     import modkit.families as families
     from modkit import cli

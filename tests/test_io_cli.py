@@ -307,6 +307,39 @@ def test_cli_generate_refuses_an_unknown_spec_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [["generate", "taft:d=1000", "x.json"],
+                                  ["generate", "taft:d=43", "x.json"],
+                                  ["generate", "pointed:n=513", "x.json"],
+                                  ["fusion", "pointed:n=5001", "d1", "d2"]])
+def test_cli_refuses_a_family_past_the_array_budget(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "budget" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_the_family_budget_admits_the_largest_array_at_the_budget(tmp_path, capsys, monkeypatch):
+    # the largest array of taft:d=4 is its (4, 12, 12) root slices, of its
+    # oracle the (12, 12, 12) tensor; of pointed:n=7 both are (7, 7, 7)
+    from modkit import matrix
+
+    out = str(tmp_path / "x.json")
+    monkeypatch.setattr(matrix, "TABLE_BYTES", 8 * 4 * 12 * 12)
+    assert run_cli(["generate", "taft:d=4", out]) == 0
+    assert run_cli(["generate", "taft:d=5", out]) == 2
+    assert run_cli(["fusion", "taft:d=4", "(1,0)", "(2,1)"]) == 2
+    monkeypatch.setattr(matrix, "TABLE_BYTES", 8 * 12 ** 3)
+    assert run_cli(["fusion", "taft:d=4", "(1,0)", "(2,1)"]) == 0
+    monkeypatch.setattr(matrix, "TABLE_BYTES", 8 * 7 ** 3)
+    assert run_cli(["fusion", "pointed:n=7", "d1", "d2"]) == 0
+    assert run_cli(["generate", "pointed:n=9", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error:") for line in err)
+    assert "taft:d=5" in err[0] and "fusion oracle of taft:d=4" in err[1]
+    assert "pointed:n=9" in err[2]
+
+
 def test_cli_generate_refuses_a_repeated_spec_key(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run_cli(["generate", "taft:d=3,d=5", str(out)]) == 2

@@ -302,6 +302,24 @@ def assert_split_tables(n, sp):
         assert (ident == np.eye(phi)).all()
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 12, 15])
+def test_ring_pow_is_repeated_ring_mul_and_commutes_with_the_modulus(n):
+    rng = random.Random(n)
+    phi = kernel.euler_phi(n)
+    for _ in range(4):
+        a = [rng.randint(-9, 9) for _ in range(phi)]
+        x = per_entry.from_coeffs(n, [Fraction(v, rng.choice((1, 2, 6))) for v in a])
+        power, xe = [1] + [0] * (phi - 1), CycNum.from_rational(1, n)
+        for e in range(8):
+            assert kernel.ring_pow(a, e, n) == power
+            assert x ** e == xe
+            for p in (7, 101):
+                assert kernel.ring_pow(a, e, n, p) == [v % p for v in power]
+                assert kernel.ring_mul(a, power, n, p) == \
+                    [v % p for v in kernel.ring_mul(a, power, n)]
+            power, xe = kernel.ring_mul(power, a, n), xe * x
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 76, 84])
 def test_split_tables_evaluate_at_the_roots_of_the_cyclotomic_polynomial(n):
     sp = split_primes(n, 1 << 120)
@@ -328,7 +346,7 @@ def test_split_tables_equal_the_reduced_inverse_dft(ns):
         for p, ev, iv in zip(sp.primes.tolist(), sp.ev, sp.iv):
             want_ev, want_iv = per_entry.split_tables(n, p)
             assert np.array_equal(ev, want_ev) and np.array_equal(iv, want_iv), (n, p)
-            assert iv.dtype == np.int64
+            assert iv.dtype == np.float64
 
 
 def test_prime_test_agrees_with_a_sieve():

@@ -151,14 +151,12 @@ def test_rank_of_full_taft_matrix():
 
 
 def test_signed_permutation_witnesses():
-    ident = CycMatrix.identity(3)
-    sp = ident.is_signed_permutation()
+    sp = matrix.signed_permutation(np.eye(3, dtype=np.int64))
     assert sp.perm == (0, 1, 2) and sp.signs == (1, 1, 1)
-    swap = CycMatrix.from_rows([[0, -1], [1, 0]])
-    sp = swap.is_signed_permutation()
+    sp = matrix.signed_permutation(np.array([[0, -1], [1, 0]]))
     assert sp.perm == (1, 0) and sp.signs == (-1, 1)
-    assert CycMatrix.from_rows([[1, 1], [0, 1]]).is_signed_permutation() is None
-    assert CycMatrix.from_rows([[2, 0], [0, 1]]).is_signed_permutation() is None
+    assert matrix.signed_permutation(np.array([[1, 1], [0, 1]])) is None
+    assert matrix.signed_permutation(np.array([[2, 0], [0, 1]])) is None
 
 
 def random_lines(rng, dtype, big):
@@ -224,13 +222,7 @@ def test_signed_permutation_equals_the_per_entry_reading(dtype):
     rng = random.Random(11)
     for n in (1, 2, 3, 5, 8) * 4:
         for m in signed_permutation_cases(rng, n, dtype):
-            want = per_entry.signed_permutation(m)
-            assert matrix.signed_permutation(m) == want
-            if dtype == np.int64:
-                # 2m / 2 is m in lowest terms; m / 2 has entries +-1/2
-                assert CycMatrix.from_slices(1, 2 * m[None], 2).is_signed_permutation() == want
-                if want is not None:
-                    assert CycMatrix.from_slices(1, m[None], 2).is_signed_permutation() is None
+            assert matrix.signed_permutation(m) == per_entry.signed_permutation(m)
 
 
 def test_signed_permutation_implies_unitary():
@@ -242,7 +234,7 @@ def test_signed_permutation_implies_unitary():
     for i, j in enumerate(perm):
         entries[i * n + j] = rng.choice((1, -1))
     m = CycMatrix(n, n, entries)
-    assert m.is_signed_permutation() is not None
+    assert m.den == 1 and matrix.signed_permutation(m.num[0]) is not None
     assert m @ m.conj_transpose() == CycMatrix.identity(n)
 
 
@@ -254,7 +246,8 @@ def test_taft_bold_square_is_scaled_signed_permutation():
     s = CycMatrix(3, 3, [full.s_matrix[i, j] for i in reps for j in reps])
     c = taft_normalizer(d)
     e = (s @ s).scale((c * c).inv())
-    sp = e.is_signed_permutation()
+    assert e.den == 1 and not e.num[1:].any()
+    sp = matrix.signed_permutation(e.num[0])
     assert sp is not None
     assert sorted(sp.perm) == [0, 1, 2]
 

@@ -13,6 +13,7 @@ import pytest
 from conftest import (POINTED_GRID, bad_taft3_oracles, galois_conjugate, relabel,
                       zero_global_dimension)
 import modkit.checks as checks_mod
+import modkit.datum as datum_mod
 import modkit.pipeline as pipeline_mod
 from modkit import io
 from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
@@ -464,20 +465,26 @@ def test_an_entry_is_timed_with_the_work_that_decides_it(monkeypatch, target, en
                          ids=["taft5", "pointed9,2,1"])
 def test_s_squared_is_certified_a_signed_permutation_once_per_world(monkeypatch, raw, emit):
     # the reduction, sl2_s_squared_signed_perm and the Verlinde operands all
-    # read one decision of the World
-    calls = []
-    is_signed_permutation = CycMatrix.is_signed_permutation
+    # read one decision of the World: S^2 is read as a signed permutation
+    # once for each World built
+    calls, worlds = [], []
+    read, init = datum_mod.signed_permutation, World.__init__
 
-    def counting(self):
+    def counting(m):
         calls.append(None)
-        return is_signed_permutation(self)
+        return read(m)
 
-    monkeypatch.setattr(CycMatrix, "is_signed_permutation", counting)
+    def counting_init(self, *args):
+        worlds.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(datum_mod, "signed_permutation", counting)
+    monkeypatch.setattr(World, "__init__", counting_init)
     res = verify_raw(raw)
     assert res.passed and res.report["sl2_s_squared_signed_perm"].status == "pass"
     if emit:
         assert emit_zmodular(res.sldeg).datum is not None
-    assert len(calls) == 1
+    assert len(calls) == len(worlds) == 1
 
 
 def without_duality(raw):
