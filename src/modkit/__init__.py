@@ -7,12 +7,12 @@ from .cyclotomic import (CycNum, is_root_of_unity, is_totally_positive, root_of_
                          sqrt_in_field, zeta)
 from .datum import (DegeneracyError, ModularDatum, RawDatum, SlightlyDegenerateData,
                     World, bar_involution, detect_symmetric_center, dims_of,
-                    epsilon_action, reduce_slightly_degenerate)
+                    epsilon_action)
 from .fusion import FusionTensor, quotient_constants
 from .checks import (VerificationReport, check_axioms, check_balancing, check_gauss_product,
                      check_raw_unitarity, check_sl2_relations, check_twist_laws, check_vafa)
 from .matrix import CycMatrix
-from .pipeline import emit_zmodular, verify_normalized, verify_raw
+from .pipeline import emit_zmodular, reduce_slightly_degenerate, verify_normalized, verify_raw
 from .verlinde import verlinde_fusion, verlinde_raw
 from .kernel import BACKEND as kernel_backend
 

@@ -18,11 +18,10 @@ from typing import Optional
 
 from . import io
 from .checks import FAIL, PASS, SKIPPED
-from .datum import (KIND_FULL, DegeneracyError, ModularDatum, RawDatum,
-                    reduce_slightly_degenerate)
+from .datum import KIND_FULL, DegeneracyError, ModularDatum, RawDatum
 from .families import FamilySpecError, FamilyInstance, from_spec
-from .pipeline import (PipelineResult, emit_zmodular, oracle_tensor, resolve_world,
-                       verify_normalized, verify_raw)
+from .pipeline import (PipelineResult, emit_zmodular, oracle_tensor, reduce_slightly_degenerate,
+                       resolve_world, verify_normalized, verify_raw)
 from .verlinde import verlinde_raw
 
 USAGE_ERROR = 2

@@ -226,12 +226,14 @@ class CharacterTable:
         """X -> eps (x) X: the label whose S-row is the negated S-row of X."""
         act = tuple(match_lines(self.s.num, -self.s.num))
         if None in act:
-            raise DegeneracyError(
-                f"no label with the negated S-row of {self.labels[act.index(None)]}")
-        _involution(act, "row negation does not define an involution")
-        fixed = [x for x in range(len(act)) if act[x] == x]
-        if fixed:
-            raise DegeneracyError(f"fermion action fixes {self.labels[fixed[0]]}")
+            x = act.index(None)
+            raise DegeneracyError(f"no label with the negated S-row of {self.labels[x]}",
+                                  {"at": x, "label": self.labels[x]})
+        _involution(act, "row negation does not define an involution", self.labels)
+        x = next((x for x in range(len(act)) if act[x] == x), None)
+        if x is not None:
+            raise DegeneracyError(f"fermion action fixes {self.labels[x]}",
+                                  {"at": x, "label": self.labels[x]})
         return act
 
 
@@ -239,13 +241,15 @@ def _distinct(raw: RawDatum, lines: np.ndarray) -> None:
     """Refuse two equal lines of slices: their labels have identical characters."""
     for x, y in enumerate(match_lines(lines, lines)):
         if y != x:
-            raise DegeneracyError(
-                f"labels {raw.labels[y]} and {raw.labels[x]} have identical characters")
+            raise DegeneracyError(f"labels {raw.labels[y]} and {raw.labels[x]} have identical "
+                                  "characters", {"labels": [raw.labels[y], raw.labels[x]]})
 
 
-def _involution(f: Sequence[int], message: str) -> None:
-    if any(f[f[x]] != x for x in range(len(f))):
-        raise DegeneracyError(message)
+def _involution(f: Sequence[int], message: str, labels: Sequence[str]) -> None:
+    """Refuse a map that is not an involution, at the first label it does not send back."""
+    x = next((x for x in range(len(f)) if f[f[x]] != x), None)
+    if x is not None:
+        raise DegeneracyError(message, {"at": x, "label": labels[x]})
 
 
 def detect_symmetric_center(raw: RawDatum) -> tuple[int, ...]:
@@ -267,16 +271,14 @@ def derive_duality(raw: RawDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if None in found:
         raise DegeneracyError(f"no dual found for label {raw.labels[found.index(None)]}")
     duality = tuple(y for y, _ in found)
-    _involution(duality, "derived duality is not an involution")
+    _involution(duality, "derived duality is not an involution", raw.labels)
     return duality, tuple(sign for _, sign in found)
 
 
 def with_duality(raw: RawDatum) -> RawDatum:
     """The same datum with duality data present (derived when missing).  The
     result shares the character table of ``raw``.  A supplied duality must
-    not contradict the one the characters define.  When none can be derived
-    for a full datum, a degenerate symmetric center decides: its repeated
-    characters are what stop the derivation."""
+    not contradict the one the characters define."""
     if raw.duality is not None:
         x = raw.characters.dual_mismatch
         if x is not None:
@@ -286,12 +288,7 @@ def with_duality(raw: RawDatum) -> RawDatum:
             return raw
         duality, signs = raw.duality, (1,) * raw.size
     else:
-        try:
-            duality, signs = derive_duality(raw)
-        except DegeneracyError:
-            if raw.kind == KIND_FULL and raw.unit in raw.characters.center:
-                require_center(raw)
-            raise
+        duality, signs = derive_duality(raw)
     out = RawDatum(raw.labels, raw.unit, raw.s_matrix, raw.twists, raw.kind, duality, signs)
     object.__setattr__(out, "characters", raw.characters)
     return out
@@ -324,8 +321,10 @@ def bar_involution(raw: RawDatum) -> tuple[tuple[int, ...], int]:
     signs = np.array(raw.duality_signs or (1,) * raw.size)
     bar = tuple(match_lines(c.num, c.num[:, :, list(raw.duality)] * signs))
     if None in bar:
-        raise DegeneracyError(f"no bar partner for label {raw.labels[bar.index(None)]}")
-    _involution(bar, "bar is not an involution")
+        x = bar.index(None)
+        raise DegeneracyError(f"no bar partner for label {raw.labels[x]}",
+                              {"at": x, "label": raw.labels[x]})
+    _involution(bar, "bar is not an involution", raw.labels)
     return bar, bar[raw.unit]
 
 
@@ -465,12 +464,12 @@ def require_center(raw: RawDatum) -> tuple[int, ...]:
     """The symmetric center, which must hold the unit and at most one more
     simple; more than two simples raise :class:`DegenerateCenterError`."""
     center = detect_symmetric_center(raw)
+    witness = {"labels": [raw.labels[i] for i in center]}
     if raw.unit not in center:
-        raise DegeneracyError("unit is not in the symmetric center")
+        raise DegeneracyError("unit is not in the symmetric center", witness)
     if len(center) > 2:
-        names = ", ".join(raw.labels[i] for i in center)
-        raise DegenerateCenterError(
-            f"{len(center)} simples in the symmetric center ({names}): degenerate")
+        raise DegenerateCenterError(f"{len(center)} simples in the symmetric center "
+                                    f"({', '.join(witness['labels'])}): degenerate", witness)
     return center
 
 
@@ -483,27 +482,9 @@ def require_fermion(raw: RawDatum, center: Sequence[int]) -> int:
         raise DegeneracyError(
             f"dim(eps) = {dim_eps}, twist(eps) = {t_eps}"
             + ("; the dim +1 / twist -1 regime does not satisfy the S/T relations"
-               if dim_eps == one and t_eps == -one else ""))
+               if dim_eps == one and t_eps == -one else ""),
+            {"at": eps, "label": raw.labels[eps], "dim": dim_eps, "twist": t_eps})
     return eps
-
-
-def reduce_slightly_degenerate(full: RawDatum,
-                               reps: Optional[Sequence[int]] = None) -> SlightlyDegenerateData:
-    """Restrict a slightly degenerate full datum to representatives.
-
-    Each hypothesis is decided by the function that decides it in
-    :func:`modkit.pipeline.verify_raw`, with its wording: the duality, the
-    center {unit, eps}, dim(eps) = -1 and twist(eps) = 1, the fermion action,
-    then :func:`reduce_to_reps`.
-    """
-    if full.kind != KIND_FULL:
-        raise DegeneracyError("reduction starts from a full datum")
-    full = with_duality(full)
-    center = require_center(full)
-    if len(center) == 1:
-        raise DegeneracyError("symmetric center is trivial: the datum is nondegenerate")
-    eps = require_fermion(full, center)
-    return reduce_to_reps(full, eps, epsilon_action(full), reps)
 
 
 def reduce_to_reps(full: RawDatum, eps: int, act: Sequence[int],

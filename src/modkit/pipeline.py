@@ -22,9 +22,9 @@ from .checks import (VerificationReport, _compare, _nonzero, _run_check, check_a
                      check_balancing, check_gauss_product, check_raw_unitarity,
                      check_sl2_relations, check_total_positivity, check_twist_laws, check_vafa)
 from .cyclotomic import CycNum, _canonical_root, root_of_unity_sqrt, sqrt_in_field
-from .datum import (KIND_BOLD, DegeneracyError, DegenerateCenterError, ModularDatum,
-                    RawDatum, SlightlyDegenerateData, World, epsilon_action, reduce_to_reps,
-                    require_center, require_fermion, with_duality)
+from .datum import (KIND_BOLD, KIND_FULL, DegeneracyError, DegenerateCenterError,
+                    ModularDatum, RawDatum, SlightlyDegenerateData, World, epsilon_action,
+                    reduce_to_reps, require_center, require_fermion, with_duality)
 from .fusion import FusionTensor, quotient_constants
 from .verlinde import verlinde_raw
 
@@ -63,13 +63,7 @@ def verify_raw(raw: RawDatum, reps: Optional[Sequence[int]] = None,
     slightly degenerate case).  Every entry of the report is one timed check
     (:func:`_run_check`) whose ms covers the work that decides it.
     """
-    rep, s = VerificationReport(), raw.s_matrix
-    basic = (("s_raw_symmetric", lambda: _compare(s, s.transpose())),
-             ("dims_nonzero", lambda: _nonzero(s.nonzero_in_row(raw.unit), raw.labels)),
-             ("twists_nonzero", lambda: _nonzero(list(map(bool, raw.twists)), raw.labels)))
-    for name, decide in basic:
-        if not rep.run(name, decide).ok:
-            return PipelineResult(rep, FAILED)
+    rep = VerificationReport()
     try:
         world, sldeg = _structure(rep, raw, reps)
     except DegeneracyError as exc:
@@ -85,17 +79,42 @@ def resolve_world(raw: RawDatum, reps: Optional[Sequence[int]] = None
     return _structure(VerificationReport(), raw, reps)
 
 
+def reduce_slightly_degenerate(full: RawDatum, reps: Optional[Sequence[int]] = None
+                               ) -> SlightlyDegenerateData:
+    """The reduction of a slightly degenerate full datum (``reps`` as in
+    :func:`verify_raw`): :func:`resolve_world`, then a trivial center refused."""
+    if full.kind != KIND_FULL:
+        raise DegeneracyError("reduction starts from a full datum")
+    _, sldeg = resolve_world(full, reps)
+    if sldeg is None:
+        raise DegeneracyError("symmetric center is trivial: the datum is nondegenerate")
+    return sldeg
+
+
 def _structure(rep: VerificationReport, raw: RawDatum, reps: Optional[Sequence[int]]
                ) -> tuple[World, Optional[SlightlyDegenerateData]]:
-    """The structural stages in report order, each deciding one hypothesis
-    by its function in :mod:`modkit.datum`; a failing stage raises its error.
-    The stage that decides the regime builds the world: ``duality`` that of a
-    bold datum, ``symmetric_center`` that of a trivial center (a world that
-    cannot be built fails a check of its own after them), ``reduction`` that
-    of a slightly degenerate one."""
+    """The structural stages in report order, the one sequence every verb
+    runs: the three basic checks (a failure raises an error naming the check
+    and its witness's entry), then one hypothesis per stage, which raises its
+    error.  The stage that decides the regime builds the world: ``duality``
+    that of a bold datum, ``symmetric_center`` that of a trivial center (a
+    world that cannot be built fails a check of its own after them),
+    ``reduction`` that of a slightly degenerate one."""
+    s = raw.s_matrix
+    for name, decide in (
+            ("s_raw_symmetric", lambda: _compare(s, s.transpose())),
+            ("dims_nonzero", lambda: _nonzero(s.nonzero_in_row(raw.unit), raw.labels)),
+            ("twists_nonzero", lambda: _nonzero(list(map(bool, raw.twists)), raw.labels))):
+        if not (checked := rep.run(name, decide)).ok:
+            raise DegeneracyError(f"{name} fails at {checked.witness['at']}", checked.witness)
 
     def duality():
-        detail, dual = "supplied" if raw.duality is not None else "derived", with_duality(raw)
+        try:
+            detail, dual = "supplied" if raw.duality is not None else "derived", with_duality(raw)
+        except DegeneracyError:   # a degenerate center's repeated characters stop a derivation
+            if raw.duality is None and raw.kind == KIND_FULL and raw.unit in raw.characters.center:
+                require_center(raw)
+            raise
         return detail, (dual, _built(dual) if dual.kind == KIND_BOLD else None)
 
     def symmetric_center():

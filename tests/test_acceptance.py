@@ -10,7 +10,7 @@ import numpy as np
 import per_entry
 from modkit._kernel import euler_phi
 from modkit.cyclotomic import CycNum, is_root_of_unity, zeta
-from modkit.datum import reduce_slightly_degenerate
+from modkit.pipeline import reduce_slightly_degenerate
 from modkit.families import (TaftLabel, pointed_cyclic, sl2_q16_counterexample,
                              taft_double, taft_epsilon_action, taft_fusion_tensor,
                              taft_J_indices, taft_label_index,

@@ -8,12 +8,11 @@ from modkit.checks import (AXIOM_CHECKS, check_axioms, check_balancing, check_ga
                            check_raw_unitarity, check_sl2_relations, check_twist_laws,
                            check_vafa)
 from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
-from modkit.datum import (DegeneracyError, ModularDatum, RawDatum, World,
-                          reduce_slightly_degenerate)
+from modkit.datum import DegeneracyError, ModularDatum, RawDatum, World
 from modkit.matrix import CycMatrix
 from modkit.families import (pointed_cyclic, pointed_fusion_tensor, sl2_q16_counterexample,
                              taft_double, taft_J_indices)
-from modkit.pipeline import emit_zmodular, verify_raw
+from modkit.pipeline import emit_zmodular, reduce_slightly_degenerate, verify_raw
 
 one = CycNum.from_rational(1)
 

@@ -13,13 +13,12 @@ from conftest import POINTED_GRID, galois_conjugate, relabel
 from modkit.cyclotomic import CycNum, zeta
 from modkit.datum import (KIND_BOLD, DegeneracyError, RawDatum, World, bar_involution,
                           derive_duality, detect_symmetric_center, dims_of, epsilon_action,
-                          reduce_slightly_degenerate, signed_positions, tensor_by_invertible,
-                          with_duality)
+                          signed_positions, tensor_by_invertible, with_duality)
 from modkit.families import (TaftLabel, pointed_cyclic, sl2_q16_counterexample,
                              taft_double, taft_epsilon_action, taft_J, taft_J_indices,
                              taft_label_index, taft_labels, taft_sdim)
 from modkit.matrix import CycMatrix
-from modkit.pipeline import resolve_world
+from modkit.pipeline import reduce_slightly_degenerate, resolve_world
 
 one = CycNum.from_rational(1)
 

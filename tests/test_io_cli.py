@@ -20,13 +20,13 @@ from conftest import (bad_taft3_oracles, galois_conjugate, taft3_at_conductor,
 from modkit import io
 from modkit.cli import _format_multiset, main as cli_main
 from modkit.cyclotomic import CycNum, root_of_unity
-from modkit.datum import (KIND_FULL, DegeneracyError, ModularDatum, RawDatum,
-                          reduce_slightly_degenerate)
+from modkit.datum import KIND_FULL, DegeneracyError, ModularDatum, RawDatum
 from modkit._kernel import euler_phi
 from modkit.matrix import CycMatrix, int_array
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_fusion_tensor, taft_J_indices, taft_normalizer)
-from modkit.pipeline import emit_zmodular, resolve_world, verify_raw
+from modkit.pipeline import (emit_zmodular, reduce_slightly_degenerate, resolve_world,
+                             verify_raw)
 
 
 def run_cli(args):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import per_entry
 from modkit import _kernel as kernel
 from modkit.cyclotomic import CycNum, zeta
-from modkit.datum import RawDatum, World, reduce_slightly_degenerate
+from modkit.datum import RawDatum, World
+from modkit.pipeline import reduce_slightly_degenerate
 from modkit.families import pointed_cyclic, sl2_q16_counterexample, taft_double, taft_J_indices
 from modkit import matrix
 from modkit.matrix import CycMatrix, PRIME_LIMIT, residue_matmul, slice_matmul, split_primes

@@ -16,15 +16,16 @@ import modkit.checks as checks_mod
 import modkit.datum as datum_mod
 import modkit.pipeline as pipeline_mod
 from modkit import io
+from modkit.cli import main as cli_main
 from modkit.cyclotomic import CycNum, sqrt_in_field, zeta
-from modkit.datum import (KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, World,
-                          reduce_slightly_degenerate)
+from modkit.datum import KIND_BOLD, DegeneracyError, ModularDatum, RawDatum, World
 from modkit.fusion import quotient_constants
 from modkit.matrix import CycMatrix
 from modkit.families import (pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_fusion_tensor, taft_J_indices, taft_normalizer)
-from modkit.pipeline import (emit_zmodular, gauss_normalizer, oracle_tensor, resolve_world,
-                             verify_normalized, verify_raw)
+from modkit.pipeline import (emit_zmodular, gauss_normalizer, oracle_tensor,
+                             reduce_slightly_degenerate, resolve_world, verify_normalized,
+                             verify_raw)
 
 one = CycNum.from_rational(1)
 
@@ -524,17 +525,28 @@ def test_dropping_the_duality_keeps_the_classification_and_the_later_checks(raw)
                      if c.name != "duality"]
 
 
-# the stages whose hypotheses reduce_slightly_degenerate decides too
-STRUCTURAL = ("duality", "symmetric_center", "epsilon_shape", "epsilon_row_negation",
+# the structural entries: a datum that fails one of them gets no world
+STRUCTURAL = ("s_raw_symmetric", "dims_nonzero", "twists_nonzero", "duality",
+              "symmetric_center", "bar_involution", "epsilon_shape", "epsilon_row_negation",
               "reduction", "global_dimension_nonzero")
 
 
 def perturbed(raw):
-    """Copies of ``raw`` with one twist times zeta_4, -1 or zeta_5, or one
-    entry of S (with its mirror entry) times -1, zeta_3 or 2."""
+    """Copies of ``raw`` with one twist times zeta_4, -1, zeta_5 or 0, one
+    entry of S (with its mirror entry) times -1, zeta_3 or 2, one entry of the
+    unit row (with its mirror) zeroed, or one entry S[i, i + 1] negated
+    without its mirror."""
     n, entries = raw.size, raw.s_matrix.entries
+
+    def with_s(changes):
+        s = list(entries)
+        for at, f in changes:
+            s[at] = entries[at] * f
+        return RawDatum(raw.labels, raw.unit, CycMatrix(n, n, s), raw.twists, raw.kind,
+                        raw.duality, raw.duality_signs)
+
     for x in range(n):
-        for f in (zeta(4), -one, zeta(5)):
+        for f in (zeta(4), -one, zeta(5), one - one):
             twists = list(raw.twists)
             twists[x] = twists[x] * f
             yield RawDatum(raw.labels, raw.unit, raw.s_matrix, tuple(twists), raw.kind,
@@ -542,11 +554,11 @@ def perturbed(raw):
     for i in range(n):
         for j in range(i, n):
             for f in (-one, zeta(3), one + one):
-                s = list(entries)
-                s[i * n + j] = s[i * n + j] * f
-                s[j * n + i] = s[i * n + j]
-                yield RawDatum(raw.labels, raw.unit, CycMatrix(n, n, s), raw.twists, raw.kind,
-                               raw.duality, raw.duality_signs)
+                yield with_s([(i * n + j, f), (j * n + i, f)])
+    for x in range(n):
+        u = raw.unit
+        yield with_s([(u * n + x, one - one), (x * n + u, one - one)])
+        yield with_s([(x * n + (x + 1) % n, -one)])
 
 
 RELATIONAL_DATA = ([(f"taft{d}", lambda d=d: taft_double(d)) for d in (3, 4)]
@@ -558,34 +570,61 @@ RELATIONAL_DATA = ([(f"taft{d}", lambda d=d: taft_double(d)) for d in (3, 4)]
                        lambda: io.datum_from_json(zero_global_dimension()))])
 
 
-def test_the_reduction_and_verify_raw_decide_each_hypothesis_alike():
-    # a structural stage that fails is the reduction's refusal, word for word,
-    # and a reduction that passes is the one the reduction makes
-    seen = collections.Counter()
+def refusal(check):
+    """The words a verb refuses with at the failing structural entry
+    ``check``: its detail, or for a basic check (whose detail is empty) its
+    name and the entry its witness locates."""
+    return check.detail or f"{check.name} fails at {check.witness['at']}"
+
+
+def raised(fn, *args):
+    try:
+        return fn(*args)
+    except DegeneracyError as exc:
+        return str(exc), exc.witness
+
+
+def test_the_reduction_and_verify_raw_decide_each_hypothesis_alike(tmp_path, capsys):
+    # a datum that fails a structural entry is refused by resolve_world (and
+    # so by fusion) and by the reduction at that entry, in its words and with
+    # its witness; one that passes them reduces as verify_raw reduces it
+    seen, driven = collections.Counter(), set()
     for name, make in RELATIONAL_DATA:
         raw = make()
         for datum in [raw, without_duality(raw), *perturbed(raw)]:
             res = verify_raw(datum)
-            if [c.status for c in res.report.checks[:3]] != ["pass"] * 3:
+            got = raised(reduce_slightly_degenerate, datum)
+            if res.world is not None:
+                if datum.kind == KIND_BOLD:
+                    assert got == ("reduction starts from a full datum", None), name
+                elif res.sldeg is None:
+                    assert got == ("symmetric center is trivial: the datum is nondegenerate",
+                                   None), name
+                else:
+                    assert got.reps == res.sldeg.reps and got.world.raw == res.sldeg.world.raw
+                    seen["reduced"] += 1
                 continue
-            try:
-                got = reduce_slightly_degenerate(datum)
-            except DegeneracyError as exc:
-                got = str(exc)
-            failures = res.report.failures()
-            center = res.report["symmetric_center"] if "symmetric_center" in res.report else None
-            if datum.kind == KIND_BOLD:
-                assert got == "reduction starts from a full datum", name
-            elif center is not None and center.detail == "trivial center: nondegenerate":
-                assert isinstance(got, str) and "nondegenerate" in got, name
-            elif "reduction" in res.report and res.report["reduction"].ok:
-                assert not isinstance(got, str), (name, got)
-                assert got.reps == res.sldeg.reps and got.world.raw == res.sldeg.world.raw, name
-                seen["reduced"] += 1
-            else:
-                assert failures and failures[0].name in STRUCTURAL, (name, failures)
-                assert got == failures[0].detail, name
-                seen[failures[0].name] += 1
-    # each stage before the reduction refuses some datum, and some reduce
-    assert set(seen) >= {"duality", "symmetric_center", "epsilon_shape", "epsilon_row_negation",
-                         "reduced"}, seen
+            first = res.report.failures()[0]
+            assert res.classification in ("fail", "degenerate") and first.name in STRUCTURAL
+            want = (refusal(first), first.witness)
+            assert raised(resolve_world, datum) == want, (name, first.name)
+            if datum.kind != KIND_BOLD:
+                assert got == want, (name, first.name)
+            seen[first.name] += 1
+            if (name, first.name) in driven:
+                continue
+            # the verbs, once for each fixture and failing entry
+            driven.add((name, first.name))
+            path, out = str(tmp_path / "d.json"), str(tmp_path / "b.json")
+            io.save_datum(datum, path)
+            verbs = [(["fusion", path, datum.labels[0], datum.labels[0]], "verlinde route failed")]
+            if datum.kind != KIND_BOLD:
+                verbs.append((["reduce", path, out], "reduction failed"))
+            for argv, head in verbs:
+                capsys.readouterr()
+                assert cli_main(argv) == 1, (name, argv[0], first.name)
+                assert capsys.readouterr().err == f"{head}: {want[0]}\n", (name, argv[0])
+    # every structural entry refuses some datum, and some reduce
+    assert set(seen) >= {"s_raw_symmetric", "dims_nonzero", "twists_nonzero", "duality",
+                         "symmetric_center", "bar_involution", "epsilon_shape",
+                         "epsilon_row_negation", "reduced"}, seen

@@ -8,7 +8,8 @@ import per_entry
 from modkit import verlinde
 from modkit.checks import check_balancing
 from modkit.cyclotomic import CycNum, zeta
-from modkit.datum import ModularDatum, World, reduce_slightly_degenerate, with_duality
+from modkit.datum import ModularDatum, World, with_duality
+from modkit.pipeline import reduce_slightly_degenerate
 from modkit.matrix import CycMatrix
 from modkit.families import (TaftLabel, pointed_cyclic, sl2_q16_counterexample, taft_double,
                              taft_fusion_tensor, taft_J, taft_J_indices, taft_normalizer)
